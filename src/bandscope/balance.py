@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import MappingMismatchError, MissingReferenceError, SilenceError
+from .errors import MappingMismatchError, SilenceError
 from .filterbank import BandMapping, FilterBank, decompose
 from .series import MeasurementSeries
 from .signal import LevelDbfs, Signal, mean_level_dbfs
@@ -42,24 +42,6 @@ class BalanceResult:
     @property
     def n_bands(self) -> int:
         return len(self.weights_linear)
-
-    def to_json(self) -> dict:
-        return {
-            "edges_hz": list(self.mapping.edges),
-            "weights_linear": list(self.weights_linear),
-            "weights_db": [None if w == -math.inf else w for w in self.weights_db],
-            "mean_level_dbfs": self.mean_level.to_json(),
-        }
-
-    def to_csv(self) -> str:
-        """One row per band: index, edges, linear weight, relative dB."""
-        lines = ["band,low_hz,high_hz,weight_linear,weight_db"]
-        for i in range(self.n_bands):
-            lo, hi = self.mapping.band(i)
-            db = self.weights_db[i]
-            db_cell = "silence" if db == -math.inf else repr(db)
-            lines.append(f"{i + 1},{lo:g},{hi:g},{repr(self.weights_linear[i])},{db_cell}")
-        return "\n".join(lines) + "\n"
 
 
 @dataclass(frozen=True)
@@ -92,17 +74,6 @@ class BalanceDifference:
     stimulus_level: LevelDbfs
     recording_level: LevelDbfs
 
-    def to_csv(self) -> str:
-        """One row per band plus the mean-level pair as a trailing row."""
-        lines = ["band,difference_db"]
-        for i, d in enumerate(self.diffs_db):
-            cell = "" if math.isnan(d) else repr(d)
-            lines.append(f"{i + 1},{cell}")
-        stim = "silence" if self.stimulus_level.is_silence else repr(self.stimulus_level.value)
-        rec = "silence" if self.recording_level.is_silence else repr(self.recording_level.value)
-        lines.append(f"mean_levels,{stim}/{rec}")
-        return "\n".join(lines) + "\n"
-
 
 def spectral_balance(signal: Signal, bank: FilterBank) -> BalanceResult:
     """Weights of every subband of ``signal`` under ``bank``'s mapping."""
@@ -131,11 +102,7 @@ def weight_evolution(
     some distance cannot form a delta there; such points are dropped from
     that band's curve with a warning rather than fabricated.
     """
-    if not series.has_distance(reference_distance_cm):
-        raise MissingReferenceError(
-            f"series {series.key} has no recording at reference "
-            f"{reference_distance_cm} cm (distances: {series.distances})"
-        )
+    series.require_reference(reference_distance_cm)
     balances = {
         entry.distance_cm: spectral_balance(sig, bank)
         for entry, sig in zip(series.entries, series.signals)

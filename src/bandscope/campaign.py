@@ -25,12 +25,7 @@ from .balance import (
     spectral_balance,
     weight_evolution,
 )
-from .errors import (
-    BandscopeError,
-    DuplicateDistanceError,
-    ManifestError,
-    RateMismatchError,
-)
+from .errors import BandscopeError, InvalidInputError, ManifestError
 from .filterbank import FilterBank
 from .level import (
     GapPoint,
@@ -40,7 +35,7 @@ from .level import (
     measured_level_curve,
     validity_limit,
 )
-from .series import MeasurementEntry, MeasurementSeries
+from .series import MeasurementEntry, MeasurementSeries, check_unique_distances
 from .signal import LevelDbfs, Signal, mean_level_dbfs
 
 __all__ = [
@@ -52,7 +47,6 @@ __all__ = [
     "ComparisonReport",
     "ingest",
     "analyze",
-    "run_campaign",
     "analyze_report",
     "compare_to_stimulus",
     "export",
@@ -98,7 +92,7 @@ def _manifest_entries(manifest_path: str | os.PathLike) -> list[MeasurementEntry
                     path=str(row["path"]),
                 )
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, InvalidInputError) as exc:
             raise ManifestError(f"{path}: entry {i} invalid: {exc}")
     if not entries:
         raise ManifestError(f"{path}: manifest holds no entries")
@@ -123,12 +117,7 @@ def ingest(manifest_path: str | os.PathLike) -> IngestReport:
     errors: list[SeriesError] = []
     for key in sorted(groups):
         group = groups[key]
-        dists = [e.distance_cm for e in group]
-        if len(set(dists)) != len(dists):
-            dup = sorted(d for d in set(dists) if dists.count(d) > 1)
-            raise DuplicateDistanceError(
-                f"series {key}: duplicate distance(s) {dup} cm in manifest"
-            )
+        check_unique_distances(group)  # before any file is read
         signals = []
         failure: SeriesError | None = None
         for entry in group:
@@ -141,9 +130,6 @@ def ingest(manifest_path: str | os.PathLike) -> IngestReport:
         if failure is not None:
             errors.append(failure)
             continue
-        rates = {s.sample_rate for s in signals}
-        if len(rates) > 1:
-            raise RateMismatchError(f"series {key}: mixed sample rates {sorted(rates)}")
         series_list.append(MeasurementSeries(entries=tuple(group), signals=tuple(signals)))
     return IngestReport(series=tuple(series_list), errors=tuple(errors))
 
@@ -289,16 +275,6 @@ def analyze_report(
     return CampaignResult(
         analyses=tuple(analyses), errors=tuple(errors), provenance=provenance
     )
-
-
-def run_campaign(
-    manifest_path: str | os.PathLike,
-    bank: FilterBank,
-    reference_distance_cm: float = 100.0,
-    threshold_db: float = 1.0,
-) -> CampaignResult:
-    """Ingest a manifest and analyze it in one step."""
-    return analyze_report(ingest(manifest_path), bank, reference_distance_cm, threshold_db)
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -25,7 +26,6 @@ from .errors import BandscopeError, InvalidSpecError, ManifestError
 from .filterbank import (
     BAND_PRESETS,
     DEFAULT_TAPS,
-    FAST_TAPS,
     BandMapping,
     FilterBank,
     design_bank,
@@ -52,8 +52,17 @@ def _add_mapping_args(p: argparse.ArgumentParser) -> None:
                    help="plain-text mapping file, one edge in Hz per line")
     p.add_argument("--length", type=int, default=DEFAULT_TAPS,
                    help=f"FIR tap count, odd (default {DEFAULT_TAPS})")
-    p.add_argument("--fast", action="store_true",
-                   help=f"short filters ({FAST_TAPS} taps) for quick runs")
+
+
+def _finite_float(text: str) -> float:
+    """argparse type for float flags: NaN and infinities are usage errors."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}")
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
+    return value
 
 
 def _add_out_arg(p: argparse.ArgumentParser, required: bool = False) -> None:
@@ -68,12 +77,8 @@ def _resolve_mapping(args) -> BandMapping:
     return BandMapping(BAND_PRESETS[args.preset])
 
 
-def _resolve_length(args) -> int:
-    return FAST_TAPS if args.fast else args.length
-
-
 def _build_bank(args, sample_rate: int) -> FilterBank:
-    return design_bank(_resolve_mapping(args), sample_rate, _resolve_length(args))
+    return design_bank(_resolve_mapping(args), sample_rate, args.length)
 
 
 def _provenance(lines: list[str]) -> None:
@@ -82,15 +87,13 @@ def _provenance(lines: list[str]) -> None:
         print(f"# {line}")
 
 
-def _bank_provenance(args, extra: list[str] | None = None) -> list[str]:
-    mapping = _resolve_mapping(args)
+def _bank_provenance(args, bank: FilterBank, extra: list[str]) -> list[str]:
     name = args.mapping if args.mapping else args.preset
-    lines = [
-        f"mapping: {name} [{', '.join(f'{e:g}' for e in mapping.edges)}] "
-        f"({mapping.n_bands} bands)",
-        f"filter length: {_resolve_length(args)} taps",
-    ]
-    return lines + (extra or [])
+    edges = ", ".join(f"{e:g}" for e in bank.mapping.edges)
+    return [
+        f"mapping: {name} [{edges}] ({bank.n_bands} bands)",
+        f"filter length: {bank.length} taps",
+    ] + extra
 
 
 def _cmd_bands(args) -> int:
@@ -142,42 +145,49 @@ def _cmd_synth_campaign(args) -> int:
     doc = _load_campaign_spec(spec_path)
     try:
         stim_doc = doc["stimulus"]
-        distances = [float(d) for d in doc["distances_cm"]]
-    except (KeyError, TypeError, ValueError) as exc:
+        if not isinstance(stim_doc, dict):
+            raise TypeError(f"'stimulus' must be an object, got {stim_doc!r}")
+        sspec = None
+        if "file" in stim_doc:
+            stim_file = spec_path.parent / stim_doc["file"]
+        else:
+            sspec = StimulusSpec(
+                kind=stim_doc.get("kind", "pink"),
+                duration=float(stim_doc.get("duration_s", 2.0)),
+                sample_rate=int(stim_doc.get("sample_rate_hz", 44100)),
+                target_level=float(stim_doc.get("target_level_dbfs", -20.0)),
+                frequency=stim_doc.get("frequency_hz"),
+                seed=stim_doc.get("seed"),
+            )
+        distances = tuple(float(d) for d in doc["distances_cm"])
+        profile = None
+        raw_profile = doc.get("profile")
+        if raw_profile:
+            profile = DistanceProfile(
+                bands={
+                    int(band) - 1: tuple((float(d), float(g)) for d, g in pts)
+                    for band, pts in raw_profile.items()
+                }
+            )
+        model = DirectivityModel(float(doc.get("directivity_m", 1.0)))
+        theta_rad = float(doc.get("theta_rad", 0.0))
+        reference_distance_cm = float(doc.get("reference_distance_cm", 100.0))
+    except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
         raise InvalidSpecError(f"{spec_path}: {exc}")
 
-    if "file" in stim_doc:
-        stim_file = spec_path.parent / stim_doc["file"]
+    if sspec is None:
         stimulus = load_wav(stim_file)
         stim_json = {"file": str(stim_doc["file"])}
     else:
-        sspec = StimulusSpec(
-            kind=stim_doc.get("kind", "pink"),
-            duration=float(stim_doc.get("duration_s", 2.0)),
-            sample_rate=int(stim_doc.get("sample_rate_hz", 44100)),
-            target_level=float(stim_doc.get("target_level_dbfs", -20.0)),
-            frequency=stim_doc.get("frequency_hz"),
-            seed=stim_doc.get("seed"),
-        )
         stimulus = gen_stimulus(sspec)
         stim_json = sspec.to_json()
 
-    profile = None
-    raw_profile = doc.get("profile")
-    if raw_profile:
-        profile = DistanceProfile(
-            bands={
-                int(band) - 1: tuple((float(d), float(g)) for d, g in pts)
-                for band, pts in raw_profile.items()
-            }
-        )
-
     cspec = SynthCampaignSpec(
         stimulus=stimulus,
-        distances_cm=tuple(distances),
-        model=DirectivityModel(float(doc.get("directivity_m", 1.0))),
-        theta_rad=float(doc.get("theta_rad", 0.0)),
-        reference_distance_cm=float(doc.get("reference_distance_cm", 100.0)),
+        distances_cm=distances,
+        model=model,
+        theta_rad=theta_rad,
+        reference_distance_cm=reference_distance_cm,
         profile=profile,
         microphone=str(doc.get("microphone", "synthetic")),
         stimulus_label=str(doc.get("stimulus_label", "stimulus")),
@@ -187,7 +197,7 @@ def _cmd_synth_campaign(args) -> int:
     extra = [f"campaign spec: {spec_path}"]
     if profile is not None:
         bank = _build_bank(args, stimulus.sample_rate)
-        extra = _bank_provenance(args, extra)
+        extra = _bank_provenance(args, bank, extra)
     _provenance(extra)
 
     series, truth = synth_campaign(cspec, bank)
@@ -232,6 +242,7 @@ def _cmd_analyze(args) -> int:
     _provenance(
         _bank_provenance(
             args,
+            bank,
             [
                 f"reference: {args.reference:g} cm",
                 f"threshold: {args.threshold:g} dB",
@@ -256,7 +267,7 @@ def _cmd_compare(args) -> int:
         raise ManifestError(f"{args.manifest}: no loadable series")
     bank = _build_bank(args, stimulus.sample_rate)
     _provenance(
-        _bank_provenance(args, [f"comparison distance: {args.distance:g} cm"])
+        _bank_provenance(args, bank, [f"comparison distance: {args.distance:g} cm"])
     )
     rows = tuple(
         compare_to_stimulus(stimulus, series, bank, args.distance)
@@ -297,9 +308,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", help="synthesize a stimulus WAV")
     p.add_argument("--kind", choices=["sine", "pink"], required=True)
-    p.add_argument("--freq", type=float, help="sine frequency in Hz")
-    p.add_argument("--level", type=float, default=-20.0, help="target mean level dB FS")
-    p.add_argument("--dur", type=float, required=True, help="duration in seconds")
+    p.add_argument("--freq", type=_finite_float, help="sine frequency in Hz")
+    p.add_argument("--level", type=_finite_float, default=-20.0, help="target mean level dB FS")
+    p.add_argument("--dur", type=_finite_float, required=True, help="duration in seconds")
     p.add_argument("--rate", type=int, default=44100, help="sample rate in Hz")
     p.add_argument("--seed", type=int, help="random seed (pink)")
     p.add_argument("--bits", choices=["float32", "pcm16", "pcm24"], default="float32")
@@ -315,15 +326,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analyze", help="analyze a measurement manifest")
     p.add_argument("--manifest", required=True, metavar="FILE")
     _add_mapping_args(p)
-    p.add_argument("--reference", type=float, default=100.0, metavar="CM")
-    p.add_argument("--threshold", type=float, default=1.0, metavar="DB")
+    p.add_argument("--reference", type=_finite_float, default=100.0, metavar="CM")
+    p.add_argument("--threshold", type=_finite_float, default=1.0, metavar="DB")
     _add_out_arg(p, required=True)
     p.set_defaults(func=_cmd_analyze)
 
     p = sub.add_parser("compare", help="stimulus-vs-recordings balance table")
     p.add_argument("--stimulus", required=True, metavar="FILE")
     p.add_argument("--manifest", required=True, metavar="FILE")
-    p.add_argument("--distance", type=float, default=100.0, metavar="CM")
+    p.add_argument("--distance", type=_finite_float, default=100.0, metavar="CM")
     p.add_argument("--label", default="stimulus", help="stimulus label in the table")
     _add_mapping_args(p)
     _add_out_arg(p)
@@ -331,7 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("normalize", help="rescale a WAV to a target mean level")
     p.add_argument("--in-file", required=True, metavar="FILE")
-    p.add_argument("--level", type=float, required=True, help="target mean level dB FS")
+    p.add_argument("--level", type=_finite_float, required=True, help="target mean level dB FS")
     p.add_argument("--bits", choices=["float32", "pcm16", "pcm24"], default="float32")
     p.add_argument("--out-file", required=True, metavar="FILE")
     p.set_defaults(func=_cmd_normalize)

@@ -13,7 +13,6 @@ energies directly comparable to the input's.
 
 from __future__ import annotations
 
-import io
 import os
 from dataclasses import dataclass
 
@@ -32,13 +31,10 @@ __all__ = [
     "load_mapping",
     "BAND_PRESETS",
     "DEFAULT_TAPS",
-    "FAST_TAPS",
 ]
 
-# Default tap count gives ~15 Hz transition bands at 44.1 kHz; the fast
-# variant exists for test turnaround, not measurement use.
+# Default tap count gives ~15 Hz transition bands at 44.1 kHz.
 DEFAULT_TAPS = 16383
-FAST_TAPS = 1023
 
 # 10-band analysis mapping (44.1 kHz material) and the two variants of the
 # 8-band low-frequency mapping. The verbatim variant keeps the published
@@ -133,28 +129,6 @@ class FilterBank:
     @property
     def group_delay(self) -> int:
         return (self.length - 1) // 2
-
-    def frequency_response(self, band_index: int, freqs: np.ndarray) -> np.ndarray:
-        """Complex response of one band filter at the given frequencies (Hz).
-
-        Zero-phase form: evaluated with the group delay removed, so the
-        response of a symmetric filter is purely real.
-        """
-        h = self.taps[band_index]
-        n = np.arange(h.size) - self.group_delay
-        omega = 2.0 * np.pi * np.asarray(freqs, dtype=np.float64) / self.sample_rate
-        return (h[None, :] * np.exp(-1j * np.outer(omega, n))).sum(axis=1)
-
-    def taps_csv(self) -> str:
-        """All band coefficients as CSV (tap index, one column per band)."""
-        out = io.StringIO()
-        headers = ",".join(f"band{i + 1}" for i in range(self.n_bands))
-        out.write(f"tap,{headers}\n")
-        cols = np.column_stack(self.taps)
-        for n in range(self.length):
-            row = ",".join(repr(float(v)) for v in cols[n])
-            out.write(f"{n},{row}\n")
-        return out.getvalue()
 
 
 def _windowed_sinc_lowpass(cutoff: float, sample_rate: int, length: int) -> np.ndarray:

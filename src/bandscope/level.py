@@ -13,11 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import (
-    InvalidInputError,
-    MissingReferenceError,
-    SingularityError,
-)
+from .errors import InvalidInputError, SingularityError
 from .series import MeasurementSeries
 from .signal import mean_level_dbfs
 
@@ -53,27 +49,6 @@ class LevelCurve:
     @property
     def amplifications_db(self) -> tuple[float, ...]:
         return tuple(v for _, v in self.points)
-
-    def to_csv(self) -> str:
-        lines = ["distance_cm,amplification_db"]
-        lines += [f"{d:g},{repr(v)}" for d, v in self.points]
-        return "\n".join(lines) + "\n"
-
-    def plot_columns(self, with_theory: bool = False) -> str:
-        """Whitespace-separated two-column block for plotting tools.
-
-        With ``with_theory`` the theoretical overlay is appended as a second
-        block (blank-line separated), covering the x > 0 points only.
-        """
-        rows = [f"{d:g} {v:.6f}" for d, v in self.points]
-        if with_theory:
-            rows.append("")
-            rows += [
-                f"{d:g} {theoretical_amplification(d, self.reference_distance_cm):.6f}"
-                for d, _ in self.points
-                if d > 0
-            ]
-        return "\n".join(rows) + "\n"
 
 
 @dataclass(frozen=True)
@@ -119,11 +94,7 @@ def measured_level_curve(
     Invariant under any global gain applied to the whole series; the
     reference point is pinned to exactly 0 dB.
     """
-    if not series.has_distance(reference_distance_cm):
-        raise MissingReferenceError(
-            f"series {series.key} has no recording at reference "
-            f"{reference_distance_cm} cm (distances: {series.distances})"
-        )
+    series.require_reference(reference_distance_cm)
     ref_level = mean_level_dbfs(series.signal_at(reference_distance_cm))
     if ref_level.is_silence:
         raise InvalidInputError(
@@ -174,8 +145,8 @@ def validity_limit(
     no limit. Suffix-based by design: a compliant stretch followed by a late
     excursion does not count.
     """
-    if threshold_db <= 0:
-        raise InvalidInputError(f"threshold must be positive, got {threshold_db}")
+    if not (math.isfinite(threshold_db) and threshold_db > 0):
+        raise InvalidInputError(f"threshold must be positive and finite, got {threshold_db}")
     pts = sorted((float(d), float(v)) for d, v in deviations)
     if len(pts) < 2:
         raise InvalidInputError(f"need at least 2 deviation points, got {len(pts)}")

@@ -2,17 +2,20 @@
 
 from __future__ import annotations
 
+import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .errors import (
     DuplicateDistanceError,
     InvalidInputError,
     MissingDistanceError,
+    MissingReferenceError,
     RateMismatchError,
 )
 from .signal import Signal
 
-__all__ = ["MeasurementEntry", "MeasurementSeries"]
+__all__ = ["MeasurementEntry", "MeasurementSeries", "check_unique_distances"]
 
 
 @dataclass(frozen=True)
@@ -26,8 +29,10 @@ class MeasurementEntry:
     path: str | None = None  # None for in-memory synthetic recordings
 
     def __post_init__(self) -> None:
-        if self.distance_cm < 0:
-            raise InvalidInputError(f"distance must be >= 0 cm, got {self.distance_cm}")
+        if not (math.isfinite(self.distance_cm) and self.distance_cm >= 0):
+            raise InvalidInputError(
+                f"distance must be finite and >= 0 cm, got {self.distance_cm}"
+            )
         for label_name in ("microphone", "directivity", "stimulus"):
             if not getattr(self, label_name):
                 raise InvalidInputError(f"{label_name} label must be nonempty")
@@ -35,6 +40,20 @@ class MeasurementEntry:
     @property
     def key(self) -> tuple[str, str, str]:
         return (self.microphone, self.directivity, self.stimulus)
+
+
+def check_unique_distances(entries: Sequence[MeasurementEntry]) -> None:
+    """Raise :class:`DuplicateDistanceError` if two entries share a distance.
+
+    Needs only the entries, so a manifest can be checked before any file
+    is read.
+    """
+    dists = [e.distance_cm for e in entries]
+    dup = sorted({d for d in dists if dists.count(d) > 1})
+    if dup:
+        raise DuplicateDistanceError(
+            f"series {entries[0].key}: duplicate distance(s) {dup} cm"
+        )
 
 
 @dataclass(frozen=True)
@@ -55,12 +74,7 @@ class MeasurementSeries:
         order = sorted(range(len(self.entries)), key=lambda i: self.entries[i].distance_cm)
         entries = tuple(self.entries[i] for i in order)
         signals = tuple(self.signals[i] for i in order)
-        dists = [e.distance_cm for e in entries]
-        for a, b in zip(dists, dists[1:]):
-            if a == b:
-                raise DuplicateDistanceError(
-                    f"series {entries[0].key} has two recordings at {a} cm"
-                )
+        check_unique_distances(entries)
         rates = {s.sample_rate for s in signals}
         if len(rates) > 1:
             raise RateMismatchError(
@@ -87,6 +101,15 @@ class MeasurementSeries:
 
     def has_distance(self, distance_cm: float) -> bool:
         return float(distance_cm) in self.distances
+
+    def require_reference(self, reference_distance_cm: float) -> None:
+        """Raise :class:`MissingReferenceError` unless the series holds the
+        reference distance."""
+        if not self.has_distance(reference_distance_cm):
+            raise MissingReferenceError(
+                f"series {self.key} has no recording at reference "
+                f"{reference_distance_cm} cm (distances: {self.distances})"
+            )
 
     def signal_at(self, distance_cm: float) -> Signal:
         for entry, sig in zip(self.entries, self.signals):

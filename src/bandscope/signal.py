@@ -23,20 +23,12 @@ __all__ = [
     "mean_level_dbfs",
     "normalize_to_level",
     "db_to_gain",
-    "gain_to_db",
 ]
 
 
 def db_to_gain(db: float) -> float:
     """Amplitude gain for a dB figure (20*log10 convention)."""
     return 10.0 ** (db / 20.0)
-
-
-def gain_to_db(gain: float) -> float:
-    """dB figure for an amplitude gain (20*log10 convention)."""
-    if gain <= 0:
-        raise InvalidInputError(f"gain must be positive, got {gain}")
-    return 20.0 * math.log10(gain)
 
 
 @dataclass(frozen=True)
@@ -88,9 +80,6 @@ class Signal:
                 f"cannot trim to {n_samples} samples from {self.samples.size}"
             )
         return Signal(self.samples[:n_samples], self.sample_rate)
-
-    def is_silent(self) -> bool:
-        return bool(np.all(self.samples == 0.0))
 
 
 @dataclass(frozen=True, order=True)

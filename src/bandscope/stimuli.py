@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 from scipy.signal import welch
@@ -35,8 +36,10 @@ class StimulusSpec:
     def __post_init__(self) -> None:
         if self.kind not in ("pink", "sine"):
             raise InvalidInputError(f"unknown stimulus kind {self.kind!r}")
-        if self.duration <= 0:
-            raise InvalidInputError(f"duration must be positive, got {self.duration}")
+        if not (math.isfinite(self.duration) and self.duration > 0):
+            raise InvalidInputError(
+                f"duration must be positive and finite, got {self.duration}"
+            )
         if self.sample_rate <= 0:
             raise InvalidInputError(f"sample_rate must be positive, got {self.sample_rate}")
         if self.kind == "sine":
@@ -46,8 +49,10 @@ class StimulusSpec:
                 raise InvalidFrequencyError(
                     f"frequency must be in (0, {self.sample_rate / 2}), got {self.frequency}"
                 )
-        if self.kind == "pink" and self.seed is None:
-            raise InvalidInputError("pink stimulus needs a seed for reproducibility")
+        if self.kind == "pink" and not (isinstance(self.seed, Integral) and self.seed >= 0):
+            raise InvalidInputError(
+                f"pink stimulus needs a non-negative integer seed, got {self.seed!r}"
+            )
 
     def to_json(self) -> dict:
         return {

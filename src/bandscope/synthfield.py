@@ -97,8 +97,8 @@ class DistanceProfile:
                 raise InvalidInputError(
                     f"band {band}: breakpoint distances must be unique ascending"
                 )
-            if not all(math.isfinite(g) for _, g in pairs):
-                raise InvalidInputError(f"band {band}: gains must be finite")
+            if not all(math.isfinite(d) and math.isfinite(g) for d, g in pairs):
+                raise InvalidInputError(f"band {band}: breakpoints must be finite")
             clean[int(band)] = pairs
         object.__setattr__(self, "bands", clean)
 
@@ -169,8 +169,10 @@ class SynthCampaignSpec:
         dists = tuple(float(d) for d in self.distances_cm)
         if not dists:
             raise InvalidSpecError("campaign needs at least one distance")
-        if any(d <= 0 for d in dists):
-            raise InvalidSpecError(f"distances must be positive: {dists}")
+        if not all(math.isfinite(d) and d > 0 for d in dists):
+            raise InvalidSpecError(f"distances must be positive and finite: {dists}")
+        if not math.isfinite(self.theta_rad):
+            raise InvalidSpecError(f"theta_rad must be finite, got {self.theta_rad}")
         if len(set(dists)) != len(dists):
             raise InvalidSpecError(f"distances must be unique: {dists}")
         if self.reference_distance_cm not in dists:

@@ -182,30 +182,3 @@ class TestTableRowFormat:
         assert float(cells[11]) == -18.6 and float(cells[12]) == -50.2
         text = report.to_text()
         assert "+8.2" in text and "-6.8" in text and "-18.6/-50.2" in text
-
-
-class TestSerialization:
-    def test_balance_result_csv(self, ids10_bank_fast, white_2s):
-        result = spectral_balance(white_2s, ids10_bank_fast)
-        lines = result.to_csv().strip().split("\n")
-        assert lines[0] == "band,low_hz,high_hz,weight_linear,weight_db"
-        assert len(lines) == 11
-        first = lines[1].split(",")
-        assert first[:3] == ["1", "0", "50"]
-        assert float(first[3]) == result.weights_linear[0]
-
-    def test_balance_result_json_roundtrip(self, ids10_bank_fast, white_2s):
-        import json as _json
-
-        result = spectral_balance(white_2s, ids10_bank_fast)
-        doc = _json.loads(_json.dumps(result.to_json()))
-        assert doc["weights_linear"] == list(result.weights_linear)
-        assert doc["edges_hz"][0] == 0
-
-    def test_difference_csv_rows(self, ids10_bank_fast, white_2s):
-        a = spectral_balance(white_2s, ids10_bank_fast)
-        diff = balance_difference(a, a)
-        lines = diff.to_csv().strip().split("\n")
-        assert lines[0] == "band,difference_db"
-        assert len(lines) == 12  # 10 bands + level pair
-        assert lines[-1].startswith("mean_levels,")

@@ -12,10 +12,10 @@ from bandscope import (
     Signal,
     SynthCampaignSpec,
     analyze,
+    analyze_report,
     compare_to_stimulus,
     export,
     ingest,
-    run_campaign,
     save_wav,
     synth_campaign,
 )
@@ -82,6 +82,12 @@ class TestIngest:
         dup = dict(rows[0])
         dup["path"] = rows[1]["path"]
         rows.append(dup)
+        with pytest.raises(DuplicateDistanceError):
+            ingest(_write_manifest(tmp_path, rows))
+
+    def test_duplicate_distance_raises_before_reading_files(self, tmp_path):
+        rows = [{"path": f"absent_{i}.wav", "distance_cm": 40, "microphone": "M",
+                 "directivity": "omni", "stimulus": "music"} for i in range(2)]
         with pytest.raises(DuplicateDistanceError):
             ingest(_write_manifest(tmp_path, rows))
 
@@ -206,7 +212,7 @@ class TestCompare:
 class TestExport:
     def _result(self, bank, stimulus, tmp_path):
         rows = _synth_files(tmp_path, stimulus, [50, 100])
-        return run_campaign(_write_manifest(tmp_path, rows), bank)
+        return analyze_report(ingest(_write_manifest(tmp_path, rows)), bank)
 
     def test_file_count_one_series(self, ids10_bank_fast, short_noise, tmp_path):
         result = self._result(ids10_bank_fast, short_noise, tmp_path)
@@ -240,7 +246,7 @@ class TestExport:
         rows = _synth_files(tmp_path, short_noise, [50, 100])
         rows.append({"path": "ghost.wav", "distance_cm": 10, "microphone": "X",
                      "directivity": "omni", "stimulus": "music"})
-        result = run_campaign(_write_manifest(tmp_path, rows), ids10_bank_fast)
+        result = analyze_report(ingest(_write_manifest(tmp_path, rows)), ids10_bank_fast)
         export(result, tmp_path / "out")
         summary = json.loads((tmp_path / "out" / "summary.json").read_text())
         assert len(summary["series"]) == 1
@@ -254,7 +260,7 @@ class TestExport:
         rows += _synth_files(tmp_path, short_noise, [50], mic="NoRef")  # missing ref
         rows.append({"path": "ghost.wav", "distance_cm": 10, "microphone": "X",
                      "directivity": "omni", "stimulus": "music"})
-        result = run_campaign(_write_manifest(tmp_path, rows), ids10_bank_fast)
+        result = analyze_report(ingest(_write_manifest(tmp_path, rows)), ids10_bank_fast)
         # 3 groups in manifest: 1 analyzed, 1 missing-reference, 1 missing file
         assert len(result.analyses) + len(result.errors) == 3
         kinds = sorted(e.kind for e in result.errors)

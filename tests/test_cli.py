@@ -1,14 +1,16 @@
 import json
+import math
 
+import numpy as np
 import pytest
 
-from bandscope import load_wav, mean_level_dbfs
+from bandscope import Signal, load_wav, mean_level_dbfs, save_wav
 from bandscope.cli import run
 
 FS = 44100
 
 
-def _flat_campaign_spec(tmp_path, distances=(5, 10, 20, 50, 100), seed=7):
+def _flat_campaign_spec(tmp_path, distances=(5, 10, 20, 50, 100), seed=7, **overrides):
     spec = {
         "stimulus": {"kind": "pink", "duration_s": 1.0, "sample_rate_hz": FS,
                      "target_level_dbfs": -20.0, "seed": seed},
@@ -18,6 +20,7 @@ def _flat_campaign_spec(tmp_path, distances=(5, 10, 20, 50, 100), seed=7):
         "theta_rad": 0.0,
         "microphone": "synthcard",
         "stimulus_label": "pink",
+        **overrides,
     }
     path = tmp_path / "campaign.json"
     path.write_text(json.dumps(spec))
@@ -109,7 +112,7 @@ class TestCampaignPipeline:
 
         out_dir = tmp_path / "analysis"
         code = run(["analyze", "--manifest", str(camp_dir / "manifest.json"),
-                    "--preset", "ids10", "--fast", "--out", str(out_dir)])
+                    "--preset", "ids10", "--length", "1023", "--out", str(out_dir)])
         assert code == 0
         txt = capsys.readouterr().out
         assert "filter length: 1023 taps" in txt
@@ -127,7 +130,7 @@ class TestCampaignPipeline:
         for name in ("one", "two"):
             out_dir = tmp_path / name
             assert run(["analyze", "--manifest", str(camp_dir / "manifest.json"),
-                        "--fast", "--out", str(out_dir)]) == 0
+                        "--length", "1023", "--out", str(out_dir)]) == 0
             outs.append({
                 p.name: p.read_bytes() for p in sorted(out_dir.iterdir())
             })
@@ -135,7 +138,7 @@ class TestCampaignPipeline:
 
     def test_missing_manifest_exit_1(self, tmp_path, capsys):
         code = run(["analyze", "--manifest", str(tmp_path / "none.json"),
-                    "--fast", "--out", str(tmp_path / "o")])
+                    "--length", "1023", "--out", str(tmp_path / "o")])
         assert code == 1
         assert "error:" in capsys.readouterr().err
 
@@ -147,7 +150,7 @@ class TestCampaignPipeline:
         out_dir = tmp_path / "cmp"
         code = run(["compare", "--stimulus", str(camp_dir / "stimulus.wav"),
                     "--manifest", str(camp_dir / "manifest.json"),
-                    "--fast", "--label", "pink", "--out", str(out_dir)])
+                    "--length", "1023", "--label", "pink", "--out", str(out_dir)])
         assert code == 0
         assert "pink/synthcard cardioid" in capsys.readouterr().out
         csv = (out_dir / "comparison.csv").read_text().strip().split("\n")
@@ -163,7 +166,7 @@ class TestCampaignPipeline:
         monkeypatch.setenv("BANDSCOPE_OUT", str(env_dir))
         # parser defaults are resolved at build time, so rebuild via run()
         code = run(["analyze", "--manifest", str(camp_dir / "manifest.json"),
-                    "--fast"])
+                    "--length", "1023"])
         assert code == 0
         assert (env_dir / "summary.json").exists()
 
@@ -182,7 +185,7 @@ class TestProfiledCampaign:
         path = tmp_path / "c.json"
         path.write_text(json.dumps(spec))
         out = tmp_path / "camp"
-        assert run(["synth-campaign", "--spec", str(path), "--fast",
+        assert run(["synth-campaign", "--spec", str(path), "--length", "1023",
                     "--out", str(out)]) == 0
         truth = (out / "ground_truth.csv").read_text().strip().split("\n")
         assert truth[0] == "band,distance_cm,injected_gain_db"
@@ -197,7 +200,79 @@ class TestProfiledCampaign:
         }
         path = tmp_path / "c.json"
         path.write_text(json.dumps(spec))
-        code = run(["synth-campaign", "--spec", str(path), "--fast",
+        code = run(["synth-campaign", "--spec", str(path), "--length", "1023",
                     "--out", str(tmp_path / "camp")])
         assert code == 1
         assert "error:" in capsys.readouterr().err
+
+
+def _wav_manifest(tmp_path, near_cm):
+    """Two readable recordings, at ``near_cm`` and at the 100 cm reference."""
+    noise = Signal(0.05 * np.random.default_rng(1).standard_normal(FS // 10), FS)
+    rows = []
+    for i, distance in enumerate((near_cm, 100.0)):
+        save_wav(noise, tmp_path / f"r{i}.wav")
+        rows.append({"path": f"r{i}.wav", "distance_cm": distance, "microphone": "m",
+                     "directivity": "omni", "stimulus": "s"})
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps({"entries": rows}))  # non-finite floats as Infinity/NaN
+    return path
+
+
+def _analyze(tmp_path, manifest, *flags):
+    return ["analyze", "--manifest", str(manifest), "--length", "1023", *flags,
+            "--out", str(tmp_path / "out")]
+
+
+def _synth_campaign(tmp_path, **overrides):
+    spec = _flat_campaign_spec(tmp_path, **overrides)
+    return ["synth-campaign", "--spec", str(spec), "--out", str(tmp_path / "camp")]
+
+
+def _synth(tmp_path, *flags):
+    return ["synth", "--kind", "pink", *flags, "--out-file", str(tmp_path / "x.wav")]
+
+
+# case -> (argv builder, exit code): 1 for a domain error, 2 for argparse
+BAD_INPUTS = {
+    "manifest-distance-inf": (lambda t: _analyze(t, _wav_manifest(t, math.inf)), 1),
+    "manifest-distance-nan": (lambda t: _analyze(t, _wav_manifest(t, math.nan)), 1),
+    "spec-stimulus-not-object": (lambda t: _synth_campaign(t, stimulus="x"), 1),
+    "spec-directivity-not-number": (lambda t: _synth_campaign(t, directivity_m="abc"), 1),
+    "spec-profile-band-not-number":
+        (lambda t: _synth_campaign(t, profile={"a": [[5, 8.0], [100, 0.0]]}), 1),
+    "spec-duration-inf": (lambda t: _synth_campaign(
+        t, stimulus={"kind": "pink", "duration_s": math.inf, "seed": 7}), 1),
+    "spec-distance-inf": (lambda t: _synth_campaign(t, distances=(math.inf, 100)), 1),
+    "spec-theta-inf": (lambda t: _synth_campaign(t, theta_rad=math.inf), 1),
+    "spec-rate-inf": (lambda t: _synth_campaign(
+        t, stimulus={"kind": "pink", "sample_rate_hz": math.inf, "seed": 7}), 1),
+    "spec-seed-not-integer": (lambda t: _synth_campaign(
+        t, stimulus={"kind": "pink", "duration_s": 1.0, "seed": "abc"}), 1),
+    "synth-seed-negative": (lambda t: _synth(t, "--dur", "1", "--seed", "-1"), 1),
+    "synth-dur-inf": (lambda t: _synth(t, "--dur", "inf"), 2),
+    "synth-dur-nan": (lambda t: _synth(t, "--dur", "nan"), 2),
+    "synth-level-inf": (lambda t: _synth(t, "--dur", "1", "--level", "inf"), 2),
+    "synth-freq-nan": (lambda t: ["synth", "--kind", "sine", "--freq", "nan", "--dur", "1",
+                                  "--out-file", str(t / "x.wav")], 2),
+    "analyze-threshold-nan":
+        (lambda t: _analyze(t, _wav_manifest(t, 50.0), "--threshold", "nan"), 2),
+    "analyze-reference-inf":
+        (lambda t: _analyze(t, _wav_manifest(t, 50.0), "--reference", "inf"), 2),
+    "compare-distance-nan": (lambda t: ["compare", "--stimulus", str(t / "r0.wav"),
+                                        "--manifest", str(_wav_manifest(t, 50.0)),
+                                        "--distance", "nan", "--length", "1023"], 2),
+    "normalize-level-nan": (lambda t: ["normalize", "--in-file", str(t / "in.wav"),
+                                       "--level", "nan", "--out-file", str(t / "o.wav")], 2),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_INPUTS))
+def test_bad_input_exits_cleanly(case, tmp_path, capsys):
+    build, expected = BAD_INPUTS[case]
+    try:
+        code = run(build(tmp_path))
+    except SystemExit as exc:
+        code = exc.code
+    assert code == expected
+    assert "error:" in capsys.readouterr().err

@@ -88,12 +88,6 @@ class TestDesign:
         assert 20 * np.log10(passband) >= -0.1
         assert 20 * np.log10(stopband) <= -80.0
 
-    def test_taps_csv_header_and_rows(self, ids10_bank_fast):
-        csv = ids10_bank_fast.taps_csv()
-        lines = csv.strip().split("\n")
-        assert lines[0] == "tap," + ",".join(f"band{i}" for i in range(1, 11))
-        assert len(lines) == 1 + ids10_bank_fast.length
-
 
 class TestApplyZeroPhase:
     def test_impulse_returns_centered_taps(self, ids10_bank_fast):
@@ -193,15 +187,3 @@ class TestDecompose:
         )
         assert float(np.sum(measured)) == pytest.approx(float(np.sum(oracle)), abs=0.02)
         np.testing.assert_allclose(measured, oracle, atol=0.02)
-
-
-class TestFrequencyResponse:
-    def test_matches_dft_oracle_and_is_real(self, ids10_bank_fast):
-        freqs = np.array([25.0, 500.0, 1000.0, 5000.0])
-        resp = ids10_bank_fast.frequency_response(4, freqs)
-        # symmetric zero-phase filter: response is purely real
-        assert np.max(np.abs(resp.imag)) < 1e-9
-        for f, r in zip(freqs, resp):
-            assert abs(r) == pytest.approx(
-                dft_magnitude(np.asarray(ids10_bank_fast.taps[4]), FS, f), abs=1e-3
-            )

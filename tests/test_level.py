@@ -161,24 +161,3 @@ class TestLevelCurveInvariants:
     def test_rejects_negative_distance(self):
         with pytest.raises(InvalidInputError):
             LevelCurve(points=((-1.0, 0.0), (10.0, 0.0)), reference_distance_cm=10.0)
-
-
-class TestCurveSerialization:
-    def test_two_column_csv(self, white_2s):
-        series = _series([white_2s.scaled(2.0), white_2s], [50, 100])
-        curve = measured_level_curve(series, 100.0)
-        lines = curve.to_csv().strip().split("\n")
-        assert lines[0] == "distance_cm,amplification_db"
-        assert [float(x) for x in lines[1].split(",")] == [50.0, curve.points[0][1]]
-
-    def test_plot_columns_with_theory_overlay(self, white_2s):
-        series = _series([white_2s, white_2s.scaled(2.0), white_2s], [0, 50, 100])
-        curve = measured_level_curve(series, 100.0)
-        block = curve.plot_columns(with_theory=True)
-        parts = block.strip().split("\n\n")
-        assert len(parts) == 2
-        assert len(parts[0].split("\n")) == 3      # all measured points
-        assert len(parts[1].split("\n")) == 2      # overlay skips x=0
-        d, v = parts[1].split("\n")[0].split()
-        assert float(d) == 50.0
-        assert float(v) == pytest.approx(6.0206, abs=1e-3)
