@@ -18,7 +18,7 @@ import numpy as np
 from .errors import MappingMismatchError, SilenceError
 from .filterbank import BandMapping, FilterBank, decompose
 from .series import MeasurementSeries
-from .signal import LevelDbfs, Signal, mean_level_dbfs
+from .signal import LevelDbfs, Signal
 
 __all__ = [
     "BalanceResult",
@@ -39,23 +39,13 @@ class BalanceResult:
     weights_db: tuple[float, ...]  # -inf marks an empty band (silence sentinel)
     mean_level: LevelDbfs
 
-    @property
-    def n_bands(self) -> int:
-        return len(self.weights_linear)
-
 
 @dataclass(frozen=True)
 class WeightEvolution:
     """One band's weight vs distance, in dB relative to the reference distance."""
 
     band_index: int
-    band_label: str
-    reference_distance_cm: float
     points: tuple[tuple[float, float], ...]  # (distance_cm, delta_db)
-
-    @property
-    def distances(self) -> tuple[float, ...]:
-        return tuple(d for d, _ in self.points)
 
     @property
     def deltas_db(self) -> tuple[float, ...]:
@@ -87,7 +77,8 @@ def spectral_balance(signal: Signal, bank: FilterBank) -> BalanceResult:
         mapping=bank.mapping,
         weights_linear=linear,
         weights_db=db,
-        mean_level=mean_level_dbfs(signal),
+        # sum / n is how np.mean divides, so this equals mean_level_dbfs bit for bit
+        mean_level=LevelDbfs(10.0 * math.log10(total / len(signal))),
     )
 
 
@@ -125,14 +116,7 @@ def weight_evolution(
                 )
             else:
                 points.append((distance, w_db - ref_db))
-        curves.append(
-            WeightEvolution(
-                band_index=band,
-                band_label=bank.mapping.band_label(band),
-                reference_distance_cm=float(reference_distance_cm),
-                points=tuple(points),
-            )
-        )
+        curves.append(WeightEvolution(band_index=band, points=tuple(points)))
     return curves
 
 

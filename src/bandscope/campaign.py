@@ -31,12 +31,13 @@ from .level import (
     GapPoint,
     LevelCurve,
     ValidityVerdict,
+    check_threshold,
     gap_curve,
     measured_level_curve,
     validity_limit,
 )
 from .series import MeasurementEntry, MeasurementSeries, check_unique_distances
-from .signal import LevelDbfs, Signal, mean_level_dbfs
+from .signal import LevelDbfs, Signal
 
 __all__ = [
     "IngestReport",
@@ -145,7 +146,6 @@ class SeriesAnalysis:
     weight_evolutions: tuple[WeightEvolution, ...]
     band_verdicts: tuple[ValidityVerdict, ...]
     reequalized_bands: tuple[int, ...]  # band indices with a rise after an interior minimum
-    mean_levels: tuple[tuple[float, LevelDbfs], ...]
     analyzed_length: int
 
     @property
@@ -154,7 +154,7 @@ class SeriesAnalysis:
 
     @property
     def max_abs_gap_db(self) -> float | None:
-        defined = [abs(g.gap_db) for g in self.gaps if g.theory_defined]
+        defined = [abs(g.gap_db) for g in self.gaps if g.gap_db is not None]
         return max(defined) if defined else None
 
 
@@ -187,7 +187,7 @@ def analyze(
     curve = measured_level_curve(series, reference_distance_cm)
     gaps = tuple(gap_curve(curve))
 
-    defined = [(g.distance_cm, g.gap_db) for g in gaps if g.theory_defined]
+    defined = [(g.distance_cm, g.gap_db) for g in gaps if g.gap_db is not None]
     level_verdict = validity_limit(defined, threshold_db) if len(defined) >= 2 else None
 
     evolutions = tuple(weight_evolution(series, bank, reference_distance_cm))
@@ -217,10 +217,6 @@ def analyze(
                 )
             )
 
-    mean_levels = tuple(
-        (entry.distance_cm, mean_level_dbfs(sig))
-        for entry, sig in zip(series.entries, series.signals)
-    )
     return SeriesAnalysis(
         key=series.key,
         level_curve=curve,
@@ -229,7 +225,6 @@ def analyze(
         weight_evolutions=evolutions,
         band_verdicts=tuple(band_verdicts),
         reequalized_bands=tuple(reequalized),
-        mean_levels=mean_levels,
         analyzed_length=len(series.signals[0]),
     )
 
@@ -255,7 +250,8 @@ def analyze_report(
     threshold_db: float = 1.0,
 ) -> CampaignResult:
     """Analyze every ingested series; failures become recorded errors,
-    never silent drops."""
+    never silent drops. An invalid threshold fails once, before any series."""
+    check_threshold(threshold_db)
     analyses = []
     errors = list(report.errors)
     for series in report.series:
@@ -283,7 +279,6 @@ class ComparisonRow:
 
     label: str
     difference: BalanceDifference
-    distance_cm: float
 
 
 @dataclass(frozen=True)
@@ -340,7 +335,7 @@ def compare_to_stimulus(
         spectral_balance(stimulus_signal, bank), spectral_balance(recording, bank)
     )
     label = f"{series.key[0]} {series.key[1]}".strip()
-    return ComparisonRow(label=label, difference=diff, distance_cm=float(at_distance_cm))
+    return ComparisonRow(label=label, difference=diff)
 
 
 # --- export ---------------------------------------------------------------
@@ -401,7 +396,7 @@ def export(result: CampaignResult, out_dir: str | os.PathLike) -> list[Path]:
         lines = ["distance_cm,amplification_db,theory_db,gap_db"]
         for distance, amp in analysis.level_curve.points:
             gap = theory_by_distance[distance]
-            if gap.theory_defined:
+            if gap.gap_db is not None:
                 theory = amp - gap.gap_db
                 lines.append(
                     f"{distance:g},{_csv_float(amp)},{_csv_float(theory)},{_csv_float(gap.gap_db)}"
@@ -423,10 +418,10 @@ def export(result: CampaignResult, out_dir: str | os.PathLike) -> list[Path]:
         summary["series"].append(
             {
                 "series": list(analysis.key),
-                "n_points": len(analysis.level_curve.points),
+                "n_points": len(analysis.level_curve.levels),
                 "analyzed_length_samples": analysis.analyzed_length,
                 "mean_levels_dbfs": [
-                    [d, lv.to_json()] for d, lv in analysis.mean_levels
+                    [d, lv.to_json()] for d, lv in analysis.level_curve.levels
                 ],
                 "max_abs_gap_db": analysis.max_abs_gap_db,
                 "level_verdict": _verdict_json(analysis.level_verdict),

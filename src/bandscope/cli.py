@@ -96,6 +96,11 @@ def _bank_provenance(args, bank: FilterBank, extra: list[str]) -> list[str]:
     ] + extra
 
 
+def _warn_excluded(errors) -> None:
+    for err in errors:
+        print(f"warning: series {err.key}: {err.message}", file=sys.stderr)
+
+
 def _cmd_bands(args) -> int:
     mapping = _resolve_mapping(args)
     for edge in mapping.edges:
@@ -252,8 +257,7 @@ def _cmd_analyze(args) -> int:
     )
     result = analyze_report(report, bank, args.reference, args.threshold)
     files = export(result, args.out)
-    for err in result.errors:
-        print(f"warning: series {err.key}: {err.message}", file=sys.stderr)
+    _warn_excluded(result.errors)
     print(f"analyzed {len(result.analyses)} series, wrote {len(files)} files to {args.out}")
     if not result.analyses:
         return 1
@@ -277,6 +281,7 @@ def _cmd_compare(args) -> int:
         stimulus_label=args.label, rows=rows, n_bands=bank.n_bands
     )
     print(table.to_text(), end="")
+    _warn_excluded(report.errors)
     if args.out:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)

@@ -13,6 +13,7 @@ energies directly comparable to the input's.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 
@@ -62,6 +63,8 @@ class BandMapping:
             raise InvalidMappingError(
                 f"mapping needs at least 2 bands (3 edges), got {len(edges)} edges"
             )
+        if not all(math.isfinite(e) for e in edges):
+            raise InvalidMappingError(f"edges must be finite: {edges}")
         if edges[0] != 0.0:
             raise InvalidMappingError(f"first edge must be 0 Hz, got {edges[0]}")
         if any(b <= a for a, b in zip(edges, edges[1:])):
@@ -71,10 +74,6 @@ class BandMapping:
     @property
     def n_bands(self) -> int:
         return len(self.edges) - 1
-
-    @property
-    def nyquist(self) -> float:
-        return self.edges[-1]
 
     def band(self, i: int) -> tuple[float, float]:
         """(low, high) edge pair of band ``i``."""
@@ -125,10 +124,6 @@ class FilterBank:
     @property
     def n_bands(self) -> int:
         return self.mapping.n_bands
-
-    @property
-    def group_delay(self) -> int:
-        return (self.length - 1) // 2
 
 
 def _windowed_sinc_lowpass(cutoff: float, sample_rate: int, length: int) -> np.ndarray:

@@ -15,12 +15,13 @@ from dataclasses import dataclass
 
 from .errors import InvalidInputError, SingularityError
 from .series import MeasurementSeries
-from .signal import mean_level_dbfs
+from .signal import LevelDbfs, mean_level_dbfs
 
 __all__ = [
     "LevelCurve",
     "GapPoint",
     "ValidityVerdict",
+    "check_threshold",
     "theoretical_amplification",
     "measured_level_curve",
     "gap_curve",
@@ -30,38 +31,39 @@ __all__ = [
 
 @dataclass(frozen=True)
 class LevelCurve:
-    """Measured amplification (dB) per distance, 0 dB at the reference."""
+    """Mean level (dB FS) per distance; amplifications are relative to the
+    level at the reference distance."""
 
-    points: tuple[tuple[float, float], ...]  # (distance_cm, amplification_db)
+    levels: tuple[tuple[float, LevelDbfs], ...]  # (distance_cm, mean level)
     reference_distance_cm: float
 
     def __post_init__(self) -> None:
-        dists = [d for d, _ in self.points]
+        dists = [d for d, _ in self.levels]
         if any(d < 0 for d in dists):
             raise InvalidInputError("distances must be >= 0 cm")
         if sorted(set(dists)) != dists:
             raise InvalidInputError("distances must be unique and ascending")
+        if self.reference_distance_cm not in dists:
+            raise InvalidInputError(
+                f"reference distance {self.reference_distance_cm} cm is not among {dists}"
+            )
 
     @property
-    def distances(self) -> tuple[float, ...]:
-        return tuple(d for d, _ in self.points)
-
-    @property
-    def amplifications_db(self) -> tuple[float, ...]:
-        return tuple(v for _, v in self.points)
+    def points(self) -> tuple[tuple[float, float], ...]:
+        """(distance_cm, amplification_db); exactly 0.0 at the reference."""
+        ref = dict(self.levels)[self.reference_distance_cm].value
+        return tuple((d, level.value - ref) for d, level in self.levels)
 
 
 @dataclass(frozen=True)
 class GapPoint:
     """Measured-minus-theoretical deviation at one distance.
 
-    At x = 0 the law diverges, so the point is carried with
-    ``theory_defined = False`` and no gap value.
+    At x = 0 the law diverges, so the point carries no gap value (None).
     """
 
     distance_cm: float
     gap_db: float | None
-    theory_defined: bool
 
 
 @dataclass(frozen=True)
@@ -72,9 +74,11 @@ class ValidityVerdict:
     threshold_db: float
     rule: str
 
-    @property
-    def has_limit(self) -> bool:
-        return self.limit_distance_cm is not None
+
+def check_threshold(threshold_db: float) -> None:
+    """Raise :class:`InvalidInputError` unless the threshold is positive and finite."""
+    if not (math.isfinite(threshold_db) and threshold_db > 0):
+        raise InvalidInputError(f"threshold must be positive and finite, got {threshold_db}")
 
 
 def theoretical_amplification(x_cm: float, x_ref_cm: float) -> float:
@@ -95,41 +99,34 @@ def measured_level_curve(
     reference point is pinned to exactly 0 dB.
     """
     series.require_reference(reference_distance_cm)
-    ref_level = mean_level_dbfs(series.signal_at(reference_distance_cm))
+    reference = float(reference_distance_cm)
+    ref_level = mean_level_dbfs(series.signal_at(reference))
     if ref_level.is_silence:
         raise InvalidInputError(
             f"reference recording at {reference_distance_cm} cm is silent"
         )
-    points = []
+    levels = []
     for entry, sig in zip(series.entries, series.signals):
-        if entry.distance_cm == float(reference_distance_cm):
-            points.append((entry.distance_cm, 0.0))
-            continue
-        level = mean_level_dbfs(sig)
+        level = ref_level if entry.distance_cm == reference else mean_level_dbfs(sig)
         if level.is_silence:
             raise InvalidInputError(
                 f"recording at {entry.distance_cm} cm is silent; no level defined"
             )
-        points.append((entry.distance_cm, level.value - ref_level.value))
-    return LevelCurve(
-        points=tuple(points), reference_distance_cm=float(reference_distance_cm)
-    )
+        levels.append((entry.distance_cm, level))
+    return LevelCurve(levels=tuple(levels), reference_distance_cm=reference)
 
 
-def gap_curve(measured: LevelCurve, x_ref_cm: float | None = None) -> list[GapPoint]:
+def gap_curve(measured: LevelCurve) -> list[GapPoint]:
     """Measured minus theoretical amplification, per point.
 
-    Negative gap: measurement sits below the 1/x law. Points at x = 0 are
-    flagged theory-undefined instead of extrapolating the law.
+    Negative gap: measurement sits below the 1/x law. Points at x = 0 get
+    no gap instead of an extrapolation of the law.
     """
-    ref = measured.reference_distance_cm if x_ref_cm is None else float(x_ref_cm)
+    ref = measured.reference_distance_cm
     out = []
     for distance, amp_db in measured.points:
-        if distance <= 0:
-            out.append(GapPoint(distance_cm=distance, gap_db=None, theory_defined=False))
-        else:
-            gap = amp_db - theoretical_amplification(distance, ref)
-            out.append(GapPoint(distance_cm=distance, gap_db=gap, theory_defined=True))
+        gap = None if distance <= 0 else amp_db - theoretical_amplification(distance, ref)
+        out.append(GapPoint(distance_cm=distance, gap_db=gap))
     return out
 
 
@@ -145,8 +142,7 @@ def validity_limit(
     no limit. Suffix-based by design: a compliant stretch followed by a late
     excursion does not count.
     """
-    if not (math.isfinite(threshold_db) and threshold_db > 0):
-        raise InvalidInputError(f"threshold must be positive and finite, got {threshold_db}")
+    check_threshold(threshold_db)
     pts = sorted((float(d), float(v)) for d, v in deviations)
     if len(pts) < 2:
         raise InvalidInputError(f"need at least 2 deviation points, got {len(pts)}")

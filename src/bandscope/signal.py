@@ -60,15 +60,6 @@ class Signal:
     def __len__(self) -> int:
         return int(self.samples.size)
 
-    @property
-    def duration(self) -> float:
-        """Length in seconds."""
-        return self.samples.size / self.sample_rate
-
-    @property
-    def nyquist(self) -> float:
-        return self.sample_rate / 2.0
-
     def scaled(self, gain: float) -> "Signal":
         """New signal with every sample multiplied by ``gain``."""
         return Signal(self.samples * float(gain), self.sample_rate)

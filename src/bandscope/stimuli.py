@@ -21,6 +21,9 @@ from .signal import LevelDbfs, Signal, db_to_gain, normalize_to_level
 
 __all__ = ["StimulusSpec", "gen_sine", "gen_pink", "gen_stimulus", "spectral_slope"]
 
+# spectral_slope averages at least this many Welch segments
+_SLOPE_SEGMENTS = 8
+
 
 @dataclass(frozen=True)
 class StimulusSpec:
@@ -124,9 +127,7 @@ def gen_stimulus(spec: StimulusSpec) -> Signal:
     return gen_sine(spec) if spec.kind == "sine" else gen_pink(spec)
 
 
-def spectral_slope(
-    signal: Signal, f_lo: float, f_hi: float, min_segments: int = 8
-) -> float:
+def spectral_slope(signal: Signal, f_lo: float, f_hi: float) -> float:
     """Least-squares spectral slope in dB per octave over [f_lo, f_hi].
 
     Averages a Welch power density into octave bands [f, 2f) and fits mean
@@ -139,10 +140,10 @@ def spectral_slope(
         )
     if f_hi < 2 * f_lo:
         raise InvalidInputError("range must span at least one octave")
-    nperseg = min(4096, len(signal) // min_segments)
+    nperseg = min(4096, len(signal) // _SLOPE_SEGMENTS)
     if nperseg < 256 or signal.sample_rate / nperseg > f_lo:
         raise InsufficientDataError(
-            f"signal too short for {min_segments} averaged segments resolving {f_lo} Hz"
+            f"signal too short for {_SLOPE_SEGMENTS} averaged segments resolving {f_lo} Hz"
         )
     freqs, pxx = welch(signal.samples, fs=signal.sample_rate, nperseg=nperseg)
 

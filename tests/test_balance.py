@@ -10,6 +10,7 @@ from bandscope import (
     Signal,
     balance_difference,
     design_bank,
+    mean_level_dbfs,
     spectral_balance,
     weight_evolution,
 )
@@ -48,6 +49,20 @@ class TestSpectralBalance:
         result = spectral_balance(Signal(x, FS), bank)
         assert result.weights_db[1] == pytest.approx(0.0, abs=0.01)
         assert result.weights_db[0] <= -80.0
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 5000),
+        log_scale=st.floats(min_value=-8.0, max_value=1.0),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_mean_level_bit_identical_to_meter(self, seed, n, log_scale):
+        # the balance reuses its energy sum for the level; it must not drift
+        # from the meter that the level curve uses
+        bank = design_bank(BandMapping((0, 1000, 22050)), FS, 63)
+        x = 10.0 ** log_scale * np.random.default_rng(seed).standard_normal(n)
+        signal = Signal(x, FS)
+        assert spectral_balance(signal, bank).mean_level == mean_level_dbfs(signal)
 
     def test_white_noise_weights_track_bandwidth(self, ids10_bank, white_10s):
         result = spectral_balance(white_10s, ids10_bank)
@@ -169,7 +184,6 @@ class TestTableRowFormat:
                 stimulus_level=LevelDbfs(-18.6),
                 recording_level=LevelDbfs(-50.2),
             ),
-            distance_cm=100.0,
         )
         report = ComparisonReport(stimulus_label="One", rows=(row,), n_bands=10)
         csv = report.to_csv().strip().split("\n")

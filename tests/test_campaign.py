@@ -16,6 +16,7 @@ from bandscope import (
     compare_to_stimulus,
     export,
     ingest,
+    mean_level_dbfs,
     save_wav,
     synth_campaign,
 )
@@ -147,7 +148,7 @@ class TestAnalyze:
         )
         series = MeasurementSeries(entries=entries, signals=(white_2s,) * 3)
         result = analyze(series, ids10_bank_fast)
-        assert all(a == 0.0 for a in result.level_curve.amplifications_db)
+        assert all(a == 0.0 for _, a in result.level_curve.points)
         for evo in result.weight_evolutions:
             assert all(v == 0.0 for _, v in evo.points)
 
@@ -176,7 +177,7 @@ class TestAnalyze:
         series = MeasurementSeries(entries=entries, signals=(white_2s, longer))
         result = analyze(series, ids10_bank_fast)
         assert result.analyzed_length == len(white_2s)
-        assert abs(result.level_curve.amplifications_db[0]) < 0.2
+        assert abs(result.level_curve.points[0][1]) < 0.2
 
 
 class TestCompare:
@@ -241,6 +242,19 @@ class TestExport:
             for cells in (line.split(",") for line in lines)
         ]
         assert parsed == list(result.analyses[0].level_curve.points)
+
+    def test_summary_mean_levels_are_the_metered_levels(
+        self, ids10_bank_fast, short_noise, tmp_path
+    ):
+        rows = _synth_files(tmp_path, short_noise, [50, 100])
+        report = ingest(_write_manifest(tmp_path, rows))
+        export(analyze_report(report, ids10_bank_fast), tmp_path / "out")
+        summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+        series = report.series[0]
+        expected = [
+            [d, mean_level_dbfs(s).value] for d, s in zip(series.distances, series.signals)
+        ]
+        assert summary["series"][0]["mean_levels_dbfs"] == expected
 
     def test_summary_records_errors_and_hash(self, ids10_bank_fast, short_noise, tmp_path):
         rows = _synth_files(tmp_path, short_noise, [50, 100])

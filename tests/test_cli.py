@@ -1,8 +1,14 @@
+import io
 import json
 import math
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bandscope import Signal, load_wav, mean_level_dbfs, save_wav
 from bandscope.cli import run
@@ -219,6 +225,12 @@ def _wav_manifest(tmp_path, near_cm):
     return path
 
 
+def _nan_mapping(tmp_path):
+    path = tmp_path / "nan.map"
+    path.write_text("0\n50\nnan\n22050\n")
+    return str(path)
+
+
 def _analyze(tmp_path, manifest, *flags):
     return ["analyze", "--manifest", str(manifest), "--length", "1023", *flags,
             "--out", str(tmp_path / "out")]
@@ -257,6 +269,13 @@ BAD_INPUTS = {
                                   "--out-file", str(t / "x.wav")], 2),
     "analyze-threshold-nan":
         (lambda t: _analyze(t, _wav_manifest(t, 50.0), "--threshold", "nan"), 2),
+    "analyze-threshold-zero":
+        (lambda t: _analyze(t, _wav_manifest(t, 50.0), "--threshold", "0"), 1),
+    "analyze-threshold-negative":
+        (lambda t: _analyze(t, _wav_manifest(t, 50.0), "--threshold", "-1"), 1),
+    "bands-mapping-nan": (lambda t: ["bands", "--mapping", _nan_mapping(t)], 1),
+    "analyze-mapping-nan":
+        (lambda t: _analyze(t, _wav_manifest(t, 50.0), "--mapping", _nan_mapping(t)), 1),
     "analyze-reference-inf":
         (lambda t: _analyze(t, _wav_manifest(t, 50.0), "--reference", "inf"), 2),
     "compare-distance-nan": (lambda t: ["compare", "--stimulus", str(t / "r0.wav"),
@@ -276,3 +295,70 @@ def test_bad_input_exits_cleanly(case, tmp_path, capsys):
         code = exc.code
     assert code == expected
     assert "error:" in capsys.readouterr().err
+
+
+def test_analyze_bad_threshold_fails_before_any_series(tmp_path, capsys):
+    code = run(_analyze(tmp_path, _wav_manifest(tmp_path, 50.0), "--threshold", "-1"))
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "error: threshold must be positive and finite" in err
+    assert "warning:" not in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_compare_warns_about_excluded_series(tmp_path, capsys):
+    manifest = _wav_manifest(tmp_path, 50.0)
+    doc = json.loads(manifest.read_text())
+    for distance in (50.0, 100.0):
+        doc["entries"].append({"path": f"ghost_{distance:g}.wav", "distance_cm": distance,
+                               "microphone": "ghost", "directivity": "omni",
+                               "stimulus": "s"})
+    manifest.write_text(json.dumps(doc))
+    code = run(["compare", "--stimulus", str(tmp_path / "r0.wav"),
+                "--manifest", str(manifest), "--length", "1023"])
+    assert code == 0
+    captured = capsys.readouterr()
+    assert "stimulus/m omni" in captured.out
+    assert "ghost" not in captured.out
+    warnings = [line for line in captured.err.splitlines() if line.startswith("warning:")]
+    assert len(warnings) == 1
+    assert warnings[0].startswith("warning: series ('ghost', 'omni', 's'): ")
+    assert "ghost_50.wav" in warnings[0]
+
+
+_MAPPING_LINE = st.one_of(
+    st.sampled_from(["0", "50", "200", "22050", "nan", "inf", "-inf", "1e400",
+                     "# comment", "", "junk"]),
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.text(alphabet=st.characters(blacklist_categories=("Cs",)), max_size=8),
+)
+
+
+@st.composite
+def _mapping_texts(draw):
+    """Ascending edges from 0 Hz with arbitrary lines spliced in anywhere."""
+    edges = sorted(draw(st.lists(st.floats(min_value=1.0, max_value=22050.0), max_size=5)))
+    lines = ["0"] + [repr(e) for e in edges]
+    for extra in draw(st.lists(_MAPPING_LINE, max_size=3)):
+        lines.insert(draw(st.integers(0, len(lines))), extra)
+    return "\n".join(lines)
+
+
+@given(text=_mapping_texts())
+@settings(max_examples=200, deadline=None)
+def test_bands_any_mapping_text_exits_cleanly(text):
+    # hypothesis cannot share the function-scoped tmp_path, so make a directory here
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "edges.map"
+        path.write_text(text, encoding="utf-8")
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            try:
+                code = run(["bands", "--mapping", str(path)])
+            except SystemExit as exc:
+                code = exc.code
+    assert code in (0, 1, 2)
+    if code == 0:
+        assert all(math.isfinite(float(line)) for line in out.getvalue().splitlines())
+    else:
+        assert "error:" in err.getvalue()

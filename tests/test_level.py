@@ -17,6 +17,7 @@ from bandscope.errors import (
     SingularityError,
 )
 from bandscope.level import LevelCurve
+from bandscope.signal import LevelDbfs
 
 FS = 44100
 
@@ -56,7 +57,7 @@ class TestMeasuredCurve:
     def test_identical_recordings_flat(self, white_2s):
         series = _series([white_2s] * 4, [10, 30, 50, 100])
         curve = measured_level_curve(series, 100.0)
-        assert curve.amplifications_db == (0.0, 0.0, 0.0, 0.0)
+        assert [a for _, a in curve.points] == [0.0, 0.0, 0.0, 0.0]
 
     def test_exact_inverse_distance_series(self, white_2s):
         distances = [5, 10, 20, 30, 40, 50, 60, 70, 80, 90, 100]
@@ -73,7 +74,9 @@ class TestMeasuredCurve:
         b = measured_level_curve(
             _series([s.scaled(0.1) for s in sigs], distances), 100.0
         )
-        np.testing.assert_allclose(a.amplifications_db, b.amplifications_db, atol=1e-9)
+        np.testing.assert_allclose(
+            [v for _, v in a.points], [v for _, v in b.points], atol=1e-9
+        )
 
     def test_missing_reference(self, white_2s):
         with pytest.raises(MissingReferenceError):
@@ -86,7 +89,7 @@ class TestGapCurve:
         series = _series([white_2s.scaled(100.0 / d) for d in distances], distances)
         gaps = gap_curve(measured_level_curve(series, 100.0))
         for g in gaps:
-            assert g.theory_defined
+            assert g.gap_db is not None
             assert g.gap_db == pytest.approx(0.0, abs=0.02)
 
     def test_injected_near_field_deficit_recovered(self, white_2s):
@@ -105,9 +108,8 @@ class TestGapCurve:
         series = _series([white_2s, white_2s.scaled(2), white_2s], [0, 50, 100])
         gaps = gap_curve(measured_level_curve(series, 100.0))
         assert gaps[0].distance_cm == 0.0
-        assert not gaps[0].theory_defined
         assert gaps[0].gap_db is None
-        assert gaps[1].theory_defined
+        assert gaps[1].gap_db is not None
 
 
 class TestValidityLimit:
@@ -124,7 +126,6 @@ class TestValidityLimit:
         seq = [(5, 1.5), (25, -1.5), (50, 1.5), (75, -1.5), (100, 1.5)]
         v = validity_limit(seq, 1.0)
         assert v.limit_distance_cm is None
-        assert not v.has_limit
 
     def test_unsorted_input_ok(self):
         v = validity_limit([(100, 0.0), (5, -6.0), (50, 0.5)], 1.0)
@@ -148,16 +149,36 @@ class TestValidityLimit:
         lo, hi = sorted((t1, t2))
         v_small = validity_limit(seq, lo)
         v_big = validity_limit(seq, hi)
-        if v_small.has_limit:
-            assert v_big.has_limit
+        if v_small.limit_distance_cm is not None:
+            assert v_big.limit_distance_cm is not None
             assert v_big.limit_distance_cm <= v_small.limit_distance_cm
 
 
 class TestLevelCurveInvariants:
     def test_rejects_duplicate_distances(self):
         with pytest.raises(InvalidInputError):
-            LevelCurve(points=((10.0, 0.0), (10.0, 1.0)), reference_distance_cm=10.0)
+            LevelCurve(
+                levels=((10.0, LevelDbfs(-20.0)), (10.0, LevelDbfs(-19.0))),
+                reference_distance_cm=10.0,
+            )
 
     def test_rejects_negative_distance(self):
         with pytest.raises(InvalidInputError):
-            LevelCurve(points=((-1.0, 0.0), (10.0, 0.0)), reference_distance_cm=10.0)
+            LevelCurve(
+                levels=((-1.0, LevelDbfs(-20.0)), (10.0, LevelDbfs(-20.0))),
+                reference_distance_cm=10.0,
+            )
+
+    def test_rejects_reference_not_among_levels(self):
+        with pytest.raises(InvalidInputError):
+            LevelCurve(
+                levels=((10.0, LevelDbfs(-20.0)), (50.0, LevelDbfs(-30.0))),
+                reference_distance_cm=100.0,
+            )
+
+    def test_points_are_levels_relative_to_reference(self):
+        curve = LevelCurve(
+            levels=((10.0, LevelDbfs(-10.5)), (100.0, LevelDbfs(-30.25))),
+            reference_distance_cm=100.0,
+        )
+        assert curve.points == ((10.0, 19.75), (100.0, 0.0))

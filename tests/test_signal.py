@@ -42,9 +42,6 @@ class TestSignal:
         with pytest.raises(ValueError):
             s.samples[0] = 1.0
 
-    def test_duration(self):
-        assert Signal(np.zeros(FS), FS).duration == 1.0
-
 
 class TestMeanLevel:
     def test_full_scale_dc_is_zero_db(self):
