@@ -77,6 +77,8 @@ def _manifest_entries(manifest_path: str | os.PathLike) -> list[MeasurementEntry
         doc = json.loads(path.read_text())
     except FileNotFoundError:
         raise ManifestError(f"manifest not found: {path}")
+    except UnicodeDecodeError as exc:
+        raise ManifestError(f"{path}: not a text file ({exc})")
     except json.JSONDecodeError as exc:
         raise ManifestError(f"{path}: not valid JSON ({exc})")
     if not isinstance(doc, dict) or not isinstance(doc.get("entries"), list):

@@ -17,12 +17,13 @@ from pathlib import Path
 from . import __version__
 from .campaign import (
     ComparisonReport,
+    SeriesError,
     analyze_report,
     compare_to_stimulus,
     export,
     ingest,
 )
-from .errors import BandscopeError, InvalidSpecError, ManifestError
+from .errors import BandscopeError, InvalidSpecError, ManifestError, SilenceError
 from .filterbank import (
     BAND_PRESETS,
     DEFAULT_TAPS,
@@ -138,6 +139,8 @@ def _load_campaign_spec(path: Path) -> dict:
         doc = json.loads(path.read_text())
     except FileNotFoundError:
         raise InvalidSpecError(f"campaign spec not found: {path}")
+    except UnicodeDecodeError as exc:
+        raise InvalidSpecError(f"{path}: not a text file ({exc})")
     except json.JSONDecodeError as exc:
         raise InvalidSpecError(f"{path}: not valid JSON ({exc})")
     if not isinstance(doc, dict):
@@ -273,15 +276,26 @@ def _cmd_compare(args) -> int:
     _provenance(
         _bank_provenance(args, bank, [f"comparison distance: {args.distance:g} cm"])
     )
-    rows = tuple(
-        compare_to_stimulus(stimulus, series, bank, args.distance)
-        for series in report.series
-    )
+    # a silent stimulus would fail every series; report it once
+    if not stimulus.samples.any():
+        raise SilenceError(f"{args.stimulus}: stimulus is silent, its balance is undefined")
+    rows, failed = [], []
+    for series in report.series:
+        try:
+            rows.append(compare_to_stimulus(stimulus, series, bank, args.distance))
+        except BandscopeError as exc:
+            failed.append(
+                SeriesError(key=series.key, kind=type(exc).__name__, message=str(exc))
+            )
+    _warn_excluded(report.errors + tuple(failed))
+    if not rows:
+        raise ManifestError(
+            f"{args.manifest}: no series can be compared at {args.distance:g} cm"
+        )
     table = ComparisonReport(
-        stimulus_label=args.label, rows=rows, n_bands=bank.n_bands
+        stimulus_label=args.label, rows=tuple(rows), n_bands=bank.n_bands
     )
     print(table.to_text(), end="")
-    _warn_excluded(report.errors)
     if args.out:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)

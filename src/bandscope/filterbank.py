@@ -9,16 +9,23 @@ unit impulse at the center tap: decompose-then-sum reconstructs the input.
 Filters are odd-length symmetric (linear phase, type I); applying one with
 the group delay removed is literally zero-phase, which keeps subband
 energies directly comparable to the input's.
+
+Filtering is FFT convolution cropped to the input's length, bit-identical
+to ``scipy.signal.fftconvolve(x, h, mode="same")``: the same real
+transforms of the same length, done once each. A bank keeps each band's
+response for the current FFT length, and :func:`decompose` transforms the
+input once for all its bands, so splitting a recording into B bands costs
+one forward transform plus one inverse per band.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.signal import fftconvolve
+from scipy.fft import irfft, next_fast_len, rfft
 
 from .errors import InvalidLengthError, InvalidMappingError, RateMismatchError
 from .signal import Signal
@@ -96,17 +103,46 @@ def load_mapping(path: str | os.PathLike) -> BandMapping:
 
     Blank lines and ``#`` comments are ignored.
     """
+    try:
+        with open(path) as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise InvalidMappingError(f"{path}: not a text file ({exc})")
     edges = []
-    with open(path) as fh:
-        for raw in fh:
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            try:
-                edges.append(float(line))
-            except ValueError:
-                raise InvalidMappingError(f"{path}: not a frequency: {line!r}")
+    for raw in text.split("\n"):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        try:
+            edges.append(float(line))
+        except ValueError:
+            raise InvalidMappingError(f"{path}: not a frequency: {line!r}")
     return BandMapping(tuple(edges))
+
+
+class _Spectra:
+    """Transforms a bank's band filters share: every band's response at one
+    FFT length (a new length replaces them all, so memory stays bounded),
+    and, while :func:`decompose` runs, the spectrum of the signal it splits."""
+
+    def __init__(self) -> None:
+        self.length = 0
+        self.responses: dict[int, np.ndarray] = {}
+        self.shared_input: tuple[Signal, int, np.ndarray] | None = None
+
+    def band_response(self, taps: np.ndarray, band_index: int, n: int) -> np.ndarray:
+        if n != self.length:
+            self.responses.clear()
+            self.length = n
+        if band_index not in self.responses:
+            self.responses[band_index] = rfft(taps, n)
+        return self.responses[band_index]
+
+    def input_spectrum(self, signal: Signal, n: int) -> np.ndarray:
+        shared = self.shared_input
+        if shared is not None and shared[0] is signal and shared[1] == n:
+            return shared[2]
+        return rfft(signal.samples, n)
 
 
 @dataclass(frozen=True)
@@ -116,6 +152,10 @@ class FilterBank:
     mapping: BandMapping
     taps: tuple[np.ndarray, ...]
     sample_rate: int
+    # derived from the taps, so no part of the bank's identity
+    _spectra: _Spectra = field(
+        default_factory=_Spectra, init=False, repr=False, compare=False
+    )
 
     @property
     def length(self) -> int:
@@ -180,15 +220,32 @@ def apply_zero_phase(bank: FilterBank, band_index: int, signal: Signal) -> Signa
         raise InvalidMappingError(
             f"band index {band_index} out of range 0..{bank.n_bands - 1}"
         )
-    # mode="same" crops the central window of the full convolution, which
-    # for an odd symmetric kernel is exactly the delay-compensated output.
-    y = fftconvolve(signal.samples, bank.taps[band_index], mode="same")
+    n = _fft_length(bank, signal)
+    spectra = bank._spectra
+    x = spectra.input_spectrum(signal, n)
+    h = spectra.band_response(bank.taps[band_index], band_index, n)
+    # The central window of the full convolution, which for an odd
+    # symmetric kernel is exactly the delay-compensated output.
+    start = (bank.length - 1) // 2
+    y = irfft(x * h, n)[start : start + len(signal)]
     return Signal(y, signal.sample_rate)
+
+
+def _fft_length(bank: FilterBank, signal: Signal) -> int:
+    """Transform length of the full linear convolution, as fftconvolve picks it."""
+    return next_fast_len(len(signal) + bank.length - 1, real=True)
 
 
 def decompose(bank: FilterBank, signal: Signal) -> list[Signal]:
     """Split ``signal`` into one subband signal per band, all input-length.
 
     The subbands sum sample-wise back to the input (complementary bank).
+    The input is transformed once and shared by every band's filter.
     """
-    return [apply_zero_phase(bank, i, signal) for i in range(bank.n_bands)]
+    spectra = bank._spectra
+    n = _fft_length(bank, signal)
+    spectra.shared_input = (signal, n, rfft(signal.samples, n))
+    try:
+        return [apply_zero_phase(bank, i, signal) for i in range(bank.n_bands)]
+    finally:
+        spectra.shared_input = None

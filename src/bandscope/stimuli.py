@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from numbers import Integral
 
 import numpy as np
-from scipy.signal import welch
 
 from .errors import InsufficientDataError, InvalidFrequencyError, InvalidInputError
 from .signal import LevelDbfs, Signal, db_to_gain, normalize_to_level
@@ -145,6 +144,10 @@ def spectral_slope(signal: Signal, f_lo: float, f_hi: float) -> float:
         raise InsufficientDataError(
             f"signal too short for {_SLOPE_SEGMENTS} averaged segments resolving {f_lo} Hz"
         )
+    # imported at its only use, so that importing bandscope does not load
+    # scipy.signal, which costs every command about a second and 50 MB
+    from scipy.signal import welch
+
     freqs, pxx = welch(signal.samples, fs=signal.sample_rate, nperseg=nperseg)
 
     log_centers = []

@@ -1,6 +1,9 @@
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -10,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import bandscope
 from bandscope import Signal, load_wav, mean_level_dbfs, save_wav
 from bandscope.cli import run
 
@@ -231,6 +235,12 @@ def _nan_mapping(tmp_path):
     return str(path)
 
 
+def _not_utf8(tmp_path):
+    path = tmp_path / "binary.txt"
+    path.write_bytes(b"0\n\xff\n22050\n")
+    return str(path)
+
+
 def _analyze(tmp_path, manifest, *flags):
     return ["analyze", "--manifest", str(manifest), "--length", "1023", *flags,
             "--out", str(tmp_path / "out")]
@@ -283,6 +293,13 @@ BAD_INPUTS = {
                                         "--distance", "nan", "--length", "1023"], 2),
     "normalize-level-nan": (lambda t: ["normalize", "--in-file", str(t / "in.wav"),
                                        "--level", "nan", "--out-file", str(t / "o.wav")], 2),
+    "bands-mapping-not-utf8": (lambda t: ["bands", "--mapping", _not_utf8(t)], 1),
+    "analyze-manifest-not-utf8": (lambda t: _analyze(t, _not_utf8(t)), 1),
+    "spec-not-utf8": (lambda t: ["synth-campaign", "--spec", _not_utf8(t),
+                                 "--out", str(t / "camp")], 1),
+    "compare-no-series-at-distance": (lambda t: ["compare", "--stimulus", str(t / "r0.wav"),
+                                                 "--manifest", str(_wav_manifest(t, 50.0)),
+                                                 "--distance", "75", "--length", "1023"], 1),
 }
 
 
@@ -324,6 +341,45 @@ def test_compare_warns_about_excluded_series(tmp_path, capsys):
     assert len(warnings) == 1
     assert warnings[0].startswith("warning: series ('ghost', 'omni', 's'): ")
     assert "ghost_50.wav" in warnings[0]
+
+
+def test_compare_skips_series_without_the_distance(tmp_path, capsys):
+    manifest = _wav_manifest(tmp_path, 50.0)
+    doc = json.loads(manifest.read_text())
+    for i, distance in enumerate((25.0, 100.0)):
+        doc["entries"].append({"path": f"r{i}.wav", "distance_cm": distance,
+                               "microphone": "far", "directivity": "omni",
+                               "stimulus": "s"})
+    manifest.write_text(json.dumps(doc))
+    code = run(["compare", "--stimulus", str(tmp_path / "r0.wav"), "--manifest",
+                str(manifest), "--distance", "50", "--length", "1023"])
+    assert code == 0
+    captured = capsys.readouterr()
+    assert "stimulus/m omni" in captured.out
+    assert "far" not in captured.out
+    warnings = [line for line in captured.err.splitlines() if line.startswith("warning:")]
+    assert len(warnings) == 1
+    assert warnings[0].startswith("warning: series ('far', 'omni', 's'): ")
+    assert "no recording at 50.0 cm" in warnings[0]
+
+
+def test_compare_silent_stimulus_is_one_error(tmp_path, capsys):
+    manifest = _wav_manifest(tmp_path, 50.0)
+    save_wav(Signal(np.zeros(FS // 10), FS), tmp_path / "silent.wav")
+    code = run(["compare", "--stimulus", str(tmp_path / "silent.wav"),
+                "--manifest", str(manifest), "--length", "1023"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "warning:" not in err
+    assert "error:" in err and "stimulus is silent" in err
+
+
+def test_import_leaves_scipy_signal_unloaded():
+    # scipy.signal costs every command about a second and 50 MB to import
+    src = Path(bandscope.__file__).resolve().parents[1]
+    code = "import sys, bandscope.cli; sys.exit('scipy.signal' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    assert subprocess.run([sys.executable, "-c", code], env=env, timeout=120).returncode == 0
 
 
 _MAPPING_LINE = st.one_of(

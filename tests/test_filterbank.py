@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
-from scipy.signal import correlate
+from scipy.fft import next_fast_len
+from scipy.signal import correlate, fftconvolve
 
 from bandscope import (
     BAND_PRESETS,
@@ -187,3 +188,62 @@ class TestDecompose:
         )
         assert float(np.sum(measured)) == pytest.approx(float(np.sum(oracle)), abs=0.02)
         np.testing.assert_allclose(measured, oracle, atol=0.02)
+
+
+def _inputs(n, rng):
+    """White noise and a 65 Hz sine (most bands nearly empty), at full scale
+    and at 1e-8."""
+    t = np.arange(n) / FS
+    for x in (rng.standard_normal(n), np.sin(2 * np.pi * 65 * t + 0.3)):
+        for amp in (1.0, 1e-8):
+            yield Signal(amp * x, FS)
+
+
+class TestAgainstFftconvolve:
+    """The shared-transform path against the direct one it replaced:
+    scipy.signal.fftconvolve(x, h, mode="same") per band."""
+
+    @pytest.mark.parametrize("preset", ["ids10", "nl8"])
+    @pytest.mark.parametrize("length", [63, 1023, 16383])
+    def test_bit_identical_for_two_samples_and_more(self, preset, length):
+        bank = design_bank(BandMapping(BAND_PRESETS[preset]), FS, length)
+        rng = np.random.default_rng(length)
+        # shorter than, equal to and longer than the filters
+        for n in (2, 3, length // 2, length, length + 1, 3 * length + 7):
+            for signal in _inputs(n, rng):
+                subbands = decompose(bank, signal)
+                for i, taps in enumerate(bank.taps):
+                    ref = fftconvolve(signal.samples, taps, mode="same")
+                    assert np.array_equal(apply_zero_phase(bank, i, signal).samples, ref)
+                    assert np.array_equal(subbands[i].samples, ref)
+
+    @pytest.mark.parametrize("length", [63, 16383])
+    def test_one_sample_within_rounding(self, length):
+        # fftconvolve multiplies a 1-sample input by the centre tap directly
+        bank = design_bank(BandMapping(BAND_PRESETS["ids10"]), FS, length)
+        for signal in _inputs(1, np.random.default_rng(2)):
+            for i, taps in enumerate(bank.taps):
+                ref = fftconvolve(signal.samples, taps, mode="same")
+                got = apply_zero_phase(bank, i, signal).samples
+                np.testing.assert_allclose(got, ref, rtol=1e-15, atol=0)
+
+    def test_alternating_lengths_stay_exact_and_cache_one_length(self, ids10_bank_fast):
+        bank = ids10_bank_fast
+        rng = np.random.default_rng(4)
+        short = Signal(rng.standard_normal(700), FS)
+        long_ = Signal(rng.standard_normal(5000), FS)
+        for signal in (short, long_, short, long_, short):
+            for i, taps in enumerate(bank.taps):
+                ref = fftconvolve(signal.samples, taps, mode="same")
+                assert np.array_equal(apply_zero_phase(bank, i, signal).samples, ref)
+            n = next_fast_len(len(signal) + bank.length - 1, real=True)
+            assert bank._spectra.length == n
+            assert sorted(bank._spectra.responses) == list(range(bank.n_bands))
+            assert {h.size for h in bank._spectra.responses.values()} == {n // 2 + 1}
+
+    def test_shared_spectrum_released_after_decompose(self, ids10_bank_fast):
+        decompose(ids10_bank_fast, Signal(np.ones(500), FS))
+        assert ids10_bank_fast._spectra.shared_input is None
+        with pytest.raises(RateMismatchError):
+            decompose(ids10_bank_fast, Signal(np.ones(500), 48000))
+        assert ids10_bank_fast._spectra.shared_input is None
