@@ -11,14 +11,18 @@ from __future__ import annotations
 
 import math
 import warnings
+from collections.abc import Sequence
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import MappingMismatchError, SilenceError
 from .filterbank import BandMapping, FilterBank, decompose
-from .series import MeasurementSeries
-from .signal import LevelDbfs, Signal
+from .signal import SILENCE, LevelDbfs, Signal
+
+if TYPE_CHECKING:
+    from .series import Measurement
 
 __all__ = [
     "BalanceResult",
@@ -73,44 +77,50 @@ def spectral_balance(signal: Signal, bank: FilterBank) -> BalanceResult:
     subbands = decompose(bank, signal)
     linear = tuple(float(np.sum(np.square(s.samples))) / total for s in subbands)
     db = tuple(10.0 * math.log10(w) if w > 0.0 else -math.inf for w in linear)
+    # sum / n is how np.mean divides, so this equals mean_level_dbfs bit for
+    # bit, down to a power that underflows to the silence sentinel
+    power = total / len(signal)
     return BalanceResult(
         mapping=bank.mapping,
         weights_linear=linear,
         weights_db=db,
-        # sum / n is how np.mean divides, so this equals mean_level_dbfs bit for bit
-        mean_level=LevelDbfs(10.0 * math.log10(total / len(signal))),
+        mean_level=LevelDbfs(10.0 * math.log10(power)) if power > 0.0 else SILENCE,
     )
 
 
 def weight_evolution(
-    series: MeasurementSeries,
-    bank: FilterBank,
+    measurements: Sequence[Measurement],
     reference_distance_cm: float = 100.0,
 ) -> list[WeightEvolution]:
     """Per-band weight deltas against the reference distance, one curve per band.
 
-    The reference point is pinned to exactly 0 dB. Bands with zero energy at
-    some distance cannot form a delta there; such points are dropped from
-    that band's curve with a warning rather than fabricated.
+    ``measurements`` are one series' records, ascending by distance, as
+    :meth:`MeasurementSeries.measure` returns them. The reference point is
+    pinned to exactly 0 dB. Bands with zero energy at some distance cannot
+    form a delta there; such points are dropped from that band's curve with
+    a warning rather than fabricated.
     """
-    series.require_reference(reference_distance_cm)
-    balances = {
-        entry.distance_cm: spectral_balance(sig, bank)
-        for entry, sig in zip(series.entries, series.signals)
-    }
-    reference = balances[float(reference_distance_cm)]
+    from .series import check_reference  # series imports this module
+
+    balances = {m.distance_cm: m.balance for m in measurements}
+    check_reference(list(balances), reference_distance_cm)
+    reference = float(reference_distance_cm)
+    for distance, balance in balances.items():
+        if balance is None:
+            raise SilenceError(f"recording at {distance} cm is silent; no balance defined")
+    mapping = balances[reference].mapping
 
     curves = []
-    for band in range(bank.n_bands):
-        ref_db = reference.weights_db[band]
+    for band in range(mapping.n_bands):
+        ref_db = balances[reference].weights_db[band]
         points = []
-        for distance in series.distances:
-            w_db = balances[distance].weights_db[band]
-            if distance == float(reference_distance_cm):
+        for distance, balance in balances.items():
+            w_db = balance.weights_db[band]
+            if distance == reference:
                 points.append((distance, 0.0))
             elif w_db == -math.inf or ref_db == -math.inf:
                 warnings.warn(
-                    f"band {band + 1} ({bank.mapping.band_label(band)}) is silent "
+                    f"band {band + 1} ({mapping.band_label(band)}) is silent "
                     f"at {distance} cm or at the reference; point excluded",
                     stacklevel=2,
                 )

@@ -2,9 +2,11 @@
 
 A manifest is one JSON document with an ``entries`` array; each entry names
 a recording file, its distance in cm and the (microphone, directivity,
-stimulus) labels. Entries sharing labels form a series. Analysis runs the
-level and balance chains per series; export writes one level CSV and one
-CSV per band plus a summary JSON, deterministically.
+stimulus) labels. Entries sharing labels form a series. Ingest reads only
+the WAV headers; analysis measures each series in one pass over its
+recordings and runs the level and balance chains on the measurements;
+export writes one level CSV and one CSV per band plus a summary JSON,
+deterministically.
 """
 
 from __future__ import annotations
@@ -17,7 +19,6 @@ import re
 from dataclasses import dataclass
 from pathlib import Path
 
-from . import wavio
 from .balance import (
     BalanceDifference,
     WeightEvolution,
@@ -25,7 +26,7 @@ from .balance import (
     spectral_balance,
     weight_evolution,
 )
-from .errors import BandscopeError, InvalidInputError, ManifestError
+from .errors import BandscopeError, InvalidInputError, LoadError, ManifestError
 from .filterbank import FilterBank
 from .level import (
     GapPoint,
@@ -62,10 +63,17 @@ class SeriesError:
     kind: str
     message: str
 
+    @classmethod
+    def of(cls, key: tuple[str, str, str], exc: BandscopeError) -> "SeriesError":
+        """The record of ``exc`` excluding a series: kind "load" for a file
+        that could not be read or decoded, else the exception's type name."""
+        kind = "load" if isinstance(exc, LoadError) else type(exc).__name__
+        return cls(key=key, kind=kind, message=str(exc))
+
 
 @dataclass(frozen=True)
 class IngestReport:
-    """Loaded series plus the per-series errors for excluded ones."""
+    """Ingested series plus the per-series errors for excluded ones."""
 
     series: tuple[MeasurementSeries, ...]
     errors: tuple[SeriesError, ...]
@@ -103,11 +111,12 @@ def _manifest_entries(manifest_path: str | os.PathLike) -> list[MeasurementEntry
 
 
 def ingest(manifest_path: str | os.PathLike) -> IngestReport:
-    """Load a manifest into series, grouped and sorted by distance.
+    """Read a manifest and the header of every file it lists into series,
+    grouped and sorted by distance. No samples are decoded here.
 
     Duplicate distances within a series and sample-rate mixtures raise;
-    a series with a missing or unreadable file is excluded and listed in
-    the report's errors instead (no silent drops).
+    a series with a missing file or a broken WAV header is excluded and
+    listed in the report's errors instead (no silent drops).
     """
     entries = _manifest_entries(manifest_path)
     base = Path(manifest_path).parent
@@ -121,19 +130,11 @@ def ingest(manifest_path: str | os.PathLike) -> IngestReport:
     for key in sorted(groups):
         group = groups[key]
         check_unique_distances(group)  # before any file is read
-        signals = []
-        failure: SeriesError | None = None
-        for entry in group:
-            file_path = Path(entry.path) if os.path.isabs(entry.path) else base / entry.path
-            try:
-                signals.append(wavio.load_wav(file_path))
-            except (OSError, BandscopeError) as exc:
-                failure = SeriesError(key=key, kind="load", message=f"{file_path}: {exc}")
-                break
-        if failure is not None:
-            errors.append(failure)
-            continue
-        series_list.append(MeasurementSeries(entries=tuple(group), signals=tuple(signals)))
+        paths = [base / entry.path for entry in group]  # an absolute path stays as is
+        try:
+            series_list.append(MeasurementSeries.from_files(group, paths))
+        except LoadError as exc:
+            errors.append(SeriesError.of(key, exc))
     return IngestReport(series=tuple(series_list), errors=tuple(errors))
 
 
@@ -149,6 +150,7 @@ class SeriesAnalysis:
     band_verdicts: tuple[ValidityVerdict, ...]
     reequalized_bands: tuple[int, ...]  # band indices with a rise after an interior minimum
     analyzed_length: int
+    input_sha256: tuple[str, ...]  # one per level-curve point, in its order
 
     @property
     def label(self) -> str:
@@ -180,19 +182,21 @@ def analyze(
 ) -> SeriesAnalysis:
     """Level curve, gap curve, weight evolutions and validity verdicts.
 
-    Recordings are trimmed to the common length first. Band verdicts use the
-    weight deltas as deviations; a band showing the re-equalization pattern
-    gets no validity limit regardless of its suffix, because the late rise
-    is exactly what the limit is supposed to exclude.
+    All of them come from one measuring pass over the recordings, each cut
+    to the series' common length (:meth:`MeasurementSeries.measure`). Band
+    verdicts use the weight deltas as deviations; a band showing the
+    re-equalization pattern gets no validity limit regardless of its
+    suffix, because the late rise is exactly what the limit is supposed to
+    exclude.
     """
-    series = series.trimmed_to_common_length()
-    curve = measured_level_curve(series, reference_distance_cm)
+    measurements = series.measure(bank, reference_distance_cm)
+    curve = measured_level_curve(measurements, reference_distance_cm)
     gaps = tuple(gap_curve(curve))
 
     defined = [(g.distance_cm, g.gap_db) for g in gaps if g.gap_db is not None]
     level_verdict = validity_limit(defined, threshold_db) if len(defined) >= 2 else None
 
-    evolutions = tuple(weight_evolution(series, bank, reference_distance_cm))
+    evolutions = tuple(weight_evolution(measurements, reference_distance_cm))
     band_verdicts = []
     reequalized = []
     for evo in evolutions:
@@ -227,7 +231,8 @@ def analyze(
         weight_evolutions=evolutions,
         band_verdicts=tuple(band_verdicts),
         reequalized_bands=tuple(reequalized),
-        analyzed_length=len(series.signals[0]),
+        analyzed_length=series.common_length,
+        input_sha256=tuple(m.sha256 for m in measurements),
     )
 
 
@@ -241,7 +246,15 @@ class CampaignResult:
 
     @property
     def config_hash(self) -> str:
-        canonical = json.dumps(self.provenance, sort_keys=True)
+        """Digest of the settings and of the content of every analyzed
+        recording (with its series and distance), not of file paths: a copy
+        of a campaign in another directory hashes the same."""
+        inputs = sorted(
+            [*a.key, distance, digest]
+            for a in self.analyses
+            for (distance, _), digest in zip(a.level_curve.levels, a.input_sha256)
+        )
+        canonical = json.dumps({"inputs": inputs, "settings": self.provenance}, sort_keys=True)
         return hashlib.sha256(canonical.encode()).hexdigest()[:16]
 
 
@@ -260,9 +273,7 @@ def analyze_report(
         try:
             analyses.append(analyze(series, bank, reference_distance_cm, threshold_db))
         except BandscopeError as exc:
-            errors.append(
-                SeriesError(key=series.key, kind=type(exc).__name__, message=str(exc))
-            )
+            errors.append(SeriesError.of(series.key, exc))
     provenance = {
         "mapping_edges_hz": list(bank.mapping.edges),
         "filter_length": bank.length,
@@ -331,7 +342,10 @@ def compare_to_stimulus(
     bank: FilterBank,
     at_distance_cm: float = 100.0,
 ) -> ComparisonRow:
-    """Balance difference between a stimulus and one series recording."""
+    """Balance difference between a stimulus and one series recording.
+
+    Only the recording at ``at_distance_cm`` is decoded.
+    """
     recording = series.signal_at(at_distance_cm)  # raises MissingDistanceError
     diff = balance_difference(
         spectral_balance(stimulus_signal, bank), spectral_balance(recording, bank)

@@ -89,3 +89,7 @@ class InvalidSpecError(BandscopeError):
 
 class ManifestError(BandscopeError):
     """Manifest file missing, unparsable, or schema-violating."""
+
+
+class LoadError(BandscopeError):
+    """A recording a series lists cannot be read or decoded; names the file."""

@@ -11,11 +11,12 @@ threshold; the rule is suffix-based, so a late excursion (the
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .errors import InvalidInputError, SingularityError
-from .series import MeasurementSeries
-from .signal import LevelDbfs, mean_level_dbfs
+from .series import Measurement, check_reference
+from .signal import LevelDbfs
 
 __all__ = [
     "LevelCurve",
@@ -91,29 +92,29 @@ def theoretical_amplification(x_cm: float, x_ref_cm: float) -> float:
 
 
 def measured_level_curve(
-    series: MeasurementSeries, reference_distance_cm: float = 100.0
+    measurements: Sequence[Measurement], reference_distance_cm: float = 100.0
 ) -> LevelCurve:
     """Mean-level amplification of each recording relative to the reference.
 
-    Invariant under any global gain applied to the whole series; the
-    reference point is pinned to exactly 0 dB.
+    ``measurements`` are one series' records, ascending by distance, as
+    :meth:`MeasurementSeries.measure` returns them. Invariant under any
+    global gain applied to the whole series; the reference point is pinned
+    to exactly 0 dB. A missing reference fails first, then a silent
+    reference, then the nearest silent recording.
     """
-    series.require_reference(reference_distance_cm)
+    levels = tuple((m.distance_cm, m.level) for m in measurements)
+    check_reference([d for d, _ in levels], reference_distance_cm)
     reference = float(reference_distance_cm)
-    ref_level = mean_level_dbfs(series.signal_at(reference))
-    if ref_level.is_silence:
+    if dict(levels)[reference].is_silence:
         raise InvalidInputError(
             f"reference recording at {reference_distance_cm} cm is silent"
         )
-    levels = []
-    for entry, sig in zip(series.entries, series.signals):
-        level = ref_level if entry.distance_cm == reference else mean_level_dbfs(sig)
+    for distance, level in levels:
         if level.is_silence:
             raise InvalidInputError(
-                f"recording at {entry.distance_cm} cm is silent; no level defined"
+                f"recording at {distance} cm is silent; no level defined"
             )
-        levels.append((entry.distance_cm, level))
-    return LevelCurve(levels=tuple(levels), reference_distance_cm=reference)
+    return LevelCurve(levels=levels, reference_distance_cm=reference)
 
 
 def gap_curve(measured: LevelCurve) -> list[GapPoint]:

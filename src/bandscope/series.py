@@ -1,21 +1,44 @@
-"""Measurement series: recordings of one stimulus/microphone pair by distance."""
+"""Measurement series: recordings of one stimulus/microphone pair by distance.
+
+A recording is an in-memory :class:`Signal` (synthetic series) or the
+header of a WAV file, which is decoded only when the recording is measured
+or compared. Measuring a series is one pass: each recording in turn is
+decoded, cut to the series' common length, reduced to a
+:class:`Measurement`, and its samples are dropped, so a campaign of any
+size holds one recording at a time.
+"""
 
 from __future__ import annotations
 
+import hashlib
 import math
+import os
 from collections.abc import Sequence
 from dataclasses import dataclass
 
+from . import wavio
+from .balance import BalanceResult, spectral_balance
 from .errors import (
+    BandscopeError,
     DuplicateDistanceError,
     InvalidInputError,
+    LoadError,
     MissingDistanceError,
     MissingReferenceError,
     RateMismatchError,
+    SilenceError,
 )
-from .signal import Signal
+from .filterbank import FilterBank
+from .signal import SILENCE, LevelDbfs, Signal
+from .wavio import WavHeader
 
-__all__ = ["MeasurementEntry", "MeasurementSeries", "check_unique_distances"]
+__all__ = [
+    "Measurement",
+    "MeasurementEntry",
+    "MeasurementSeries",
+    "check_reference",
+    "check_unique_distances",
+]
 
 
 @dataclass(frozen=True)
@@ -56,16 +79,46 @@ def check_unique_distances(entries: Sequence[MeasurementEntry]) -> None:
         )
 
 
+def check_reference(
+    distances: Sequence[float], reference_distance_cm: float, owner: str = "measured series"
+) -> None:
+    """Raise :class:`MissingReferenceError` unless ``distances`` hold the
+    reference distance; ``owner`` names what holds them in the message."""
+    if float(reference_distance_cm) not in distances:
+        raise MissingReferenceError(
+            f"{owner} has no recording at reference {reference_distance_cm} cm "
+            f"(distances: {tuple(distances)})"
+        )
+
+
+@dataclass(frozen=True)
+class Measurement:
+    """What the measuring pass keeps of one recording once its samples are dropped."""
+
+    distance_cm: float
+    balance: BalanceResult | None  # None for a silent recording: no balance exists
+    sha256: str  # of the file's bytes, or of an in-memory signal's float64 samples
+
+    @property
+    def level(self) -> LevelDbfs:
+        """Mean level of the analyzed samples; the silence sentinel if all zero."""
+        return SILENCE if self.balance is None else self.balance.mean_level
+
+
 @dataclass(frozen=True)
 class MeasurementSeries:
-    """Recordings sharing (microphone, directivity, stimulus), sorted by distance."""
+    """Recordings sharing (microphone, directivity, stimulus), sorted by distance.
+
+    Each recording is a :class:`Signal` or the :class:`WavHeader` of the
+    file that holds it.
+    """
 
     entries: tuple[MeasurementEntry, ...]
-    signals: tuple[Signal, ...]
+    recordings: tuple[Signal | WavHeader, ...]
 
     def __post_init__(self) -> None:
-        if len(self.entries) != len(self.signals):
-            raise InvalidInputError("one signal per entry required")
+        if len(self.entries) != len(self.recordings):
+            raise InvalidInputError("one recording per entry required")
         if not self.entries:
             raise InvalidInputError("series must contain at least one entry")
         keys = {e.key for e in self.entries}
@@ -73,15 +126,27 @@ class MeasurementSeries:
             raise InvalidInputError(f"series mixes labels: {sorted(keys)}")
         order = sorted(range(len(self.entries)), key=lambda i: self.entries[i].distance_cm)
         entries = tuple(self.entries[i] for i in order)
-        signals = tuple(self.signals[i] for i in order)
+        recordings = tuple(self.recordings[i] for i in order)
         check_unique_distances(entries)
-        rates = {s.sample_rate for s in signals}
+        rates = {r.sample_rate for r in recordings}
         if len(rates) > 1:
             raise RateMismatchError(
                 f"series {entries[0].key} mixes sample rates {sorted(rates)}"
             )
         object.__setattr__(self, "entries", entries)
-        object.__setattr__(self, "signals", signals)
+        object.__setattr__(self, "recordings", recordings)
+
+    @classmethod
+    def from_files(
+        cls, entries: Sequence[MeasurementEntry], paths: Sequence[str | os.PathLike]
+    ) -> "MeasurementSeries":
+        """A series over WAV files, of which only the headers are read.
+
+        Raises :class:`LoadError` naming the first file, in the given order,
+        that cannot be opened or whose container is broken.
+        """
+        headers = tuple(_reading(wavio.read_header, path) for path in paths)
+        return cls(entries=tuple(entries), recordings=headers)
 
     @property
     def key(self) -> tuple[str, str, str]:
@@ -93,43 +158,83 @@ class MeasurementSeries:
 
     @property
     def sample_rate(self) -> int:
-        return self.signals[0].sample_rate
+        return self.recordings[0].sample_rate
+
+    @property
+    def common_length(self) -> int:
+        """Samples each recording is cut to before it is measured.
+
+        Weights are length-normalized ratios, but equal lengths keep the
+        level curve comparable across distances. A file's length comes from
+        its header, so this is known before anything is decoded.
+        """
+        return min(len(r) for r in self.recordings)
 
     @property
     def distances(self) -> tuple[float, ...]:
         return tuple(e.distance_cm for e in self.entries)
 
-    def has_distance(self, distance_cm: float) -> bool:
-        return float(distance_cm) in self.distances
-
     def require_reference(self, reference_distance_cm: float) -> None:
         """Raise :class:`MissingReferenceError` unless the series holds the
         reference distance."""
-        if not self.has_distance(reference_distance_cm):
-            raise MissingReferenceError(
-                f"series {self.key} has no recording at reference "
-                f"{reference_distance_cm} cm (distances: {self.distances})"
-            )
+        check_reference(self.distances, reference_distance_cm, f"series {self.key}")
 
     def signal_at(self, distance_cm: float) -> Signal:
-        for entry, sig in zip(self.entries, self.signals):
+        """The whole recording at ``distance_cm``; a file is decoded now."""
+        for entry, recording in zip(self.entries, self.recordings):
             if entry.distance_cm == float(distance_cm):
-                return sig
+                return _signal(recording)
         raise MissingDistanceError(
             f"series {self.key} has no recording at {distance_cm} cm "
             f"(distances: {self.distances})"
         )
 
-    def trimmed_to_common_length(self) -> "MeasurementSeries":
-        """All recordings cut to the shortest length in the series.
+    def measure(
+        self, bank: FilterBank, reference_distance_cm: float
+    ) -> tuple[Measurement, ...]:
+        """One pass over the recordings, by distance: decode each once, cut
+        it to the common length, take its level and spectral balance from
+        those samples, keep the :class:`Measurement` and drop the samples.
 
-        Weights are length-normalized ratios, but equal lengths keep the
-        level curve comparable across distances.
+        A series without the reference distance fails before any decode. A
+        recording that cannot be decoded raises :class:`LoadError`. A silent
+        one is measured as silent rather than failing here, so that the
+        level curve reports it in its own order.
         """
-        n = min(len(s) for s in self.signals)
-        if all(len(s) == n for s in self.signals):
-            return self
-        return MeasurementSeries(
-            entries=self.entries,
-            signals=tuple(s.trimmed(n) for s in self.signals),
+        self.require_reference(reference_distance_cm)
+        n = self.common_length
+        return tuple(
+            _measure(entry.distance_cm, recording, n, bank)
+            for entry, recording in zip(self.entries, self.recordings)
         )
+
+
+def _reading(read, path, **kwargs):
+    """``read(path)``, with any failure to read it turned into a
+    :class:`LoadError` that names the file."""
+    try:
+        return read(path, **kwargs)
+    except (OSError, BandscopeError) as exc:
+        raise LoadError(f"{path}: {exc}") from exc
+
+
+def _signal(recording: Signal | WavHeader, digest=None) -> Signal:
+    if isinstance(recording, Signal):
+        if digest is not None:
+            digest.update(recording.samples)
+        return recording
+    return _reading(wavio.load_wav, recording.path, digest=digest)
+
+
+def _measure(
+    distance_cm: float, recording: Signal | WavHeader, n: int, bank: FilterBank
+) -> Measurement:
+    digest = hashlib.sha256()
+    signal = _signal(recording, digest)
+    if len(signal) != n:
+        signal = signal.trimmed(n)
+    try:
+        balance = spectral_balance(signal, bank)
+    except SilenceError:
+        balance = None
+    return Measurement(distance_cm, balance, digest.hexdigest())

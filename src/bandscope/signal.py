@@ -23,12 +23,19 @@ __all__ = [
     "mean_level_dbfs",
     "normalize_to_level",
     "db_to_gain",
+    "check_sample_rate",
 ]
 
 
 def db_to_gain(db: float) -> float:
     """Amplitude gain for a dB figure (20*log10 convention)."""
     return 10.0 ** (db / 20.0)
+
+
+def check_sample_rate(sample_rate: int) -> None:
+    """Raise :class:`InvalidInputError` unless the sample rate is positive."""
+    if int(sample_rate) <= 0:
+        raise InvalidInputError(f"sample_rate must be positive, got {sample_rate}")
 
 
 @dataclass(frozen=True)
@@ -50,8 +57,7 @@ class Signal:
             raise EmptySignalError("signal must contain at least one sample")
         if not np.all(np.isfinite(arr)):
             raise InvalidInputError("signal contains NaN or Inf samples")
-        if int(self.sample_rate) <= 0:
-            raise InvalidInputError(f"sample_rate must be positive, got {self.sample_rate}")
+        check_sample_rate(self.sample_rate)
         arr = arr.copy()
         arr.setflags(write=False)
         object.__setattr__(self, "samples", arr)

@@ -243,7 +243,7 @@ def synth_campaign(
                 bank,
             )
         )
-    series = MeasurementSeries(entries=tuple(entries), signals=tuple(signals))
+    series = MeasurementSeries(entries=tuple(entries), recordings=tuple(signals))
 
     d_gain = directivity_gain(spec.model, spec.theta_rad)
     if d_gain == 0:

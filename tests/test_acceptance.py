@@ -95,7 +95,7 @@ def _write_campaign(root, bank):
     profile_series, profile_truth = synth_campaign(profile_spec, bank)
 
     for series in (flat_series, profile_series):
-        for entry, signal in zip(series.entries, series.signals):
+        for entry, signal in zip(series.entries, series.recordings):
             name = f"{series.label}_{entry.distance_cm:g}cm.wav"
             save_wav(signal, root / name, encoding="float32")
             entries.append({
@@ -213,7 +213,7 @@ def test_c06_profile_recovery(campaign, banks):
             profile=DistanceProfile(bands={0: RECOVERY_PROFILE[0]}),
         )
         series, _ = synth_campaign(solo, bank)
-        evo = weight_evolution(series, bank, 100.0)[0]
+        evo = weight_evolution(series.measure(bank, 100.0), 100.0)[0]
         recovered = dict(evo.points)
         for d, injected in RECOVERY_PROFILE[0]:
             assert recovered[d] == pytest.approx(injected, abs=0.3)

@@ -33,7 +33,7 @@ def _series(signals, distances, mic="test"):
                          stimulus="x")
         for d in distances
     )
-    return MeasurementSeries(entries=entries, signals=tuple(signals))
+    return MeasurementSeries(entries=entries, recordings=tuple(signals))
 
 
 class TestSpectralBalance:
@@ -62,6 +62,14 @@ class TestSpectralBalance:
         bank = design_bank(BandMapping((0, 1000, 22050)), FS, 63)
         x = 10.0 ** log_scale * np.random.default_rng(seed).standard_normal(n)
         signal = Signal(x, FS)
+        assert spectral_balance(signal, bank).mean_level == mean_level_dbfs(signal)
+
+    def test_mean_level_silent_when_power_underflows(self):
+        # the energy sum is a positive subnormal, its mean rounds to zero: the
+        # meter reads silence, and so must the balance instead of failing
+        bank = design_bank(BandMapping((0, 1000, 22050)), FS, 63)
+        signal = Signal(np.array([2.3e-162, 0.0]), FS)
+        assert mean_level_dbfs(signal).is_silence
         assert spectral_balance(signal, bank).mean_level == mean_level_dbfs(signal)
 
     def test_white_noise_weights_track_bandwidth(self, ids10_bank, white_10s):
@@ -105,7 +113,7 @@ class TestSpectralBalance:
 class TestWeightEvolution:
     def test_identical_signals_all_zero(self, ids10_bank_fast, white_2s):
         series = _series([white_2s] * 3, [10, 50, 100])
-        curves = weight_evolution(series, ids10_bank_fast, 100.0)
+        curves = weight_evolution(series.measure(ids10_bank_fast, 100.0), 100.0)
         assert len(curves) == 10
         for curve in curves:
             assert curve.points == ((10.0, 0.0), (50.0, 0.0), (100.0, 0.0))
@@ -114,20 +122,20 @@ class TestWeightEvolution:
         series = _series(
             [white_2s.scaled(100 / d) for d in (5, 20, 100)], [5, 20, 100]
         )
-        curves = weight_evolution(series, ids10_bank_fast, 100.0)
+        curves = weight_evolution(series.measure(ids10_bank_fast, 100.0), 100.0)
         for curve in curves:
             for _, delta in curve.points:
                 assert abs(delta) <= 0.05
 
     def test_reference_point_exactly_zero(self, ids10_bank_fast, white_2s):
         series = _series([white_2s.scaled(g) for g in (2.0, 1.0)], [50, 100])
-        for curve in weight_evolution(series, ids10_bank_fast, 100.0):
+        for curve in weight_evolution(series.measure(ids10_bank_fast, 100.0), 100.0):
             assert dict(curve.points)[100.0] == 0.0
 
     def test_missing_reference(self, ids10_bank_fast, white_2s):
-        series = _series([white_2s] * 2, [10, 50])
+        measurements = _series([white_2s] * 2, [10, 50]).measure(ids10_bank_fast, 10.0)
         with pytest.raises(MissingReferenceError):
-            weight_evolution(series, ids10_bank_fast, 100.0)
+            weight_evolution(measurements, 100.0)
 
 
 class TestBalanceDifference:

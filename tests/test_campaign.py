@@ -1,9 +1,14 @@
 import json
 import math
+import shutil
+import struct
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
+import bandscope.wavio
 from bandscope import (
     DirectivityModel,
     DistanceProfile,
@@ -16,11 +21,13 @@ from bandscope import (
     compare_to_stimulus,
     export,
     ingest,
+    load_wav,
     mean_level_dbfs,
     save_wav,
     synth_campaign,
 )
 from bandscope.campaign import ComparisonReport
+from bandscope.cli import run
 from bandscope.errors import (
     DuplicateDistanceError,
     ManifestError,
@@ -146,7 +153,7 @@ class TestAnalyze:
                              stimulus="s")
             for d in (10, 50, 100)
         )
-        series = MeasurementSeries(entries=entries, signals=(white_2s,) * 3)
+        series = MeasurementSeries(entries=entries, recordings=(white_2s,) * 3)
         result = analyze(series, ids10_bank_fast)
         assert all(a == 0.0 for _, a in result.level_curve.points)
         for evo in result.weight_evolutions:
@@ -174,7 +181,7 @@ class TestAnalyze:
                              stimulus="s")
             for d in (50, 100)
         )
-        series = MeasurementSeries(entries=entries, signals=(white_2s, longer))
+        series = MeasurementSeries(entries=entries, recordings=(white_2s, longer))
         result = analyze(series, ids10_bank_fast)
         assert result.analyzed_length == len(white_2s)
         assert abs(result.level_curve.points[0][1]) < 0.2
@@ -250,9 +257,10 @@ class TestExport:
         report = ingest(_write_manifest(tmp_path, rows))
         export(analyze_report(report, ids10_bank_fast), tmp_path / "out")
         summary = json.loads((tmp_path / "out" / "summary.json").read_text())
-        series = report.series[0]
+        # ingest reads headers only, so decode the files here
         expected = [
-            [d, mean_level_dbfs(s).value] for d, s in zip(series.distances, series.signals)
+            [row["distance_cm"], mean_level_dbfs(load_wav(tmp_path / row["path"])).value]
+            for row in rows
         ]
         assert summary["series"][0]["mean_levels_dbfs"] == expected
 
@@ -305,7 +313,7 @@ class TestComparisonReportAssembly:
                                  directivity=directivity, stimulus="music")
                 for e in series.entries
             )
-            series = MeasurementSeries(entries=entries, signals=series.signals)
+            series = MeasurementSeries(entries=entries, recordings=series.recordings)
             rows.append(compare_to_stimulus(white_2s, series, ids10_bank_fast, 100.0))
         report = ComparisonReport(stimulus_label="One", rows=tuple(rows), n_bands=10)
         csv = report.to_csv().strip().split("\n")
@@ -314,3 +322,205 @@ class TestComparisonReportAssembly:
         assert csv[7].startswith("One/C-2 cardioid,")
         for line in csv[1:]:
             assert len(line.split(",")) == 13  # label + 10 bands + 2 levels
+
+
+# --- one pass per recording: error semantics, input digests, memory ---------
+
+def _fault_campaign(tmp_path, distances=(25, 50, 100)):
+    """Manifest rows of a series (m, omni, s) of short float32 recordings
+    r{distance}.wav, which a test breaks, and of a sound series (g, omni, s)
+    that keeps the run going."""
+    noise = 0.05 * np.random.default_rng(3).standard_normal(FS // 10)
+    rows = []
+    for mic, prefix, dists in (("m", "r", distances), ("g", "g", (50, 100))):
+        for d in dists:
+            save_wav(Signal(noise * (100.0 / d), FS), tmp_path / f"{prefix}{d}.wav")
+            rows.append({"path": f"{prefix}{d}.wav", "distance_cm": d, "microphone": mic,
+                         "directivity": "omni", "stimulus": "s"})
+    return rows
+
+
+def _raw_wav(tag, bits, payload):
+    fmt = struct.pack("<HHIIHH", tag, 1, FS, FS * bits // 8, bits // 8, bits)
+    chunks = (b"fmt " + struct.pack("<I", len(fmt)) + fmt
+              + b"data" + struct.pack("<I", len(payload)) + payload + b"\x00" * (len(payload) & 1))
+    return b"RIFF" + struct.pack("<I", 4 + len(chunks)) + b"WAVE" + chunks
+
+
+def _nan_file(path):
+    """Float32 recording with a signalling NaN: its header is sound, only
+    decoding it fails."""
+    payload = struct.pack("<3f", 0.1, -0.1, 0.2) + bytes([1, 0, 0x80, 0x7F])
+    path.write_bytes(_raw_wav(3, 32, payload))
+
+
+def _silent(path):
+    save_wav(Signal(np.zeros(FS // 10), FS), path)
+
+
+# fault -> (break the campaign, summary kind, summary message); {p} is the
+# path of the 50 cm file
+SERIES_FAULTS = {
+    "missing-file": (lambda t: (t / "r50.wav").unlink(), "load",
+                     "{p}: [Errno 2] No such file or directory: '{p}'"),
+    "not-riff": (lambda t: (t / "r50.wav").write_bytes(b"OggS" + bytes(40)), "load",
+                 "{p}: {p}: not a RIFF/WAVE file"),
+    "truncated-chunk": (lambda t: (t / "r50.wav").write_bytes((t / "r50.wav").read_bytes()[:-3]),
+                        "load", "{p}: {p}: truncated 'data' chunk"),
+    "unsupported-encoding": (lambda t: (t / "r50.wav").write_bytes(_raw_wav(1, 8, b"\x80" * 9)),
+                             "load", "{p}: {p}: unsupported encoding (format tag 1, 8-bit)"),
+    "empty-data": (lambda t: (t / "r50.wav").write_bytes(_raw_wav(1, 16, b"")), "load",
+                   "{p}: {p}: data chunk holds no samples"),
+    "float32-nan": (lambda t: _nan_file(t / "r50.wav"), "load",
+                    "{p}: signal contains NaN or Inf samples"),
+    "silent-reference": (lambda t: _silent(t / "r100.wav"), "InvalidInputError",
+                         "reference recording at 100.0 cm is silent"),
+    "silent-recording": (lambda t: _silent(t / "r50.wav"), "InvalidInputError",
+                         "recording at 50.0 cm is silent; no level defined"),
+    # precedence: a decode failure before any level rule, the silent
+    # reference before a nearer silent recording
+    "nan-before-silence": (lambda t: (_silent(t / "r100.wav"), _silent(t / "r25.wav"),
+                                      _nan_file(t / "r50.wav")),
+                           "load", "{p}: signal contains NaN or Inf samples"),
+    "silent-reference-first": (lambda t: (_silent(t / "r25.wav"), _silent(t / "r100.wav")),
+                               "InvalidInputError", "reference recording at 100.0 cm is silent"),
+}
+
+
+def _analyze_summary(tmp_path, manifest):
+    with warnings.catch_warnings():
+        # a cast warning on stderr would come before the error line
+        warnings.simplefilter("error", RuntimeWarning)
+        code = run(["analyze", "--manifest", str(manifest), "--length", "63",
+                    "--out", str(tmp_path / "out")])
+    return code, json.loads((tmp_path / "out" / "summary.json").read_text())
+
+
+@pytest.mark.parametrize("fault", sorted(SERIES_FAULTS))
+def test_summary_error_kind_and_message(tmp_path, capsys, fault):
+    breaker, kind, message = SERIES_FAULTS[fault]
+    manifest = _write_manifest(tmp_path, _fault_campaign(tmp_path))
+    breaker(tmp_path)
+    code, summary = _analyze_summary(tmp_path, manifest)
+    assert code == 0
+    assert [s["series"] for s in summary["series"]] == [["g", "omni", "s"]]
+    assert summary["errors"] == [{"series": ["m", "omni", "s"], "kind": kind,
+                                  "message": message.format(p=tmp_path / "r50.wav")}]
+    assert "Warning" not in capsys.readouterr().err
+
+
+def test_missing_reference_fails_before_any_decode(tmp_path, monkeypatch):
+    manifest = _write_manifest(tmp_path, _fault_campaign(tmp_path, distances=(25, 50)))
+    _nan_file(tmp_path / "r50.wav")  # would fail if decoded
+    decoded = []
+    monkeypatch.setattr(bandscope.wavio, "load_wav",
+                        lambda path, **k: decoded.append(path) or load_wav(path, **k))
+    code, summary = _analyze_summary(tmp_path, manifest)
+    assert code == 0
+    assert summary["errors"] == [{
+        "series": ["m", "omni", "s"], "kind": "MissingReferenceError",
+        "message": "series ('m', 'omni', 's') has no recording at reference 100.0 cm "
+                   "(distances: (25.0, 50.0))",
+    }]
+    assert decoded == [tmp_path / "g50.wav", tmp_path / "g100.wav"]  # the sound series only
+
+
+def test_ingest_reads_headers_only(tmp_path, monkeypatch):
+    manifest = _write_manifest(tmp_path, _fault_campaign(tmp_path))
+    _nan_file(tmp_path / "r50.wav")  # a fault only decoding can find
+    monkeypatch.setattr(bandscope.wavio, "load_wav", None)  # any decode raises
+    report = ingest(manifest)
+    assert report.errors == ()
+    series = next(s for s in report.series if s.key[0] == "m")
+    assert series.common_length == 4
+    assert [len(r) for r in series.recordings] == [FS // 10, 4, FS // 10]
+
+
+def _hash_of(root, bank):
+    return analyze_report(ingest(root / "manifest.json"), bank).config_hash
+
+
+def test_config_hash_covers_input_content(tmp_path, ids10_bank_fast):
+    a, b = tmp_path / "a", tmp_path / "b"
+    for root in (a, b):
+        root.mkdir()
+        _write_manifest(root, _fault_campaign(root))
+    changed = load_wav(b / "r50.wav").samples.copy()
+    changed[100] += 0.01
+    save_wav(Signal(changed, FS), b / "r50.wav")
+    assert _hash_of(a, ids10_bank_fast) != _hash_of(b, ids10_bank_fast)
+
+
+def test_config_hash_ignores_where_the_files_are(tmp_path, ids10_bank_fast):
+    a = tmp_path / "a"
+    a.mkdir()
+    _write_manifest(a, _fault_campaign(a))
+    copy = tmp_path / "elsewhere" / "copy"
+    shutil.copytree(a, copy)
+    assert _hash_of(a, ids10_bank_fast) == _hash_of(copy, ids10_bank_fast)
+
+
+def _compare(tmp_path, distance):
+    save_wav(load_wav(tmp_path / "r100.wav"), tmp_path / "stimulus.wav")
+    return run(["compare", "--stimulus", str(tmp_path / "stimulus.wav"),
+                "--manifest", str(tmp_path / "manifest.json"), "--distance", str(distance),
+                "--length", "63"])
+
+
+def test_compare_keeps_series_with_a_data_error_elsewhere(tmp_path, capsys):
+    _write_manifest(tmp_path, _fault_campaign(tmp_path))
+    _nan_file(tmp_path / "r50.wav")
+    assert _compare(tmp_path, 100) == 0
+    captured = capsys.readouterr()
+    assert "stimulus/m omni" in captured.out
+    assert "warning:" not in captured.err
+
+
+def test_compare_excludes_series_whose_compared_file_fails_to_decode(tmp_path, capsys):
+    _write_manifest(tmp_path, _fault_campaign(tmp_path))
+    _nan_file(tmp_path / "r50.wav")
+    assert _compare(tmp_path, 50) == 0
+    err = capsys.readouterr().err
+    assert f"warning: series ('m', 'omni', 's'): {tmp_path / 'r50.wav'}: signal contains" in err
+
+
+def test_compare_excludes_series_with_a_header_error_anywhere(tmp_path, capsys):
+    _write_manifest(tmp_path, _fault_campaign(tmp_path))
+    (tmp_path / "r50.wav").write_bytes(b"OggS" + bytes(40))
+    assert _compare(tmp_path, 100) == 0
+    captured = capsys.readouterr()
+    assert "stimulus/m omni" not in captured.out
+    assert "warning: series ('m', 'omni', 's')" in captured.err
+    assert "not a RIFF/WAVE file" in captured.err
+
+
+def test_analyze_memory_does_not_grow_with_series(tmp_path, ids10_bank_fast):
+    # the measuring pass holds one recording at a time, so four series must
+    # peak where one does; numpy reports its buffers to tracemalloc
+    rng = np.random.default_rng(8)
+    rows = []
+    for k in range(4):
+        for d in (10, 20, 40, 60, 80, 100):
+            name = f"s{k}_{d}.wav"
+            save_wav(Signal(0.05 * (100.0 / d) * rng.standard_normal(FS // 2), FS),
+                     tmp_path / name)
+            rows.append({"path": name, "distance_cm": d, "microphone": f"mic{k}",
+                         "directivity": "omni", "stimulus": "s"})
+    one = tmp_path / "one.json"
+    one.write_text(json.dumps({"entries": rows[:6]}))
+    four = tmp_path / "four.json"
+    four.write_text(json.dumps({"entries": rows}))
+
+    def peak(manifest):
+        tracemalloc.start()
+        try:
+            result = analyze_report(ingest(manifest), ids10_bank_fast)
+            return tracemalloc.get_traced_memory()[1], len(result.analyses)
+        finally:
+            tracemalloc.stop()
+
+    peak(one)  # the bank caches its band responses for this transform length
+    peak_one, n_one = peak(one)
+    peak_four, n_four = peak(four)
+    assert (n_one, n_four) == (1, 4)
+    assert peak_four <= 1.10 * peak_one, (peak_one, peak_four)

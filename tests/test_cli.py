@@ -2,6 +2,7 @@ import io
 import json
 import math
 import os
+import platform
 import subprocess
 import sys
 import tempfile
@@ -10,11 +11,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import bandscope
 from bandscope import Signal, load_wav, mean_level_dbfs, save_wav
+from bandscope import cli
 from bandscope.cli import run
 
 FS = 44100
@@ -382,6 +384,44 @@ def test_import_leaves_scipy_signal_unloaded():
     assert subprocess.run([sys.executable, "-c", code], env=env, timeout=120).returncode == 0
 
 
+_REUSE_PROBE = """
+import resource
+import numpy as np
+from bandscope import cli
+
+cli._keep_freed_memory()
+def burst():
+    arrays = [np.ones(375_000) for _ in range(12)]  # 12 arrays of 3 MB
+    del arrays
+burst()
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(5):
+    burst()
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="tunes glibc's allocator")
+def test_freed_arrays_are_reused_not_faulted_in_again():
+    # the streamed pass frees a recording's arrays before the next one
+    # allocates the same sizes; by default glibc hands them back to the kernel
+    src = Path(bandscope.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    out = subprocess.run([sys.executable, "-c", _REUSE_PROBE], env=env, timeout=120,
+                         capture_output=True, text=True, check=True).stdout
+    reallocated = 5 * 12 * 375_000 * 8
+    assert int(out) * os.sysconf("SC_PAGE_SIZE") < 0.1 * reallocated
+
+
+def test_main_tunes_the_allocator_before_running(monkeypatch):
+    calls = []
+    monkeypatch.setattr(cli, "_keep_freed_memory", lambda: calls.append("tune"))
+    monkeypatch.setattr(cli, "run", lambda argv=None: calls.append("run") or 0)
+    with pytest.raises(SystemExit):
+        cli.main()
+    assert calls == ["tune", "run"]
+
+
 _MAPPING_LINE = st.one_of(
     st.sampled_from(["0", "50", "200", "22050", "nan", "inf", "-inf", "1e400",
                      "# comment", "", "junk"]),
@@ -418,3 +458,103 @@ def test_bands_any_mapping_text_exits_cleanly(text):
         assert all(math.isfinite(float(line)) for line in out.getvalue().splitlines())
     else:
         assert "error:" in err.getvalue()
+
+
+# --- properties at the CLI boundary -------------------------------------------
+
+@pytest.fixture(scope="module")
+def boundary_dir(tmp_path_factory):
+    """Two short recordings r50.wav and r100.wav, reused by every example."""
+    root = tmp_path_factory.mktemp("boundary")
+    noise = 0.05 * np.random.default_rng(2).standard_normal(FS // 20)
+    for d in (50, 100):
+        save_wav(Signal(noise * (100.0 / d), FS), root / f"r{d}.wav")
+    return root
+
+
+def _run_captured(argv):
+    """Exit code and stderr of one in-process run; an exception other than
+    SystemExit propagates and fails the test, as a traceback would."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = run(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, err.getvalue()
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-10, 200)
+    | st.floats(allow_nan=True, allow_infinity=True) | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner,
+                                                                max_size=3),
+    max_leaves=8,
+)
+_ROW = st.fixed_dictionaries({}, optional={
+    "path": st.sampled_from(["r50.wav", "r100.wav", "absent.wav", "", "."]) | st.text(max_size=4),
+    "distance_cm": st.sampled_from([50, 100, 100.0, 0, -1, math.inf, math.nan, "50"]) | _JSON,
+    "microphone": st.sampled_from(["m", "n", ""]) | _JSON,
+    "directivity": st.just("omni") | _JSON,
+    "stimulus": st.just("s") | _JSON,
+})
+_MANIFESTS = _JSON | st.fixed_dictionaries({"entries": st.lists(_ROW, max_size=4) | _JSON})
+
+
+@given(doc=_MANIFESTS)
+@settings(max_examples=40, deadline=None)
+def test_analyze_any_manifest_json_exits_cleanly(boundary_dir, doc):
+    manifest = boundary_dir / "manifest.json"
+    manifest.write_text(json.dumps(doc))
+    with tempfile.TemporaryDirectory() as out:
+        code, err = _run_captured(["analyze", "--manifest", str(manifest),
+                                   "--length", "63", "--out", out])
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
+
+
+# (operation, offset, bytes): offsets below 44 hit the header that ingest
+# reads, offsets past it hit samples that only decoding reads
+_MUTATION = st.tuples(st.sampled_from(["flip", "delete", "insert"]),
+                      st.integers(0, 44 + 4 * (FS // 20)), st.binary(min_size=1, max_size=4))
+
+
+def _mutated(data: bytes, mutations) -> bytes:
+    buf = bytearray(data)
+    for op, offset, chunk in mutations:
+        offset = min(offset, len(buf))
+        if op == "flip":
+            buf[offset:offset + len(chunk)] = bytes(
+                b ^ c for b, c in zip(buf[offset:offset + len(chunk)], chunk))
+        elif op == "delete":
+            del buf[offset:offset + len(chunk)]
+        else:
+            buf[offset:offset] = chunk
+    return bytes(buf)
+
+
+@given(mutations=st.lists(_MUTATION, min_size=1, max_size=3))
+@example(mutations=[("flip", 0, b"\x01")])  # header only: not a RIFF file
+# samples only: the first one becomes a signalling NaN
+@example(mutations=[("delete", 44, b"1234"), ("insert", 44, b"\x01\x00\x80\x7f")])
+@settings(max_examples=40, deadline=None)
+def test_mutated_wav_bytes_exit_cleanly(boundary_dir, mutations):
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        for d in (50, 100):
+            (tmp / f"r{d}.wav").write_bytes((boundary_dir / f"r{d}.wav").read_bytes())
+        (tmp / "r50.wav").write_bytes(_mutated((tmp / "r50.wav").read_bytes(), mutations))
+        rows = [{"path": f"r{d}.wav", "distance_cm": d, "microphone": "m",
+                 "directivity": "omni", "stimulus": "s"} for d in (50, 100)]
+        (tmp / "manifest.json").write_text(json.dumps({"entries": rows}))
+        common = ["--manifest", str(tmp / "manifest.json"), "--length", "63"]
+        runs = [
+            ["analyze", *common, "--out", str(tmp / "analyze")],
+            # the 50 cm file is the one compared, so compare decodes it
+            ["compare", "--stimulus", str(boundary_dir / "r100.wav"), *common,
+             "--distance", "50"],
+        ]
+        for argv in runs:
+            code, err = _run_captured(argv)
+            assert code in (0, 1), (argv[0], err)
+            assert "Traceback" not in err

@@ -4,8 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bandscope import (
+    BandMapping,
     MeasurementEntry,
     MeasurementSeries,
+    design_bank,
     gap_curve,
     measured_level_curve,
     theoretical_amplification,
@@ -22,12 +24,15 @@ from bandscope.signal import LevelDbfs
 FS = 44100
 
 
-def _series(signals, distances):
+def _measured(signals, distances, reference=100.0):
+    """The measuring pass over in-memory recordings; the level does not
+    depend on the bank, so a small one will do."""
     entries = tuple(
         MeasurementEntry(distance_cm=d, microphone="m", directivity="omni", stimulus="s")
         for d in distances
     )
-    return MeasurementSeries(entries=entries, signals=tuple(signals))
+    series = MeasurementSeries(entries=entries, recordings=tuple(signals))
+    return series.measure(design_bank(BandMapping((0, 1000, 22050)), FS, 63), reference)
 
 
 class TestTheoretical:
@@ -55,14 +60,14 @@ class TestTheoretical:
 
 class TestMeasuredCurve:
     def test_identical_recordings_flat(self, white_2s):
-        series = _series([white_2s] * 4, [10, 30, 50, 100])
-        curve = measured_level_curve(series, 100.0)
+        measurements = _measured([white_2s] * 4, [10, 30, 50, 100])
+        curve = measured_level_curve(measurements, 100.0)
         assert [a for _, a in curve.points] == [0.0, 0.0, 0.0, 0.0]
 
     def test_exact_inverse_distance_series(self, white_2s):
         distances = [5, 10, 20, 30, 40, 50, 60, 70, 80, 90, 100]
-        series = _series([white_2s.scaled(100.0 / d) for d in distances], distances)
-        curve = measured_level_curve(series, 100.0)
+        measurements = _measured([white_2s.scaled(100.0 / d) for d in distances], distances)
+        curve = measured_level_curve(measurements, 100.0)
         for d, amp in curve.points:
             if d != 100.0:
                 assert amp == pytest.approx(theoretical_amplification(d, 100), abs=0.02)
@@ -70,24 +75,25 @@ class TestMeasuredCurve:
     def test_global_gain_invariance(self, white_2s):
         distances = [25, 50, 100]
         sigs = [white_2s.scaled(100.0 / d) for d in distances]
-        a = measured_level_curve(_series(sigs, distances), 100.0)
+        a = measured_level_curve(_measured(sigs, distances), 100.0)
         b = measured_level_curve(
-            _series([s.scaled(0.1) for s in sigs], distances), 100.0
+            _measured([s.scaled(0.1) for s in sigs], distances), 100.0
         )
         np.testing.assert_allclose(
             [v for _, v in a.points], [v for _, v in b.points], atol=1e-9
         )
 
     def test_missing_reference(self, white_2s):
+        measurements = _measured([white_2s] * 2, [10, 50], reference=10.0)
         with pytest.raises(MissingReferenceError):
-            measured_level_curve(_series([white_2s] * 2, [10, 50]), 100.0)
+            measured_level_curve(measurements, 100.0)
 
 
 class TestGapCurve:
     def test_measured_equals_theory(self, white_2s):
         distances = [10, 50, 100]
-        series = _series([white_2s.scaled(100.0 / d) for d in distances], distances)
-        gaps = gap_curve(measured_level_curve(series, 100.0))
+        measurements = _measured([white_2s.scaled(100.0 / d) for d in distances], distances)
+        gaps = gap_curve(measured_level_curve(measurements, 100.0))
         for g in gaps:
             assert g.gap_db is not None
             assert g.gap_db == pytest.approx(0.0, abs=0.02)
@@ -100,13 +106,13 @@ class TestGapCurve:
         sigs = [
             white_2s.scaled((100.0 / d) * 10 ** (deficit(d) / 20)) for d in distances
         ]
-        gaps = gap_curve(measured_level_curve(_series(sigs, distances), 100.0))
+        gaps = gap_curve(measured_level_curve(_measured(sigs, distances), 100.0))
         for g in gaps:
             assert g.gap_db == pytest.approx(deficit(g.distance_cm), abs=0.3)
 
     def test_x_zero_flagged_theory_undefined(self, white_2s):
-        series = _series([white_2s, white_2s.scaled(2), white_2s], [0, 50, 100])
-        gaps = gap_curve(measured_level_curve(series, 100.0))
+        measurements = _measured([white_2s, white_2s.scaled(2), white_2s], [0, 50, 100])
+        gaps = gap_curve(measured_level_curve(measurements, 100.0))
         assert gaps[0].distance_cm == 0.0
         assert gaps[0].gap_db is None
         assert gaps[1].gap_db is not None

@@ -120,7 +120,7 @@ class TestSynthRecording:
 
 
 class TestSynthCampaign:
-    def test_flat_campaign_closes_loop_with_level_analysis(self, white_2s):
+    def test_flat_campaign_closes_loop_with_level_analysis(self, white_2s, ids10_bank_fast):
         spec = SynthCampaignSpec(
             stimulus=white_2s,
             distances_cm=(5, 10, 20, 50, 100),
@@ -128,7 +128,7 @@ class TestSynthCampaign:
             theta_rad=0.5,
         )
         series, truth = synth_campaign(spec)
-        curve = measured_level_curve(series, 100.0)
+        curve = measured_level_curve(series.measure(ids10_bank_fast, 100.0), 100.0)
         for d, amp in curve.points:
             if d != 100.0:
                 assert amp == pytest.approx(theoretical_amplification(d, 100), abs=0.02)
@@ -161,7 +161,7 @@ class TestSynthCampaign:
             profile=prof,
         )
         series, truth = synth_campaign(spec, ids10_bank)
-        curves = weight_evolution(series, ids10_bank, 100.0)
+        curves = weight_evolution(series.measure(ids10_bank, 100.0), 100.0)
         for band in range(ids10_bank.n_bands):
             got = dict(curves[band].points)
             for d in (5.0, 25.0, 50.0, 100.0):
