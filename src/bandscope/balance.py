@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import MappingMismatchError, SilenceError
 from .filterbank import BandMapping, FilterBank, decompose
-from .signal import SILENCE, LevelDbfs, Signal
+from .signal import LevelDbfs, Signal, level_of_power
 
 if TYPE_CHECKING:
     from .series import Measurement
@@ -77,14 +77,12 @@ def spectral_balance(signal: Signal, bank: FilterBank) -> BalanceResult:
     subbands = decompose(bank, signal)
     linear = tuple(float(np.sum(np.square(s.samples))) / total for s in subbands)
     db = tuple(10.0 * math.log10(w) if w > 0.0 else -math.inf for w in linear)
-    # sum / n is how np.mean divides, so this equals mean_level_dbfs bit for
-    # bit, down to a power that underflows to the silence sentinel
-    power = total / len(signal)
     return BalanceResult(
         mapping=bank.mapping,
         weights_linear=linear,
         weights_db=db,
-        mean_level=LevelDbfs(10.0 * math.log10(power)) if power > 0.0 else SILENCE,
+        # sum / n is how np.mean divides, so this equals mean_level_dbfs bit for bit
+        mean_level=level_of_power(total / len(signal)),
     )
 
 

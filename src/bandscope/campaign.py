@@ -6,7 +6,9 @@ stimulus) labels. Entries sharing labels form a series. Ingest reads only
 the WAV headers; analysis measures each series in one pass over its
 recordings and runs the level and balance chains on the measurements;
 export writes one level CSV and one CSV per band plus a summary JSON,
-deterministically.
+deterministically. A synthetic series is saved as WAVs plus the manifest
+that lists them, so the manifest format and the file-naming rule each
+live here only.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import json
 import math
 import os
 import re
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from .balance import (
@@ -26,7 +28,7 @@ from .balance import (
     spectral_balance,
     weight_evolution,
 )
-from .errors import BandscopeError, InvalidInputError, LoadError, ManifestError
+from .errors import BandscopeError, LoadError, ManifestError, converting, read_input
 from .filterbank import FilterBank
 from .level import (
     GapPoint,
@@ -39,6 +41,7 @@ from .level import (
 )
 from .series import MeasurementEntry, MeasurementSeries, check_unique_distances
 from .signal import LevelDbfs, Signal
+from .wavio import save_wav
 
 __all__ = [
     "IngestReport",
@@ -48,6 +51,7 @@ __all__ = [
     "ComparisonRow",
     "ComparisonReport",
     "ingest",
+    "save_series",
     "analyze",
     "analyze_report",
     "compare_to_stimulus",
@@ -79,35 +83,49 @@ class IngestReport:
     errors: tuple[SeriesError, ...]
 
 
-def _manifest_entries(manifest_path: str | os.PathLike) -> list[MeasurementEntry]:
+def _manifest_series(manifest_path: str | os.PathLike) -> dict[tuple, list[MeasurementEntry]]:
+    """The manifest's entries, grouped by series key."""
     path = Path(manifest_path)
-    try:
-        doc = json.loads(path.read_text())
-    except FileNotFoundError:
-        raise ManifestError(f"manifest not found: {path}")
-    except UnicodeDecodeError as exc:
-        raise ManifestError(f"{path}: not a text file ({exc})")
-    except json.JSONDecodeError as exc:
-        raise ManifestError(f"{path}: not valid JSON ({exc})")
+    doc = read_input(path, ManifestError, as_json=True)
     if not isinstance(doc, dict) or not isinstance(doc.get("entries"), list):
         raise ManifestError(f"{path}: expected an object with an 'entries' array")
-    entries = []
+    groups: dict[tuple[str, str, str], list[MeasurementEntry]] = {}
     for i, row in enumerate(doc["entries"]):
-        try:
-            entries.append(
-                MeasurementEntry(
-                    distance_cm=float(row["distance_cm"]),
-                    microphone=str(row["microphone"]),
-                    directivity=str(row["directivity"]),
-                    stimulus=str(row["stimulus"]),
-                    path=str(row["path"]),
-                )
+        with converting(ManifestError, f"{path}: entry {i} invalid"):
+            entry = MeasurementEntry(
+                distance_cm=float(row["distance_cm"]),
+                microphone=str(row["microphone"]),
+                directivity=str(row["directivity"]),
+                stimulus=str(row["stimulus"]),
+                path=str(row["path"]),
             )
-        except (KeyError, TypeError, ValueError, InvalidInputError) as exc:
-            raise ManifestError(f"{path}: entry {i} invalid: {exc}")
-    if not entries:
+        groups.setdefault(entry.key, []).append(entry)
+    if not groups:
         raise ManifestError(f"{path}: manifest holds no entries")
-    return entries
+    return groups
+
+
+def _file_stem(key: tuple[str, str, str]) -> str:
+    """Stem of every file named after a series: its labels joined by "_",
+    each run of other characters than A-Za-z0-9._- replaced by "-"."""
+    return re.sub(r"[^A-Za-z0-9._-]+", "-", "_".join(key))
+
+
+def save_series(series: MeasurementSeries, out_dir: str | os.PathLike) -> None:
+    """Write each recording of an in-memory series to ``out_dir`` as a float32
+    WAV named {stem}_{distance}cm.wav, with the stem :func:`export` names the
+    series' files by, plus the ``manifest.json`` listing them that
+    :func:`ingest` reads back."""
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    rows = []
+    for entry, signal in zip(series.entries, series.recordings):
+        name = f"{_file_stem(series.key)}_{entry.distance_cm:g}cm.wav"
+        save_wav(signal, out / name, encoding="float32")
+        rows.append({**asdict(entry), "path": name})
+    (out / "manifest.json").write_text(
+        json.dumps({"entries": rows}, sort_keys=True, indent=2) + "\n"
+    )
 
 
 def ingest(manifest_path: str | os.PathLike) -> IngestReport:
@@ -118,13 +136,8 @@ def ingest(manifest_path: str | os.PathLike) -> IngestReport:
     a series with a missing file or a broken WAV header is excluded and
     listed in the report's errors instead (no silent drops).
     """
-    entries = _manifest_entries(manifest_path)
+    groups = _manifest_series(manifest_path)
     base = Path(manifest_path).parent
-
-    groups: dict[tuple[str, str, str], list[MeasurementEntry]] = {}
-    for entry in entries:
-        groups.setdefault(entry.key, []).append(entry)
-
     series_list: list[MeasurementSeries] = []
     errors: list[SeriesError] = []
     for key in sorted(groups):
@@ -151,10 +164,6 @@ class SeriesAnalysis:
     reequalized_bands: tuple[int, ...]  # band indices with a rise after an interior minimum
     analyzed_length: int
     input_sha256: tuple[str, ...]  # one per level-curve point, in its order
-
-    @property
-    def label(self) -> str:
-        return "_".join(self.key)
 
     @property
     def max_abs_gap_db(self) -> float | None:
@@ -356,10 +365,6 @@ def compare_to_stimulus(
 
 # --- export ---------------------------------------------------------------
 
-def _safe_name(label: str) -> str:
-    return re.sub(r"[^A-Za-z0-9._-]+", "-", label)
-
-
 def _csv_float(v: float | None) -> str:
     if v is None or (isinstance(v, float) and math.isnan(v)):
         return ""
@@ -405,7 +410,7 @@ def export(result: CampaignResult, out_dir: str | os.PathLike) -> list[Path]:
     }
 
     for analysis in sorted(result.analyses, key=lambda a: a.key):
-        stem = _safe_name(analysis.label)
+        stem = _file_stem(analysis.key)
         theory_by_distance = {
             g.distance_cm: g for g in analysis.gaps
         }

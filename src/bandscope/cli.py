@@ -18,13 +18,22 @@ from pathlib import Path
 from . import __version__
 from .campaign import (
     ComparisonReport,
+    IngestReport,
     SeriesError,
     analyze_report,
     compare_to_stimulus,
     export,
     ingest,
+    save_series,
 )
-from .errors import BandscopeError, InvalidSpecError, ManifestError, SilenceError
+from .errors import (
+    BandscopeError,
+    InvalidSpecError,
+    ManifestError,
+    SilenceError,
+    converting,
+    read_input,
+)
 from .filterbank import (
     BAND_PRESETS,
     DEFAULT_TAPS,
@@ -139,30 +148,17 @@ def _cmd_synth(args) -> int:
     return 0
 
 
-def _load_campaign_spec(path: Path) -> dict:
-    try:
-        doc = json.loads(path.read_text())
-    except FileNotFoundError:
-        raise InvalidSpecError(f"campaign spec not found: {path}")
-    except UnicodeDecodeError as exc:
-        raise InvalidSpecError(f"{path}: not a text file ({exc})")
-    except json.JSONDecodeError as exc:
-        raise InvalidSpecError(f"{path}: not valid JSON ({exc})")
-    if not isinstance(doc, dict):
-        raise InvalidSpecError(f"{path}: expected a JSON object")
-    return doc
-
-
 def _cmd_synth_campaign(args) -> int:
     spec_path = Path(args.spec)
-    doc = _load_campaign_spec(spec_path)
-    try:
+    doc = read_input(spec_path, InvalidSpecError, as_json=True)
+    with converting(InvalidSpecError, str(spec_path)):
+        if not isinstance(doc, dict) or not isinstance(doc.get("stimulus"), dict):
+            raise TypeError("expected a JSON object with a 'stimulus' object")
         stim_doc = doc["stimulus"]
-        if not isinstance(stim_doc, dict):
-            raise TypeError(f"'stimulus' must be an object, got {stim_doc!r}")
-        sspec = None
         if "file" in stim_doc:
-            stim_file = spec_path.parent / stim_doc["file"]
+            stim_json = {"file": stim_doc["file"]}
+            # relative to the spec file; an absolute path stays as is
+            stimulus = load_wav(spec_path.parent / stim_doc["file"])
         else:
             sspec = StimulusSpec(
                 kind=stim_doc.get("kind", "pink"),
@@ -172,39 +168,21 @@ def _cmd_synth_campaign(args) -> int:
                 frequency=stim_doc.get("frequency_hz"),
                 seed=stim_doc.get("seed"),
             )
-        distances = tuple(float(d) for d in doc["distances_cm"])
-        profile = None
-        raw_profile = doc.get("profile")
-        if raw_profile:
-            profile = DistanceProfile(
-                bands={
-                    int(band) - 1: tuple((float(d), float(g)) for d, g in pts)
-                    for band, pts in raw_profile.items()
-                }
-            )
-        model = DirectivityModel(float(doc.get("directivity_m", 1.0)))
-        theta_rad = float(doc.get("theta_rad", 0.0))
-        reference_distance_cm = float(doc.get("reference_distance_cm", 100.0))
-    except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
-        raise InvalidSpecError(f"{spec_path}: {exc}")
-
-    if sspec is None:
-        stimulus = load_wav(stim_file)
-        stim_json = {"file": str(stim_doc["file"])}
-    else:
-        stimulus = gen_stimulus(sspec)
-        stim_json = sspec.to_json()
-
-    cspec = SynthCampaignSpec(
-        stimulus=stimulus,
-        distances_cm=distances,
-        model=model,
-        theta_rad=theta_rad,
-        reference_distance_cm=reference_distance_cm,
-        profile=profile,
-        microphone=str(doc.get("microphone", "synthetic")),
-        stimulus_label=str(doc.get("stimulus_label", "stimulus")),
-    )
+            stim_json = sspec.to_json()
+            stimulus = gen_stimulus(sspec)
+        profile = doc.get("profile") or None
+        if profile:  # the spec numbers bands from 1
+            profile = DistanceProfile({int(b) - 1: pts for b, pts in profile.items()})
+        cspec = SynthCampaignSpec(
+            stimulus=stimulus,
+            distances_cm=doc["distances_cm"],
+            model=DirectivityModel(float(doc.get("directivity_m", 1.0))),
+            theta_rad=float(doc.get("theta_rad", 0.0)),
+            reference_distance_cm=float(doc.get("reference_distance_cm", 100.0)),
+            profile=profile,
+            microphone=str(doc.get("microphone", "synthetic")),
+            stimulus_label=str(doc.get("stimulus_label", "stimulus")),
+        )
 
     bank = None
     extra = [f"campaign spec: {spec_path}"]
@@ -216,39 +194,29 @@ def _cmd_synth_campaign(args) -> int:
     series, truth = synth_campaign(cspec, bank)
 
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    entries = []
-    for entry, signal in zip(series.entries, series.recordings):
-        name = f"{series.label}_{entry.distance_cm:g}cm.wav"
-        save_wav(signal, out / name, encoding="float32")
-        entries.append(
-            {
-                "path": name,
-                "distance_cm": entry.distance_cm,
-                "microphone": entry.microphone,
-                "directivity": entry.directivity,
-                "stimulus": entry.stimulus,
-            }
-        )
-    (out / "manifest.json").write_text(
-        json.dumps({"entries": entries}, sort_keys=True, indent=2) + "\n"
-    )
+    save_series(series, out)
     save_wav(stimulus, out / "stimulus.wav", encoding="float32")
     (out / "ground_truth.csv").write_text(truth.to_csv())
     (out / "campaign_spec.json").write_text(
         json.dumps({**doc, "stimulus": stim_json}, sort_keys=True, indent=2) + "\n"
     )
-    print(f"wrote {len(entries)} recordings, manifest.json, ground_truth.csv to {out}")
+    print(f"wrote {len(series.entries)} recordings, manifest.json, ground_truth.csv to {out}")
     return 0
 
 
-def _cmd_analyze(args) -> int:
-    report = ingest(args.manifest)
-    rates = {s.sample_rate for s in report.series}
+def _ingest(manifest: str) -> IngestReport:
+    """The manifest's series; none left to load is one error, after a
+    warning for each excluded series."""
+    report = ingest(manifest)
     if not report.series:
-        for err in report.errors:
-            print(f"error: {err.key}: {err.message}", file=sys.stderr)
-        raise ManifestError(f"{args.manifest}: no loadable series")
+        _warn_excluded(report.errors)
+        raise ManifestError(f"{manifest}: no loadable series")
+    return report
+
+
+def _cmd_analyze(args) -> int:
+    report = _ingest(args.manifest)
+    rates = {s.sample_rate for s in report.series}
     if len(rates) > 1:
         raise ManifestError(f"manifest mixes sample rates across series: {sorted(rates)}")
     bank = _build_bank(args, rates.pop())
@@ -274,9 +242,7 @@ def _cmd_analyze(args) -> int:
 
 def _cmd_compare(args) -> int:
     stimulus = load_wav(args.stimulus)
-    report = ingest(args.manifest)
-    if not report.series:
-        raise ManifestError(f"{args.manifest}: no loadable series")
+    report = _ingest(args.manifest)
     bank = _build_bank(args, stimulus.sample_rate)
     _provenance(
         _bank_provenance(args, bank, [f"comparison distance: {args.distance:g} cm"])
@@ -377,10 +343,7 @@ def run(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except BandscopeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (BandscopeError, OSError) as exc:  # OSError: a WAV or output path
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -1,8 +1,13 @@
-"""Exception types raised across the package.
+"""Exception types raised across the package, and the one home of the
+rules that turn a failed read or field conversion of an input file into one.
 
 Every domain failure maps to one of these so callers (and the CLI) can
 distinguish usage problems from broken input data.
 """
+
+import json
+import os
+from contextlib import contextmanager
 
 
 class BandscopeError(Exception):
@@ -93,3 +98,35 @@ class ManifestError(BandscopeError):
 
 class LoadError(BandscopeError):
     """A recording a series lists cannot be read or decoded; names the file."""
+
+
+# --- input files: manifests, campaign specs, mapping files ---
+
+def read_input(path: str | os.PathLike, error: type[BandscopeError], as_json: bool = False):
+    """The UTF-8 text of input file ``path``, or the JSON document it holds.
+    A file that cannot be read (missing, a directory, no permission), is not
+    text or is not JSON raises ``error`` naming it."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+        return json.loads(text) if as_json else text
+    except OSError as exc:
+        raise error(f"{path}: cannot read ({exc.strerror or exc})") from exc
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: not a text file ({exc})") from exc
+    except ValueError as exc:  # not JSON, or an integer too long to convert
+        raise error(f"{path}: not valid JSON ({exc})") from exc
+
+
+_FIELD_ERRORS = (AttributeError, KeyError, OverflowError, TypeError, ValueError, InvalidInputError)
+
+
+@contextmanager
+def converting(error: type[BandscopeError], where: str):
+    """Turn what converting the fields of an input document can raise (a
+    missing key, a wrong type, a number that does not parse or overflows a
+    float, a value the library rejects) into ``error``, prefixed by ``where``."""
+    try:
+        yield
+    except _FIELD_ERRORS as exc:
+        raise error(f"{where}: {exc}") from exc

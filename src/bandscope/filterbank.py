@@ -27,7 +27,13 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.fft import irfft, next_fast_len, rfft
 
-from .errors import InvalidLengthError, InvalidMappingError, RateMismatchError
+from .errors import (
+    InvalidLengthError,
+    InvalidMappingError,
+    RateMismatchError,
+    converting,
+    read_input,
+)
 from .signal import Signal
 
 __all__ = [
@@ -103,21 +109,11 @@ def load_mapping(path: str | os.PathLike) -> BandMapping:
 
     Blank lines and ``#`` comments are ignored.
     """
-    try:
-        with open(path) as fh:
-            text = fh.read()
-    except UnicodeDecodeError as exc:
-        raise InvalidMappingError(f"{path}: not a text file ({exc})")
-    edges = []
-    for raw in text.split("\n"):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        try:
-            edges.append(float(line))
-        except ValueError:
-            raise InvalidMappingError(f"{path}: not a frequency: {line!r}")
-    return BandMapping(tuple(edges))
+    text = read_input(path, InvalidMappingError)
+    lines = [raw.split("#", 1)[0].strip() for raw in text.split("\n")]
+    with converting(InvalidMappingError, f"{path}: not a frequency"):
+        edges = tuple(float(line) for line in lines if line)
+    return BandMapping(edges)
 
 
 class _Spectra:

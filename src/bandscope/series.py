@@ -153,10 +153,6 @@ class MeasurementSeries:
         return self.entries[0].key
 
     @property
-    def label(self) -> str:
-        return "_".join(self.key)
-
-    @property
     def sample_rate(self) -> int:
         return self.recordings[0].sample_rate
 

@@ -111,10 +111,13 @@ def mean_level_dbfs(signal: Signal) -> LevelDbfs:
     Scaling the samples by g shifts the result by exactly 20*log10(g).
     All-zero input returns the silence sentinel.
     """
-    power = float(np.mean(np.square(signal.samples)))
-    if power == 0.0:
-        return SILENCE
-    return LevelDbfs(10.0 * math.log10(power))
+    return level_of_power(float(np.mean(np.square(signal.samples))))
+
+
+def level_of_power(power: float) -> LevelDbfs:
+    """The level of a mean power in dB FS; the silence sentinel for 0, which
+    is also what the mean of a positive but subnormal energy can underflow to."""
+    return LevelDbfs(10.0 * math.log10(power)) if power > 0.0 else SILENCE
 
 
 def normalize_to_level(signal: Signal, target: LevelDbfs | float) -> Signal:

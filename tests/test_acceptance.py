@@ -96,7 +96,7 @@ def _write_campaign(root, bank):
 
     for series in (flat_series, profile_series):
         for entry, signal in zip(series.entries, series.recordings):
-            name = f"{series.label}_{entry.distance_cm:g}cm.wav"
+            name = f"{'_'.join(series.key)}_{entry.distance_cm:g}cm.wav"
             save_wav(signal, root / name, encoding="float32")
             entries.append({
                 "path": name, "distance_cm": entry.distance_cm,

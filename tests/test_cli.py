@@ -3,6 +3,7 @@ import json
 import math
 import os
 import platform
+import re
 import subprocess
 import sys
 import tempfile
@@ -15,9 +16,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import bandscope
-from bandscope import Signal, load_wav, mean_level_dbfs, save_wav
+from bandscope import Signal, ingest, load_mapping, load_wav, mean_level_dbfs, save_wav
 from bandscope import cli
 from bandscope.cli import run
+from bandscope.errors import InvalidMappingError, InvalidSpecError, ManifestError
 
 FS = 44100
 
@@ -218,6 +220,106 @@ class TestProfiledCampaign:
         assert "error:" in capsys.readouterr().err
 
 
+class TestFileStimulus:
+    """``"stimulus": {"file": ...}``: how a recorded stimulus (music) enters
+    a synthetic campaign."""
+
+    def _spec(self, tmp_path, wav_bytes=None):
+        """A spec naming music/take.wav: a readable take for ``wav_bytes``
+        None, no file for b"", else a file holding ``wav_bytes``."""
+        take = tmp_path / "music" / "take.wav"
+        take.parent.mkdir()
+        if wav_bytes is None:
+            rng = np.random.default_rng(5)
+            t = np.arange(FS // 4) / FS
+            music = 0.2 * np.sin(2 * np.pi * 220.0 * t) + 0.05 * rng.standard_normal(t.size)
+            save_wav(Signal(music, FS), take)
+        elif wav_bytes:
+            take.write_bytes(wav_bytes)
+        # relative to the spec file, not to the working directory
+        return _flat_campaign_spec(tmp_path, distances=(25, 50, 100),
+                                   stimulus={"file": "music/take.wav"}), take
+
+    def test_recordings_are_the_file_scaled_by_distance(self, tmp_path):
+        spec, take = self._spec(tmp_path)
+        out = tmp_path / "camp"
+        assert run(["synth-campaign", "--spec", str(spec), "--out", str(out)]) == 0
+        source = load_wav(take).samples
+        rows = json.loads((out / "manifest.json").read_text())["entries"]
+        assert sorted(row["distance_cm"] for row in rows) == [25.0, 50.0, 100.0]
+        for row in rows:
+            # cardioid on axis: the directivity gain is 1, only x_ref/x is left
+            recording = load_wav(out / row["path"]).samples
+            np.testing.assert_allclose(recording, source * (100.0 / row["distance_cm"]),
+                                       rtol=2.0**-23, atol=0.0)
+        echoed = json.loads((out / "campaign_spec.json").read_text())
+        assert echoed["stimulus"] == {"file": "music/take.wav"}
+
+    @pytest.mark.parametrize("wav_bytes", [b"", b"RIFF not a wave file"],
+                             ids=["missing", "broken"])
+    def test_unreadable_file_is_one_error(self, tmp_path, capsys, wav_bytes):
+        spec, _ = self._spec(tmp_path, wav_bytes)
+        code = run(["synth-campaign", "--spec", str(spec), "--out", str(tmp_path / "camp")])
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "take.wav" in err[0]
+
+
+def test_synth_campaign_writes_only_under_out(tmp_path, capsys):
+    spec = _flat_campaign_spec(tmp_path, distances=(50, 100), microphone="../escaped")
+    out = tmp_path / "camp"
+    before = set(tmp_path.rglob("*"))
+    assert run(["synth-campaign", "--spec", str(spec), "--out", str(out)]) == 0
+    written = set(tmp_path.rglob("*")) - before
+    assert len(written) > 1
+    assert all(path == out or out in path.parents for path in written)
+
+    analysis = tmp_path / "analysis"
+    assert run(["analyze", "--manifest", str(out / "manifest.json"), "--length", "1023",
+                "--out", str(analysis)]) == 0
+    # one naming rule for the recordings and for the analysis files
+    stems = {path.name.rsplit("_", 1)[0] for path in out.glob("*cm.wav")}
+    assert stems == {path.name.removesuffix("_level.csv")
+                     for path in analysis.glob("*_level.csv")}
+    assert stems == {"..-escaped_cardioid_pink"}
+
+
+def _spec_reader(path):
+    args = cli.build_parser().parse_args(
+        ["synth-campaign", "--spec", str(path), "--out", str(path.parent / "camp")])
+    return args.func(args)
+
+
+# input file reader -> the domain error it raises for a file it cannot read
+_READERS = {
+    "mapping": (load_mapping, InvalidMappingError),
+    "manifest": (ingest, ManifestError),
+    "spec": (_spec_reader, InvalidSpecError),
+}
+
+
+def _directory(tmp_path):
+    path = tmp_path / "a_directory"
+    path.mkdir()
+    return path
+
+
+_UNREADABLE = {
+    "missing": lambda t: t / "absent.json",
+    "directory": _directory,
+    "not-utf8": lambda t: Path(_not_utf8(t)),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(_UNREADABLE))
+@pytest.mark.parametrize("reader", sorted(_READERS))
+def test_unreadable_input_file_raises_its_domain_error(reader, fault, tmp_path):
+    read, error = _READERS[reader]
+    path = _UNREADABLE[fault](tmp_path)
+    with pytest.raises(error, match=re.escape(str(path))):
+        read(path)
+
+
 def _wav_manifest(tmp_path, near_cm):
     """Two readable recordings, at ``near_cm`` and at the 100 cm reference."""
     noise = Signal(0.05 * np.random.default_rng(1).standard_normal(FS // 10), FS)
@@ -228,6 +330,13 @@ def _wav_manifest(tmp_path, near_cm):
                      "directivity": "omni", "stimulus": "s"})
     path = tmp_path / "manifest.json"
     path.write_text(json.dumps({"entries": rows}))  # non-finite floats as Infinity/NaN
+    return path
+
+
+def _long_integer_manifest(tmp_path):
+    """A distance with more digits than Python converts to an int by default."""
+    path = _wav_manifest(tmp_path, 50.0)
+    path.write_text(path.read_text().replace("50.0", "1" * 5000))
     return path
 
 
@@ -261,6 +370,9 @@ def _synth(tmp_path, *flags):
 BAD_INPUTS = {
     "manifest-distance-inf": (lambda t: _analyze(t, _wav_manifest(t, math.inf)), 1),
     "manifest-distance-nan": (lambda t: _analyze(t, _wav_manifest(t, math.nan)), 1),
+    "manifest-distance-overflows-float":
+        (lambda t: _analyze(t, _wav_manifest(t, 10**400)), 1),
+    "manifest-integer-too-long": (lambda t: _analyze(t, _long_integer_manifest(t)), 1),
     "spec-stimulus-not-object": (lambda t: _synth_campaign(t, stimulus="x"), 1),
     "spec-directivity-not-number": (lambda t: _synth_campaign(t, directivity_m="abc"), 1),
     "spec-profile-band-not-number":
@@ -268,6 +380,9 @@ BAD_INPUTS = {
     "spec-duration-inf": (lambda t: _synth_campaign(
         t, stimulus={"kind": "pink", "duration_s": math.inf, "seed": 7}), 1),
     "spec-distance-inf": (lambda t: _synth_campaign(t, distances=(math.inf, 100)), 1),
+    # more samples than an array can index: numpy refuses before allocating
+    "spec-duration-beyond-array-size": (lambda t: _synth_campaign(
+        t, stimulus={"kind": "pink", "duration_s": 1e30, "seed": 7}), 1),
     "spec-theta-inf": (lambda t: _synth_campaign(t, theta_rad=math.inf), 1),
     "spec-rate-inf": (lambda t: _synth_campaign(
         t, stimulus={"kind": "pink", "sample_rate_hz": math.inf, "seed": 7}), 1),
@@ -493,7 +608,8 @@ _JSON = st.recursive(
 )
 _ROW = st.fixed_dictionaries({}, optional={
     "path": st.sampled_from(["r50.wav", "r100.wav", "absent.wav", "", "."]) | st.text(max_size=4),
-    "distance_cm": st.sampled_from([50, 100, 100.0, 0, -1, math.inf, math.nan, "50"]) | _JSON,
+    "distance_cm": st.sampled_from([50, 100, 100.0, 0, -1, math.inf, math.nan, "50", 10**400])
+    | _JSON,
     "microphone": st.sampled_from(["m", "n", ""]) | _JSON,
     "directivity": st.just("omni") | _JSON,
     "stimulus": st.just("s") | _JSON,
@@ -502,6 +618,7 @@ _MANIFESTS = _JSON | st.fixed_dictionaries({"entries": st.lists(_ROW, max_size=4
 
 
 @given(doc=_MANIFESTS)
+@example(doc={"entries": [{"distance_cm": 10**400}]})  # too big for a float
 @settings(max_examples=40, deadline=None)
 def test_analyze_any_manifest_json_exits_cleanly(boundary_dir, doc):
     manifest = boundary_dir / "manifest.json"
