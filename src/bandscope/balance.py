@@ -18,7 +18,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import MappingMismatchError, SilenceError
-from .filterbank import BandMapping, FilterBank, decompose
+from .filterbank import BandMapping, FilterBank, band_energies
 from .signal import LevelDbfs, Signal, level_of_power
 
 if TYPE_CHECKING:
@@ -74,8 +74,7 @@ def spectral_balance(signal: Signal, bank: FilterBank) -> BalanceResult:
     total = float(np.sum(np.square(signal.samples)))
     if total == 0.0:
         raise SilenceError("spectral balance of an all-zero signal is undefined")
-    subbands = decompose(bank, signal)
-    linear = tuple(float(np.sum(np.square(s.samples))) / total for s in subbands)
+    linear = tuple(energy / total for energy in band_energies(bank, signal))
     db = tuple(10.0 * math.log10(w) if w > 0.0 else -math.inf for w in linear)
     return BalanceResult(
         mapping=bank.mapping,

@@ -84,7 +84,8 @@ class IngestReport:
 
 
 def _manifest_series(manifest_path: str | os.PathLike) -> dict[tuple, list[MeasurementEntry]]:
-    """The manifest's entries, grouped by series key."""
+    """The manifest's entries, grouped by series key. Two series whose
+    labels give the same file stem are a manifest error."""
     path = Path(manifest_path)
     doc = read_input(path, ManifestError, as_json=True)
     if not isinstance(doc, dict) or not isinstance(doc.get("entries"), list):
@@ -102,6 +103,15 @@ def _manifest_series(manifest_path: str | os.PathLike) -> dict[tuple, list[Measu
         groups.setdefault(entry.key, []).append(entry)
     if not groups:
         raise ManifestError(f"{path}: manifest holds no entries")
+    stems: dict[str, tuple[str, str, str]] = {}
+    for key in sorted(groups):
+        stem = _file_stem(key)
+        if stem in stems:
+            raise ManifestError(
+                f"{path}: series {stems[stem]} and {key} would write to the "
+                f"same files (stem {stem!r})"
+            )
+        stems[stem] = key
     return groups
 
 

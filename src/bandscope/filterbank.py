@@ -12,17 +12,26 @@ energies directly comparable to the input's.
 
 Filtering is FFT convolution cropped to the input's length, bit-identical
 to ``scipy.signal.fftconvolve(x, h, mode="same")``: the same real
-transforms of the same length, done once each. A bank keeps each band's
-response for the current FFT length, and :func:`decompose` transforms the
-input once for all its bands, so splitting a recording into B bands costs
-one forward transform plus one inverse per band.
+transforms of the same length, done once each. A bank keeps every band's
+response for the current FFT length, and :func:`decompose` and
+:func:`band_energies` transform the input once for all its bands, so
+splitting a recording into B bands costs one forward transform plus one
+inverse per band.
+
+:func:`band_energies` filters the bands on every CPU in the process'
+affinity mask (``taskset`` restricts it), one worker thread per CPU,
+started on first use; the energies are the same whatever the CPU count.
 """
 
 from __future__ import annotations
 
 import math
 import os
+import threading
+from collections.abc import Callable, Iterator
+from contextlib import contextmanager
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 from scipy.fft import irfft, next_fast_len, rfft
@@ -36,12 +45,16 @@ from .errors import (
 )
 from .signal import Signal
 
+if TYPE_CHECKING:
+    from concurrent.futures import ThreadPoolExecutor
+
 __all__ = [
     "BandMapping",
     "FilterBank",
     "design_bank",
     "apply_zero_phase",
     "decompose",
+    "band_energies",
     "load_mapping",
     "BAND_PRESETS",
     "DEFAULT_TAPS",
@@ -116,23 +129,33 @@ def load_mapping(path: str | os.PathLike) -> BandMapping:
     return BandMapping(edges)
 
 
+def _serially(fn: Callable[[int], object], count: int) -> list:
+    return [fn(i) for i in range(count)]
+
+
 class _Spectra:
     """Transforms a bank's band filters share: every band's response at one
-    FFT length (a new length replaces them all, so memory stays bounded),
-    and, while :func:`decompose` runs, the spectrum of the signal it splits."""
+    FFT length, and, while :func:`decompose` or :func:`band_energies` runs,
+    the spectrum of the signal it splits.
+
+    The responses are one ``(length, responses)`` pair, replaced whole for a
+    new length, so memory stays bounded and a caller never pairs its input
+    spectrum with a response of another caller's length.
+    """
 
     def __init__(self) -> None:
-        self.length = 0
-        self.responses: dict[int, np.ndarray] = {}
+        self.responses: tuple[int, tuple[np.ndarray, ...]] = (0, ())
         self.shared_input: tuple[Signal, int, np.ndarray] | None = None
 
-    def band_response(self, taps: np.ndarray, band_index: int, n: int) -> np.ndarray:
-        if n != self.length:
-            self.responses.clear()
-            self.length = n
-        if band_index not in self.responses:
-            self.responses[band_index] = rfft(taps, n)
-        return self.responses[band_index]
+    def band_responses(
+        self, taps: tuple[np.ndarray, ...], n: int, over_bands=_serially
+    ) -> tuple[np.ndarray, ...]:
+        length, responses = self.responses
+        if length != n:
+            self.responses = (0, ())  # free the old length's before building
+            responses = tuple(over_bands(lambda i: rfft(taps[i], n), len(taps)))
+            self.responses = (n, responses)
+        return responses
 
     def input_spectrum(self, signal: Signal, n: int) -> np.ndarray:
         shared = self.shared_input
@@ -219,7 +242,7 @@ def apply_zero_phase(bank: FilterBank, band_index: int, signal: Signal) -> Signa
     n = _fft_length(bank, signal)
     spectra = bank._spectra
     x = spectra.input_spectrum(signal, n)
-    h = spectra.band_response(bank.taps[band_index], band_index, n)
+    h = spectra.band_responses(bank.taps, n)[band_index]
     # The central window of the full convolution, which for an odd
     # symmetric kernel is exactly the delay-compensated output.
     start = (bank.length - 1) // 2
@@ -232,16 +255,86 @@ def _fft_length(bank: FilterBank, signal: Signal) -> int:
     return next_fast_len(len(signal) + bank.length - 1, real=True)
 
 
+@contextmanager
+def _transformed_once(
+    bank: FilterBank, signal: Signal, over_bands=_serially
+) -> Iterator[None]:
+    """Within the block, :func:`apply_zero_phase` on ``signal`` reuses one
+    transform of it, and the band responses at its FFT length are built."""
+    spectra = bank._spectra
+    n = _fft_length(bank, signal)
+    spectra.band_responses(bank.taps, n, over_bands)
+    spectra.shared_input = (signal, n, rfft(signal.samples, n))
+    try:
+        yield
+    finally:
+        spectra.shared_input = None
+
+
 def decompose(bank: FilterBank, signal: Signal) -> list[Signal]:
     """Split ``signal`` into one subband signal per band, all input-length.
 
     The subbands sum sample-wise back to the input (complementary bank).
     The input is transformed once and shared by every band's filter.
     """
-    spectra = bank._spectra
-    n = _fft_length(bank, signal)
-    spectra.shared_input = (signal, n, rfft(signal.samples, n))
-    try:
+    with _transformed_once(bank, signal):
         return [apply_zero_phase(bank, i, signal) for i in range(bank.n_bands)]
-    finally:
-        spectra.shared_input = None
+
+
+def band_energies(bank: FilterBank, signal: Signal) -> tuple[float, ...]:
+    """Energy (sum of squares) of each subband of ``signal``, equal bit for
+    bit to the energies of :func:`decompose`'s subbands.
+
+    The bands are filtered on the band workers, each subband reduced to its
+    energy as soon as it is made, so at most one subband per worker exists
+    at a time.
+    """
+
+    def energy(band: int) -> float:
+        return float(np.sum(np.square(apply_zero_phase(bank, band, signal).samples)))
+
+    with _transformed_once(bank, signal, _over_bands):
+        return tuple(_over_bands(energy, bank.n_bands))
+
+
+# The band workers: one thread pool for the whole process, whose CPUs it
+# shares out, created on first use. A forked child has none of its parent's
+# threads, so it forgets the pool and starts its own.
+_band_pool: ThreadPoolExecutor | None = None
+_band_pool_lock = threading.Lock()
+
+
+def _forget_band_pool() -> None:
+    global _band_pool, _band_pool_lock
+    _band_pool, _band_pool_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_band_pool)
+
+
+def _usable_cpus() -> int:
+    """CPUs in this process' affinity mask, where the platform has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _over_bands(fn: Callable[[int], object], count: int) -> list:
+    """``[fn(0), ..., fn(count - 1)]`` computed on the band workers.
+
+    The pool holds one thread per usable CPU and starts them as work
+    arrives, so a map over B bands runs on at most min(B, CPUs) threads.
+    On one CPU no thread is started and ``fn`` runs in the caller.
+    """
+    global _band_pool
+    with _band_pool_lock:
+        if _band_pool is None and (cpus := _usable_cpus()) > 1:
+            # imported here: commands that never call this load no pool code
+            from concurrent.futures import ThreadPoolExecutor
+
+            _band_pool = ThreadPoolExecutor(cpus, thread_name_prefix="bandscope-band")
+        pool = _band_pool
+    if pool is None:
+        return _serially(fn, count)
+    return list(pool.map(fn, range(count)))

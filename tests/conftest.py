@@ -50,3 +50,18 @@ def white_2s():
 @pytest.fixture(scope="session")
 def pink_10s():
     return gen_pink(StimulusSpec(kind="pink", duration=10.0, seed=11, target_level=-20.0))
+
+
+@pytest.fixture
+def band_workers(monkeypatch):
+    """``band_workers(cpus)``: the band workers see ``cpus`` usable CPUs and
+    start a pool of their own, shut down after the test."""
+    from bandscope import filterbank
+
+    def use(cpus):
+        monkeypatch.setattr(filterbank, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(filterbank, "_band_pool", None)
+
+    yield use
+    if filterbank._band_pool is not None:
+        filterbank._band_pool.shutdown()

@@ -1,3 +1,9 @@
+import os
+import signal as signals
+import time
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -108,6 +114,43 @@ class TestSpectralBalance:
         b = spectral_balance(s.scaled(10 ** (gain_db / 20)), ids10_bank_fast)
         for wa, wb in zip(a.weights_db, b.weights_db):
             assert wb == pytest.approx(wa, abs=1e-9)
+
+
+class TestBandWorkers:
+    def test_child_forked_after_a_balance_finishes_its_own(self, band_workers,
+                                                           ids10_bank_fast, white_2s):
+        band_workers(2)
+        expected = spectral_balance(white_2s, ids10_bank_fast)  # starts the workers
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DeprecationWarning)  # fork with threads
+            pid = os.fork()
+        if pid == 0:
+            code = 1
+            try:
+                code = 0 if spectral_balance(white_2s, ids10_bank_fast) == expected else 2
+            finally:
+                os._exit(code)
+        deadline = time.monotonic() + 30.0
+        while (status := os.waitpid(pid, os.WNOHANG))[0] == 0:
+            if time.monotonic() > deadline:
+                os.kill(pid, signals.SIGKILL)
+                os.waitpid(pid, 0)
+                pytest.fail("the forked child's spectral_balance hung")
+            time.sleep(0.02)
+        assert os.waitstatus_to_exitcode(status[1]) == 0
+
+    def test_peak_memory_well_below_ten_subbands(self, band_workers, ids10_bank, pink_10s):
+        band_workers(2)
+        spectral_balance(pink_10s, ids10_bank)  # band responses are the bank's
+        tracemalloc.start()
+        try:
+            spectral_balance(pink_10s, ids10_bank)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the input spectrum plus two workers' transforms (about 18 MB),
+        # against the 35 MB that ten 10 s subbands hold
+        assert peak < 0.6 * ids10_bank.n_bands * pink_10s.samples.nbytes
 
 
 class TestWeightEvolution:

@@ -99,6 +99,17 @@ class TestIngest:
         with pytest.raises(DuplicateDistanceError):
             ingest(_write_manifest(tmp_path, rows))
 
+    def test_colliding_file_stems_raise_before_reading_files(self, tmp_path):
+        rows = [{"path": f"absent_{i}.wav", "distance_cm": 40, "microphone": mic,
+                 "directivity": "omni", "stimulus": "music"}
+                for i, mic in enumerate(("a/b", "a-b"))]
+        with pytest.raises(ManifestError) as info:
+            ingest(_write_manifest(tmp_path, rows))
+        message = str(info.value)
+        assert "('a-b', 'omni', 'music')" in message
+        assert "('a/b', 'omni', 'music')" in message
+        assert "'a-b_omni_music'" in message
+
     def test_missing_file_excludes_series_with_record(self, tmp_path, short_noise):
         rows = _synth_files(tmp_path, short_noise, [50, 100])
         rows += _synth_files(tmp_path, short_noise, [50, 100], mic="AT2020",
@@ -494,9 +505,12 @@ def test_compare_excludes_series_with_a_header_error_anywhere(tmp_path, capsys):
     assert "not a RIFF/WAVE file" in captured.err
 
 
-def test_analyze_memory_does_not_grow_with_series(tmp_path, ids10_bank_fast):
+def test_analyze_memory_does_not_grow_with_series(tmp_path, ids10_bank_fast, band_workers):
     # the measuring pass holds one recording at a time, so four series must
-    # peak where one does; numpy reports its buffers to tracemalloc
+    # peak where one does; numpy reports its buffers to tracemalloc. One band
+    # worker: with more, the peak also depends on how their bands overlap in
+    # time, and more recordings give more chances of the worst overlap
+    band_workers(1)
     rng = np.random.default_rng(8)
     rows = []
     for k in range(4):

@@ -340,6 +340,16 @@ def _long_integer_manifest(tmp_path):
     return path
 
 
+def _colliding_stems_manifest(tmp_path):
+    """Two series whose labels sanitize to one file stem, a-b_omni_s."""
+    path = _wav_manifest(tmp_path, 50.0)
+    doc = json.loads(path.read_text())
+    doc["entries"] = [{**row, "microphone": mic} for mic in ("a/b", "a-b")
+                      for row in doc["entries"]]
+    path.write_text(json.dumps(doc))
+    return path
+
+
 def _nan_mapping(tmp_path):
     path = tmp_path / "nan.map"
     path.write_text("0\n50\nnan\n22050\n")
@@ -373,6 +383,7 @@ BAD_INPUTS = {
     "manifest-distance-overflows-float":
         (lambda t: _analyze(t, _wav_manifest(t, 10**400)), 1),
     "manifest-integer-too-long": (lambda t: _analyze(t, _long_integer_manifest(t)), 1),
+    "manifest-file-stems-collide": (lambda t: _analyze(t, _colliding_stems_manifest(t)), 1),
     "spec-stimulus-not-object": (lambda t: _synth_campaign(t, stimulus="x"), 1),
     "spec-directivity-not-number": (lambda t: _synth_campaign(t, directivity_m="abc"), 1),
     "spec-profile-band-not-number":
@@ -526,6 +537,40 @@ def test_freed_arrays_are_reused_not_faulted_in_again():
                          capture_output=True, text=True, check=True).stdout
     reallocated = 5 * 12 * 375_000 * 8
     assert int(out) * os.sysconf("SC_PAGE_SIZE") < 0.1 * reallocated
+
+
+_ARENA_PROBE = """
+import ctypes, sys, threading
+import numpy as np
+from bandscope import cli
+
+if sys.argv[1] == "tuned":
+    cli._keep_freed_memory()
+def burst():
+    arrays = [np.ones(375_000) for _ in range(4)]
+    del arrays
+threads = [threading.Thread(target=burst) for _ in range(4)]
+for t in threads:
+    t.start()
+for t in threads:
+    t.join()
+ctypes.CDLL(None).malloc_stats()  # one "Arena N:" block per arena, on stderr
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="tunes glibc's allocator")
+def test_threads_share_one_arena():
+    # by default each band worker would keep a glibc arena of freed buffers
+    src = Path(bandscope.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    env.pop("MALLOC_ARENA_MAX", None)
+    arenas = {}
+    for mode in ("default", "tuned"):
+        err = subprocess.run([sys.executable, "-c", _ARENA_PROBE, mode], env=env,
+                             timeout=120, capture_output=True, text=True, check=True).stderr
+        arenas[mode] = sum(line.startswith("Arena ") for line in err.splitlines())
+    assert arenas["default"] > 1  # the probe sees the threads' own arenas
+    assert arenas["tuned"] == 1
 
 
 def test_main_tunes_the_allocator_before_running(monkeypatch):

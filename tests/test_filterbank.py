@@ -1,8 +1,15 @@
+import os
+import subprocess
+import sys
+import threading
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.fft import next_fast_len
 from scipy.signal import correlate, fftconvolve
 
+import bandscope
 from bandscope import (
     BAND_PRESETS,
     BandMapping,
@@ -17,6 +24,7 @@ from bandscope.errors import (
     InvalidMappingError,
     RateMismatchError,
 )
+from bandscope.filterbank import band_energies
 from oracles import dft_magnitude, periodogram_band_weights, steady_state
 
 FS = 44100
@@ -237,13 +245,93 @@ class TestAgainstFftconvolve:
                 ref = fftconvolve(signal.samples, taps, mode="same")
                 assert np.array_equal(apply_zero_phase(bank, i, signal).samples, ref)
             n = next_fast_len(len(signal) + bank.length - 1, real=True)
-            assert bank._spectra.length == n
-            assert sorted(bank._spectra.responses) == list(range(bank.n_bands))
-            assert {h.size for h in bank._spectra.responses.values()} == {n // 2 + 1}
+            length, responses = bank._spectra.responses
+            assert length == n
+            assert len(responses) == bank.n_bands
+            assert {h.size for h in responses} == {n // 2 + 1}
 
     def test_shared_spectrum_released_after_decompose(self, ids10_bank_fast):
         decompose(ids10_bank_fast, Signal(np.ones(500), FS))
         assert ids10_bank_fast._spectra.shared_input is None
         with pytest.raises(RateMismatchError):
             decompose(ids10_bank_fast, Signal(np.ones(500), 48000))
+        assert ids10_bank_fast._spectra.shared_input is None
+
+
+def _energies(subbands):
+    return tuple(float(np.sum(np.square(s.samples))) for s in subbands)
+
+
+class TestBandEnergies:
+    """The pooled energy path against the energies of decompose's subbands."""
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    @pytest.mark.parametrize("kind", ["pink", "sine65", "shorter-than-taps"])
+    def test_bit_identical_to_decompose(self, kind, cpus, band_workers, ids10_bank,
+                                        pink_10s):
+        band_workers(cpus)
+        if kind == "pink":
+            signal = pink_10s
+        elif kind == "sine65":  # the bands above 200 Hz hold almost nothing
+            t = np.arange(10 * FS) / FS
+            signal = Signal(0.1 * np.sin(2 * np.pi * 65 * t), FS)
+        else:
+            signal = Signal(np.random.default_rng(6).standard_normal(5000), FS)
+        assert band_energies(ids10_bank, signal) == _energies(decompose(ids10_bank, signal))
+
+    def test_one_cpu_starts_no_thread(self, band_workers, ids10_bank_fast, white_2s):
+        band_workers(1)
+        threads = threading.active_count()
+        band_energies(ids10_bank_fast, white_2s)
+        assert threading.active_count() == threads
+
+    def test_import_starts_no_thread(self):
+        code = "import threading, bandscope; print(threading.active_count())"
+        env = {**os.environ, "PYTHONPATH": str(Path(bandscope.__file__).resolve().parents[1])}
+        out = subprocess.run([sys.executable, "-c", code], env=env, timeout=120,
+                             capture_output=True, text=True, check=True).stdout
+        assert out.strip() == "1"
+
+    def test_at_most_one_thread_per_band(self, band_workers):
+        band_workers(8)
+        bank = design_bank(BandMapping((0, 1000, 5000, 22050)), FS, 63)
+        before = set(threading.enumerate())
+        band_energies(bank, Signal(np.ones(1000), FS))
+        started = set(threading.enumerate()) - before
+        assert 0 < len(started) <= bank.n_bands
+
+    def test_concurrent_callers_of_other_lengths_get_the_serial_result(self, band_workers):
+        # every call of one caller swaps the band responses for its length
+        # while the other caller's bands are being filtered
+        band_workers(2 * (os.cpu_count() or 1))  # more workers than cores
+        bank = design_bank(BandMapping(BAND_PRESETS["ids10"]), FS, 1023)
+        rng = np.random.default_rng(8)
+        signals = [Signal(rng.standard_normal(n), FS) for n in (20_000, 30_000)]
+        serial = [_energies(decompose(bank, s)) for s in signals]
+        outcomes = [[], []]
+
+        def measure(k):
+            for _ in range(50):
+                try:
+                    outcomes[k].append(band_energies(bank, signals[k]) == serial[k])
+                except Exception as exc:  # a response of the other length
+                    outcomes[k].append(repr(exc))
+
+        threads = [threading.Thread(target=measure, args=(k,)) for k in (0, 1)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert outcomes == [[True] * 50, [True] * 50]
+
+    def test_errors_of_a_band_reach_the_caller(self, band_workers, ids10_bank_fast):
+        band_workers(2)
+        with pytest.raises(RateMismatchError):
+            band_energies(ids10_bank_fast, Signal(np.ones(500), 48000))
         assert ids10_bank_fast._spectra.shared_input is None
