@@ -84,8 +84,7 @@ class IngestReport:
 
 
 def _manifest_series(manifest_path: str | os.PathLike) -> dict[tuple, list[MeasurementEntry]]:
-    """The manifest's entries, grouped by series key. Two series whose
-    labels give the same file stem are a manifest error."""
+    """The manifest's entries, grouped by series key."""
     path = Path(manifest_path)
     doc = read_input(path, ManifestError, as_json=True)
     if not isinstance(doc, dict) or not isinstance(doc.get("entries"), list):
@@ -103,15 +102,6 @@ def _manifest_series(manifest_path: str | os.PathLike) -> dict[tuple, list[Measu
         groups.setdefault(entry.key, []).append(entry)
     if not groups:
         raise ManifestError(f"{path}: manifest holds no entries")
-    stems: dict[str, tuple[str, str, str]] = {}
-    for key in sorted(groups):
-        stem = _file_stem(key)
-        if stem in stems:
-            raise ManifestError(
-                f"{path}: series {stems[stem]} and {key} would write to the "
-                f"same files (stem {stem!r})"
-            )
-        stems[stem] = key
     return groups
 
 
@@ -119,6 +109,20 @@ def _file_stem(key: tuple[str, str, str]) -> str:
     """Stem of every file named after a series: its labels joined by "_",
     each run of other characters than A-Za-z0-9._- replaced by "-"."""
     return re.sub(r"[^A-Za-z0-9._-]+", "-", "_".join(key))
+
+
+def _check_distinct_stems(keys: list[tuple[str, str, str]]) -> None:
+    """Two series whose labels give the same file stem would export over
+    each other's files; that is a manifest error."""
+    stems: dict[str, tuple[str, str, str]] = {}
+    for key in sorted(keys):
+        stem = _file_stem(key)
+        if stem in stems:
+            raise ManifestError(
+                f"series {stems[stem]} and {key} would write to the same files "
+                f"(stem {stem!r})"
+            )
+        stems[stem] = key
 
 
 def save_series(series: MeasurementSeries, out_dir: str | os.PathLike) -> None:
@@ -284,8 +288,11 @@ def analyze_report(
     threshold_db: float = 1.0,
 ) -> CampaignResult:
     """Analyze every ingested series; failures become recorded errors,
-    never silent drops. An invalid threshold fails once, before any series."""
+    never silent drops. An invalid threshold, or two series that
+    :func:`export` would write to the same files, fails once, before any
+    series is measured."""
     check_threshold(threshold_db)
+    _check_distinct_stems([series.key for series in report.series])
     analyses = []
     errors = list(report.errors)
     for series in report.series:

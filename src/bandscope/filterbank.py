@@ -19,8 +19,10 @@ splitting a recording into B bands costs one forward transform plus one
 inverse per band.
 
 :func:`band_energies` filters the bands on every CPU in the process'
-affinity mask (``taskset`` restricts it), one worker thread per CPU,
-started on first use; the energies are the same whatever the CPU count.
+affinity mask (``taskset`` restricts it), on worker threads started on
+first use, at most one thread per two bands, so a call holds at most half
+as many subbands at once as :func:`decompose` returns. The energies are
+the same whatever the CPU count.
 """
 
 from __future__ import annotations
@@ -29,9 +31,9 @@ import math
 import os
 import threading
 from collections.abc import Callable, Iterator
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
 
 import numpy as np
 from scipy.fft import irfft, next_fast_len, rfft
@@ -44,9 +46,6 @@ from .errors import (
     read_input,
 )
 from .signal import Signal
-
-if TYPE_CHECKING:
-    from concurrent.futures import ThreadPoolExecutor
 
 __all__ = [
     "BandMapping",
@@ -129,10 +128,6 @@ def load_mapping(path: str | os.PathLike) -> BandMapping:
     return BandMapping(edges)
 
 
-def _serially(fn: Callable[[int], object], count: int) -> list:
-    return [fn(i) for i in range(count)]
-
-
 class _Spectra:
     """Transforms a bank's band filters share: every band's response at one
     FFT length, and, while :func:`decompose` or :func:`band_energies` runs,
@@ -147,13 +142,11 @@ class _Spectra:
         self.responses: tuple[int, tuple[np.ndarray, ...]] = (0, ())
         self.shared_input: tuple[Signal, int, np.ndarray] | None = None
 
-    def band_responses(
-        self, taps: tuple[np.ndarray, ...], n: int, over_bands=_serially
-    ) -> tuple[np.ndarray, ...]:
+    def band_responses(self, taps: tuple[np.ndarray, ...], n: int) -> tuple[np.ndarray, ...]:
         length, responses = self.responses
         if length != n:
             self.responses = (0, ())  # free the old length's before building
-            responses = tuple(over_bands(lambda i: rfft(taps[i], n), len(taps)))
+            responses = tuple(rfft(h, n) for h in taps)
             self.responses = (n, responses)
         return responses
 
@@ -256,14 +249,12 @@ def _fft_length(bank: FilterBank, signal: Signal) -> int:
 
 
 @contextmanager
-def _transformed_once(
-    bank: FilterBank, signal: Signal, over_bands=_serially
-) -> Iterator[None]:
+def _transformed_once(bank: FilterBank, signal: Signal) -> Iterator[None]:
     """Within the block, :func:`apply_zero_phase` on ``signal`` reuses one
     transform of it, and the band responses at its FFT length are built."""
     spectra = bank._spectra
     n = _fft_length(bank, signal)
-    spectra.band_responses(bank.taps, n, over_bands)
+    spectra.band_responses(bank.taps, n)
     spectra.shared_input = (signal, n, rfft(signal.samples, n))
     try:
         yield
@@ -287,13 +278,13 @@ def band_energies(bank: FilterBank, signal: Signal) -> tuple[float, ...]:
 
     The bands are filtered on the band workers, each subband reduced to its
     energy as soon as it is made, so at most one subband per worker exists
-    at a time.
+    at a time, and at most one per two bands in all.
     """
 
     def energy(band: int) -> float:
         return float(np.sum(np.square(apply_zero_phase(bank, band, signal).samples)))
 
-    with _transformed_once(bank, signal, _over_bands):
+    with _transformed_once(bank, signal):
         return tuple(_over_bands(energy, bank.n_bands))
 
 
@@ -323,18 +314,21 @@ def _usable_cpus() -> int:
 def _over_bands(fn: Callable[[int], object], count: int) -> list:
     """``[fn(0), ..., fn(count - 1)]`` computed on the band workers.
 
-    The pool holds one thread per usable CPU and starts them as work
-    arrives, so a map over B bands runs on at most min(B, CPUs) threads.
-    On one CPU no thread is started and ``fn`` runs in the caller.
+    The bands are cut into min(CPUs, count // 2) contiguous runs, each
+    computed in order by one worker, so a call never has more than half of
+    its bands in flight. The pool holds one thread per usable CPU and
+    starts them as work arrives; with one run, ``fn`` runs in the caller
+    and no thread is started.
     """
     global _band_pool
+    cpus = _usable_cpus()
+    runs = min(cpus, count // 2)
+    if runs < 2:
+        return [fn(i) for i in range(count)]
     with _band_pool_lock:
-        if _band_pool is None and (cpus := _usable_cpus()) > 1:
-            # imported here: commands that never call this load no pool code
-            from concurrent.futures import ThreadPoolExecutor
-
+        if _band_pool is None:
             _band_pool = ThreadPoolExecutor(cpus, thread_name_prefix="bandscope-band")
         pool = _band_pool
-    if pool is None:
-        return _serially(fn, count)
-    return list(pool.map(fn, range(count)))
+    bounds = [count * k // runs for k in range(runs + 1)]
+    done = pool.map(lambda k: [fn(i) for i in range(bounds[k], bounds[k + 1])], range(runs))
+    return [value for run in done for value in run]

@@ -15,6 +15,7 @@ from bandscope import (
     MeasurementSeries,
     Signal,
     balance_difference,
+    decompose,
     design_bank,
     mean_level_dbfs,
     spectral_balance,
@@ -142,15 +143,31 @@ class TestBandWorkers:
     def test_peak_memory_well_below_ten_subbands(self, band_workers, ids10_bank, pink_10s):
         band_workers(2)
         spectral_balance(pink_10s, ids10_bank)  # band responses are the bank's
-        tracemalloc.start()
-        try:
-            spectral_balance(pink_10s, ids10_bank)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak = _traced_peak(lambda: spectral_balance(pink_10s, ids10_bank))
         # the input spectrum plus two workers' transforms (about 18 MB),
         # against the 35 MB that ten 10 s subbands hold
         assert peak < 0.6 * ids10_bank.n_bands * pink_10s.samples.nbytes
+
+    def test_peak_memory_on_many_cpus_below_decompose(self, band_workers, ids10_bank,
+                                                      pink_10s):
+        # whatever the CPU count, at most one band per two is in flight:
+        # five workers' transforms (about 41 MB) against decompose's ten
+        # subbands (43 MB)
+        band_workers(32)
+        spectral_balance(pink_10s, ids10_bank)
+        serial = _traced_peak(lambda: decompose(ids10_bank, pink_10s))
+        pooled = _traced_peak(lambda: spectral_balance(pink_10s, ids10_bank))
+        assert pooled < serial, (pooled, serial)
+
+
+def _traced_peak(call) -> int:
+    """tracemalloc peak of ``call()``; numpy reports its buffers to it."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 class TestWeightEvolution:

@@ -7,6 +7,7 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.fft import next_fast_len
 
 import bandscope.wavio
 from bandscope import (
@@ -99,17 +100,6 @@ class TestIngest:
         with pytest.raises(DuplicateDistanceError):
             ingest(_write_manifest(tmp_path, rows))
 
-    def test_colliding_file_stems_raise_before_reading_files(self, tmp_path):
-        rows = [{"path": f"absent_{i}.wav", "distance_cm": 40, "microphone": mic,
-                 "directivity": "omni", "stimulus": "music"}
-                for i, mic in enumerate(("a/b", "a-b"))]
-        with pytest.raises(ManifestError) as info:
-            ingest(_write_manifest(tmp_path, rows))
-        message = str(info.value)
-        assert "('a-b', 'omni', 'music')" in message
-        assert "('a/b', 'omni', 'music')" in message
-        assert "'a-b_omni_music'" in message
-
     def test_missing_file_excludes_series_with_record(self, tmp_path, short_noise):
         rows = _synth_files(tmp_path, short_noise, [50, 100])
         rows += _synth_files(tmp_path, short_noise, [50, 100], mic="AT2020",
@@ -146,6 +136,25 @@ class TestIngest:
 
 
 class TestAnalyze:
+    def test_colliding_file_stems_raise_before_measuring(self, tmp_path, short_noise,
+                                                         ids10_bank_fast, monkeypatch):
+        rows = []
+        for k, mic in enumerate(("a/b", "a-b")):
+            for d in (40, 100):
+                save_wav(short_noise, tmp_path / f"s{k}_{d}.wav")
+                rows.append({"path": f"s{k}_{d}.wav", "distance_cm": d, "microphone": mic,
+                             "directivity": "omni", "stimulus": "music"})
+        report = ingest(_write_manifest(tmp_path, rows))  # only export needs distinct stems
+        assert [s.key[0] for s in report.series] == ["a-b", "a/b"]
+        monkeypatch.setattr(MeasurementSeries, "measure",
+                            lambda *args: pytest.fail("measured a recording"))
+        with pytest.raises(ManifestError) as info:
+            analyze_report(report, ids10_bank_fast)
+        message = str(info.value)
+        assert "('a-b', 'omni', 'music')" in message
+        assert "('a/b', 'omni', 'music')" in message
+        assert "'a-b_omni_music'" in message
+
     def test_flat_series_all_verdicts_at_smallest(self, ids10_bank_fast, white_2s):
         spec = SynthCampaignSpec(
             stimulus=white_2s, distances_cm=(5, 20, 50, 100)
@@ -505,12 +514,8 @@ def test_compare_excludes_series_with_a_header_error_anywhere(tmp_path, capsys):
     assert "not a RIFF/WAVE file" in captured.err
 
 
-def test_analyze_memory_does_not_grow_with_series(tmp_path, ids10_bank_fast, band_workers):
-    # the measuring pass holds one recording at a time, so four series must
-    # peak where one does; numpy reports its buffers to tracemalloc. One band
-    # worker: with more, the peak also depends on how their bands overlap in
-    # time, and more recordings give more chances of the worst overlap
-    band_workers(1)
+def _one_and_four_series(tmp_path):
+    """Manifests of one series and of four, six 0.5 s recordings each."""
     rng = np.random.default_rng(8)
     rows = []
     for k in range(4):
@@ -524,17 +529,46 @@ def test_analyze_memory_does_not_grow_with_series(tmp_path, ids10_bank_fast, ban
     one.write_text(json.dumps({"entries": rows[:6]}))
     four = tmp_path / "four.json"
     four.write_text(json.dumps({"entries": rows}))
+    return one, four
 
-    def peak(manifest):
-        tracemalloc.start()
-        try:
-            result = analyze_report(ingest(manifest), ids10_bank_fast)
-            return tracemalloc.get_traced_memory()[1], len(result.analyses)
-        finally:
-            tracemalloc.stop()
 
-    peak(one)  # the bank caches its band responses for this transform length
-    peak_one, n_one = peak(one)
-    peak_four, n_four = peak(four)
+def _analyze_peak(manifest, bank):
+    """tracemalloc peak of ingesting and analyzing ``manifest``, and the
+    number of series analyzed; numpy reports its buffers to tracemalloc."""
+    tracemalloc.start()
+    try:
+        result = analyze_report(ingest(manifest), bank)
+        return tracemalloc.get_traced_memory()[1], len(result.analyses)
+    finally:
+        tracemalloc.stop()
+
+
+def test_analyze_memory_does_not_grow_with_series(tmp_path, ids10_bank_fast, band_workers):
+    # the measuring pass holds one recording at a time, so four series must
+    # peak where one does. One band worker, so the peak does not depend on
+    # how the workers' bands overlap in time
+    band_workers(1)
+    one, four = _one_and_four_series(tmp_path)
+    _analyze_peak(one, ids10_bank_fast)  # the bank caches its band responses
+    peak_one, n_one = _analyze_peak(one, ids10_bank_fast)
+    peak_four, n_four = _analyze_peak(four, ids10_bank_fast)
     assert (n_one, n_four) == (1, 4)
     assert peak_four <= 1.10 * peak_one, (peak_one, peak_four)
+
+
+def test_analyze_memory_on_two_band_workers_does_not_grow_with_series(
+        tmp_path, ids10_bank_fast, band_workers):
+    # with two workers the peak also depends on whether both hold a band's
+    # transforms at once, and four series give more chances of that than
+    # one: the bound allows one worker's pair of transforms more than the
+    # largest of three one-series peaks. Holding each series' recordings
+    # would add 3 MB
+    band_workers(2)
+    one, four = _one_and_four_series(tmp_path)
+    _analyze_peak(one, ids10_bank_fast)
+    peak_one = max(_analyze_peak(one, ids10_bank_fast)[0] for _ in range(3))
+    peak_four, n_four = _analyze_peak(four, ids10_bank_fast)
+    n = next_fast_len(FS // 2 + ids10_bank_fast.length - 1, real=True)
+    pair = n * 8 + (n // 2 + 1) * 16  # the inverse transform and the product it inverts
+    assert n_four == 4
+    assert peak_four <= 1.10 * peak_one + pair, (peak_one, peak_four, pair)

@@ -491,6 +491,19 @@ def test_compare_skips_series_without_the_distance(tmp_path, capsys):
     assert "no recording at 50.0 cm" in warnings[0]
 
 
+def test_compare_takes_series_whose_file_stems_collide(tmp_path, capsys):
+    # compare names no file after a series, so a/b and a-b both get a row
+    manifest = _colliding_stems_manifest(tmp_path)
+    code = run(["compare", "--stimulus", str(tmp_path / "r0.wav"), "--manifest",
+                str(manifest), "--distance", "50", "--length", "1023",
+                "--out", str(tmp_path / "out")])
+    assert code == 0
+    captured = capsys.readouterr()
+    assert "warning:" not in captured.err and "error:" not in captured.err
+    rows = (tmp_path / "out" / "comparison.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[0] for row in rows] == ["stimulus/a-b omni", "stimulus/a/b omni"]
+
+
 def test_compare_silent_stimulus_is_one_error(tmp_path, capsys):
     manifest = _wav_manifest(tmp_path, 50.0)
     save_wav(Signal(np.zeros(FS // 10), FS), tmp_path / "silent.wav")
