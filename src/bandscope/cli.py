@@ -344,7 +344,8 @@ def run(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (BandscopeError, OSError) as exc:  # OSError: a WAV or output path
+    # OSError: a WAV or output path; MemoryError: an array the machine cannot hold
+    except (BandscopeError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -19,18 +19,17 @@ splitting a recording into B bands costs one forward transform plus one
 inverse per band.
 
 :func:`band_energies` filters the bands on every CPU in the process'
-affinity mask (``taskset`` restricts it), on worker threads started on
-first use, at most one thread per two bands, so a call holds at most half
-as many subbands at once as :func:`decompose` returns. The energies are
-the same whatever the CPU count.
+affinity mask (``taskset`` restricts it), on worker threads started for
+each call and joined before it returns, at most one thread per two bands,
+so a call holds at most half as many subbands at once as :func:`decompose`
+returns. The energies are the same whatever the CPU count.
 """
 
 from __future__ import annotations
 
 import math
 import os
-import threading
-from collections.abc import Callable, Iterator
+from collections.abc import Iterator
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -276,32 +275,21 @@ def band_energies(bank: FilterBank, signal: Signal) -> tuple[float, ...]:
     """Energy (sum of squares) of each subband of ``signal``, equal bit for
     bit to the energies of :func:`decompose`'s subbands.
 
-    The bands are filtered on the band workers, each subband reduced to its
-    energy as soon as it is made, so at most one subband per worker exists
-    at a time, and at most one per two bands in all.
+    The bands are filtered on min(CPUs, bands // 2) worker threads that
+    live for this call, each subband reduced to its energy as soon as it is
+    made, so at most one subband per worker exists at a time. With fewer
+    than two workers the bands are filtered in the caller.
     """
 
     def energy(band: int) -> float:
         return float(np.sum(np.square(apply_zero_phase(bank, band, signal).samples)))
 
+    workers = min(_usable_cpus(), bank.n_bands // 2)
     with _transformed_once(bank, signal):
-        return tuple(_over_bands(energy, bank.n_bands))
-
-
-# The band workers: one thread pool for the whole process, whose CPUs it
-# shares out, created on first use. A forked child has none of its parent's
-# threads, so it forgets the pool and starts its own.
-_band_pool: ThreadPoolExecutor | None = None
-_band_pool_lock = threading.Lock()
-
-
-def _forget_band_pool() -> None:
-    global _band_pool, _band_pool_lock
-    _band_pool, _band_pool_lock = None, threading.Lock()
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_band_pool)
+        if workers < 2:
+            return tuple(energy(band) for band in range(bank.n_bands))
+        with ThreadPoolExecutor(workers, thread_name_prefix="bandscope-band") as pool:
+            return tuple(pool.map(energy, range(bank.n_bands)))
 
 
 def _usable_cpus() -> int:
@@ -309,26 +297,3 @@ def _usable_cpus() -> int:
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
-
-
-def _over_bands(fn: Callable[[int], object], count: int) -> list:
-    """``[fn(0), ..., fn(count - 1)]`` computed on the band workers.
-
-    The bands are cut into min(CPUs, count // 2) contiguous runs, each
-    computed in order by one worker, so a call never has more than half of
-    its bands in flight. The pool holds one thread per usable CPU and
-    starts them as work arrives; with one run, ``fn`` runs in the caller
-    and no thread is started.
-    """
-    global _band_pool
-    cpus = _usable_cpus()
-    runs = min(cpus, count // 2)
-    if runs < 2:
-        return [fn(i) for i in range(count)]
-    with _band_pool_lock:
-        if _band_pool is None:
-            _band_pool = ThreadPoolExecutor(cpus, thread_name_prefix="bandscope-band")
-        pool = _band_pool
-    bounds = [count * k // runs for k in range(runs + 1)]
-    done = pool.map(lambda k: [fn(i) for i in range(bounds[k], bounds[k + 1])], range(runs))
-    return [value for run in done for value in run]

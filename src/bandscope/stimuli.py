@@ -16,7 +16,7 @@ from numbers import Integral
 import numpy as np
 
 from .errors import InsufficientDataError, InvalidFrequencyError, InvalidInputError
-from .signal import LevelDbfs, Signal, db_to_gain, normalize_to_level
+from .signal import LevelDbfs, Signal, check_sample_rate, db_to_gain, normalize_to_level
 
 __all__ = ["StimulusSpec", "gen_sine", "gen_pink", "gen_stimulus", "spectral_slope"]
 
@@ -42,8 +42,7 @@ class StimulusSpec:
             raise InvalidInputError(
                 f"duration must be positive and finite, got {self.duration}"
             )
-        if self.sample_rate <= 0:
-            raise InvalidInputError(f"sample_rate must be positive, got {self.sample_rate}")
+        check_sample_rate(self.sample_rate)
         if self.kind == "sine":
             if self.frequency is None:
                 raise InvalidInputError("sine stimulus needs a frequency")

@@ -219,6 +219,11 @@ def synth_campaign(
     """Generate one recording per distance plus the injected-gain record."""
     if spec.profile is not None and bank is None:
         raise InvalidInputError("a campaign with a profile needs a filter bank")
+    d_gain = directivity_gain(spec.model, spec.theta_rad)
+    if d_gain == 0:
+        raise InvalidSpecError(
+            f"directivity null at theta={spec.theta_rad:g} leaves no signal to analyze"
+        )
 
     entries = []
     signals = []
@@ -245,11 +250,6 @@ def synth_campaign(
         )
     series = MeasurementSeries(entries=tuple(entries), recordings=tuple(signals))
 
-    d_gain = directivity_gain(spec.model, spec.theta_rad)
-    if d_gain == 0:
-        raise InvalidSpecError(
-            f"directivity null at theta={spec.theta_rad:g} leaves no signal to analyze"
-        )
     ref = spec.reference_distance_cm
     # negative gain is a polarity flip (bidirectional rear lobe); levels
     # follow the magnitude

@@ -54,14 +54,10 @@ def pink_10s():
 
 @pytest.fixture
 def band_workers(monkeypatch):
-    """``band_workers(cpus)``: the band workers see ``cpus`` usable CPUs and
-    start a pool of their own, shut down after the test."""
+    """``band_workers(cpus)``: the band workers see ``cpus`` usable CPUs."""
     from bandscope import filterbank
 
     def use(cpus):
         monkeypatch.setattr(filterbank, "_usable_cpus", lambda: cpus)
-        monkeypatch.setattr(filterbank, "_band_pool", None)
 
-    yield use
-    if filterbank._band_pool is not None:
-        filterbank._band_pool.shutdown()
+    return use

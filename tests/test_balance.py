@@ -121,9 +121,10 @@ class TestBandWorkers:
     def test_child_forked_after_a_balance_finishes_its_own(self, band_workers,
                                                            ids10_bank_fast, white_2s):
         band_workers(2)
-        expected = spectral_balance(white_2s, ids10_bank_fast)  # starts the workers
+        expected = spectral_balance(white_2s, ids10_bank_fast)  # starts and joins the workers
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)  # fork with threads
+            # Python 3.12+ warns of a fork while other threads are alive
+            warnings.simplefilter("error", DeprecationWarning)
             pid = os.fork()
         if pid == 0:
             code = 1

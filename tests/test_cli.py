@@ -394,6 +394,9 @@ BAD_INPUTS = {
     # more samples than an array can index: numpy refuses before allocating
     "spec-duration-beyond-array-size": (lambda t: _synth_campaign(
         t, stimulus={"kind": "pink", "duration_s": 1e30, "seed": 7}), 1),
+    # more memory than the address space holds: the allocation fails untouched
+    "spec-duration-beyond-memory": (lambda t: _synth_campaign(
+        t, stimulus={"kind": "pink", "duration_s": 1e9, "seed": 7}), 1),
     "spec-theta-inf": (lambda t: _synth_campaign(t, theta_rad=math.inf), 1),
     "spec-rate-inf": (lambda t: _synth_campaign(
         t, stimulus={"kind": "pink", "sample_rate_hz": math.inf, "seed": 7}), 1),
@@ -401,6 +404,7 @@ BAD_INPUTS = {
         t, stimulus={"kind": "pink", "duration_s": 1.0, "seed": "abc"}), 1),
     "synth-seed-negative": (lambda t: _synth(t, "--dur", "1", "--seed", "-1"), 1),
     "synth-dur-inf": (lambda t: _synth(t, "--dur", "inf"), 2),
+    "synth-dur-beyond-memory": (lambda t: _synth(t, "--dur", "1e9", "--seed", "1"), 1),
     "synth-dur-nan": (lambda t: _synth(t, "--dur", "nan"), 2),
     "synth-level-inf": (lambda t: _synth(t, "--dur", "1", "--level", "inf"), 2),
     "synth-freq-nan": (lambda t: ["synth", "--kind", "sine", "--freq", "nan", "--dur", "1",
@@ -684,6 +688,67 @@ def test_analyze_any_manifest_json_exits_cleanly(boundary_dir, doc):
     with tempfile.TemporaryDirectory() as out:
         code, err = _run_captured(["analyze", "--manifest", str(manifest),
                                    "--length", "63", "--out", out])
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
+
+
+# A campaign spec that synthesizes (20 ms at 44.1 kHz), and for each field
+# values to put in its place: valid ones, ones every reader must reject, and
+# _ABSENT to delete it. Durations stay at most 50 ms and rates at most
+# 44.1 kHz, so any mix of them is cheap to synthesize.
+_ABSENT = object()
+_NOT_A_NUMBER = st.sampled_from([_ABSENT, None, True, "x", [], {}])
+_DISTANCE = st.sampled_from([5, 50, 100, 100.0, 0, -1, math.inf, math.nan, "50"]) | _JSON
+_SPEC_FIELDS = {
+    ("stimulus",): st.sampled_from([{"file": "absent.wav"}, {"file": "."}]) | _JSON,
+    ("stimulus", "kind"): st.sampled_from([_ABSENT, "pink", "sine", "noise"]) | _JSON,
+    ("stimulus", "duration_s"): st.floats(min_value=1e-4, max_value=0.05)
+    | st.sampled_from([0, -1.0, math.inf, math.nan, 1e30]) | _NOT_A_NUMBER,
+    ("stimulus", "sample_rate_hz"):
+        st.sampled_from([8000, 0, -1, math.inf, math.nan]) | _NOT_A_NUMBER,
+    ("stimulus", "target_level_dbfs"): st.floats(allow_nan=True, allow_infinity=True) | _JSON,
+    ("stimulus", "frequency_hz"): st.sampled_from([_ABSENT, 100.0, 0, 30000]) | _JSON,
+    ("stimulus", "seed"): st.sampled_from([_ABSENT, -1, 10**30]) | _JSON,
+    ("distances_cm",): st.lists(_DISTANCE, max_size=4) | _JSON,
+    ("reference_distance_cm",): st.just(_ABSENT) | _DISTANCE,
+    ("directivity_m",): st.floats(allow_nan=True, allow_infinity=True) | _JSON,
+    ("theta_rad",): st.sampled_from([math.pi, math.pi / 2]) | _JSON,
+    ("profile",): st.dictionaries(
+        st.sampled_from(["1", "10", "11", "0", "x"]),
+        st.lists(st.tuples(_DISTANCE, _JSON), max_size=2), max_size=2) | _JSON,
+    ("microphone",): _JSON,
+    ("stimulus_label",): _JSON,
+}
+
+
+@st.composite
+def _campaign_specs(draw):
+    doc = {"stimulus": {"kind": "pink", "duration_s": 0.02, "sample_rate_hz": FS, "seed": 7},
+           "distances_cm": [25, 50, 100], "profile": {"1": [[25, 3.0], [100, 0.0]]}}
+    for path in draw(st.lists(st.sampled_from(sorted(_SPEC_FIELDS)), max_size=3, unique=True)):
+        *parents, key = path
+        parent = doc[parents[0]] if parents else doc
+        if not isinstance(parent, dict):  # the stimulus was replaced whole
+            continue
+        value = draw(_SPEC_FIELDS[path])
+        if value is _ABSENT:
+            parent.pop(key, None)
+        else:
+            parent[key] = value
+    return doc
+
+
+@given(doc=_campaign_specs())
+# more memory than the address space holds
+@example(doc={"stimulus": {"kind": "pink", "duration_s": 1e9, "seed": 7},
+              "distances_cm": [50, 100]})
+@settings(max_examples=40, deadline=None)
+def test_synth_campaign_any_spec_json_exits_cleanly(doc):
+    with tempfile.TemporaryDirectory() as tmp:
+        spec = Path(tmp) / "campaign.json"
+        spec.write_text(json.dumps(doc))
+        code, err = _run_captured(["synth-campaign", "--spec", str(spec), "--length", "63",
+                                   "--out", str(Path(tmp) / "camp")])
     assert code in (0, 1, 2)
     assert "Traceback" not in err
 

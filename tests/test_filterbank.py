@@ -24,6 +24,7 @@ from bandscope.errors import (
     InvalidMappingError,
     RateMismatchError,
 )
+from bandscope import filterbank
 from bandscope.filterbank import band_energies
 from oracles import dft_magnitude, periodogram_band_weights, steady_state
 
@@ -293,17 +294,24 @@ class TestBandEnergies:
         assert out.strip() == "1"
 
     @pytest.mark.parametrize("n_bands", [3, 5, 10])
-    def test_at_most_one_thread_per_two_bands(self, n_bands, band_workers):
+    def test_at_most_one_thread_per_two_bands(self, n_bands, band_workers, monkeypatch):
         band_workers(8)
         edges = (0, *np.geomspace(100, 15000, n_bands - 1), 22050)
         bank = design_bank(BandMapping(edges), FS, 63)
-        before = set(threading.enumerate())
+        filtering = set()
+
+        def apply(*args):
+            filtering.add(threading.get_ident())
+            return apply_zero_phase(*args)
+
+        monkeypatch.setattr(filterbank, "apply_zero_phase", apply)
+        threads = threading.active_count()
         band_energies(bank, Signal(np.ones(1000), FS))
-        started = set(threading.enumerate()) - before
-        if n_bands // 2 < 2:  # one run of bands, computed in the caller
-            assert not started
+        if n_bands // 2 < 2:  # one worker: the bands are filtered in the caller
+            assert filtering == {threading.get_ident()}
         else:
-            assert 0 < len(started) <= n_bands // 2
+            assert 0 < len(filtering) <= n_bands // 2
+        assert threading.active_count() == threads  # the workers are joined
 
     def test_concurrent_callers_of_other_lengths_get_the_serial_result(self, band_workers):
         # every call of one caller swaps the band responses for its length

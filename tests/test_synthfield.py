@@ -203,3 +203,19 @@ class TestOffAxisCampaign:
         )
         with pytest.raises(InvalidSpecError):
             synth_campaign(spec)
+
+    def test_directivity_null_rejected_before_any_recording(self, white_2s,
+                                                            ids10_bank_fast, monkeypatch):
+        from bandscope import synthfield
+
+        def decompose(*args):
+            raise AssertionError("a recording was synthesized")
+
+        monkeypatch.setattr(synthfield, "decompose", decompose)
+        spec = SynthCampaignSpec(
+            stimulus=white_2s, distances_cm=(50, 100),
+            model=DirectivityModel.cardioid(), theta_rad=math.pi,
+            profile=DistanceProfile(bands={0: ((50.0, 6.0), (100.0, 0.0))}),
+        )
+        with pytest.raises(InvalidSpecError, match="directivity null at theta=3.14159"):
+            synth_campaign(spec, ids10_bank_fast)
