@@ -39,7 +39,7 @@ from .level import (
     measured_level_curve,
     validity_limit,
 )
-from .series import MeasurementEntry, MeasurementSeries, check_unique_distances
+from .series import MeasurementEntry, MeasurementSeries, check_unique_distances, distance_text
 from .signal import LevelDbfs, Signal
 from .wavio import save_wav
 
@@ -134,7 +134,7 @@ def save_series(series: MeasurementSeries, out_dir: str | os.PathLike) -> None:
     out.mkdir(parents=True, exist_ok=True)
     rows = []
     for entry, signal in zip(series.entries, series.recordings):
-        name = f"{_file_stem(series.key)}_{entry.distance_cm:g}cm.wav"
+        name = f"{_file_stem(series.key)}_{distance_text(entry.distance_cm)}cm.wav"
         save_wav(signal, out / name, encoding="float32")
         rows.append({**asdict(entry), "path": name})
     (out / "manifest.json").write_text(
@@ -434,13 +434,12 @@ def export(result: CampaignResult, out_dir: str | os.PathLike) -> list[Path]:
         lines = ["distance_cm,amplification_db,theory_db,gap_db"]
         for distance, amp in analysis.level_curve.points:
             gap = theory_by_distance[distance]
+            row = f"{distance_text(distance)},{_csv_float(amp)}"
             if gap.gap_db is not None:
                 theory = amp - gap.gap_db
-                lines.append(
-                    f"{distance:g},{_csv_float(amp)},{_csv_float(theory)},{_csv_float(gap.gap_db)}"
-                )
+                lines.append(f"{row},{_csv_float(theory)},{_csv_float(gap.gap_db)}")
             else:
-                lines.append(f"{distance:g},{_csv_float(amp)},,")
+                lines.append(f"{row},,")
         level_path = out / f"{stem}_level.csv"
         level_path.write_text("\n".join(lines) + "\n")
         written.append(level_path)
@@ -448,7 +447,7 @@ def export(result: CampaignResult, out_dir: str | os.PathLike) -> list[Path]:
         for evo in analysis.weight_evolutions:
             lines = ["distance_cm,delta_weight_db"]
             for distance, delta in evo.points:
-                lines.append(f"{distance:g},{_csv_float(delta)}")
+                lines.append(f"{distance_text(distance)},{_csv_float(delta)}")
             band_path = out / f"{stem}_band{evo.band_index + 1:02d}_weight.csv"
             band_path.write_text("\n".join(lines) + "\n")
             written.append(band_path)

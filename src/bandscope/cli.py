@@ -66,6 +66,11 @@ def _add_mapping_args(p: argparse.ArgumentParser) -> None:
                    help="built-in band mapping (default: ids10)")
     g.add_argument("--mapping", metavar="FILE",
                    help="plain-text mapping file, one edge in Hz per line")
+
+
+def _add_bank_args(p: argparse.ArgumentParser) -> None:
+    """The mapping and the tap count of a command that designs a bank."""
+    _add_mapping_args(p)
     p.add_argument("--length", type=int, default=DEFAULT_TAPS,
                    help=f"FIR tap count, odd (default {DEFAULT_TAPS})")
 
@@ -149,6 +154,19 @@ def _cmd_synth(args) -> int:
     return 0
 
 
+def _spec_profile(bands: dict) -> DistanceProfile:
+    """The spec's ``profile``: its keys number bands from 1, as
+    ``ground_truth.csv`` does, and one below 1 or repeating a number (``"1"``
+    and ``"01"``) is an :class:`InvalidSpecError` naming the key."""
+    by_index = {}
+    for key, pts in bands.items():
+        if int(key) < 1 or int(key) - 1 in by_index:
+            why = "band numbers start at 1" if int(key) < 1 else f"band {int(key)} is given twice"
+            raise InvalidSpecError(f"profile key {key!r}: {why}")
+        by_index[int(key) - 1] = pts
+    return DistanceProfile(by_index)
+
+
 def _cmd_synth_campaign(args) -> int:
     spec_path = Path(args.spec)
     doc = read_input(spec_path, InvalidSpecError, as_json=True)
@@ -171,9 +189,7 @@ def _cmd_synth_campaign(args) -> int:
             )
             stim_json = sspec.to_json()
             stimulus = gen_stimulus(sspec)
-        profile = doc.get("profile") or None
-        if profile:  # the spec numbers bands from 1
-            profile = DistanceProfile({int(b) - 1: pts for b, pts in profile.items()})
+        profile = _spec_profile(doc["profile"]) if doc.get("profile") else None
         cspec = SynthCampaignSpec(
             stimulus=stimulus,
             distances_cm=doc["distances_cm"],
@@ -308,13 +324,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth-campaign", help="generate a synthetic campaign")
     p.add_argument("--spec", required=True, metavar="FILE", help="campaign spec JSON")
-    _add_mapping_args(p)
+    _add_bank_args(p)
     _add_out_arg(p, required=True)
     p.set_defaults(func=_cmd_synth_campaign)
 
     p = sub.add_parser("analyze", help="analyze a measurement manifest")
     p.add_argument("--manifest", required=True, metavar="FILE")
-    _add_mapping_args(p)
+    _add_bank_args(p)
     p.add_argument("--reference", type=_finite_float, default=100.0, metavar="CM")
     p.add_argument("--threshold", type=_finite_float, default=1.0, metavar="DB")
     _add_out_arg(p, required=True)
@@ -325,7 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--manifest", required=True, metavar="FILE")
     p.add_argument("--distance", type=_finite_float, default=100.0, metavar="CM")
     p.add_argument("--label", default="stimulus", help="stimulus label in the table")
-    _add_mapping_args(p)
+    _add_bank_args(p)
     _add_out_arg(p)
     p.set_defaults(func=_cmd_compare)
 

@@ -38,7 +38,16 @@ __all__ = [
     "MeasurementSeries",
     "check_reference",
     "check_unique_distances",
+    "distance_text",
 ]
+
+
+def distance_text(distance_cm: float) -> str:
+    """A distance as file names and CSVs print it: ``:g`` when that reads
+    back as the same number, else the shortest text that does, so distinct
+    distances never print alike."""
+    short = f"{distance_cm:g}"
+    return short if float(short) == distance_cm else repr(float(distance_cm))
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,13 @@ __all__ = [
     "normalize_to_level",
     "db_to_gain",
     "check_sample_rate",
+    "check_level",
 ]
+
+# Levels and band gains stay within this many dB of 0 dB FS, hundreds of dB
+# inside what a float32 WAV carries (about -758 to +770 dB FS), so no
+# energy under- or overflows a float64 whatever gain distance adds.
+LEVEL_LIMIT_DB = 300.0
 
 
 def db_to_gain(db: float) -> float:
@@ -33,9 +39,16 @@ def db_to_gain(db: float) -> float:
 
 
 def check_sample_rate(sample_rate: int) -> None:
-    """Raise :class:`InvalidInputError` unless the sample rate is positive."""
-    if int(sample_rate) <= 0:
-        raise InvalidInputError(f"sample_rate must be positive, got {sample_rate}")
+    """Raise :class:`InvalidInputError` unless the rate is a positive whole number."""
+    if not (0 < sample_rate < math.inf and sample_rate % 1 == 0):
+        raise InvalidInputError(f"sample_rate must be a positive whole number, got {sample_rate}")
+
+
+def check_level(level_db: float, what: str) -> None:
+    """Raise :class:`InvalidInputError` naming ``what`` unless ``level_db``
+    is within ±:data:`LEVEL_LIMIT_DB` (NaN and infinities are not)."""
+    if not abs(level_db) <= LEVEL_LIMIT_DB:
+        raise InvalidInputError(f"{what} must be within ±{LEVEL_LIMIT_DB:g} dB, got {level_db}")
 
 
 @dataclass(frozen=True)
@@ -124,12 +137,12 @@ def normalize_to_level(signal: Signal, target: LevelDbfs | float) -> Signal:
     """Scale ``signal`` by a single positive gain so it measures ``target``.
 
     Raises :class:`CannotNormalizeError` for all-zero input (no gain can
-    produce a finite level). Idempotent: re-normalizing to the same target
-    is the identity up to rounding.
+    produce a finite level), :class:`InvalidInputError` for a target that
+    :func:`check_level` rejects. Idempotent: re-normalizing to the same
+    target is the identity up to rounding.
     """
     target_db = target.value if isinstance(target, LevelDbfs) else float(target)
-    if not math.isfinite(target_db):
-        raise InvalidInputError(f"target level must be finite, got {target_db}")
+    check_level(target_db, "target level")
     current = mean_level_dbfs(signal)
     if current.is_silence:
         raise CannotNormalizeError("cannot normalize an all-zero signal")

@@ -16,7 +16,7 @@ from numbers import Integral
 import numpy as np
 
 from .errors import InsufficientDataError, InvalidFrequencyError, InvalidInputError
-from .signal import LevelDbfs, Signal, check_sample_rate, db_to_gain, normalize_to_level
+from .signal import Signal, check_level, check_sample_rate, db_to_gain, normalize_to_level
 
 __all__ = ["StimulusSpec", "gen_sine", "gen_pink", "gen_stimulus", "spectral_slope"]
 
@@ -43,6 +43,7 @@ class StimulusSpec:
                 f"duration must be positive and finite, got {self.duration}"
             )
         check_sample_rate(self.sample_rate)
+        check_level(self.target_level, "target level")
         if self.kind == "sine":
             if self.frequency is None:
                 raise InvalidInputError("sine stimulus needs a frequency")
@@ -118,7 +119,7 @@ def gen_pink(spec: StimulusSpec) -> Signal:
     rows = max(4, math.ceil(math.log2(fs / 20.0)))
     rng = np.random.default_rng(spec.seed)
     x = _pink_rows(n, rows, rng)
-    return normalize_to_level(Signal(x, fs), LevelDbfs(spec.target_level))
+    return normalize_to_level(Signal(x, fs), spec.target_level)
 
 
 def gen_stimulus(spec: StimulusSpec) -> Signal:

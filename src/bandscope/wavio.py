@@ -19,6 +19,7 @@ import numpy as np
 
 from .errors import (
     EmptySignalError,
+    InvalidInputError,
     UnsupportedEncodingError,
     WavFormatError,
 )
@@ -36,6 +37,7 @@ _WIDTH = {"pcm16": 2, "pcm24": 3, "float32": 4}  # bytes per sample
 
 _PCM16_SCALE = 32768.0
 _PCM24_SCALE = 8388608.0
+_FLOAT32 = np.finfo(np.float32)
 
 
 @dataclass(frozen=True)
@@ -96,9 +98,16 @@ def load_wav(path: str | os.PathLike, channel: int = 0, digest=None) -> Signal:
 
 
 def save_wav(signal: Signal, path: str | os.PathLike, encoding: str = "float32") -> None:
-    """Write a mono WAV file in the given encoding (float32, pcm16, pcm24)."""
+    """Write a mono WAV file in the given encoding (float32, pcm16, pcm24).
+
+    PCM clips at full scale; float32 raises :class:`InvalidInputError`,
+    before opening the file, for a nonzero peak outside its normal range.
+    """
     x = signal.samples
     if encoding == "float32":
+        peak = max(x.max(), -x.min())
+        if peak > _FLOAT32.max or 0 < peak < _FLOAT32.tiny:
+            raise InvalidInputError(f"{path}: a peak of {peak:g} is outside the float32 range")
         audio_format, bits = _FMT_FLOAT, 32
         body = x.astype("<f4").tobytes()
     elif encoding == "pcm16":

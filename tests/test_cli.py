@@ -102,6 +102,13 @@ class TestUsageErrors:
             run(["synth", "--kind", "sine"])
         assert exc.value.code == 2
 
+    def test_bands_takes_no_tap_count(self, capsys):
+        # bands designs no filter, so a tap count would be ignored
+        with pytest.raises(SystemExit) as exc:
+            run(["bands", "--preset", "ids10", "--length", "5"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --length 5" in capsys.readouterr().err
+
 
 class TestNormalize:
     def test_round_trip_level(self, tmp_path):
@@ -206,6 +213,27 @@ class TestProfiledCampaign:
         row = truth[1].split(",")
         assert row[0] == "1" and float(row[2]) == 8.0
 
+    @pytest.mark.parametrize("profile, message", [
+        # both read as band 1; the last used to win silently
+        ({"1": [[5, 6.0]], "01": [[5, -6.0]]}, "profile key '01': band 1 is given twice"),
+        ({" 1": [[5, 6.0]], "1": [[5, -6.0]]}, "profile key '1': band 1 is given twice"),
+        ({"0": [[5, 6.0]]}, "profile key '0': band numbers start at 1"),
+    ])
+    def test_profile_band_numbers_are_checked(self, tmp_path, capsys, profile, message):
+        spec = _flat_campaign_spec(tmp_path, profile=profile)
+        code = run(["synth-campaign", "--spec", str(spec), "--length", "63",
+                    "--out", str(tmp_path / "camp")])
+        assert code == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+
+    def test_profile_band_beyond_the_bank_is_numbered_from_1(self, tmp_path, capsys):
+        spec = _flat_campaign_spec(tmp_path, profile={"9": [[5, 6.0]]})
+        code = run(["synth-campaign", "--spec", str(spec), "--preset", "nl8", "--length", "63",
+                    "--out", str(tmp_path / "camp")])
+        assert code == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: profile addresses band 9 but the bank has 8 bands"]
+
     def test_profile_without_valid_band_fails_cleanly(self, tmp_path, capsys):
         spec = {
             "stimulus": {"kind": "pink", "duration_s": 0.5, "seed": 4},
@@ -263,6 +291,61 @@ class TestFileStimulus:
         assert code == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error:") and "take.wav" in err[0]
+
+
+def test_distinct_distances_get_distinct_files_and_rows(tmp_path):
+    # ":g" prints 10.000001 as "10", so both recordings went to one file
+    spec = _flat_campaign_spec(tmp_path, distances=(10, 10.000001, 100),
+                               stimulus={"kind": "pink", "duration_s": 0.1, "seed": 7},
+                               profile={"1": [[10, 3.0], [100, 0.0]]})
+    out, analysis = tmp_path / "camp", tmp_path / "analysis"
+    texts = ["10", "10.000001", "100"]
+    assert run(["synth-campaign", "--spec", str(spec), "--length", "63",
+                "--out", str(out)]) == 0
+    names = sorted(f"synthcard_cardioid_pink_{text}cm.wav" for text in texts)
+    rows = json.loads((out / "manifest.json").read_text())["entries"]
+    assert sorted(row["path"] for row in rows) == names
+    assert sorted(path.name for path in out.glob("*cm.wav")) == names
+    truth = (out / "ground_truth.csv").read_text().splitlines()
+    assert [row.split(",")[1] for row in truth if row.startswith("1,")] == texts
+
+    assert run(["analyze", "--manifest", str(out / "manifest.json"), "--length", "63",
+                "--out", str(analysis)]) == 0
+    for name in ("level", "band01_weight"):
+        lines = (analysis / f"synthcard_cardioid_pink_{name}.csv").read_text().splitlines()
+        assert [line.split(",")[0] for line in lines[1:]] == texts
+
+
+def _normalize_argv(tmp_path, level):
+    save_wav(Signal(np.full(100, 0.1), FS), tmp_path / "in.wav")
+    return ["normalize", "--in-file", str(tmp_path / "in.wav"), "--level", level,
+            "--out-file", str(tmp_path / "out.wav")]
+
+
+# case -> (argv builder, the value the one error line names)
+UNCARRIABLE_LEVELS = {
+    "synth-sine-level-1e308": (lambda t: ["synth", "--kind", "sine", "--freq", "1000",
+                                          "--level", "1e308", "--dur", "0.1",
+                                          "--out-file", str(t / "x.wav")], "1e+308"),
+    "synth-pink-level-1000": (lambda t: _synth(t, "--dur", "0.1", "--seed", "1",
+                                               "--level", "1000"), "1000"),
+    "synth-pink-level-minus-3242": (lambda t: _synth(t, "--dur", "0.1", "--seed", "1",
+                                                     "--level", "-3242"), "-3242"),
+    "normalize-level-1000": (lambda t: _normalize_argv(t, "1000"), "1000"),
+    "spec-profile-gain-1e308": (lambda t: _synth_campaign(
+        t, profile={"1": [[5, 1e308], [100, 0.0]]}), "1e+308"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNCARRIABLE_LEVELS))
+def test_level_a_wav_cannot_carry_is_one_error(case, tmp_path, capsys):
+    build, value = UNCARRIABLE_LEVELS[case]
+    argv = build(tmp_path)
+    before = set(tmp_path.rglob("*"))
+    assert run(argv) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and value in err[0], err
+    assert set(tmp_path.rglob("*")) == before
 
 
 def test_synth_campaign_writes_only_under_out(tmp_path, capsys):

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from bandscope import (
     LevelDbfs,
     Signal,
+    StimulusSpec,
     mean_level_dbfs,
     normalize_to_level,
 )
@@ -26,6 +27,17 @@ class TestSignal:
             Signal(np.zeros(10), 0)
         with pytest.raises(InvalidInputError):
             Signal(np.zeros(10), -44100)
+
+    @pytest.mark.parametrize("rate", [math.inf, math.nan, 44100.7])
+    def test_rejects_rates_that_are_not_whole_numbers(self, rate):
+        # inf and NaN used to end in OverflowError/ValueError, 44100.7 in 44100
+        with pytest.raises(InvalidInputError, match="positive whole number"):
+            Signal(np.zeros(10), rate)
+        with pytest.raises(InvalidInputError, match="positive whole number"):
+            StimulusSpec(kind="pink", duration=1.0, seed=1, sample_rate=rate)
+
+    def test_whole_float_rate_is_an_int(self):
+        assert Signal(np.zeros(10), 44100.0).sample_rate == 44100
 
     def test_rejects_empty(self):
         with pytest.raises(EmptySignalError):
@@ -115,3 +127,16 @@ class TestNormalize:
         s = Signal(np.ones(16), FS)
         with pytest.raises(InvalidInputError):
             normalize_to_level(s, LevelDbfs(-math.inf))
+
+    @pytest.mark.parametrize("target", [1000.0, -3242.0, 1e308])
+    def test_rejects_a_target_a_wav_cannot_carry(self, target):
+        # +1000 dB FS overflows a float32 WAV; -3242 dB FS flushes it to zero
+        with pytest.raises(InvalidInputError, match=r"target level must be within ±300 dB"):
+            normalize_to_level(Signal(np.ones(16), FS), target)
+        with pytest.raises(InvalidInputError, match=r"target level must be within ±300 dB"):
+            StimulusSpec(kind="pink", duration=1.0, seed=1, target_level=target)
+
+    def test_range_ends_are_levels(self):
+        for target in (-300.0, 300.0):
+            out = normalize_to_level(Signal(np.ones(16), FS), target)
+            assert mean_level_dbfs(out).value == pytest.approx(target, abs=1e-9)

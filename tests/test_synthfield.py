@@ -11,18 +11,33 @@ from bandscope import (
     measured_level_curve,
     mean_level_dbfs,
     synth_campaign,
-    synth_recording,
     theoretical_amplification,
     weight_evolution,
 )
-from bandscope.errors import (
-    InvalidInputError,
-    InvalidSpecError,
-    MappingMismatchError,
-    SingularityError,
-)
+from bandscope.errors import InvalidInputError, InvalidSpecError, MappingMismatchError
 
 FS = 44100
+
+
+def _recordings(stimulus, distances, model=None, profile=None, bank=None):
+    """The recordings of a campaign at ``distances`` plus the 100 cm
+    reference, by distance."""
+    spec = SynthCampaignSpec(stimulus=stimulus, distances_cm=sorted({*distances, 100.0}),
+                             model=model or DirectivityModel.omni(), profile=profile)
+    series, _ = synth_campaign(spec, bank)
+    return {d: series.signal_at(d) for d in distances}
+
+
+@pytest.fixture
+def no_recording(monkeypatch):
+    """Fail the test if the campaign decomposes the stimulus, as every
+    profiled recording does."""
+    from bandscope import synthfield
+
+    def decompose(*args):
+        raise AssertionError("a recording was synthesized")
+
+    monkeypatch.setattr(synthfield, "decompose", decompose)
 
 
 class TestDirectivity:
@@ -70,51 +85,57 @@ class TestDistanceProfile:
         with pytest.raises(InvalidInputError):
             DistanceProfile(bands={0: ((10.0, math.inf),)})
 
+    def test_rejects_a_gain_a_wav_cannot_carry(self):
+        # numbered from 1 in messages, as ground_truth.csv numbers bands
+        with pytest.raises(InvalidInputError, match=r"band 2 gain must be within ±300 dB"):
+            DistanceProfile(bands={1: ((10.0, 1e308),)})
+
 
 class TestSynthRecording:
+    """One recording of a campaign: the stimulus times x_ref/x and D(theta),
+    shaped per band by the profile."""
+
     def test_identity_at_reference(self, white_2s):
-        out = synth_recording(white_2s, 100.0, 100.0, DirectivityModel.omni())
+        out = _recordings(white_2s, [100.0])[100.0]
         np.testing.assert_allclose(out.samples, white_2s.samples, atol=1e-9)
 
     def test_half_distance_is_plus_6db(self, white_2s):
-        out = synth_recording(white_2s, 50.0, 100.0, DirectivityModel.omni())
+        out = _recordings(white_2s, [50.0])[50.0]
         delta = mean_level_dbfs(out).value - mean_level_dbfs(white_2s).value
         assert delta == pytest.approx(6.0206, abs=1e-4)
 
     def test_inverse_distance_composition(self, white_2s):
         d1, d2 = 40.0, 10.0
-        a = synth_recording(white_2s, d1, 100.0, DirectivityModel.omni())
-        b = synth_recording(white_2s, d2, 100.0, DirectivityModel.omni())
-        np.testing.assert_allclose(a.scaled(d1 / d2).samples, b.samples, atol=1e-9)
+        out = _recordings(white_2s, [d1, d2])
+        np.testing.assert_allclose(out[d1].scaled(d1 / d2).samples, out[d2].samples,
+                                   atol=1e-9)
 
     def test_on_axis_output_independent_of_m(self, white_2s):
         outs = [
-            synth_recording(white_2s, 25.0, 100.0, DirectivityModel(m)).samples
+            _recordings(white_2s, [25.0], model=DirectivityModel(m))[25.0].samples
             for m in (0.0, 0.3, 1.0)
         ]
         np.testing.assert_array_equal(outs[0], outs[1])
         np.testing.assert_array_equal(outs[0], outs[2])
 
     def test_distance_singularity(self, white_2s):
-        with pytest.raises(SingularityError):
-            synth_recording(white_2s, 0.0, 100.0, DirectivityModel.omni())
+        with pytest.raises(InvalidSpecError, match="positive"):
+            SynthCampaignSpec(stimulus=white_2s, distances_cm=(0.0, 100.0))
 
-    def test_profile_requires_bank(self, white_2s):
+    def test_profile_requires_bank(self, white_2s, no_recording):
         prof = DistanceProfile(bands={0: ((5.0, 6.0),)})
-        with pytest.raises(InvalidInputError):
-            synth_recording(white_2s, 50.0, 100.0, DirectivityModel.omni(),
-                            profile=prof)
+        with pytest.raises(InvalidInputError, match="needs a filter bank"):
+            _recordings(white_2s, [50.0], profile=prof)
 
-    def test_profile_band_out_of_range(self, white_2s, ids10_bank_fast):
+    def test_profile_band_out_of_range(self, white_2s, ids10_bank_fast, no_recording):
         prof = DistanceProfile(bands={10: ((5.0, 6.0),)})
-        with pytest.raises(MappingMismatchError):
-            synth_recording(white_2s, 50.0, 100.0, DirectivityModel.omni(),
-                            profile=prof, bank=ids10_bank_fast)
+        # numbered from 1, as ground_truth.csv numbers bands
+        with pytest.raises(MappingMismatchError, match="addresses band 11 but the bank has 10"):
+            _recordings(white_2s, [50.0], profile=prof, bank=ids10_bank_fast)
 
     def test_flat_profile_is_identity(self, white_2s, ids10_bank_fast):
         prof = DistanceProfile(bands={i: ((5.0, 0.0), (100.0, 0.0)) for i in range(10)})
-        out = synth_recording(white_2s, 100.0, 100.0, DirectivityModel.omni(),
-                              profile=prof, bank=ids10_bank_fast)
+        out = _recordings(white_2s, [100.0], profile=prof, bank=ids10_bank_fast)[100.0]
         # complementary bank: scaling every band by 1 and resumming is exact
         np.testing.assert_allclose(out.samples, white_2s.samples, atol=1e-9)
 
@@ -205,13 +226,7 @@ class TestOffAxisCampaign:
             synth_campaign(spec)
 
     def test_directivity_null_rejected_before_any_recording(self, white_2s,
-                                                            ids10_bank_fast, monkeypatch):
-        from bandscope import synthfield
-
-        def decompose(*args):
-            raise AssertionError("a recording was synthesized")
-
-        monkeypatch.setattr(synthfield, "decompose", decompose)
+                                                            ids10_bank_fast, no_recording):
         spec = SynthCampaignSpec(
             stimulus=white_2s, distances_cm=(50, 100),
             model=DirectivityModel.cardioid(), theta_rad=math.pi,

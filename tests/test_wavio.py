@@ -117,6 +117,21 @@ class TestRoundTrip:
         assert len(back) == len(original)
         np.testing.assert_allclose(back.samples, original.samples, atol=quantum)
 
+    @pytest.mark.parametrize("peak", [4e38, -1e300, 1e-39, -1e-300])
+    def test_float32_refuses_a_peak_outside_its_range(self, tmp_path, peak):
+        # an overflowing cast would write inf, an underflowing one zeros
+        p = tmp_path / "x.wav"
+        with pytest.raises(InvalidInputError, match="outside the float32 range"):
+            save_wav(Signal(np.array([0.0, peak, 1e-45]), FS), p)
+        assert not p.exists()
+
+    def test_float32_keeps_silence_and_its_range_ends(self, tmp_path):
+        p = tmp_path / "x.wav"
+        f32 = np.finfo(np.float32)
+        for samples in ([0.0, 0.0], [float(f32.tiny), -float(f32.max)]):
+            save_wav(Signal(np.array(samples), FS), p)
+            assert load_wav(p).samples.tolist() == samples
+
     def test_pcm24_structure(self, tmp_path):
         s = Signal(np.array([0.5, -0.5, 0.0]), FS)
         p = tmp_path / "s24.wav"
