@@ -42,6 +42,7 @@ from .filterbank import (
     design_bank,
     load_mapping,
 )
+from .series import distance_text
 from .signal import LevelDbfs, mean_level_dbfs, normalize_to_level
 from .stimuli import StimulusSpec, gen_stimulus
 from .synthfield import (
@@ -50,7 +51,7 @@ from .synthfield import (
     SynthCampaignSpec,
     synth_campaign,
 )
-from .wavio import load_wav, save_wav
+from .wavio import check_float32, load_wav, save_wav
 
 _OUT_ENV = "BANDSCOPE_OUT"
 
@@ -209,6 +210,10 @@ def _cmd_synth_campaign(args) -> int:
     _provenance(extra)
 
     series, truth = synth_campaign(cspec, bank)
+    # every file is checked before the first is opened, so an error leaves --out as it was
+    for d, recording in zip(series.distances, series.recordings):
+        check_float32(recording, f"recording at {distance_text(d)} cm")
+    check_float32(stimulus, "stimulus")
 
     out = Path(args.out)
     save_series(series, out)

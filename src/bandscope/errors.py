@@ -82,10 +82,6 @@ class InvalidFrequencyError(BandscopeError):
     """Sine frequency outside (0, Nyquist)."""
 
 
-class InsufficientDataError(BandscopeError):
-    """Signal too short for the requested spectral estimate."""
-
-
 # --- campaign ---
 
 class InvalidSpecError(BandscopeError):

@@ -10,9 +10,10 @@ Filters are odd-length symmetric (linear phase, type I); applying one with
 the group delay removed is literally zero-phase, which keeps subband
 energies directly comparable to the input's.
 
-Filtering is FFT convolution cropped to the input's length, bit-identical
-to ``scipy.signal.fftconvolve(x, h, mode="same")``: the same real
-transforms of the same length, done once each. A bank keeps every band's
+Filtering is FFT convolution with ``numpy.fft``, cropped to the input's
+length, bit-identical to ``scipy.signal.fftconvolve(x, h, mode="same")``
+(the tests check it): numpy ships the same pocketfft, and the real
+transforms have the same length, done once each. A bank keeps every band's
 response for the current FFT length, and :func:`decompose` and
 :func:`band_energies` transform the input once for all its bands, so
 splitting a recording into B bands costs one forward transform plus one
@@ -35,7 +36,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.fft import irfft, next_fast_len, rfft
+from numpy.fft import irfft, rfft
 
 from .errors import (
     InvalidLengthError,
@@ -244,7 +245,24 @@ def apply_zero_phase(bank: FilterBank, band_index: int, signal: Signal) -> Signa
 
 def _fft_length(bank: FilterBank, signal: Signal) -> int:
     """Transform length of the full linear convolution, as fftconvolve picks it."""
-    return next_fast_len(len(signal) + bank.length - 1, real=True)
+    return _next_fast_len(len(signal) + bank.length - 1)
+
+
+def _next_fast_len(n: int) -> int:
+    """The smallest 2**a * 3**b * 5**c >= n, the real-transform length
+    ``scipy.fft.next_fast_len(n, real=True)`` returns."""
+    best = 1 << (n - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            # p35 times the least power of two that takes it to n or beyond
+            candidate = p35 << ((n - 1) // p35).bit_length()
+            if candidate < best:
+                best = candidate
+            p35 *= 3
+        p5 *= 5
+    return best
 
 
 @contextmanager

@@ -1,4 +1,4 @@
-"""Test stimulus synthesis (sine, pink noise) and spectral verification.
+"""Test stimulus synthesis: sine and pink noise.
 
 Pink noise uses a staggered row-sum generator: row k holds a fresh random
 value for 2**k samples, with update instants offset between rows so at most
@@ -15,13 +15,10 @@ from numbers import Integral
 
 import numpy as np
 
-from .errors import InsufficientDataError, InvalidFrequencyError, InvalidInputError
+from .errors import InvalidFrequencyError, InvalidInputError
 from .signal import Signal, check_level, check_sample_rate, db_to_gain, normalize_to_level
 
-__all__ = ["StimulusSpec", "gen_sine", "gen_pink", "gen_stimulus", "spectral_slope"]
-
-# spectral_slope averages at least this many Welch segments
-_SLOPE_SEGMENTS = 8
+__all__ = ["StimulusSpec", "gen_sine", "gen_pink", "gen_stimulus"]
 
 
 @dataclass(frozen=True)
@@ -124,43 +121,3 @@ def gen_pink(spec: StimulusSpec) -> Signal:
 
 def gen_stimulus(spec: StimulusSpec) -> Signal:
     return gen_sine(spec) if spec.kind == "sine" else gen_pink(spec)
-
-
-def spectral_slope(signal: Signal, f_lo: float, f_hi: float) -> float:
-    """Least-squares spectral slope in dB per octave over [f_lo, f_hi].
-
-    Averages a Welch power density into octave bands [f, 2f) and fits mean
-    band power (dB) against log2 of the geometric band center. White noise
-    fits ~0, pink ~-3, brown ~-6 dB/octave.
-    """
-    if not 0 < f_lo < f_hi < signal.sample_rate / 2:
-        raise InvalidInputError(
-            f"need 0 < f_lo < f_hi < Nyquist, got ({f_lo}, {f_hi})"
-        )
-    if f_hi < 2 * f_lo:
-        raise InvalidInputError("range must span at least one octave")
-    nperseg = min(4096, len(signal) // _SLOPE_SEGMENTS)
-    if nperseg < 256 or signal.sample_rate / nperseg > f_lo:
-        raise InsufficientDataError(
-            f"signal too short for {_SLOPE_SEGMENTS} averaged segments resolving {f_lo} Hz"
-        )
-    # imported at its only use, so that importing bandscope does not load
-    # scipy.signal, which costs every command about a second and 50 MB
-    from scipy.signal import welch
-
-    freqs, pxx = welch(signal.samples, fs=signal.sample_rate, nperseg=nperseg)
-
-    log_centers = []
-    band_db = []
-    lo = f_lo
-    while lo * 2.0 <= f_hi * (1.0 + 1e-9):
-        hi = lo * 2.0
-        mask = (freqs >= lo) & (freqs < hi)
-        mean_power = float(pxx[mask].mean())
-        if mean_power <= 0.0:
-            raise InsufficientDataError(f"no spectral energy in {lo:g}-{hi:g} Hz")
-        band_db.append(10.0 * math.log10(mean_power))
-        log_centers.append(math.log2(math.sqrt(lo * hi)))
-        lo = hi
-    slope, _ = np.polyfit(log_centers, band_db, 1)
-    return float(slope)

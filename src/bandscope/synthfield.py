@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidInputError, InvalidSpecError, MappingMismatchError
+from .errors import InvalidInputError, InvalidSpecError, MappingMismatchError, SilenceError
 from .filterbank import FilterBank, decompose
 from .series import MeasurementEntry, MeasurementSeries, distance_text
 from .signal import Signal, check_level, db_to_gain
@@ -138,6 +138,12 @@ class SynthCampaignSpec:
                 f"reference distance {self.reference_distance_cm} cm must be one of "
                 f"the campaign distances {dists}"
             )
+        for d in dists:
+            if not 0 < self.reference_distance_cm / d < math.inf:
+                raise InvalidSpecError(
+                    f"distance {distance_text(d)} cm: its x_ref/x gain "
+                    f"{self.reference_distance_cm / d:g} is not finite and positive"
+                )
         object.__setattr__(self, "distances_cm", tuple(sorted(dists)))
 
 
@@ -198,6 +204,14 @@ def synth_campaign(
         raise InvalidSpecError(
             f"directivity null at theta={spec.theta_rad:g} leaves no signal to analyze"
         )
+    gains = [(ref / d) * d_gain for d in distances]
+    if 0.0 in gains:
+        raise InvalidSpecError(
+            f"distance {distance_text(distances[gains.index(0.0)])} cm: its x_ref/x gain "
+            f"times the directivity gain {d_gain:g} is 0"
+        )
+    if not spec.stimulus.samples.any():
+        raise SilenceError("stimulus is silent: no recording of it has a level or a balance")
     table = None  # dB gain per (distance, band)
     if profile is not None:
         if max(profile.bands, default=-1) >= bank.n_bands:
@@ -209,8 +223,7 @@ def synth_campaign(
                           for d in distances])
 
     signals = []
-    for i, d in enumerate(distances):
-        gain = (ref / d) * d_gain
+    for i, gain in enumerate(gains):
         if table is None:
             signals.append(spec.stimulus.scaled(gain))
         else:
@@ -224,7 +237,7 @@ def synth_campaign(
 
     # negative gain is a polarity flip (bidirectional rear lobe); levels
     # follow the magnitude
-    global_gain = tuple((d, 20.0 * math.log10((ref / d) * abs(d_gain))) for d in distances)
+    global_gain = tuple((d, 20.0 * math.log10(abs(gain))) for d, gain in zip(distances, gains))
     expected_amp = [(d, 20.0 * math.log10(ref / d)) for d in distances]
     band_rows, expected_delta = [], []
     if table is not None:

@@ -25,7 +25,7 @@ from .errors import (
 )
 from .signal import Signal, check_sample_rate
 
-__all__ = ["WavHeader", "read_header", "load_wav", "save_wav"]
+__all__ = ["WavHeader", "read_header", "load_wav", "save_wav", "check_float32"]
 
 _FMT_PCM = 0x0001
 _FMT_FLOAT = 0x0003
@@ -101,13 +101,11 @@ def save_wav(signal: Signal, path: str | os.PathLike, encoding: str = "float32")
     """Write a mono WAV file in the given encoding (float32, pcm16, pcm24).
 
     PCM clips at full scale; float32 raises :class:`InvalidInputError`,
-    before opening the file, for a nonzero peak outside its normal range.
+    before opening the file, unless :func:`check_float32` passes.
     """
     x = signal.samples
     if encoding == "float32":
-        peak = max(x.max(), -x.min())
-        if peak > _FLOAT32.max or 0 < peak < _FLOAT32.tiny:
-            raise InvalidInputError(f"{path}: a peak of {peak:g} is outside the float32 range")
+        check_float32(signal, path)
         audio_format, bits = _FMT_FLOAT, 32
         body = x.astype("<f4").tobytes()
     elif encoding == "pcm16":
@@ -135,6 +133,15 @@ def save_wav(signal: Signal, path: str | os.PathLike, encoding: str = "float32")
     )
     with open(path, "wb") as fh:
         fh.write(b"RIFF" + struct.pack("<I", 4 + len(chunks)) + b"WAVE" + chunks)
+
+
+def check_float32(signal: Signal, what) -> None:
+    """Raise :class:`InvalidInputError` naming ``what`` unless a float32 WAV
+    can hold ``signal``: its peak is 0 or within float32's normal range."""
+    x = signal.samples
+    peak = max(x.max(), -x.min())
+    if peak > _FLOAT32.max or 0 < peak < _FLOAT32.tiny:
+        raise InvalidInputError(f"{what}: a peak of {peak:g} is outside the float32 range")
 
 
 def _walk(read, size: int, path, channel: int) -> tuple[WavHeader, int]:

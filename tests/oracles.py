@@ -2,10 +2,13 @@
 
 These deliberately avoid the code paths under test: band energies come
 from a plain periodogram (Parseval-exact), magnitude responses from a
-direct DFT of the taps.
+direct DFT of the taps, spectral slopes from a Welch estimate.
 """
 
+import math
+
 import numpy as np
+from scipy.signal import welch
 
 
 def periodogram_band_weights(samples: np.ndarray, sample_rate: int, edges) -> np.ndarray:
@@ -46,3 +49,30 @@ def steady_state(samples: np.ndarray, filter_length: int) -> np.ndarray:
     if len(samples) <= 2 * half:
         raise ValueError("signal too short to contain a steady-state region")
     return samples[half:-half]
+
+
+def spectral_slope(signal, f_lo: float, f_hi: float) -> float:
+    """Least-squares spectral slope of a Signal in dB per octave over [f_lo, f_hi].
+
+    Averages a Welch power density (at least 8 segments) into octave bands
+    [f, 2f) and fits mean band power (dB) against log2 of the geometric
+    band center. White noise fits ~0, pink ~-3, brown ~-6 dB/octave.
+    """
+    if not (0 < f_lo and 2 * f_lo <= f_hi < signal.sample_rate / 2):
+        raise ValueError(f"need an octave or more below Nyquist, got ({f_lo}, {f_hi})")
+    nperseg = min(4096, len(signal) // 8)
+    if nperseg < 256 or signal.sample_rate / nperseg > f_lo:
+        raise ValueError(f"signal too short for 8 averaged segments resolving {f_lo} Hz")
+    freqs, pxx = welch(signal.samples, fs=signal.sample_rate, nperseg=nperseg)
+
+    log_centers = []
+    band_db = []
+    lo = f_lo
+    while lo * 2.0 <= f_hi * (1.0 + 1e-9):
+        hi = lo * 2.0
+        mask = (freqs >= lo) & (freqs < hi)
+        band_db.append(10.0 * math.log10(float(pxx[mask].mean())))
+        log_centers.append(math.log2(math.sqrt(lo * hi)))
+        lo = hi
+    slope, _ = np.polyfit(log_centers, band_db, 1)
+    return float(slope)

@@ -32,13 +32,12 @@ from bandscope import (
     compare_to_stimulus,
     save_wav,
     spectral_balance,
-    spectral_slope,
     synth_campaign,
     validity_limit,
     weight_evolution,
 )
 from bandscope.campaign import ComparisonReport
-from oracles import periodogram_band_weights
+from oracles import periodogram_band_weights, spectral_slope
 
 FS = 44100
 L_FULL = 16383

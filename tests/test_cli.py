@@ -252,7 +252,7 @@ class TestFileStimulus:
     """``"stimulus": {"file": ...}``: how a recorded stimulus (music) enters
     a synthetic campaign."""
 
-    def _spec(self, tmp_path, wav_bytes=None):
+    def _spec(self, tmp_path, wav_bytes=None, **overrides):
         """A spec naming music/take.wav: a readable take for ``wav_bytes``
         None, no file for b"", else a file holding ``wav_bytes``."""
         take = tmp_path / "music" / "take.wav"
@@ -266,7 +266,7 @@ class TestFileStimulus:
             take.write_bytes(wav_bytes)
         # relative to the spec file, not to the working directory
         return _flat_campaign_spec(tmp_path, distances=(25, 50, 100),
-                                   stimulus={"file": "music/take.wav"}), take
+                                   stimulus={"file": "music/take.wav"}, **overrides), take
 
     def test_recordings_are_the_file_scaled_by_distance(self, tmp_path):
         spec, take = self._spec(tmp_path)
@@ -291,6 +291,16 @@ class TestFileStimulus:
         assert code == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error:") and "take.wav" in err[0]
+
+    def test_silent_file_is_one_error(self, tmp_path, capsys):
+        spec, take = self._spec(tmp_path, profile={"1": [[25, 3.0], [100, 0.0]]})
+        save_wav(Signal(np.zeros(FS // 4), FS), take)
+        out = tmp_path / "camp"
+        code = run(["synth-campaign", "--spec", str(spec), "--length", "63", "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "stimulus is silent" in err[0]
+        assert not out.exists()
 
 
 def test_distinct_distances_get_distinct_files_and_rows(tmp_path):
@@ -322,6 +332,8 @@ def _normalize_argv(tmp_path, level):
             "--out-file", str(tmp_path / "out.wav")]
 
 
+_SHORT_PINK = {"kind": "pink", "duration_s": 0.1, "seed": 7}
+
 # case -> (argv builder, the value the one error line names)
 UNCARRIABLE_LEVELS = {
     "synth-sine-level-1e308": (lambda t: ["synth", "--kind", "sine", "--freq", "1000",
@@ -334,6 +346,11 @@ UNCARRIABLE_LEVELS = {
     "normalize-level-1000": (lambda t: _normalize_argv(t, "1000"), "1000"),
     "spec-profile-gain-1e308": (lambda t: _synth_campaign(
         t, profile={"1": [[5, 1e308], [100, 0.0]]}), "1e+308"),
+    # the x_ref/x gain of the distance: below float32's range, or infinite
+    "spec-distance-1e300": (lambda t: _synth_campaign(
+        t, distances=(1e300, 100), stimulus=_SHORT_PINK), "recording at 1e+300 cm"),
+    "spec-distance-5e-324": (lambda t: _synth_campaign(
+        t, distances=(5e-324, 100), stimulus=_SHORT_PINK), "distance 4.94066e-324 cm"),
 }
 
 
@@ -602,12 +619,47 @@ def test_compare_silent_stimulus_is_one_error(tmp_path, capsys):
     assert "error:" in err and "stimulus is silent" in err
 
 
-def test_import_leaves_scipy_signal_unloaded():
-    # scipy.signal costs every command about a second and 50 MB to import
+_NO_SCIPY = """
+import json, sys
+from pathlib import Path
+
+def scipy_modules():
+    return sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
+
+import bandscope.cli
+assert not scipy_modules(), scipy_modules()
+
+class RefuseScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name.split(".")[0] == "scipy":
+            raise ImportError(f"{name} is refused")
+
+sys.meta_path.insert(0, RefuseScipy())
+work = Path(sys.argv[1])
+spec = work / "spec.json"
+spec.write_text(json.dumps({"stimulus": {"kind": "pink", "duration_s": 0.2, "seed": 1},
+                            "distances_cm": [50, 100],
+                            "profile": {"1": [[50, 3.0], [100, 0.0]]}}))
+camp, bank = work / "camp", ["--length", "63"]
+for argv in (["bands"],
+             ["synth-campaign", "--spec", str(spec), *bank, "--out", str(camp)],
+             ["analyze", "--manifest", str(camp / "manifest.json"), *bank,
+              "--out", str(work / "analysis")],
+             ["compare", "--stimulus", str(camp / "stimulus.wav"), "--distance", "100",
+              "--manifest", str(camp / "manifest.json"), *bank]):
+    assert bandscope.cli.run(argv) == 0, argv
+assert not scipy_modules(), scipy_modules()
+"""
+
+
+def test_import_and_commands_leave_scipy_unloaded(tmp_path):
+    # numpy is the only runtime dependency; importing scipy.fft alone cost
+    # every command about 0.4 s
     src = Path(bandscope.__file__).resolve().parents[1]
-    code = "import sys, bandscope.cli; sys.exit('scipy.signal' in sys.modules)"
     env = {**os.environ, "PYTHONPATH": str(src)}
-    assert subprocess.run([sys.executable, "-c", code], env=env, timeout=120).returncode == 0
+    done = subprocess.run([sys.executable, "-c", _NO_SCIPY, str(tmp_path)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
 
 
 _REUSE_PROBE = """

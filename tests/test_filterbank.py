@@ -259,6 +259,20 @@ class TestAgainstFftconvolve:
         assert ids10_bank_fast._spectra.shared_input is None
 
 
+class TestNextFastLen:
+    """The transform length against scipy's, the one fftconvolve uses, so
+    the transforms and their bits stay those of fftconvolve."""
+
+    def test_every_length_to_200000(self):
+        lengths = range(1, 200_001)
+        assert ([filterbank._next_fast_len(n) for n in lengths]
+                == [next_fast_len(n, real=True) for n in lengths])
+
+    def test_random_lengths_below_1e8(self):
+        for n in np.random.default_rng(8).integers(1, 10**8, 20_000).tolist():
+            assert filterbank._next_fast_len(n) == next_fast_len(n, real=True), n
+
+
 def _energies(subbands):
     return tuple(float(np.sum(np.square(s.samples))) for s in subbands)
 

@@ -6,6 +6,7 @@ import pytest
 from bandscope import (
     DirectivityModel,
     DistanceProfile,
+    Signal,
     SynthCampaignSpec,
     directivity_gain,
     measured_level_curve,
@@ -14,7 +15,12 @@ from bandscope import (
     theoretical_amplification,
     weight_evolution,
 )
-from bandscope.errors import InvalidInputError, InvalidSpecError, MappingMismatchError
+from bandscope.errors import (
+    InvalidInputError,
+    InvalidSpecError,
+    MappingMismatchError,
+    SilenceError,
+)
 
 FS = 44100
 
@@ -234,3 +240,32 @@ class TestOffAxisCampaign:
         )
         with pytest.raises(InvalidSpecError, match="directivity null at theta=3.14159"):
             synth_campaign(spec, ids10_bank_fast)
+
+    def test_gain_that_underflows_to_0_rejected(self, white_2s):
+        # x_ref/x = 1e-308 is finite and positive; times cos(pi/2) it is 0
+        spec = SynthCampaignSpec(
+            stimulus=white_2s, distances_cm=(1e-300, 1e8), reference_distance_cm=1e-300,
+            model=DirectivityModel.bidirectional(), theta_rad=math.pi / 2,
+        )
+        with pytest.raises(InvalidSpecError, match=r"distance 1e\+08 cm"):
+            synth_campaign(spec)
+
+    def test_silent_stimulus_rejected_before_any_recording(self, ids10_bank_fast,
+                                                           no_recording):
+        spec = SynthCampaignSpec(
+            stimulus=Signal(np.zeros(FS // 10), FS), distances_cm=(50, 100),
+            profile=DistanceProfile(bands={0: ((50.0, 3.0), (100.0, 0.0))}),
+        )
+        with pytest.raises(SilenceError, match="stimulus is silent"):
+            synth_campaign(spec, ids10_bank_fast)
+
+    # x_ref/x overflows to inf, or underflows to 0
+    @pytest.mark.parametrize("distances, reference, named",
+                             [((5e-324, 100.0), 100.0, "4.94066e-324"),
+                              ((1e-300, 1e300), 1e-300, r"1e\+300")],
+                             ids=["overflow", "underflow"])
+    def test_distance_gain_must_be_finite_and_positive(self, white_2s, distances,
+                                                       reference, named):
+        with pytest.raises(InvalidSpecError, match=f"distance {named} cm"):
+            SynthCampaignSpec(stimulus=white_2s, distances_cm=distances,
+                              reference_distance_cm=reference)
