@@ -28,7 +28,8 @@ from .balance import (
     spectral_balance,
     weight_evolution,
 )
-from .errors import BandscopeError, LoadError, ManifestError, converting, read_input
+from .errors import (BandscopeError, LoadError, ManifestError, converting, json_number,
+                     json_text, read_input)
 from .filterbank import FilterBank
 from .level import (
     GapPoint,
@@ -92,12 +93,10 @@ def _manifest_series(manifest_path: str | os.PathLike) -> dict[tuple, list[Measu
     groups: dict[tuple[str, str, str], list[MeasurementEntry]] = {}
     for i, row in enumerate(doc["entries"]):
         with converting(ManifestError, f"{path}: entry {i} invalid"):
+            texts = {name: json_text(row[name], name)
+                     for name in ("microphone", "directivity", "stimulus", "path")}
             entry = MeasurementEntry(
-                distance_cm=float(row["distance_cm"]),
-                microphone=str(row["microphone"]),
-                directivity=str(row["directivity"]),
-                stimulus=str(row["stimulus"]),
-                path=str(row["path"]),
+                distance_cm=json_number(row["distance_cm"], "distance_cm"), **texts
             )
         groups.setdefault(entry.key, []).append(entry)
     if not groups:

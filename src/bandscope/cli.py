@@ -32,6 +32,7 @@ from .errors import (
     ManifestError,
     SilenceError,
     converting,
+    json_text,
     read_input,
 )
 from .filterbank import (
@@ -198,8 +199,8 @@ def _cmd_synth_campaign(args) -> int:
             theta_rad=float(doc.get("theta_rad", 0.0)),
             reference_distance_cm=float(doc.get("reference_distance_cm", 100.0)),
             profile=profile,
-            microphone=str(doc.get("microphone", "synthetic")),
-            stimulus_label=str(doc.get("stimulus_label", "stimulus")),
+            microphone=json_text(doc.get("microphone", "synthetic"), "microphone"),
+            stimulus_label=json_text(doc.get("stimulus_label", "stimulus"), "stimulus_label"),
         )
 
     bank = None

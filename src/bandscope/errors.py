@@ -126,3 +126,17 @@ def converting(error: type[BandscopeError], where: str):
         yield
     except _FIELD_ERRORS as exc:
         raise error(f"{where}: {exc}") from exc
+
+
+def json_text(value, name: str) -> str:
+    """``value`` of field ``name``, which must be a JSON string."""
+    if not isinstance(value, str):
+        raise TypeError(f"{name} must be a string, got {json.dumps(value)}")
+    return value
+
+
+def json_number(value, name: str) -> float:
+    """``value`` of field ``name``, a JSON number but not a bool; -0 reads as 0."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"{name} must be a number, got {json.dumps(value)}")
+    return float(value) + 0.0

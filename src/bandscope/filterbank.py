@@ -19,20 +19,20 @@ response for the current FFT length, and :func:`decompose` and
 splitting a recording into B bands costs one forward transform plus one
 inverse per band.
 
-:func:`band_energies` filters the bands on every CPU in the process'
-affinity mask (``taskset`` restricts it), on worker threads started for
-each call and joined before it returns, at most one thread per two bands,
-so a call holds at most half as many subbands at once as :func:`decompose`
-returns. The energies are the same whatever the CPU count.
+Both filter the bands on every CPU in the process' affinity mask
+(``taskset`` restricts it), on worker threads started for each call and
+joined before it returns, one thread per two bands at most. Each subband is
+reduced as soon as it is made: :func:`band_energies` keeps only its energy,
+so it holds at most half as many subbands at once as :func:`decompose`
+returns. The results are the same whatever the CPU count.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from collections.abc import Iterator
+from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -131,7 +131,9 @@ def load_mapping(path: str | os.PathLike) -> BandMapping:
 class _Spectra:
     """Transforms a bank's band filters share: every band's response at one
     FFT length, and, while :func:`decompose` or :func:`band_energies` runs,
-    the spectrum of the signal it splits.
+    the spectrum of each signal it splits, keyed by the signal's ``id``
+    (unique while the entry lives, since the split that stores it holds the
+    signal until it removes it).
 
     The responses are one ``(length, responses)`` pair, replaced whole for a
     new length, so memory stays bounded and a caller never pairs its input
@@ -140,7 +142,7 @@ class _Spectra:
 
     def __init__(self) -> None:
         self.responses: tuple[int, tuple[np.ndarray, ...]] = (0, ())
-        self.shared_input: tuple[Signal, int, np.ndarray] | None = None
+        self.inputs: dict[int, np.ndarray] = {}
 
     def band_responses(self, taps: tuple[np.ndarray, ...], n: int) -> tuple[np.ndarray, ...]:
         length, responses = self.responses
@@ -149,13 +151,6 @@ class _Spectra:
             responses = tuple(rfft(h, n) for h in taps)
             self.responses = (n, responses)
         return responses
-
-    def input_spectrum(self, signal: Signal, n: int) -> np.ndarray:
-        shared = self.shared_input
-        if shared is not None and shared[0] is signal and shared[1] == n:
-            return shared[2]
-        return rfft(signal.samples, n)
-
 
 @dataclass(frozen=True)
 class FilterBank:
@@ -234,7 +229,9 @@ def apply_zero_phase(bank: FilterBank, band_index: int, signal: Signal) -> Signa
         )
     n = _fft_length(bank, signal)
     spectra = bank._spectra
-    x = spectra.input_spectrum(signal, n)
+    x = spectra.inputs.get(id(signal))
+    if x is None:
+        x = rfft(signal.samples, n)
     h = spectra.band_responses(bank.taps, n)[band_index]
     # The central window of the full convolution, which for an odd
     # symmetric kernel is exactly the delay-compensated output.
@@ -265,49 +262,38 @@ def _next_fast_len(n: int) -> int:
     return best
 
 
-@contextmanager
-def _transformed_once(bank: FilterBank, signal: Signal) -> Iterator[None]:
-    """Within the block, :func:`apply_zero_phase` on ``signal`` reuses one
-    transform of it, and the band responses at its FFT length are built."""
+def _over_bands(bank: FilterBank, signal: Signal, reduce: Callable[[Signal], object]) -> list:
+    """``reduce`` of each band's subband of ``signal``, in band order, on
+    max(1, min(CPUs, bands // 2)) worker threads that live for this call.
+    The input is transformed once for all the bands."""
     spectra = bank._spectra
     n = _fft_length(bank, signal)
     spectra.band_responses(bank.taps, n)
-    spectra.shared_input = (signal, n, rfft(signal.samples, n))
+    spectra.inputs[id(signal)] = rfft(signal.samples, n)
     try:
-        yield
+        workers = max(1, min(_usable_cpus(), bank.n_bands // 2))
+        with ThreadPoolExecutor(workers, thread_name_prefix="bandscope-band") as pool:
+            return list(pool.map(lambda band: reduce(apply_zero_phase(bank, band, signal)),
+                                 range(bank.n_bands)))
     finally:
-        spectra.shared_input = None
+        # a concurrent split of the same signal may have removed it already
+        spectra.inputs.pop(id(signal), None)
 
 
 def decompose(bank: FilterBank, signal: Signal) -> list[Signal]:
     """Split ``signal`` into one subband signal per band, all input-length.
 
     The subbands sum sample-wise back to the input (complementary bank).
-    The input is transformed once and shared by every band's filter.
     """
-    with _transformed_once(bank, signal):
-        return [apply_zero_phase(bank, i, signal) for i in range(bank.n_bands)]
+    return _over_bands(bank, signal, lambda subband: subband)
 
 
 def band_energies(bank: FilterBank, signal: Signal) -> tuple[float, ...]:
     """Energy (sum of squares) of each subband of ``signal``, equal bit for
-    bit to the energies of :func:`decompose`'s subbands.
-
-    The bands are filtered on min(CPUs, bands // 2) worker threads that
-    live for this call, each subband reduced to its energy as soon as it is
-    made, so at most one subband per worker exists at a time. With fewer
-    than two workers the bands are filtered in the caller.
-    """
-
-    def energy(band: int) -> float:
-        return float(np.sum(np.square(apply_zero_phase(bank, band, signal).samples)))
-
-    workers = min(_usable_cpus(), bank.n_bands // 2)
-    with _transformed_once(bank, signal):
-        if workers < 2:
-            return tuple(energy(band) for band in range(bank.n_bands))
-        with ThreadPoolExecutor(workers, thread_name_prefix="bandscope-band") as pool:
-            return tuple(pool.map(energy, range(bank.n_bands)))
+    bit to the energies of :func:`decompose`'s subbands, each subband
+    reduced to its energy as soon as it is made."""
+    return tuple(_over_bands(bank, signal,
+                             lambda subband: float(np.sum(np.square(subband.samples)))))
 
 
 def _usable_cpus() -> int:

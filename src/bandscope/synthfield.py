@@ -177,9 +177,7 @@ class GroundTruth:
 def _shaped(bank: FilterBank, stimulus: Signal, gains_db: np.ndarray, gain: float) -> Signal:
     """``stimulus`` with subband b scaled by ``gains_db[b]``, the bands
     resummed (complementary bank, so 0 dB everywhere is the identity) and
-    the sum scaled by ``gain``. The subbands are freed when this returns;
-    building the recording after that instead peaked 0.1-0.2 MB higher on
-    the synth-profile benchmark, since the heap is laid out differently."""
+    the sum scaled by ``gain``. The subbands are freed when this returns."""
     subbands = decompose(bank, stimulus)
     shaped = np.zeros(len(stimulus))
     for gain_db, sub in zip(gains_db.tolist(), subbands):
@@ -221,6 +219,9 @@ def synth_campaign(
             )
         table = np.array([[profile.gain_db(b, d) for b in range(bank.n_bands)]
                           for d in distances])
+        # before the recordings, so the stimulus' subbands never sit beside them
+        band_energy = np.array([float(np.sum(s.samples**2))
+                                for s in decompose(bank, spec.stimulus)])
 
     signals = []
     for i, gain in enumerate(gains):
@@ -241,8 +242,6 @@ def synth_campaign(
     expected_amp = [(d, 20.0 * math.log10(ref / d)) for d in distances]
     band_rows, expected_delta = [], []
     if table is not None:
-        band_energy = np.array([float(np.sum(s.samples**2))
-                                for s in decompose(bank, spec.stimulus)])
         # total energy after per-band scaling, per distance
         totals = (band_energy[None, :] * 10.0 ** (table / 10.0)).sum(axis=1)
         i_ref = distances.index(ref)

@@ -22,6 +22,7 @@ from bandscope import (
     weight_evolution,
 )
 from bandscope.campaign import ComparisonReport, ComparisonRow
+from bandscope.synthfield import DistanceProfile, SynthCampaignSpec, synth_campaign
 from bandscope.balance import BalanceDifference
 from bandscope.errors import (
     MappingMismatchError,
@@ -122,24 +123,12 @@ class TestBandWorkers:
                                                            ids10_bank_fast, white_2s):
         band_workers(2)
         expected = spectral_balance(white_2s, ids10_bank_fast)  # starts and joins the workers
-        with warnings.catch_warnings():
-            # Python 3.12+ warns of a fork while other threads are alive
-            warnings.simplefilter("error", DeprecationWarning)
-            pid = os.fork()
-        if pid == 0:
-            code = 1
-            try:
-                code = 0 if spectral_balance(white_2s, ids10_bank_fast) == expected else 2
-            finally:
-                os._exit(code)
-        deadline = time.monotonic() + 30.0
-        while (status := os.waitpid(pid, os.WNOHANG))[0] == 0:
-            if time.monotonic() > deadline:
-                os.kill(pid, signals.SIGKILL)
-                os.waitpid(pid, 0)
-                pytest.fail("the forked child's spectral_balance hung")
-            time.sleep(0.02)
-        assert os.waitstatus_to_exitcode(status[1]) == 0
+        _in_forked_child(lambda: spectral_balance(white_2s, ids10_bank_fast) == expected)
+        # synth_campaign decomposes on the band workers too
+        spec = SynthCampaignSpec(stimulus=white_2s, distances_cm=(50.0, 100.0),
+                                 profile=DistanceProfile({0: ((50.0, 3.0), (100.0, 0.0))}))
+        synth_campaign(spec, ids10_bank_fast)
+        _in_forked_child(lambda: spectral_balance(white_2s, ids10_bank_fast) == expected)
 
     def test_peak_memory_well_below_ten_subbands(self, band_workers, ids10_bank, pink_10s):
         band_workers(2)
@@ -159,6 +148,29 @@ class TestBandWorkers:
         serial = _traced_peak(lambda: decompose(ids10_bank, pink_10s))
         pooled = _traced_peak(lambda: spectral_balance(pink_10s, ids10_bank))
         assert pooled < serial, (pooled, serial)
+
+
+def _in_forked_child(check) -> None:
+    """Fork, with no other thread alive, and assert that ``check()`` is true
+    in the child and returns within 30 s."""
+    with warnings.catch_warnings():
+        # Python 3.12+ warns of a fork while other threads are alive
+        warnings.simplefilter("error", DeprecationWarning)
+        pid = os.fork()
+    if pid == 0:
+        code = 1
+        try:
+            code = 0 if check() else 2
+        finally:
+            os._exit(code)
+    deadline = time.monotonic() + 30.0
+    while (status := os.waitpid(pid, os.WNOHANG))[0] == 0:
+        if time.monotonic() > deadline:
+            os.kill(pid, signals.SIGKILL)
+            os.waitpid(pid, 0)
+            pytest.fail("the forked child hung")
+        time.sleep(0.02)
+    assert os.waitstatus_to_exitcode(status[1]) == 0
 
 
 def _traced_peak(call) -> int:

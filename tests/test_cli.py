@@ -450,6 +450,15 @@ def _colliding_stems_manifest(tmp_path):
     return path
 
 
+def _manifest_with(tmp_path, **fields):
+    """The two-recording manifest with ``fields`` replacing its first entry's."""
+    path = _wav_manifest(tmp_path, 50.0)
+    doc = json.loads(path.read_text())
+    doc["entries"][0].update(fields)
+    path.write_text(json.dumps(doc))
+    return path
+
+
 def _nan_mapping(tmp_path):
     path = tmp_path / "nan.map"
     path.write_text("0\n50\nnan\n22050\n")
@@ -484,6 +493,15 @@ BAD_INPUTS = {
         (lambda t: _analyze(t, _wav_manifest(t, 10**400)), 1),
     "manifest-integer-too-long": (lambda t: _analyze(t, _long_integer_manifest(t)), 1),
     "manifest-file-stems-collide": (lambda t: _analyze(t, _colliding_stems_manifest(t)), 1),
+    "manifest-microphone-null": (lambda t: _analyze(t, _manifest_with(t, microphone=None)), 1),
+    "manifest-directivity-list":
+        (lambda t: _analyze(t, _manifest_with(t, directivity=["x"])), 1),
+    "manifest-stimulus-number": (lambda t: _analyze(t, _manifest_with(t, stimulus=7)), 1),
+    "manifest-path-number": (lambda t: _analyze(t, _manifest_with(t, path=0)), 1),
+    "manifest-distance-bool": (lambda t: _analyze(t, _manifest_with(t, distance_cm=True)), 1),
+    "manifest-distance-text": (lambda t: _analyze(t, _manifest_with(t, distance_cm="50")), 1),
+    "spec-microphone-null": (lambda t: _synth_campaign(t, microphone=None), 1),
+    "spec-stimulus-label-list": (lambda t: _synth_campaign(t, stimulus_label=["x"]), 1),
     "spec-stimulus-not-object": (lambda t: _synth_campaign(t, stimulus="x"), 1),
     "spec-directivity-not-number": (lambda t: _synth_campaign(t, directivity_m="abc"), 1),
     "spec-profile-band-not-number":
@@ -544,6 +562,25 @@ def test_bad_input_exits_cleanly(case, tmp_path, capsys):
         code = exc.code
     assert code == expected
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field, value, what", [
+    ("microphone", None, "microphone must be a string, got null"),
+    ("distance_cm", True, "distance_cm must be a number, got true"),
+])
+def test_manifest_field_of_a_wrong_type_is_named(field, value, what, tmp_path, capsys):
+    assert run(_analyze(tmp_path, _manifest_with(tmp_path, **{field: value}))) == 1
+    assert f"entry 0 invalid: {what}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_negative_zero_distance_prints_as_zero(tmp_path):
+    manifest = _manifest_with(tmp_path, distance_cm=-0.0)
+    assert '"distance_cm": -0.0' in manifest.read_text()
+    assert run(_analyze(tmp_path, manifest)) == 0
+    (level_csv,) = (tmp_path / "out").glob("*_level.csv")
+    distances = [row.split(",")[0] for row in level_csv.read_text().splitlines()[1:]]
+    assert distances == ["0", "100"]
 
 
 def test_analyze_bad_threshold_fails_before_any_series(tmp_path, capsys):

@@ -251,12 +251,21 @@ class TestAgainstFftconvolve:
             assert len(responses) == bank.n_bands
             assert {h.size for h in responses} == {n // 2 + 1}
 
+    @pytest.mark.parametrize("cpus", [1, 2, 8])
+    def test_decompose_bit_identical_on_any_worker_count(self, cpus, band_workers,
+                                                          ids10_bank_fast, white_2s):
+        band_workers(cpus)
+        subbands = decompose(ids10_bank_fast, white_2s)
+        for sub, taps in zip(subbands, ids10_bank_fast.taps, strict=True):
+            ref = fftconvolve(white_2s.samples, taps, mode="same")
+            assert np.array_equal(sub.samples, ref)
+
     def test_shared_spectrum_released_after_decompose(self, ids10_bank_fast):
         decompose(ids10_bank_fast, Signal(np.ones(500), FS))
-        assert ids10_bank_fast._spectra.shared_input is None
+        assert ids10_bank_fast._spectra.inputs == {}
         with pytest.raises(RateMismatchError):
             decompose(ids10_bank_fast, Signal(np.ones(500), 48000))
-        assert ids10_bank_fast._spectra.shared_input is None
+        assert ids10_bank_fast._spectra.inputs == {}
 
 
 class TestNextFastLen:
@@ -294,12 +303,6 @@ class TestBandEnergies:
             signal = Signal(np.random.default_rng(6).standard_normal(5000), FS)
         assert band_energies(ids10_bank, signal) == _energies(decompose(ids10_bank, signal))
 
-    def test_one_cpu_starts_no_thread(self, band_workers, ids10_bank_fast, white_2s):
-        band_workers(1)
-        threads = threading.active_count()
-        band_energies(ids10_bank_fast, white_2s)
-        assert threading.active_count() == threads
-
     def test_import_starts_no_thread(self):
         code = "import threading, bandscope; print(threading.active_count())"
         env = {**os.environ, "PYTHONPATH": str(Path(bandscope.__file__).resolve().parents[1])}
@@ -312,20 +315,21 @@ class TestBandEnergies:
         band_workers(8)
         edges = (0, *np.geomspace(100, 15000, n_bands - 1), 22050)
         bank = design_bank(BandMapping(edges), FS, 63)
-        filtering = set()
+        signal = Signal(np.ones(1000), FS)
+        for split in (band_energies, decompose):
+            filtering = set()
 
-        def apply(*args):
-            filtering.add(threading.get_ident())
-            return apply_zero_phase(*args)
+            def apply(*args):
+                filtering.add(threading.get_ident())
+                return apply_zero_phase(*args)
 
-        monkeypatch.setattr(filterbank, "apply_zero_phase", apply)
-        threads = threading.active_count()
-        band_energies(bank, Signal(np.ones(1000), FS))
-        if n_bands // 2 < 2:  # one worker: the bands are filtered in the caller
-            assert filtering == {threading.get_ident()}
-        else:
-            assert 0 < len(filtering) <= n_bands // 2
-        assert threading.active_count() == threads  # the workers are joined
+            monkeypatch.setattr(filterbank, "apply_zero_phase", apply)
+            threads = threading.active_count()
+            split(bank, signal)
+            # never the caller, even with one worker
+            assert threading.get_ident() not in filtering
+            assert 0 < len(filtering) <= max(1, n_bands // 2)
+            assert threading.active_count() == threads  # the workers are joined
 
     def test_concurrent_callers_of_other_lengths_get_the_serial_result(self, band_workers):
         # every call of one caller swaps the band responses for its length
@@ -335,30 +339,68 @@ class TestBandEnergies:
         rng = np.random.default_rng(8)
         signals = [Signal(rng.standard_normal(n), FS) for n in (20_000, 30_000)]
         serial = [_energies(decompose(bank, s)) for s in signals]
-        outcomes = [[], []]
+        outcomes = _concurrently(50, *(lambda s=s: band_energies(bank, s) for s in signals))
+        assert outcomes == [[s] * 50 for s in serial]
 
-        def measure(k):
-            for _ in range(50):
-                try:
-                    outcomes[k].append(band_energies(bank, signals[k]) == serial[k])
-                except Exception as exc:  # a response of the other length
-                    outcomes[k].append(repr(exc))
+    def test_concurrent_callers_transform_each_input_once_per_call(self, band_workers,
+                                                                   monkeypatch):
+        band_workers(2)
+        bank = design_bank(BandMapping(BAND_PRESETS["ids10"]), FS, 1023)
+        rng = np.random.default_rng(9)
+        signals = [Signal(0.05 * rng.standard_normal(2 * FS), FS) for _ in range(2)]
+        serial = [_energies(decompose(bank, s)) for s in signals]
+        input_transforms = []
 
-        threads = [threading.Thread(target=measure, args=(k,)) for k in (0, 1)]
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)
-        try:
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=120)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(t.is_alive() for t in threads)
-        assert outcomes == [[True] * 50, [True] * 50]
+        def rfft(a, *args, **kwargs):
+            if np.size(a) == 2 * FS:  # not a band response: those are tap-sized
+                input_transforms.append(a)
+            return np.fft.rfft(a, *args, **kwargs)
+
+        monkeypatch.setattr(filterbank, "rfft", rfft)
+        outcomes = _concurrently(5, *(lambda s=s: band_energies(bank, s) for s in signals))
+        assert outcomes == [[s] * 5 for s in serial]
+        assert len(input_transforms) == 10
+
+    def test_concurrent_splits_of_one_signal_get_the_serial_result(self, band_workers,
+                                                                   ids10_bank_fast, white_2s):
+        band_workers(2)
+        serial = _energies(decompose(ids10_bank_fast, white_2s))
+
+        def split():
+            return _energies(decompose(ids10_bank_fast, white_2s))
+
+        assert _concurrently(10, split, split) == [[serial] * 10] * 2
+        assert ids10_bank_fast._spectra.inputs == {}
 
     def test_errors_of_a_band_reach_the_caller(self, band_workers, ids10_bank_fast):
         band_workers(2)
         with pytest.raises(RateMismatchError):
             band_energies(ids10_bank_fast, Signal(np.ones(500), 48000))
-        assert ids10_bank_fast._spectra.shared_input is None
+        assert ids10_bank_fast._spectra.inputs == {}
+
+
+def _concurrently(calls: int, *targets) -> list[list]:
+    """Each target called ``calls`` times on a thread of its own, all threads
+    at once and switching often: per target, its results, or the repr of
+    what each call raised."""
+    outcomes = [[] for _ in targets]
+
+    def run(k):
+        for _ in range(calls):
+            try:
+                outcomes[k].append(targets[k]())
+            except Exception as exc:
+                outcomes[k].append(repr(exc))
+
+    threads = [threading.Thread(target=run, args=(k,)) for k in range(len(targets))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    return outcomes
