@@ -32,6 +32,8 @@ from .errors import (
     ManifestError,
     SilenceError,
     converting,
+    json_integer,
+    json_number,
     json_text,
     read_input,
 )
@@ -165,7 +167,9 @@ def _spec_profile(bands: dict) -> DistanceProfile:
         if int(key) < 1 or int(key) - 1 in by_index:
             why = "band numbers start at 1" if int(key) < 1 else f"band {int(key)} is given twice"
             raise InvalidSpecError(f"profile key {key!r}: {why}")
-        by_index[int(key) - 1] = pts
+        by_index[int(key) - 1] = [(json_number(d, f"profile key {key!r}: distance_cm"),
+                                   json_number(g, f"profile key {key!r}: gain_db"))
+                                  for d, g in pts]
     return DistanceProfile(by_index)
 
 
@@ -181,23 +185,27 @@ def _cmd_synth_campaign(args) -> int:
             # relative to the spec file; an absolute path stays as is
             stimulus = load_wav(spec_path.parent / stim_doc["file"])
         else:
+            frequency, seed = stim_doc.get("frequency_hz"), stim_doc.get("seed")
             sspec = StimulusSpec(
                 kind=stim_doc.get("kind", "pink"),
-                duration=float(stim_doc.get("duration_s", 2.0)),
-                sample_rate=int(stim_doc.get("sample_rate_hz", 44100)),
-                target_level=float(stim_doc.get("target_level_dbfs", -20.0)),
-                frequency=stim_doc.get("frequency_hz"),
-                seed=stim_doc.get("seed"),
+                duration=json_number(stim_doc.get("duration_s", 2.0), "duration_s"),
+                sample_rate=json_integer(stim_doc.get("sample_rate_hz", 44100), "sample_rate_hz"),
+                target_level=json_number(stim_doc.get("target_level_dbfs", -20.0),
+                                         "target_level_dbfs"),
+                frequency=None if frequency is None else json_number(frequency, "frequency_hz"),
+                seed=None if seed is None else json_integer(seed, "seed"),
             )
             stim_json = sspec.to_json()
             stimulus = gen_stimulus(sspec)
         profile = _spec_profile(doc["profile"]) if doc.get("profile") else None
         cspec = SynthCampaignSpec(
             stimulus=stimulus,
-            distances_cm=doc["distances_cm"],
-            model=DirectivityModel(float(doc.get("directivity_m", 1.0))),
-            theta_rad=float(doc.get("theta_rad", 0.0)),
-            reference_distance_cm=float(doc.get("reference_distance_cm", 100.0)),
+            distances_cm=tuple(json_number(d, "each of distances_cm")
+                               for d in doc["distances_cm"]),
+            model=DirectivityModel(json_number(doc.get("directivity_m", 1.0), "directivity_m")),
+            theta_rad=json_number(doc.get("theta_rad", 0.0), "theta_rad"),
+            reference_distance_cm=json_number(doc.get("reference_distance_cm", 100.0),
+                                              "reference_distance_cm"),
             profile=profile,
             microphone=json_text(doc.get("microphone", "synthetic"), "microphone"),
             stimulus_label=json_text(doc.get("stimulus_label", "stimulus"), "stimulus_label"),

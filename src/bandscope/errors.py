@@ -140,3 +140,10 @@ def json_number(value, name: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise TypeError(f"{name} must be a number, got {json.dumps(value)}")
     return float(value) + 0.0
+
+
+def json_integer(value, name: str) -> int:
+    """``value`` of field ``name``, a JSON number with no fractional part."""
+    if not json_number(value, name).is_integer():
+        raise ValueError(f"{name} must be a whole number, got {json.dumps(value)}")
+    return int(value)

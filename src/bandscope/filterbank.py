@@ -10,14 +10,27 @@ Filters are odd-length symmetric (linear phase, type I); applying one with
 the group delay removed is literally zero-phase, which keeps subband
 energies directly comparable to the input's.
 
-Filtering is FFT convolution with ``numpy.fft``, cropped to the input's
-length, bit-identical to ``scipy.signal.fftconvolve(x, h, mode="same")``
-(the tests check it): numpy ships the same pocketfft, and the real
-transforms have the same length, done once each. A bank keeps every band's
-response for the current FFT length, and :func:`decompose` and
-:func:`band_energies` transform the input once for all its bands, so
-splitting a recording into B bands costs one forward transform plus one
-inverse per band.
+Filtering is overlap-save block convolution (Stockham 1966) with
+``numpy.fft``. An input of N samples, padded ahead with the (L - 1) / 2
+zeros of the group delay, is cut into ceil(N / (M - L + 1)) blocks of
+M = ``_next_fast_len(4 * L)`` points that overlap by L - 1. One batched
+real transform takes all the blocks; each band multiplies them by its
+length-M response and transforms them back a few at a time, and each block
+minus its first L - 1 samples, which wrapped around, is the next stretch of
+zero-phase output, aligned with the input. An input whose full convolution
+(N + L - 1 samples) fits in M points is a single block of
+``_next_fast_len(N + L - 1)`` points. The convolution is the one
+``scipy.signal.fftconvolve(x, h, mode="same")`` computes; only the
+transform lengths differ, so the two agree to rounding. The tests hold
+every subband within 1e-13 * max|x| of the direct convolution sum and band
+weights within 1e-12 relative of fftconvolve's. M came from
+``tools/sweep_block_length.py``: at 16383 taps blocks of 3 L to 5 L points
+were fastest, 2 L and 6 L or more slower.
+
+A bank keeps every band's response at its block length, and
+:func:`decompose` and :func:`band_energies` transform the input's blocks
+once for all its bands, so splitting a recording into B bands costs one
+batched forward transform plus one batched inverse per band.
 
 Both filter the bands on every CPU in the process' affinity mask
 (``taskset`` restricts it), on worker threads started for each call and
@@ -31,12 +44,14 @@ from __future__ import annotations
 
 import math
 import os
+import threading
 from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.fft import irfft, rfft
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (
     InvalidLengthError,
@@ -61,6 +76,12 @@ __all__ = [
 
 # Default tap count gives ~15 Hz transition bands at 44.1 kHz.
 DEFAULT_TAPS = 16383
+
+# Overlap-save blocks are _next_fast_len(_BLOCK_TAPS * taps) points long.
+_BLOCK_TAPS = 4
+# Bytes of block spectra one inverse transform call takes: a band's
+# temporaries stay a few MB, however long the input.
+_CHUNK_BYTES = 2 << 20
 
 # 10-band analysis mapping (44.1 kHz material) and the two variants of the
 # 8-band low-frequency mapping. The verbatim variant keeps the published
@@ -130,27 +151,32 @@ def load_mapping(path: str | os.PathLike) -> BandMapping:
 
 class _Spectra:
     """Transforms a bank's band filters share: every band's response at one
-    FFT length, and, while :func:`decompose` or :func:`band_energies` runs,
-    the spectrum of each signal it splits, keyed by the signal's ``id``
+    block length, and, while :func:`decompose` or :func:`band_energies` runs,
+    the block spectra of each signal it splits, keyed by the signal's ``id``
     (unique while the entry lives, since the split that stores it holds the
     signal until it removes it).
 
     The responses are one ``(length, responses)`` pair, replaced whole for a
-    new length, so memory stays bounded and a caller never pairs its input
-    spectrum with a response of another caller's length.
+    new length, so memory stays bounded and a caller never pairs its block
+    spectra with a response of another caller's length. Every input longer
+    than one block uses the bank's block length, so those share one pair;
+    the lock makes concurrent callers build it once.
     """
 
     def __init__(self) -> None:
         self.responses: tuple[int, tuple[np.ndarray, ...]] = (0, ())
         self.inputs: dict[int, np.ndarray] = {}
+        self._lock = threading.Lock()
 
-    def band_responses(self, taps: tuple[np.ndarray, ...], n: int) -> tuple[np.ndarray, ...]:
-        length, responses = self.responses
-        if length != n:
-            self.responses = (0, ())  # free the old length's before building
-            responses = tuple(rfft(h, n) for h in taps)
-            self.responses = (n, responses)
+    def band_responses(self, taps: tuple[np.ndarray, ...], m: int) -> tuple[np.ndarray, ...]:
+        with self._lock:
+            length, responses = self.responses
+            if length != m:
+                self.responses = (0, ())  # free the old length's before building
+                responses = tuple(rfft(h, m) for h in taps)
+                self.responses = (m, responses)
         return responses
+
 
 @dataclass(frozen=True)
 class FilterBank:
@@ -227,22 +253,51 @@ def apply_zero_phase(bank: FilterBank, band_index: int, signal: Signal) -> Signa
         raise InvalidMappingError(
             f"band index {band_index} out of range 0..{bank.n_bands - 1}"
         )
-    n = _fft_length(bank, signal)
+    m, blocks = _blocks(bank, len(signal))
     spectra = bank._spectra
     x = spectra.inputs.get(id(signal))
     if x is None:
-        x = rfft(signal.samples, n)
-    h = spectra.band_responses(bank.taps, n)[band_index]
-    # The central window of the full convolution, which for an odd
-    # symmetric kernel is exactly the delay-compensated output.
-    start = (bank.length - 1) // 2
-    y = irfft(x * h, n)[start : start + len(signal)]
-    return Signal(y, signal.sample_rate)
+        x = _block_spectra(bank, signal.samples, m, blocks)
+    h = spectra.band_responses(bank.taps, m)[band_index]
+    return Signal(_overlap_save(x, h, m, bank.length, len(signal)), signal.sample_rate)
 
 
-def _fft_length(bank: FilterBank, signal: Signal) -> int:
-    """Transform length of the full linear convolution, as fftconvolve picks it."""
-    return _next_fast_len(len(signal) + bank.length - 1)
+def _blocks(bank: FilterBank, n: int) -> tuple[int, int]:
+    """Block length and block count for an input of ``n`` samples: the
+    bank's blocks of ``_next_fast_len(_BLOCK_TAPS * taps)`` points, or, where
+    the full convolution fits in one of those, a single block just long
+    enough for it."""
+    full = n + bank.length - 1
+    m = _next_fast_len(_BLOCK_TAPS * bank.length)
+    if full <= m:
+        return _next_fast_len(full), 1
+    return m, -(-n // (m - bank.length + 1))
+
+
+def _block_spectra(bank: FilterBank, samples: np.ndarray, m: int, blocks: int) -> np.ndarray:
+    """One batched ``rfft`` of the input's overlapping length-``m`` blocks,
+    ``m - taps + 1`` apart, after padding it ahead with the group delay's
+    worth of zeros, so that block k's kept outputs are the zero-phase output
+    samples from k * (m - taps + 1) on."""
+    step = m - bank.length + 1
+    delay = (bank.length - 1) // 2
+    padded = np.zeros((blocks - 1) * step + m)
+    padded[delay:delay + samples.size] = samples
+    return rfft(sliding_window_view(padded, m)[::step], m, axis=-1)
+
+
+def _overlap_save(x: np.ndarray, h: np.ndarray, m: int, taps: int, n: int) -> np.ndarray:
+    """The first ``n`` samples of the block spectra ``x`` filtered by the
+    response ``h``: each block's circular convolution without its first
+    ``taps - 1`` samples, which wrapped around. The blocks go through the
+    inverse transform a few at a time, so the temporaries stay small."""
+    blocks = x.shape[0]
+    rows = np.empty((blocks, m - taps + 1))
+    chunk = max(1, _CHUNK_BYTES // x[0].nbytes)
+    for first in range(0, blocks, chunk):
+        part = x[first:first + chunk] * h
+        rows[first:first + chunk] = irfft(part, m, axis=-1)[:, taps - 1:]
+    return rows.reshape(-1)[:n]
 
 
 def _next_fast_len(n: int) -> int:
@@ -265,11 +320,9 @@ def _next_fast_len(n: int) -> int:
 def _over_bands(bank: FilterBank, signal: Signal, reduce: Callable[[Signal], object]) -> list:
     """``reduce`` of each band's subband of ``signal``, in band order, on
     max(1, min(CPUs, bands // 2)) worker threads that live for this call.
-    The input is transformed once for all the bands."""
+    The input's blocks are transformed once for all the bands."""
     spectra = bank._spectra
-    n = _fft_length(bank, signal)
-    spectra.band_responses(bank.taps, n)
-    spectra.inputs[id(signal)] = rfft(signal.samples, n)
+    spectra.inputs[id(signal)] = _block_spectra(bank, signal.samples, *_blocks(bank, len(signal)))
     try:
         workers = max(1, min(_usable_cpus(), bank.n_bands // 2))
         with ThreadPoolExecutor(workers, thread_name_prefix="bandscope-band") as pool:

@@ -2,12 +2,14 @@
 
 These deliberately avoid the code paths under test: band energies come
 from a plain periodogram (Parseval-exact), magnitude responses from a
-direct DFT of the taps, spectral slopes from a Welch estimate.
+direct DFT of the taps, filtered samples from the convolution sum itself,
+spectral slopes from a Welch estimate.
 """
 
 import math
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.signal import welch
 
 
@@ -36,6 +38,22 @@ def dft_magnitude(taps: np.ndarray, sample_rate: int, freq: float, n_fft: int = 
     response = np.fft.rfft(taps, n_fft)
     grid = np.fft.rfftfreq(n_fft, 1.0 / sample_rate)
     return float(np.abs(response[np.argmin(np.abs(grid - freq))]))
+
+
+def direct_zero_phase(samples: np.ndarray, taps: np.ndarray, at=None) -> np.ndarray:
+    """Zero-phase FIR output by the convolution sum, no transform involved:
+    y[n] = sum_k taps[k] * x[n + (L-1)/2 - k] for an odd tap count L, with x
+    zero outside the input, at every output index n or at the indices ``at``.
+    """
+    samples, taps = np.asarray(samples, dtype=float), np.asarray(taps, dtype=float)
+    half = (taps.size - 1) // 2
+    padded = np.concatenate([np.zeros(half), samples, np.zeros(half)])
+    # window n is x[n - half .. n + half], which meets the taps reversed
+    windows = sliding_window_view(padded, taps.size)
+    at = np.arange(samples.size) if at is None else np.asarray(at)
+    rows = 1 + (1 << 21) // taps.size  # about 16 MB of windows at a time
+    return np.concatenate([windows[at[i:i + rows]] @ taps[::-1]
+                           for i in range(0, at.size, rows)])
 
 
 def steady_state(samples: np.ndarray, filter_length: int) -> np.ndarray:

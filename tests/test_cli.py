@@ -520,6 +520,32 @@ BAD_INPUTS = {
         t, stimulus={"kind": "pink", "sample_rate_hz": math.inf, "seed": 7}), 1),
     "spec-seed-not-integer": (lambda t: _synth_campaign(
         t, stimulus={"kind": "pink", "duration_s": 1.0, "seed": "abc"}), 1),
+    # every number of a spec by the JSON number rule: no bool, no text
+    "spec-distances-bool-and-text": (lambda t: _synth_campaign(
+        t, distances=(True, "100"), reference_distance_cm="100", directivity_m=True), 1),
+    "spec-distance-bool": (lambda t: _synth_campaign(t, distances=(True, 100)), 1),
+    "spec-distance-text": (lambda t: _synth_campaign(t, distances=(5, "100")), 1),
+    "spec-reference-text": (lambda t: _synth_campaign(t, reference_distance_cm="100"), 1),
+    "spec-directivity-bool": (lambda t: _synth_campaign(t, directivity_m=True), 1),
+    "spec-theta-text": (lambda t: _synth_campaign(t, theta_rad="0"), 1),
+    "spec-duration-text": (lambda t: _synth_campaign(
+        t, stimulus={"kind": "pink", "duration_s": "0.5", "seed": 7}), 1),
+    "spec-rate-text": (lambda t: _synth_campaign(
+        t, stimulus={"kind": "pink", "sample_rate_hz": "44100", "seed": 7}), 1),
+    "spec-rate-fraction": (lambda t: _synth_campaign(
+        t, stimulus={"kind": "pink", "sample_rate_hz": 44100.5, "seed": 7}), 1),
+    "spec-level-bool": (lambda t: _synth_campaign(
+        t, stimulus={"kind": "pink", "target_level_dbfs": True, "seed": 7}), 1),
+    "spec-frequency-text": (lambda t: _synth_campaign(
+        t, stimulus={"kind": "sine", "duration_s": 0.5, "frequency_hz": "1000"}), 1),
+    "spec-seed-bool": (lambda t: _synth_campaign(
+        t, stimulus={"kind": "pink", "duration_s": 0.5, "seed": True}), 1),
+    "spec-seed-fraction": (lambda t: _synth_campaign(
+        t, stimulus={"kind": "pink", "duration_s": 0.5, "seed": 7.5}), 1),
+    "spec-profile-distance-bool": (lambda t: _synth_campaign(
+        t, profile={"1": [[True, 3.0], [100, 0.0]]}), 1),
+    "spec-profile-gain-text": (lambda t: _synth_campaign(
+        t, profile={"1": [[5, "3.0"], [100, 0.0]]}), 1),
     "synth-seed-negative": (lambda t: _synth(t, "--dur", "1", "--seed", "-1"), 1),
     "synth-dur-inf": (lambda t: _synth(t, "--dur", "inf"), 2),
     "synth-dur-beyond-memory": (lambda t: _synth(t, "--dur", "1e9", "--seed", "1"), 1),

@@ -26,7 +26,7 @@ from bandscope.errors import (
 )
 from bandscope import filterbank
 from bandscope.filterbank import band_energies
-from oracles import dft_magnitude, periodogram_band_weights, steady_state
+from oracles import dft_magnitude, direct_zero_phase, periodogram_band_weights, steady_state
 
 FS = 44100
 
@@ -208,23 +208,89 @@ def _inputs(n, rng):
             yield Signal(amp * x, FS)
 
 
-class TestAgainstFftconvolve:
-    """The shared-transform path against the direct one it replaced:
-    scipy.signal.fftconvolve(x, h, mode="same") per band."""
+def _block_step(bank):
+    """Output samples per overlap-save block of ``bank`` on a long input."""
+    m, blocks = filterbank._blocks(bank, 10**9)
+    assert blocks > 1
+    return m - bank.length + 1
+
+
+def _checked_indices(n, step, rng):
+    """Output indices to compare with the direct sum: all of them for short
+    inputs; otherwise both ends, both sides of every block boundary and 200
+    more at random."""
+    if n <= 4096:
+        return np.arange(n)
+    picks = [np.arange(8), np.arange(n - 8, n), rng.integers(0, n, 200)]
+    picks += [np.arange(b - 3, min(b + 3, n)) for b in range(step, n, step)]
+    return np.unique(np.concatenate(picks))
+
+
+def _assert_matches_direct(got, signal, taps, at):
+    """``got`` within 1e-13 * max|x| of the convolution sum at indices ``at``."""
+    assert got.shape == signal.samples.shape
+    ref = direct_zero_phase(signal.samples, taps, at)
+    atol = 1e-13 * np.max(np.abs(signal.samples))
+    np.testing.assert_allclose(got[at], ref, rtol=0, atol=atol)
+
+
+class TestAgainstDirectConvolution:
+    """Overlap-save filtering against the convolution sum it computes, on
+    inputs shorter than, equal to and longer than the filters and on either
+    side of every block boundary."""
 
     @pytest.mark.parametrize("preset", ["ids10", "nl8"])
     @pytest.mark.parametrize("length", [63, 1023, 16383])
-    def test_bit_identical_for_two_samples_and_more(self, preset, length):
+    def test_matches_direct_convolution(self, preset, length):
         bank = design_bank(BandMapping(BAND_PRESETS[preset]), FS, length)
+        step = _block_step(bank)
         rng = np.random.default_rng(length)
-        # shorter than, equal to and longer than the filters
-        for n in (2, 3, length // 2, length, length + 1, 3 * length + 7):
+        lengths = [1, 2, 3, length // 2, length, length + 1, 3 * length + 7]
+        lengths += [k * step + d for k in (1, 2) for d in (-1, 0, 1)]
+        for n in lengths:
+            at = _checked_indices(n, step, rng)
             for signal in _inputs(n, rng):
                 subbands = decompose(bank, signal)
                 for i, taps in enumerate(bank.taps):
-                    ref = fftconvolve(signal.samples, taps, mode="same")
-                    assert np.array_equal(apply_zero_phase(bank, i, signal).samples, ref)
-                    assert np.array_equal(subbands[i].samples, ref)
+                    _assert_matches_direct(apply_zero_phase(bank, i, signal).samples,
+                                           signal, taps, at)
+                    _assert_matches_direct(subbands[i].samples, signal, taps, at)
+
+    def test_alternating_lengths_cache_one_length(self, ids10_bank_fast):
+        bank = ids10_bank_fast
+        rng = np.random.default_rng(4)
+        # one block of its own length, and blocks of the bank's length
+        short = Signal(rng.standard_normal(700), FS)
+        long_ = Signal(rng.standard_normal(5000), FS)
+        assert filterbank._blocks(bank, len(short))[1] == 1
+        assert filterbank._blocks(bank, len(long_))[1] > 1
+        for signal in (short, long_, short, long_, short):
+            for i, taps in enumerate(bank.taps):
+                _assert_matches_direct(apply_zero_phase(bank, i, signal).samples, signal,
+                                       taps, np.arange(len(signal)))
+            m = filterbank._blocks(bank, len(signal))[0]
+            length, responses = bank._spectra.responses
+            assert length == m
+            assert len(responses) == bank.n_bands
+            assert {h.size for h in responses} == {m // 2 + 1}
+
+    @pytest.mark.parametrize("cpus", [1, 2, 8])
+    def test_decompose_on_any_worker_count(
+            self, cpus, band_workers, ids10_bank_fast, white_2s):
+        band_workers(1)
+        one_worker = decompose(ids10_bank_fast, white_2s)
+        band_workers(cpus)
+        subbands = decompose(ids10_bank_fast, white_2s)
+        at = _checked_indices(len(white_2s), _block_step(ids10_bank_fast),
+                              np.random.default_rng(cpus))
+        for sub, alone, taps in zip(subbands, one_worker, ids10_bank_fast.taps, strict=True):
+            _assert_matches_direct(sub.samples, white_2s, taps, at)
+            assert np.array_equal(sub.samples, alone.samples)
+
+
+class TestAgainstFftconvolve:
+    """The block path against the whole-signal one it replaced:
+    scipy.signal.fftconvolve(x, h, mode="same") per band."""
 
     @pytest.mark.parametrize("length", [63, 16383])
     def test_one_sample_within_rounding(self, length):
@@ -236,29 +302,18 @@ class TestAgainstFftconvolve:
                 got = apply_zero_phase(bank, i, signal).samples
                 np.testing.assert_allclose(got, ref, rtol=1e-15, atol=0)
 
-    def test_alternating_lengths_stay_exact_and_cache_one_length(self, ids10_bank_fast):
-        bank = ids10_bank_fast
-        rng = np.random.default_rng(4)
-        short = Signal(rng.standard_normal(700), FS)
-        long_ = Signal(rng.standard_normal(5000), FS)
-        for signal in (short, long_, short, long_, short):
-            for i, taps in enumerate(bank.taps):
-                ref = fftconvolve(signal.samples, taps, mode="same")
-                assert np.array_equal(apply_zero_phase(bank, i, signal).samples, ref)
-            n = next_fast_len(len(signal) + bank.length - 1, real=True)
-            length, responses = bank._spectra.responses
-            assert length == n
-            assert len(responses) == bank.n_bands
-            assert {h.size for h in responses} == {n // 2 + 1}
-
-    @pytest.mark.parametrize("cpus", [1, 2, 8])
-    def test_decompose_bit_identical_on_any_worker_count(self, cpus, band_workers,
-                                                          ids10_bank_fast, white_2s):
-        band_workers(cpus)
-        subbands = decompose(ids10_bank_fast, white_2s)
-        for sub, taps in zip(subbands, ids10_bank_fast.taps, strict=True):
-            ref = fftconvolve(white_2s.samples, taps, mode="same")
-            assert np.array_equal(sub.samples, ref)
+    @pytest.mark.parametrize("kind", ["pink", "sine65"])
+    def test_band_weights_within_1e_12_of_fftconvolve(self, kind, ids10_bank, pink_10s):
+        if kind == "pink":
+            signal = pink_10s
+        else:  # the bands above 200 Hz hold almost nothing: the top one 1e-11
+            t = np.arange(10 * FS) / FS
+            signal = Signal(0.1 * np.sin(2 * np.pi * 65 * t), FS)
+        energies = np.array(band_energies(ids10_bank, signal))
+        ref = np.array([np.sum(np.square(fftconvolve(signal.samples, taps, mode="same")))
+                        for taps in ids10_bank.taps])
+        np.testing.assert_allclose(energies / energies.sum(), ref / ref.sum(),
+                                   rtol=1e-12, atol=0)
 
     def test_shared_spectrum_released_after_decompose(self, ids10_bank_fast):
         decompose(ids10_bank_fast, Signal(np.ones(500), FS))
@@ -349,17 +404,39 @@ class TestBandEnergies:
         rng = np.random.default_rng(9)
         signals = [Signal(0.05 * rng.standard_normal(2 * FS), FS) for _ in range(2)]
         serial = [_energies(decompose(bank, s)) for s in signals]
+        m, blocks = filterbank._blocks(bank, 2 * FS)
         input_transforms = []
 
         def rfft(a, *args, **kwargs):
-            if np.size(a) == 2 * FS:  # not a band response: those are tap-sized
-                input_transforms.append(a)
+            if np.ndim(a) == 2:  # an input's blocks; a band response is 1-D taps
+                input_transforms.append(np.shape(a))
             return np.fft.rfft(a, *args, **kwargs)
 
         monkeypatch.setattr(filterbank, "rfft", rfft)
         outcomes = _concurrently(5, *(lambda s=s: band_energies(bank, s) for s in signals))
         assert outcomes == [[s] * 5 for s in serial]
-        assert len(input_transforms) == 10
+        assert input_transforms == [(blocks, m)] * 10
+
+    def test_concurrent_callers_longer_than_a_block_share_one_set_of_responses(
+            self, band_workers, monkeypatch):
+        band_workers(2)
+        bank = design_bank(BandMapping(BAND_PRESETS["ids10"]), FS, 1023)
+        rng = np.random.default_rng(10)
+        signals = [Signal(rng.standard_normal(n), FS) for n in (20_000, 30_000)]
+        assert all(filterbank._blocks(bank, len(s))[1] > 1 for s in signals)
+        serial = [_energies(decompose(bank, s)) for s in signals]
+        bank = design_bank(bank.mapping, FS, 1023)  # no responses yet
+        response_transforms = []
+
+        def rfft(a, *args, **kwargs):
+            if np.ndim(a) == 1:  # a band's taps; an input's blocks are 2-D
+                response_transforms.append(np.size(a))
+            return np.fft.rfft(a, *args, **kwargs)
+
+        monkeypatch.setattr(filterbank, "rfft", rfft)
+        outcomes = _concurrently(10, *(lambda s=s: band_energies(bank, s) for s in signals))
+        assert outcomes == [[s] * 10 for s in serial]
+        assert response_transforms == [bank.length] * bank.n_bands
 
     def test_concurrent_splits_of_one_signal_get_the_serial_result(self, band_workers,
                                                                    ids10_bank_fast, white_2s):
