@@ -4,14 +4,14 @@ The weight of a subband is the sum of squares of its samples divided by the
 sum of squares of the whole signal; expressed in dB that is 10*log10 of the
 energy ratio (weights are power ratios, so 10*log10, not 20). Weights are
 invariant under global gain, which is what makes stimulus/recording
-comparisons and distance evolutions meaningful.
+comparisons and distance evolutions meaningful. A distance evolution is
+read against the reference distance of the series measurement it is given.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -22,7 +22,7 @@ from .filterbank import BandMapping, FilterBank, band_energies
 from .signal import LevelDbfs, Signal, level_of_power
 
 if TYPE_CHECKING:
-    from .series import Measurement
+    from .series import SeriesMeasurement
 
 __all__ = [
     "BalanceResult",
@@ -85,44 +85,34 @@ def spectral_balance(signal: Signal, bank: FilterBank) -> BalanceResult:
     )
 
 
-def weight_evolution(
-    measurements: Sequence[Measurement],
-    reference_distance_cm: float = 100.0,
-) -> list[WeightEvolution]:
+def weight_evolution(measured: SeriesMeasurement) -> list[WeightEvolution]:
     """Per-band weight deltas against the reference distance, one curve per band.
 
-    ``measurements`` are one series' records, ascending by distance, as
-    :meth:`MeasurementSeries.measure` returns them. The reference point is
-    pinned to exactly 0 dB. Bands with zero energy at some distance cannot
-    form a delta there; such points are dropped from that band's curve with
-    a warning rather than fabricated.
+    ``measured`` is what :meth:`MeasurementSeries.measure` returns: ascending
+    by distance, with the reference and without a silent recording, checked
+    when it was built. The reference point is pinned to exactly 0 dB. Bands
+    with zero energy at some distance cannot form a delta there; such points
+    are dropped from that band's curve with a warning rather than fabricated.
     """
-    from .series import check_reference  # series imports this module
-
-    balances = {m.distance_cm: m.balance for m in measurements}
-    check_reference(list(balances), reference_distance_cm)
-    reference = float(reference_distance_cm)
-    for distance, balance in balances.items():
-        if balance is None:
-            raise SilenceError(f"recording at {distance} cm is silent; no balance defined")
-    mapping = balances[reference].mapping
+    reference = measured.at_reference
+    mapping = reference.balance.mapping
 
     curves = []
     for band in range(mapping.n_bands):
-        ref_db = balances[reference].weights_db[band]
+        ref_db = reference.balance.weights_db[band]
         points = []
-        for distance, balance in balances.items():
-            w_db = balance.weights_db[band]
-            if distance == reference:
-                points.append((distance, 0.0))
+        for m in measured.measurements:
+            w_db = m.balance.weights_db[band]
+            if m is reference:
+                points.append((m.distance_cm, 0.0))
             elif w_db == -math.inf or ref_db == -math.inf:
                 warnings.warn(
                     f"band {band + 1} ({mapping.band_label(band)}) is silent "
-                    f"at {distance} cm or at the reference; point excluded",
+                    f"at {m.distance_cm} cm or at the reference; point excluded",
                     stacklevel=2,
                 )
             else:
-                points.append((distance, w_db - ref_db))
+                points.append((m.distance_cm, w_db - ref_db))
         curves.append(WeightEvolution(band_index=band, points=tuple(points)))
     return curves
 

@@ -176,7 +176,6 @@ class SeriesAnalysis:
     band_verdicts: tuple[ValidityVerdict, ...]
     reequalized_bands: tuple[int, ...]  # band indices with a rise after an interior minimum
     analyzed_length: int
-    input_sha256: tuple[str, ...]  # one per level-curve point, in its order
 
     @property
     def max_abs_gap_db(self) -> float | None:
@@ -211,14 +210,14 @@ def analyze(
     suffix, because the late rise is exactly what the limit is supposed to
     exclude.
     """
-    measurements = series.measure(bank, reference_distance_cm)
-    curve = measured_level_curve(measurements, reference_distance_cm)
+    measured = series.measure(bank, reference_distance_cm)
+    curve = measured_level_curve(measured)
     gaps = tuple(gap_curve(curve))
 
     defined = [(g.distance_cm, g.gap_db) for g in gaps if g.gap_db is not None]
     level_verdict = validity_limit(defined, threshold_db) if len(defined) >= 2 else None
 
-    evolutions = tuple(weight_evolution(measurements, reference_distance_cm))
+    evolutions = tuple(weight_evolution(measured))
     band_verdicts = []
     reequalized = []
     for evo in evolutions:
@@ -254,7 +253,6 @@ def analyze(
         band_verdicts=tuple(band_verdicts),
         reequalized_bands=tuple(reequalized),
         analyzed_length=series.common_length,
-        input_sha256=tuple(m.sha256 for m in measurements),
     )
 
 
@@ -272,9 +270,9 @@ class CampaignResult:
         recording (with its series and distance), not of file paths: a copy
         of a campaign in another directory hashes the same."""
         inputs = sorted(
-            [*a.key, distance, digest]
+            [*a.key, m.distance_cm, m.sha256]
             for a in self.analyses
-            for (distance, _), digest in zip(a.level_curve.levels, a.input_sha256)
+            for m in a.level_curve.measured.measurements
         )
         canonical = json.dumps({"inputs": inputs, "settings": self.provenance}, sort_keys=True)
         return hashlib.sha256(canonical.encode()).hexdigest()[:16]

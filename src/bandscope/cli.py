@@ -159,17 +159,20 @@ def _cmd_synth(args) -> int:
 
 
 def _spec_profile(bands: dict) -> DistanceProfile:
-    """The spec's ``profile``: its keys number bands from 1, as
-    ``ground_truth.csv`` does, and one below 1 or repeating a number (``"1"``
-    and ``"01"``) is an :class:`InvalidSpecError` naming the key."""
+    """The spec's ``profile``: its keys number bands from 1 in ASCII digits, as
+    ``ground_truth.csv`` does; any other key, one below 1 or one repeating a
+    number (``"1"`` and ``"01"``) is an :class:`InvalidSpecError` naming it."""
     by_index = {}
     for key, pts in bands.items():
-        if int(key) < 1 or int(key) - 1 in by_index:
-            why = "band numbers start at 1" if int(key) < 1 else f"band {int(key)} is given twice"
+        if not (key.isascii() and key.isdigit()):
+            raise InvalidSpecError(f"profile key {key!r}: not a band number in ASCII digits")
+        band = int(key)
+        if band < 1 or band - 1 in by_index:
+            why = "band numbers start at 1" if band < 1 else f"band {band} is given twice"
             raise InvalidSpecError(f"profile key {key!r}: {why}")
-        by_index[int(key) - 1] = [(json_number(d, f"profile key {key!r}: distance_cm"),
-                                   json_number(g, f"profile key {key!r}: gain_db"))
-                                  for d, g in pts]
+        by_index[band - 1] = [(json_number(d, f"profile key {key!r}: distance_cm"),
+                               json_number(g, f"profile key {key!r}: gain_db"))
+                              for d, g in pts]
     return DistanceProfile(by_index)
 
 

@@ -1,21 +1,21 @@
 """Mean-level curves vs distance and the spherical-wave comparison.
 
-Amplifications are relative to a reference distance (0 dB there by
-construction). The theoretical overlay is the inverse-distance law
-20*log10(x_ref/x): +6.02 dB per halving. A validity verdict names the
-smallest distance beyond which every measured deviation stays inside a
-threshold; the rule is suffix-based, so a late excursion (the
-"re-equalization" pattern) invalidates closer limits.
+Amplifications are relative to the reference distance of the series
+measurement they are read from (0 dB there by construction). The
+theoretical overlay is the inverse-distance law 20*log10(x_ref/x): +6.02 dB
+per halving. A validity verdict names the smallest distance beyond which
+every measured deviation stays inside a threshold; the rule is
+suffix-based, so a late excursion (the "re-equalization" pattern)
+invalidates closer limits.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .errors import InvalidInputError, SingularityError
-from .series import Measurement, check_reference
+from .series import SeriesMeasurement
 from .signal import LevelDbfs
 
 __all__ = [
@@ -32,27 +32,24 @@ __all__ = [
 
 @dataclass(frozen=True)
 class LevelCurve:
-    """Mean level (dB FS) per distance; amplifications are relative to the
-    level at the reference distance."""
+    """Mean level (dB FS) per distance of a checked series measurement;
+    amplifications are relative to the level at its reference distance."""
 
-    levels: tuple[tuple[float, LevelDbfs], ...]  # (distance_cm, mean level)
-    reference_distance_cm: float
+    measured: SeriesMeasurement
 
-    def __post_init__(self) -> None:
-        dists = [d for d, _ in self.levels]
-        if any(d < 0 for d in dists):
-            raise InvalidInputError("distances must be >= 0 cm")
-        if sorted(set(dists)) != dists:
-            raise InvalidInputError("distances must be unique and ascending")
-        if self.reference_distance_cm not in dists:
-            raise InvalidInputError(
-                f"reference distance {self.reference_distance_cm} cm is not among {dists}"
-            )
+    @property
+    def reference_distance_cm(self) -> float:
+        return self.measured.reference_distance_cm
+
+    @property
+    def levels(self) -> tuple[tuple[float, LevelDbfs], ...]:
+        """(distance_cm, mean level), ascending by distance."""
+        return tuple((m.distance_cm, m.level) for m in self.measured.measurements)
 
     @property
     def points(self) -> tuple[tuple[float, float], ...]:
         """(distance_cm, amplification_db); exactly 0.0 at the reference."""
-        ref = dict(self.levels)[self.reference_distance_cm].value
+        ref = self.measured.at_reference.level.value
         return tuple((d, level.value - ref) for d, level in self.levels)
 
 
@@ -91,41 +88,26 @@ def theoretical_amplification(x_cm: float, x_ref_cm: float) -> float:
     return 20.0 * math.log10(x_ref_cm / x_cm)
 
 
-def measured_level_curve(
-    measurements: Sequence[Measurement], reference_distance_cm: float = 100.0
-) -> LevelCurve:
+def measured_level_curve(measured: SeriesMeasurement) -> LevelCurve:
     """Mean-level amplification of each recording relative to the reference.
 
-    ``measurements`` are one series' records, ascending by distance, as
-    :meth:`MeasurementSeries.measure` returns them. Invariant under any
-    global gain applied to the whole series; the reference point is pinned
-    to exactly 0 dB. A missing reference fails first, then a silent
-    reference, then the nearest silent recording.
+    ``measured`` is what :meth:`MeasurementSeries.measure` returns, so its
+    rules were checked when it was built. Invariant under any global gain
+    applied to the whole series; the reference point is pinned to exactly
+    0 dB.
     """
-    levels = tuple((m.distance_cm, m.level) for m in measurements)
-    check_reference([d for d, _ in levels], reference_distance_cm)
-    reference = float(reference_distance_cm)
-    if dict(levels)[reference].is_silence:
-        raise InvalidInputError(
-            f"reference recording at {reference_distance_cm} cm is silent"
-        )
-    for distance, level in levels:
-        if level.is_silence:
-            raise InvalidInputError(
-                f"recording at {distance} cm is silent; no level defined"
-            )
-    return LevelCurve(levels=levels, reference_distance_cm=reference)
+    return LevelCurve(measured)
 
 
-def gap_curve(measured: LevelCurve) -> list[GapPoint]:
+def gap_curve(curve: LevelCurve) -> list[GapPoint]:
     """Measured minus theoretical amplification, per point.
 
     Negative gap: measurement sits below the 1/x law. Points at x = 0 get
     no gap instead of an extrapolation of the law.
     """
-    ref = measured.reference_distance_cm
+    ref = curve.reference_distance_cm
     out = []
-    for distance, amp_db in measured.points:
+    for distance, amp_db in curve.points:
         gap = None if distance <= 0 else amp_db - theoretical_amplification(distance, ref)
         out.append(GapPoint(distance_cm=distance, gap_db=gap))
     return out

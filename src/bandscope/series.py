@@ -5,7 +5,8 @@ header of a WAV file, which is decoded only when the recording is measured
 or compared. Measuring a series is one pass: each recording in turn is
 decoded, cut to the series' common length, reduced to a
 :class:`Measurement`, and its samples are dropped, so a campaign of any
-size holds one recording at a time.
+size holds one recording at a time. The pass returns a
+:class:`SeriesMeasurement`, whose constructor checks the rules of the chain.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ __all__ = [
     "Measurement",
     "MeasurementEntry",
     "MeasurementSeries",
+    "SeriesMeasurement",
     "check_reference",
     "check_unique_distances",
     "distance_text",
@@ -115,6 +117,34 @@ class Measurement:
 
 
 @dataclass(frozen=True)
+class SeriesMeasurement:
+    """One series' measurements and the reference distance the level curve
+    and the weight evolutions read them against. Its constructor is the one
+    check of their rules: distances ascending, none twice; the reference
+    among them; no silent recording, a silent reference reported first."""
+
+    reference_distance_cm: float
+    measurements: tuple[Measurement, ...]
+
+    def __post_init__(self) -> None:
+        distances = [m.distance_cm for m in self.measurements]
+        if sorted(set(distances)) != distances:
+            raise InvalidInputError("distances must be unique and ascending")
+        check_reference(distances, self.reference_distance_cm)
+        reference = float(self.reference_distance_cm)
+        object.__setattr__(self, "reference_distance_cm", reference)
+        silent = [m.distance_cm for m in self.measurements if m.balance is None]
+        if reference in silent:
+            raise InvalidInputError(f"reference recording at {reference} cm is silent")
+        if silent:
+            raise InvalidInputError(f"recording at {silent[0]} cm is silent; no level defined")
+
+    @property
+    def at_reference(self) -> Measurement:
+        return next(m for m in self.measurements if m.distance_cm == self.reference_distance_cm)
+
+
+@dataclass(frozen=True)
 class MeasurementSeries:
     """Recordings sharing (microphone, directivity, stimulus), sorted by distance.
 
@@ -179,11 +209,6 @@ class MeasurementSeries:
     def distances(self) -> tuple[float, ...]:
         return tuple(e.distance_cm for e in self.entries)
 
-    def require_reference(self, reference_distance_cm: float) -> None:
-        """Raise :class:`MissingReferenceError` unless the series holds the
-        reference distance."""
-        check_reference(self.distances, reference_distance_cm, f"series {self.key}")
-
     def signal_at(self, distance_cm: float) -> Signal:
         """The whole recording at ``distance_cm``; a file is decoded now."""
         for entry, recording in zip(self.entries, self.recordings):
@@ -194,24 +219,22 @@ class MeasurementSeries:
             f"(distances: {self.distances})"
         )
 
-    def measure(
-        self, bank: FilterBank, reference_distance_cm: float
-    ) -> tuple[Measurement, ...]:
+    def measure(self, bank: FilterBank, reference_distance_cm: float) -> SeriesMeasurement:
         """One pass over the recordings, by distance: decode each once, cut
         it to the common length, take its level and spectral balance from
         those samples, keep the :class:`Measurement` and drop the samples.
 
         A series without the reference distance fails before any decode. A
-        recording that cannot be decoded raises :class:`LoadError`. A silent
-        one is measured as silent rather than failing here, so that the
-        level curve reports it in its own order.
+        recording that cannot be decoded raises :class:`LoadError`. The
+        silence rules of :class:`SeriesMeasurement` apply once every
+        recording is measured, so a decode failure is reported first.
         """
-        self.require_reference(reference_distance_cm)
+        check_reference(self.distances, reference_distance_cm, f"series {self.key}")
         n = self.common_length
-        return tuple(
+        return SeriesMeasurement(reference_distance_cm, tuple(
             _measure(entry.distance_cm, recording, n, bank)
             for entry, recording in zip(self.entries, self.recordings)
-        )
+        ))
 
 
 def _reading(read, path, **kwargs):

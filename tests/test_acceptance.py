@@ -212,7 +212,7 @@ def test_c06_profile_recovery(campaign, banks):
             profile=DistanceProfile(bands={0: RECOVERY_PROFILE[0]}),
         )
         series, _ = synth_campaign(solo, bank)
-        evo = weight_evolution(series.measure(bank, 100.0), 100.0)[0]
+        evo = weight_evolution(series.measure(bank, 100.0))[0]
         recovered = dict(evo.points)
         for d, injected in RECOVERY_PROFILE[0]:
             assert recovered[d] == pytest.approx(injected, abs=0.3)

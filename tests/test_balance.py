@@ -186,7 +186,7 @@ def _traced_peak(call) -> int:
 class TestWeightEvolution:
     def test_identical_signals_all_zero(self, ids10_bank_fast, white_2s):
         series = _series([white_2s] * 3, [10, 50, 100])
-        curves = weight_evolution(series.measure(ids10_bank_fast, 100.0), 100.0)
+        curves = weight_evolution(series.measure(ids10_bank_fast, 100.0))
         assert len(curves) == 10
         for curve in curves:
             assert curve.points == ((10.0, 0.0), (50.0, 0.0), (100.0, 0.0))
@@ -195,20 +195,24 @@ class TestWeightEvolution:
         series = _series(
             [white_2s.scaled(100 / d) for d in (5, 20, 100)], [5, 20, 100]
         )
-        curves = weight_evolution(series.measure(ids10_bank_fast, 100.0), 100.0)
+        curves = weight_evolution(series.measure(ids10_bank_fast, 100.0))
         for curve in curves:
             for _, delta in curve.points:
                 assert abs(delta) <= 0.05
 
     def test_reference_point_exactly_zero(self, ids10_bank_fast, white_2s):
         series = _series([white_2s.scaled(g) for g in (2.0, 1.0)], [50, 100])
-        for curve in weight_evolution(series.measure(ids10_bank_fast, 100.0), 100.0):
+        for curve in weight_evolution(series.measure(ids10_bank_fast, 100.0)):
             assert dict(curve.points)[100.0] == 0.0
 
+    def test_reference_is_the_one_measured_against(self, ids10_bank_fast, white_2s):
+        series = _series([white_2s.scaled(g) for g in (2.0, 1.0)], [50, 100])
+        for curve in weight_evolution(series.measure(ids10_bank_fast, 50.0)):
+            assert dict(curve.points)[50.0] == 0.0
+
     def test_missing_reference(self, ids10_bank_fast, white_2s):
-        measurements = _series([white_2s] * 2, [10, 50]).measure(ids10_bank_fast, 10.0)
         with pytest.raises(MissingReferenceError):
-            weight_evolution(measurements, 100.0)
+            _series([white_2s] * 2, [10, 50]).measure(ids10_bank_fast, 100.0)
 
 
 class TestBalanceDifference:

@@ -216,8 +216,10 @@ class TestProfiledCampaign:
     @pytest.mark.parametrize("profile, message", [
         # both read as band 1; the last used to win silently
         ({"1": [[5, 6.0]], "01": [[5, -6.0]]}, "profile key '01': band 1 is given twice"),
-        ({" 1": [[5, 6.0]], "1": [[5, -6.0]]}, "profile key '1': band 1 is given twice"),
+        ({"001": [[5, 6.0]], "1": [[5, -6.0]]}, "profile key '1': band 1 is given twice"),
         ({"0": [[5, 6.0]]}, "profile key '0': band numbers start at 1"),
+        # int() reads this as band 10
+        ({"1_0": [[5, 6.0]]}, "profile key '1_0': not a band number in ASCII digits"),
     ])
     def test_profile_band_numbers_are_checked(self, tmp_path, capsys, profile, message):
         spec = _flat_campaign_spec(tmp_path, profile=profile)
@@ -506,6 +508,15 @@ BAD_INPUTS = {
     "spec-directivity-not-number": (lambda t: _synth_campaign(t, directivity_m="abc"), 1),
     "spec-profile-band-not-number":
         (lambda t: _synth_campaign(t, profile={"a": [[5, 8.0], [100, 0.0]]}), 1),
+    # keys int() reads as bands 10, 2, 3 and 1
+    "spec-profile-band-underscore":
+        (lambda t: _synth_campaign(t, profile={"1_0": [[5, 3.0], [100, 0.0]]}), 1),
+    "spec-profile-band-space":
+        (lambda t: _synth_campaign(t, profile={" 2": [[5, 3.0], [100, 0.0]]}), 1),
+    "spec-profile-band-plus":
+        (lambda t: _synth_campaign(t, profile={"+3": [[5, 3.0], [100, 0.0]]}), 1),
+    "spec-profile-band-arabic-indic-digit":
+        (lambda t: _synth_campaign(t, profile={"\u0661": [[5, 3.0], [100, 0.0]]}), 1),
     "spec-duration-inf": (lambda t: _synth_campaign(
         t, stimulus={"kind": "pink", "duration_s": math.inf, "seed": 7}), 1),
     "spec-distance-inf": (lambda t: _synth_campaign(t, distances=(math.inf, 100)), 1),

@@ -1,12 +1,17 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bandscope import (
+    BalanceResult,
     BandMapping,
+    Measurement,
     MeasurementEntry,
     MeasurementSeries,
+    SeriesMeasurement,
     design_bank,
     gap_curve,
     measured_level_curve,
@@ -18,7 +23,6 @@ from bandscope.errors import (
     MissingReferenceError,
     SingularityError,
 )
-from bandscope.level import LevelCurve
 from bandscope.signal import LevelDbfs
 
 FS = 44100
@@ -33,6 +37,17 @@ def _measured(signals, distances, reference=100.0):
     )
     series = MeasurementSeries(entries=entries, recordings=tuple(signals))
     return series.measure(design_bank(BandMapping((0, 1000, 22050)), FS, 63), reference)
+
+
+def _checked(levels, reference):
+    """A series measurement built directly from (distance_cm, mean level dB
+    or None for a silent recording) pairs, with no samples behind them."""
+    mapping = BandMapping((0, 1000, 22050))
+    return SeriesMeasurement(reference, tuple(
+        Measurement(d, None if db is None else
+                    BalanceResult(mapping, (0.5, 0.5), (-3.0, -3.0), LevelDbfs(db)), "")
+        for d, db in levels
+    ))
 
 
 class TestTheoretical:
@@ -60,14 +75,13 @@ class TestTheoretical:
 
 class TestMeasuredCurve:
     def test_identical_recordings_flat(self, white_2s):
-        measurements = _measured([white_2s] * 4, [10, 30, 50, 100])
-        curve = measured_level_curve(measurements, 100.0)
+        curve = measured_level_curve(_measured([white_2s] * 4, [10, 30, 50, 100]))
         assert [a for _, a in curve.points] == [0.0, 0.0, 0.0, 0.0]
 
     def test_exact_inverse_distance_series(self, white_2s):
         distances = [5, 10, 20, 30, 40, 50, 60, 70, 80, 90, 100]
-        measurements = _measured([white_2s.scaled(100.0 / d) for d in distances], distances)
-        curve = measured_level_curve(measurements, 100.0)
+        measured = _measured([white_2s.scaled(100.0 / d) for d in distances], distances)
+        curve = measured_level_curve(measured)
         for d, amp in curve.points:
             if d != 100.0:
                 assert amp == pytest.approx(theoretical_amplification(d, 100), abs=0.02)
@@ -75,25 +89,30 @@ class TestMeasuredCurve:
     def test_global_gain_invariance(self, white_2s):
         distances = [25, 50, 100]
         sigs = [white_2s.scaled(100.0 / d) for d in distances]
-        a = measured_level_curve(_measured(sigs, distances), 100.0)
-        b = measured_level_curve(
-            _measured([s.scaled(0.1) for s in sigs], distances), 100.0
-        )
+        a = measured_level_curve(_measured(sigs, distances))
+        b = measured_level_curve(_measured([s.scaled(0.1) for s in sigs], distances))
         np.testing.assert_allclose(
             [v for _, v in a.points], [v for _, v in b.points], atol=1e-9
         )
 
     def test_missing_reference(self, white_2s):
-        measurements = _measured([white_2s] * 2, [10, 50], reference=10.0)
         with pytest.raises(MissingReferenceError):
-            measured_level_curve(measurements, 100.0)
+            _measured([white_2s] * 2, [10, 50])
+
+    def test_reference_is_the_one_measured_against(self, white_2s):
+        distances = [25, 50, 100]
+        sigs = [white_2s.scaled(100.0 / d) for d in distances]
+        curve = measured_level_curve(_measured(sigs, distances, reference=50.0))
+        assert curve.reference_distance_cm == 50.0
+        assert dict(curve.points)[50.0] == 0.0
+        assert dict(curve.points)[100.0] == pytest.approx(-6.0206, abs=0.02)
 
 
 class TestGapCurve:
     def test_measured_equals_theory(self, white_2s):
         distances = [10, 50, 100]
-        measurements = _measured([white_2s.scaled(100.0 / d) for d in distances], distances)
-        gaps = gap_curve(measured_level_curve(measurements, 100.0))
+        measured = _measured([white_2s.scaled(100.0 / d) for d in distances], distances)
+        gaps = gap_curve(measured_level_curve(measured))
         for g in gaps:
             assert g.gap_db is not None
             assert g.gap_db == pytest.approx(0.0, abs=0.02)
@@ -106,13 +125,13 @@ class TestGapCurve:
         sigs = [
             white_2s.scaled((100.0 / d) * 10 ** (deficit(d) / 20)) for d in distances
         ]
-        gaps = gap_curve(measured_level_curve(_measured(sigs, distances), 100.0))
+        gaps = gap_curve(measured_level_curve(_measured(sigs, distances)))
         for g in gaps:
             assert g.gap_db == pytest.approx(deficit(g.distance_cm), abs=0.3)
 
     def test_x_zero_flagged_theory_undefined(self, white_2s):
-        measurements = _measured([white_2s, white_2s.scaled(2), white_2s], [0, 50, 100])
-        gaps = gap_curve(measured_level_curve(measurements, 100.0))
+        measured = _measured([white_2s, white_2s.scaled(2), white_2s], [0, 50, 100])
+        gaps = gap_curve(measured_level_curve(measured))
         assert gaps[0].distance_cm == 0.0
         assert gaps[0].gap_db is None
         assert gaps[1].gap_db is not None
@@ -161,30 +180,41 @@ class TestValidityLimit:
 
 
 class TestLevelCurveInvariants:
-    def test_rejects_duplicate_distances(self):
-        with pytest.raises(InvalidInputError):
-            LevelCurve(
-                levels=((10.0, LevelDbfs(-20.0)), (10.0, LevelDbfs(-19.0))),
-                reference_distance_cm=10.0,
-            )
-
     def test_rejects_negative_distance(self):
+        # a distance enters as a manifest or spec entry, which refuses it
         with pytest.raises(InvalidInputError):
-            LevelCurve(
-                levels=((-1.0, LevelDbfs(-20.0)), (10.0, LevelDbfs(-20.0))),
-                reference_distance_cm=10.0,
-            )
-
-    def test_rejects_reference_not_among_levels(self):
-        with pytest.raises(InvalidInputError):
-            LevelCurve(
-                levels=((10.0, LevelDbfs(-20.0)), (50.0, LevelDbfs(-30.0))),
-                reference_distance_cm=100.0,
-            )
+            MeasurementEntry(distance_cm=-1.0, microphone="m", directivity="omni", stimulus="s")
 
     def test_points_are_levels_relative_to_reference(self):
-        curve = LevelCurve(
-            levels=((10.0, LevelDbfs(-10.5)), (100.0, LevelDbfs(-30.25))),
-            reference_distance_cm=100.0,
-        )
+        curve = measured_level_curve(_checked(((10.0, -10.5), (100.0, -30.25)), 100.0))
         assert curve.points == ((10.0, 19.75), (100.0, 0.0))
+
+
+# case -> ((distance_cm, level dB or None), reference, error, message)
+REJECTED_MEASUREMENTS = {
+    "duplicate": (((10.0, -20.0), (10.0, -19.0)), 10.0,
+                  InvalidInputError, "distances must be unique and ascending"),
+    "unsorted": (((50.0, -30.0), (10.0, -20.0)), 10.0,
+                 InvalidInputError, "distances must be unique and ascending"),
+    "reference-missing": (((10.0, -20.0), (50.0, -30.0)), 100.0, MissingReferenceError,
+                          "measured series has no recording at reference 100.0 cm "
+                          "(distances: (10.0, 50.0))"),
+    "silent-reference": (((10.0, None), (100.0, None)), 100.0,
+                         InvalidInputError, "reference recording at 100.0 cm is silent"),
+    "silent-recording": (((10.0, None), (50.0, -25.0), (100.0, -30.0)), 100.0,
+                         InvalidInputError, "recording at 10.0 cm is silent; no level defined"),
+    # weight_evolution once merged the two 50 cm points into one and kept
+    # descending input descending, without an error
+    "weight-evolution-duplicate-50cm": (
+        ((10.0, -10.0), (50.0, -20.0), (50.0, -21.0), (100.0, -30.0)), 100.0,
+        InvalidInputError, "distances must be unique and ascending"),
+    "weight-evolution-descending": (((100.0, -30.0), (50.0, -20.0), (10.0, -10.0)), 100.0,
+                                    InvalidInputError, "distances must be unique and ascending"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REJECTED_MEASUREMENTS))
+def test_series_measurement_rejects(case):
+    levels, reference, error, message = REJECTED_MEASUREMENTS[case]
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        _checked(levels, reference)

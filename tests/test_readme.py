@@ -1,0 +1,36 @@
+"""The README's Library example runs as printed, on a small campaign."""
+
+import json
+import re
+import shutil
+from pathlib import Path
+
+import bandscope as bs
+from bandscope.cli import run
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def _library_example() -> str:
+    """The first ```python block under the ``## Library`` heading."""
+    library = README.read_text(encoding="utf-8").split("\n## Library\n", 1)[1]
+    return re.search(r"```python\n(.*?)```", library, re.DOTALL).group(1)
+
+
+def test_library_example_runs(tmp_path, monkeypatch):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"stimulus": {"kind": "pink", "duration_s": 0.5, "seed": 1},
+                                "distances_cm": [25, 50, 100]}))
+    assert run(["synth-campaign", "--spec", str(spec), "--out", str(tmp_path)]) == 0
+    shutil.copy(tmp_path / "stimulus.wav", tmp_path / "recording.wav")
+    monkeypatch.chdir(tmp_path)
+
+    namespace = {}
+    exec(compile(_library_example(), str(README), "exec"), namespace)
+
+    assert (tmp_path / "results" / "summary.json").exists()
+    measured = namespace["measured"]
+    assert isinstance(measured, bs.SeriesMeasurement)
+    assert namespace["curve"].reference_distance_cm == measured.reference_distance_cm == 100.0
+    assert [d for d, _ in namespace["curve"].points] == [25.0, 50.0, 100.0]
+    assert len(namespace["evolutions"]) == len(namespace["balance"].weights_db) == 10
