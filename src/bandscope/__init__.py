@@ -33,10 +33,8 @@ from .filterbank import (
     load_mapping,
 )
 from .level import (
-    GapPoint,
-    LevelCurve,
+    LevelPoint,
     ValidityVerdict,
-    gap_curve,
     measured_level_curve,
     theoretical_amplification,
     validity_limit,
@@ -76,10 +74,9 @@ __all__ = [
     "DirectivityModel",
     "DistanceProfile",
     "FilterBank",
-    "GapPoint",
     "GroundTruth",
     "IngestReport",
-    "LevelCurve",
+    "LevelPoint",
     "LevelDbfs",
     "Measurement",
     "MeasurementEntry",
@@ -102,7 +99,6 @@ __all__ = [
     "design_bank",
     "directivity_gain",
     "export",
-    "gap_curve",
     "gen_pink",
     "gen_sine",
     "gen_stimulus",

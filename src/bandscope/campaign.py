@@ -4,8 +4,9 @@ A manifest is one JSON document with an ``entries`` array; each entry names
 a recording file, its distance in cm and the (microphone, directivity,
 stimulus) labels. Entries sharing labels form a series. Ingest reads only
 the WAV headers; analysis measures each series in one pass over its
-recordings and runs the level and balance chains on the measurements;
-export writes one level CSV and one CSV per band plus a summary JSON,
+recordings and runs the level and balance chains on the measurements.
+Export writes the level chain's rows (one per distance) as the level CSV
+and the summary's levels, one CSV per band and a summary JSON,
 deterministically. A synthetic series is saved as WAVs plus the manifest
 that lists them, so the manifest format and the file-naming rule each
 live here only.
@@ -32,15 +33,14 @@ from .errors import (BandscopeError, LoadError, ManifestError, converting, json_
                      json_text, read_input)
 from .filterbank import FilterBank
 from .level import (
-    GapPoint,
-    LevelCurve,
+    LevelPoint,
     ValidityVerdict,
     check_threshold,
-    gap_curve,
     measured_level_curve,
     validity_limit,
 )
-from .series import MeasurementEntry, MeasurementSeries, check_unique_distances, distance_text
+from .series import (MeasurementEntry, MeasurementSeries, SeriesMeasurement,
+                     check_unique_distances, distance_text)
 from .signal import LevelDbfs, Signal
 from .wavio import save_wav
 
@@ -169,8 +169,8 @@ class SeriesAnalysis:
     """Full analysis of one series."""
 
     key: tuple[str, str, str]
-    level_curve: LevelCurve
-    gaps: tuple[GapPoint, ...]
+    measured: SeriesMeasurement
+    level_points: tuple[LevelPoint, ...]  # ascending by distance
     level_verdict: ValidityVerdict | None
     weight_evolutions: tuple[WeightEvolution, ...]
     band_verdicts: tuple[ValidityVerdict, ...]
@@ -179,7 +179,7 @@ class SeriesAnalysis:
 
     @property
     def max_abs_gap_db(self) -> float | None:
-        defined = [abs(g.gap_db) for g in self.gaps if g.gap_db is not None]
+        defined = [abs(p.gap_db) for p in self.level_points if p.gap_db is not None]
         return max(defined) if defined else None
 
 
@@ -201,20 +201,21 @@ def analyze(
     reference_distance_cm: float = 100.0,
     threshold_db: float = 1.0,
 ) -> SeriesAnalysis:
-    """Level curve, gap curve, weight evolutions and validity verdicts.
+    """Level curve, weight evolutions and validity verdicts.
 
     All of them come from one measuring pass over the recordings, each cut
-    to the series' common length (:meth:`MeasurementSeries.measure`). Band
+    to the series' common length (:meth:`MeasurementSeries.measure`). The
+    reference distance and the threshold are taken as floats. Band
     verdicts use the weight deltas as deviations; a band showing the
     re-equalization pattern gets no validity limit regardless of its
     suffix, because the late rise is exactly what the limit is supposed to
     exclude.
     """
+    reference_distance_cm, threshold_db = float(reference_distance_cm), float(threshold_db)
     measured = series.measure(bank, reference_distance_cm)
-    curve = measured_level_curve(measured)
-    gaps = tuple(gap_curve(curve))
+    points = measured_level_curve(measured)
 
-    defined = [(g.distance_cm, g.gap_db) for g in gaps if g.gap_db is not None]
+    defined = [(p.distance_cm, p.gap_db) for p in points if p.gap_db is not None]
     level_verdict = validity_limit(defined, threshold_db) if len(defined) >= 2 else None
 
     evolutions = tuple(weight_evolution(measured))
@@ -246,8 +247,8 @@ def analyze(
 
     return SeriesAnalysis(
         key=series.key,
-        level_curve=curve,
-        gaps=gaps,
+        measured=measured,
+        level_points=points,
         level_verdict=level_verdict,
         weight_evolutions=evolutions,
         band_verdicts=tuple(band_verdicts),
@@ -272,7 +273,7 @@ class CampaignResult:
         inputs = sorted(
             [*a.key, m.distance_cm, m.sha256]
             for a in self.analyses
-            for m in a.level_curve.measured.measurements
+            for m in a.measured.measurements
         )
         canonical = json.dumps({"inputs": inputs, "settings": self.provenance}, sort_keys=True)
         return hashlib.sha256(canonical.encode()).hexdigest()[:16]
@@ -285,9 +286,12 @@ def analyze_report(
     threshold_db: float = 1.0,
 ) -> CampaignResult:
     """Analyze every ingested series; failures become recorded errors,
-    never silent drops. An invalid threshold, or two series that
+    never silent drops. The reference distance and the threshold are taken
+    as floats, so an int and the equal float give the same result and
+    ``config_hash``. An invalid threshold, or two series that
     :func:`export` would write to the same files, fails once, before any
     series is measured."""
+    reference_distance_cm, threshold_db = float(reference_distance_cm), float(threshold_db)
     check_threshold(threshold_db)
     _check_distinct_stems([series.key for series in report.series])
     analyses = []
@@ -425,18 +429,12 @@ def export(result: CampaignResult, out_dir: str | os.PathLike) -> list[Path]:
 
     for analysis in sorted(result.analyses, key=lambda a: a.key):
         stem = _file_stem(analysis.key)
-        theory_by_distance = {
-            g.distance_cm: g for g in analysis.gaps
-        }
         lines = ["distance_cm,amplification_db,theory_db,gap_db"]
-        for distance, amp in analysis.level_curve.points:
-            gap = theory_by_distance[distance]
-            row = f"{distance_text(distance)},{_csv_float(amp)}"
-            if gap.gap_db is not None:
-                theory = amp - gap.gap_db
-                lines.append(f"{row},{_csv_float(theory)},{_csv_float(gap.gap_db)}")
-            else:
-                lines.append(f"{row},,")
+        lines += [
+            f"{distance_text(p.distance_cm)},{_csv_float(p.amplification_db)},"
+            f"{_csv_float(p.theory_db)},{_csv_float(p.gap_db)}"
+            for p in analysis.level_points
+        ]
         level_path = out / f"{stem}_level.csv"
         level_path.write_text("\n".join(lines) + "\n")
         written.append(level_path)
@@ -452,10 +450,10 @@ def export(result: CampaignResult, out_dir: str | os.PathLike) -> list[Path]:
         summary["series"].append(
             {
                 "series": list(analysis.key),
-                "n_points": len(analysis.level_curve.levels),
+                "n_points": len(analysis.level_points),
                 "analyzed_length_samples": analysis.analyzed_length,
                 "mean_levels_dbfs": [
-                    [d, lv.to_json()] for d, lv in analysis.level_curve.levels
+                    [p.distance_cm, p.level.to_json()] for p in analysis.level_points
                 ],
                 "max_abs_gap_db": analysis.max_abs_gap_db,
                 "level_verdict": _verdict_json(analysis.level_verdict),

@@ -1,12 +1,13 @@
 """Mean-level curves vs distance and the spherical-wave comparison.
 
-Amplifications are relative to the reference distance of the series
-measurement they are read from (0 dB there by construction). The
-theoretical overlay is the inverse-distance law 20*log10(x_ref/x): +6.02 dB
-per halving. A validity verdict names the smallest distance beyond which
-every measured deviation stays inside a threshold; the rule is
-suffix-based, so a late excursion (the "re-equalization" pattern)
-invalidates closer limits.
+A level curve is one :class:`LevelPoint` per distance of a checked series
+measurement: the mean level, its amplification relative to the reference
+distance (0 dB there by construction), the inverse-distance law
+20*log10(x_ref/x) at that distance (+6.02 dB per halving) and the
+measured-minus-law gap, each computed once. A validity verdict names the
+smallest distance beyond which every measured deviation stays inside a
+threshold; the rule is suffix-based, so a late excursion (the
+"re-equalization" pattern) invalidates closer limits.
 """
 
 from __future__ import annotations
@@ -19,48 +20,25 @@ from .series import SeriesMeasurement
 from .signal import LevelDbfs
 
 __all__ = [
-    "LevelCurve",
-    "GapPoint",
+    "LevelPoint",
     "ValidityVerdict",
     "check_threshold",
     "theoretical_amplification",
     "measured_level_curve",
-    "gap_curve",
     "validity_limit",
 ]
 
 
 @dataclass(frozen=True)
-class LevelCurve:
-    """Mean level (dB FS) per distance of a checked series measurement;
-    amplifications are relative to the level at its reference distance."""
-
-    measured: SeriesMeasurement
-
-    @property
-    def reference_distance_cm(self) -> float:
-        return self.measured.reference_distance_cm
-
-    @property
-    def levels(self) -> tuple[tuple[float, LevelDbfs], ...]:
-        """(distance_cm, mean level), ascending by distance."""
-        return tuple((m.distance_cm, m.level) for m in self.measured.measurements)
-
-    @property
-    def points(self) -> tuple[tuple[float, float], ...]:
-        """(distance_cm, amplification_db); exactly 0.0 at the reference."""
-        ref = self.measured.at_reference.level.value
-        return tuple((d, level.value - ref) for d, level in self.levels)
-
-
-@dataclass(frozen=True)
-class GapPoint:
-    """Measured-minus-theoretical deviation at one distance.
-
-    At x = 0 the law diverges, so the point carries no gap value (None).
-    """
+class LevelPoint:
+    """One distance of a level curve: the mean level, its amplification
+    relative to the reference, the 1/x law there and the measured-minus-law
+    gap. At x = 0 the law diverges, so ``theory_db`` and ``gap_db`` are None."""
 
     distance_cm: float
+    level: LevelDbfs
+    amplification_db: float
+    theory_db: float | None
     gap_db: float | None
 
 
@@ -88,29 +66,24 @@ def theoretical_amplification(x_cm: float, x_ref_cm: float) -> float:
     return 20.0 * math.log10(x_ref_cm / x_cm)
 
 
-def measured_level_curve(measured: SeriesMeasurement) -> LevelCurve:
-    """Mean-level amplification of each recording relative to the reference.
+def measured_level_curve(measured: SeriesMeasurement) -> tuple[LevelPoint, ...]:
+    """One :class:`LevelPoint` per recording, ascending by distance.
 
     ``measured`` is what :meth:`MeasurementSeries.measure` returns, so its
-    rules were checked when it was built. Invariant under any global gain
-    applied to the whole series; the reference point is pinned to exactly
-    0 dB.
+    rules were checked when it was built. Amplifications are invariant
+    under any global gain applied to the whole series, and exactly 0 dB at
+    the reference. A negative gap means the measurement sits below the 1/x
+    law; points at x = 0 get no law and no gap instead of an extrapolation.
     """
-    return LevelCurve(measured)
-
-
-def gap_curve(curve: LevelCurve) -> list[GapPoint]:
-    """Measured minus theoretical amplification, per point.
-
-    Negative gap: measurement sits below the 1/x law. Points at x = 0 get
-    no gap instead of an extrapolation of the law.
-    """
-    ref = curve.reference_distance_cm
-    out = []
-    for distance, amp_db in curve.points:
-        gap = None if distance <= 0 else amp_db - theoretical_amplification(distance, ref)
-        out.append(GapPoint(distance_cm=distance, gap_db=gap))
-    return out
+    ref_cm = measured.reference_distance_cm
+    ref_db = measured.at_reference.level.value
+    points = []
+    for m in measured.measurements:
+        amp = m.level.value - ref_db
+        theory = None if m.distance_cm <= 0 else theoretical_amplification(m.distance_cm, ref_cm)
+        gap = None if theory is None else amp - theory
+        points.append(LevelPoint(m.distance_cm, m.level, amp, theory, gap))
+    return tuple(points)
 
 
 def validity_limit(

@@ -192,7 +192,7 @@ def test_c05_inverse_distance_closed_loop(campaign):
         flat = next(
             a for a in campaign["result"].analyses if a.key[0] == "synthcard"
         )
-        assert len(flat.level_curve.points) == len(FLAT_DISTANCES)
+        assert len(flat.level_points) == len(FLAT_DISTANCES)
         assert flat.max_abs_gap_db <= 0.05
         assert flat.level_verdict.limit_distance_cm == 5.0
         for verdict in flat.band_verdicts:

@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 import shutil
@@ -11,6 +12,7 @@ from scipy.fft import next_fast_len
 
 import bandscope.wavio
 from bandscope import (
+    BandMapping,
     DirectivityModel,
     DistanceProfile,
     MeasurementEntry,
@@ -20,12 +22,14 @@ from bandscope import (
     analyze,
     analyze_report,
     compare_to_stimulus,
+    design_bank,
     export,
     ingest,
     load_wav,
     mean_level_dbfs,
     save_wav,
     synth_campaign,
+    theoretical_amplification,
 )
 from bandscope.campaign import ComparisonReport
 from bandscope.cli import run
@@ -175,7 +179,7 @@ class TestAnalyze:
         )
         series = MeasurementSeries(entries=entries, recordings=(white_2s,) * 3)
         result = analyze(series, ids10_bank_fast)
-        assert all(a == 0.0 for _, a in result.level_curve.points)
+        assert all(p.amplification_db == 0.0 for p in result.level_points)
         for evo in result.weight_evolutions:
             assert all(v == 0.0 for _, v in evo.points)
 
@@ -204,7 +208,7 @@ class TestAnalyze:
         series = MeasurementSeries(entries=entries, recordings=(white_2s, longer))
         result = analyze(series, ids10_bank_fast)
         assert result.analyzed_length == len(white_2s)
-        assert abs(result.level_curve.points[0][1]) < 0.2
+        assert abs(result.level_points[0].amplification_db) < 0.2
 
 
 class TestCompare:
@@ -268,7 +272,42 @@ class TestExport:
             (float(cells[0]), float(cells[1]))
             for cells in (line.split(",") for line in lines)
         ]
-        assert parsed == list(result.analyses[0].level_curve.points)
+        assert parsed == [(p.distance_cm, p.amplification_db)
+                          for p in result.analyses[0].level_points]
+
+    def test_theory_column_is_the_law(self, tmp_path):
+        # recordings 6 dB above the reference around it: the law read back
+        # as amplification minus gap missed 20*log10(100/x) in the last digits
+        noise = Signal(0.05 * np.random.default_rng(3).standard_normal(FS), FS)
+        distances = (90, 95, 99, 100, 101, 110)
+        rows = []
+        for d in distances:
+            save_wav(noise.scaled(1.0 if d == 100 else 2.0), tmp_path / f"r{d}.wav")
+            rows.append({"path": f"r{d}.wav", "distance_cm": d, "microphone": "m",
+                         "directivity": "omni", "stimulus": "s"})
+        bank = design_bank(BandMapping((0, 1000, 22050)), FS, 63)
+        result = analyze_report(ingest(_write_manifest(tmp_path, rows)), bank)
+        export(result, tmp_path / "out")
+        level_csv = (tmp_path / "out" / "m_omni_s_level.csv").read_text()
+        level_rows = list(csv.DictReader(level_csv.splitlines()))
+        assert [float(r["distance_cm"]) for r in level_rows] == list(distances)
+        for r in level_rows:
+            d = float(r["distance_cm"])
+            assert r["theory_db"] == repr(theoretical_amplification(d, 100.0)), d
+
+    def test_int_and_float_settings_export_alike(self, ids10_bank_fast, short_noise, tmp_path):
+        rows = _synth_files(tmp_path, short_noise, [50, 100])
+        rows += _synth_files(tmp_path, short_noise, [50], mic="NoRef")  # missing ref
+        report = ingest(_write_manifest(tmp_path, rows))
+        export(analyze_report(report, ids10_bank_fast, 100, 1), tmp_path / "int")
+        export(analyze_report(report, ids10_bank_fast, 100.0, 1.0), tmp_path / "float")
+        names = sorted(p.name for p in (tmp_path / "int").iterdir())
+        assert names == sorted(p.name for p in (tmp_path / "float").iterdir())
+        for name in names:
+            assert (tmp_path / "int" / name).read_bytes() == (
+                tmp_path / "float" / name).read_bytes(), name
+        summary = json.loads((tmp_path / "int" / "summary.json").read_text())
+        assert "at reference 100.0 cm" in summary["errors"][0]["message"]
 
     def test_summary_mean_levels_are_the_metered_levels(
         self, ids10_bank_fast, short_noise, tmp_path

@@ -13,7 +13,6 @@ from bandscope import (
     MeasurementSeries,
     SeriesMeasurement,
     design_bank,
-    gap_curve,
     measured_level_curve,
     theoretical_amplification,
     validity_limit,
@@ -75,16 +74,16 @@ class TestTheoretical:
 
 class TestMeasuredCurve:
     def test_identical_recordings_flat(self, white_2s):
-        curve = measured_level_curve(_measured([white_2s] * 4, [10, 30, 50, 100]))
-        assert [a for _, a in curve.points] == [0.0, 0.0, 0.0, 0.0]
+        points = measured_level_curve(_measured([white_2s] * 4, [10, 30, 50, 100]))
+        assert [p.amplification_db for p in points] == [0.0, 0.0, 0.0, 0.0]
 
     def test_exact_inverse_distance_series(self, white_2s):
         distances = [5, 10, 20, 30, 40, 50, 60, 70, 80, 90, 100]
         measured = _measured([white_2s.scaled(100.0 / d) for d in distances], distances)
-        curve = measured_level_curve(measured)
-        for d, amp in curve.points:
-            if d != 100.0:
-                assert amp == pytest.approx(theoretical_amplification(d, 100), abs=0.02)
+        for p in measured_level_curve(measured):
+            if p.distance_cm != 100.0:
+                assert p.amplification_db == pytest.approx(
+                    theoretical_amplification(p.distance_cm, 100), abs=0.02)
 
     def test_global_gain_invariance(self, white_2s):
         distances = [25, 50, 100]
@@ -92,7 +91,7 @@ class TestMeasuredCurve:
         a = measured_level_curve(_measured(sigs, distances))
         b = measured_level_curve(_measured([s.scaled(0.1) for s in sigs], distances))
         np.testing.assert_allclose(
-            [v for _, v in a.points], [v for _, v in b.points], atol=1e-9
+            [p.amplification_db for p in a], [p.amplification_db for p in b], atol=1e-9
         )
 
     def test_missing_reference(self, white_2s):
@@ -102,20 +101,20 @@ class TestMeasuredCurve:
     def test_reference_is_the_one_measured_against(self, white_2s):
         distances = [25, 50, 100]
         sigs = [white_2s.scaled(100.0 / d) for d in distances]
-        curve = measured_level_curve(_measured(sigs, distances, reference=50.0))
-        assert curve.reference_distance_cm == 50.0
-        assert dict(curve.points)[50.0] == 0.0
-        assert dict(curve.points)[100.0] == pytest.approx(-6.0206, abs=0.02)
+        points = measured_level_curve(_measured(sigs, distances, reference=50.0))
+        by_distance = {p.distance_cm: p for p in points}
+        assert by_distance[50.0].amplification_db == by_distance[50.0].theory_db == 0.0
+        assert by_distance[100.0].amplification_db == pytest.approx(-6.0206, abs=0.02)
+        assert by_distance[100.0].theory_db == theoretical_amplification(100.0, 50.0)
 
 
 class TestGapCurve:
     def test_measured_equals_theory(self, white_2s):
         distances = [10, 50, 100]
         measured = _measured([white_2s.scaled(100.0 / d) for d in distances], distances)
-        gaps = gap_curve(measured_level_curve(measured))
-        for g in gaps:
-            assert g.gap_db is not None
-            assert g.gap_db == pytest.approx(0.0, abs=0.02)
+        for p in measured_level_curve(measured):
+            assert p.gap_db is not None
+            assert p.gap_db == pytest.approx(0.0, abs=0.02)
 
     def test_injected_near_field_deficit_recovered(self, white_2s):
         # -12 dB at 5 cm tapering linearly to 0 at 50 cm, on top of exact 1/x
@@ -125,16 +124,17 @@ class TestGapCurve:
         sigs = [
             white_2s.scaled((100.0 / d) * 10 ** (deficit(d) / 20)) for d in distances
         ]
-        gaps = gap_curve(measured_level_curve(_measured(sigs, distances)))
-        for g in gaps:
-            assert g.gap_db == pytest.approx(deficit(g.distance_cm), abs=0.3)
+        for p in measured_level_curve(_measured(sigs, distances)):
+            assert p.gap_db == pytest.approx(deficit(p.distance_cm), abs=0.3)
 
     def test_x_zero_flagged_theory_undefined(self, white_2s):
         measured = _measured([white_2s, white_2s.scaled(2), white_2s], [0, 50, 100])
-        gaps = gap_curve(measured_level_curve(measured))
-        assert gaps[0].distance_cm == 0.0
-        assert gaps[0].gap_db is None
-        assert gaps[1].gap_db is not None
+        points = measured_level_curve(measured)
+        assert points[0].distance_cm == 0.0
+        assert points[0].theory_db is None
+        assert points[0].gap_db is None
+        assert points[1].theory_db is not None
+        assert points[1].gap_db is not None
 
 
 class TestValidityLimit:
@@ -186,8 +186,11 @@ class TestLevelCurveInvariants:
             MeasurementEntry(distance_cm=-1.0, microphone="m", directivity="omni", stimulus="s")
 
     def test_points_are_levels_relative_to_reference(self):
-        curve = measured_level_curve(_checked(((10.0, -10.5), (100.0, -30.25)), 100.0))
-        assert curve.points == ((10.0, 19.75), (100.0, 0.0))
+        points = measured_level_curve(_checked(((10.0, -10.5), (100.0, -30.25)), 100.0))
+        assert [(p.distance_cm, p.level, p.amplification_db) for p in points] == [
+            (10.0, LevelDbfs(-10.5), 19.75), (100.0, LevelDbfs(-30.25), 0.0)]
+        assert [(p.theory_db, p.gap_db) for p in points] == [
+            (theoretical_amplification(10.0, 100.0), 19.75 - 20.0), (0.0, 0.0)]
 
 
 # case -> ((distance_cm, level dB or None), reference, error, message)

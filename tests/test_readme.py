@@ -31,6 +31,7 @@ def test_library_example_runs(tmp_path, monkeypatch):
     assert (tmp_path / "results" / "summary.json").exists()
     measured = namespace["measured"]
     assert isinstance(measured, bs.SeriesMeasurement)
-    assert namespace["curve"].reference_distance_cm == measured.reference_distance_cm == 100.0
-    assert [d for d, _ in namespace["curve"].points] == [25.0, 50.0, 100.0]
+    assert measured.reference_distance_cm == 100.0
+    assert [p.distance_cm for p in namespace["curve"]] == [25.0, 50.0, 100.0]
+    assert [p.amplification_db for p in namespace["curve"] if p.distance_cm == 100.0] == [0.0]
     assert len(namespace["evolutions"]) == len(namespace["balance"].weights_db) == 10

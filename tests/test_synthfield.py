@@ -155,13 +155,14 @@ class TestSynthCampaign:
             theta_rad=0.5,
         )
         series, truth = synth_campaign(spec)
-        curve = measured_level_curve(series.measure(ids10_bank_fast, 100.0))
-        for d, amp in curve.points:
-            if d != 100.0:
-                assert amp == pytest.approx(theoretical_amplification(d, 100), abs=0.02)
+        points = measured_level_curve(series.measure(ids10_bank_fast, 100.0))
+        for p in points:
+            if p.distance_cm != 100.0:
+                assert p.amplification_db == pytest.approx(
+                    theoretical_amplification(p.distance_cm, 100), abs=0.02)
         expect = dict(truth.expected_amplification_db)
-        for d, amp in curve.points:
-            assert amp == pytest.approx(expect[d], abs=1e-9)
+        for p in points:
+            assert p.amplification_db == pytest.approx(expect[p.distance_cm], abs=1e-9)
 
     def test_empty_distances_rejected(self, white_2s):
         with pytest.raises(InvalidSpecError):
