@@ -1,7 +1,6 @@
 """Subband spectral-balance and level-vs-distance analysis toolkit."""
 
 from .balance import (
-    BalanceDifference,
     BalanceResult,
     WeightEvolution,
     balance_difference,
@@ -64,7 +63,6 @@ __all__ = [
     "BAND_PRESETS",
     "DEFAULT_TAPS",
     "SILENCE",
-    "BalanceDifference",
     "BalanceResult",
     "BandMapping",
     "BandscopeError",

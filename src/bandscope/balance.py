@@ -27,7 +27,6 @@ if TYPE_CHECKING:
 __all__ = [
     "BalanceResult",
     "WeightEvolution",
-    "BalanceDifference",
     "spectral_balance",
     "weight_evolution",
     "balance_difference",
@@ -54,19 +53,6 @@ class WeightEvolution:
     @property
     def deltas_db(self) -> tuple[float, ...]:
         return tuple(v for _, v in self.points)
-
-
-@dataclass(frozen=True)
-class BalanceDifference:
-    """Stimulus-minus-recording weight differences plus the mean-level pair.
-
-    Positive difference: the band is more important in the stimulus balance
-    than in the recording.
-    """
-
-    diffs_db: tuple[float, ...]
-    stimulus_level: LevelDbfs
-    recording_level: LevelDbfs
 
 
 def spectral_balance(signal: Signal, bank: FilterBank) -> BalanceResult:
@@ -119,11 +105,13 @@ def weight_evolution(measured: SeriesMeasurement) -> list[WeightEvolution]:
 
 def balance_difference(
     stimulus: BalanceResult, recording: BalanceResult
-) -> BalanceDifference:
+) -> tuple[float, ...]:
     """Stimulus weights minus recording weights, band by band, in dB.
 
-    Both results must come from the same mapping. Lengths of the underlying
-    signals may differ: weights are normalized ratios.
+    A positive difference means the band is more important in the stimulus
+    balance than in the recording. Both results must come from the same
+    mapping. Lengths of the underlying signals may differ: weights are
+    normalized ratios.
     """
     if stimulus.mapping.edges != recording.mapping.edges:
         raise MappingMismatchError(
@@ -132,12 +120,7 @@ def balance_difference(
         )
     # a silent band on either side has no defined difference; nan, not a
     # fabricated large negative
-    diffs = tuple(
+    return tuple(
         (s - r) if (s != -math.inf and r != -math.inf) else math.nan
         for s, r in zip(stimulus.weights_db, recording.weights_db)
-    )
-    return BalanceDifference(
-        diffs_db=diffs,
-        stimulus_level=stimulus.mean_level,
-        recording_level=recording.mean_level,
     )

@@ -22,13 +22,7 @@ import re
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
-from .balance import (
-    BalanceDifference,
-    WeightEvolution,
-    balance_difference,
-    spectral_balance,
-    weight_evolution,
-)
+from .balance import WeightEvolution, balance_difference, spectral_balance, weight_evolution
 from .errors import (BandscopeError, LoadError, ManifestError, converting, json_number,
                      json_text, read_input)
 from .filterbank import FilterBank
@@ -195,6 +189,21 @@ def _detect_reequalization(evolution: WeightEvolution, threshold_db: float) -> b
     return (deltas[-1] - deltas[i_min]) > threshold_db
 
 
+def _band_verdict(
+    evolution: WeightEvolution, reequalized: bool, threshold_db: float
+) -> ValidityVerdict:
+    """The validity verdict of one band's weight evolution: no limit when it
+    shows the re-equalization pattern or has fewer than 2 points."""
+    if reequalized:
+        rule = (f"no validity limit: weight rises by more than {threshold_db:g} dB "
+                "after an interior minimum")
+    elif len(evolution.points) < 2:
+        rule = "no validity limit: fewer than 2 usable points"
+    else:
+        return validity_limit(evolution.points, threshold_db)
+    return ValidityVerdict(limit_distance_cm=None, threshold_db=threshold_db, rule=rule)
+
+
 def analyze(
     series: MeasurementSeries,
     bank: FilterBank,
@@ -205,13 +214,14 @@ def analyze(
 
     All of them come from one measuring pass over the recordings, each cut
     to the series' common length (:meth:`MeasurementSeries.measure`). The
-    reference distance and the threshold are taken as floats. Band
-    verdicts use the weight deltas as deviations; a band showing the
-    re-equalization pattern gets no validity limit regardless of its
-    suffix, because the late rise is exactly what the limit is supposed to
-    exclude.
+    reference distance and the threshold are taken as floats, and an
+    invalid threshold fails before anything is measured. Band verdicts use
+    the weight deltas as deviations; a band showing the re-equalization
+    pattern gets no validity limit regardless of its suffix, because the
+    late rise is exactly what the limit is supposed to exclude.
     """
     reference_distance_cm, threshold_db = float(reference_distance_cm), float(threshold_db)
+    check_threshold(threshold_db)
     measured = series.measure(bank, reference_distance_cm)
     points = measured_level_curve(measured)
 
@@ -219,40 +229,19 @@ def analyze(
     level_verdict = validity_limit(defined, threshold_db) if len(defined) >= 2 else None
 
     evolutions = tuple(weight_evolution(measured))
-    band_verdicts = []
-    reequalized = []
-    for evo in evolutions:
-        if _detect_reequalization(evo, threshold_db):
-            reequalized.append(evo.band_index)
-            band_verdicts.append(
-                ValidityVerdict(
-                    limit_distance_cm=None,
-                    threshold_db=threshold_db,
-                    rule=(
-                        "no validity limit: weight rises by more than "
-                        f"{threshold_db:g} dB after an interior minimum"
-                    ),
-                )
-            )
-        elif len(evo.points) >= 2:
-            band_verdicts.append(validity_limit(evo.points, threshold_db))
-        else:
-            band_verdicts.append(
-                ValidityVerdict(
-                    limit_distance_cm=None,
-                    threshold_db=threshold_db,
-                    rule="no validity limit: fewer than 2 usable points",
-                )
-            )
-
+    reequalized = tuple(evo.band_index for evo in evolutions
+                        if _detect_reequalization(evo, threshold_db))
     return SeriesAnalysis(
         key=series.key,
         measured=measured,
         level_points=points,
         level_verdict=level_verdict,
         weight_evolutions=evolutions,
-        band_verdicts=tuple(band_verdicts),
-        reequalized_bands=tuple(reequalized),
+        band_verdicts=tuple(
+            _band_verdict(evo, evo.band_index in reequalized, threshold_db)
+            for evo in evolutions
+        ),
+        reequalized_bands=reequalized,
         analyzed_length=series.common_length,
     )
 
@@ -315,10 +304,13 @@ def analyze_report(
 
 @dataclass(frozen=True)
 class ComparisonRow:
-    """One stimulus-vs-recording line: label, per-band diffs, level pair."""
+    """One stimulus-vs-recording line: label, the per-band differences of
+    :func:`balance_difference`, and the stimulus/recording mean level pair."""
 
     label: str
-    difference: BalanceDifference
+    diffs_db: tuple[float, ...]
+    stimulus_level: LevelDbfs
+    recording_level: LevelDbfs
 
 
 @dataclass(frozen=True)
@@ -338,11 +330,10 @@ class ComparisonReport:
         head = ",".join(f"band{i + 1}" for i in range(self.n_bands))
         lines = [f"comparison,{head},stimulus_level_dbfs,recording_level_dbfs"]
         for row in self.rows:
-            diffs = ",".join(_csv_float(v) for v in row.difference.diffs_db)
+            diffs = ",".join(_csv_float(v) for v in row.diffs_db)
             lines.append(
                 f"{self.stimulus_label}/{row.label},{diffs},"
-                f"{_level_csv(row.difference.stimulus_level)},"
-                f"{_level_csv(row.difference.recording_level)}"
+                f"{_level_csv(row.stimulus_level)},{_level_csv(row.recording_level)}"
             )
         return "\n".join(lines) + "\n"
 
@@ -352,13 +343,9 @@ class ComparisonReport:
         out = ["".join(h.rjust(w) for h, w in zip(head, widths))]
         for row in self.rows:
             cells = [f"{self.stimulus_label}/{row.label}"]
-            for v in row.difference.diffs_db:
+            for v in row.diffs_db:
                 cells.append("n/a" if math.isnan(v) else f"{v:+.1f}")
-            pair = (
-                f"{_level_text(row.difference.stimulus_level)}/"
-                f"{_level_text(row.difference.recording_level)}"
-            )
-            cells.append(pair)
+            cells.append(f"{_level_text(row.stimulus_level)}/{_level_text(row.recording_level)}")
             out.append("".join(c.rjust(w) for c, w in zip(cells, widths)))
         return "\n".join(out) + "\n"
 
@@ -373,12 +360,15 @@ def compare_to_stimulus(
 
     Only the recording at ``at_distance_cm`` is decoded.
     """
-    recording = series.signal_at(at_distance_cm)  # raises MissingDistanceError
-    diff = balance_difference(
-        spectral_balance(stimulus_signal, bank), spectral_balance(recording, bank)
+    recording_signal = series.signal_at(at_distance_cm)  # raises MissingDistanceError
+    stimulus = spectral_balance(stimulus_signal, bank)
+    recording = spectral_balance(recording_signal, bank)
+    return ComparisonRow(
+        label=f"{series.key[0]} {series.key[1]}".strip(),
+        diffs_db=balance_difference(stimulus, recording),
+        stimulus_level=stimulus.mean_level,
+        recording_level=recording.mean_level,
     )
-    label = f"{series.key[0]} {series.key[1]}".strip()
-    return ComparisonRow(label=label, difference=diff)
 
 
 # --- export ---------------------------------------------------------------

@@ -96,8 +96,9 @@ def validity_limit(
     required. Every point at or beyond the returned limit satisfies
     |deviation| <= threshold; if even the farthest point violates, there is
     no limit. Suffix-based by design: a compliant stretch followed by a late
-    excursion does not count.
+    excursion does not count. The threshold is taken as a float.
     """
+    threshold_db = float(threshold_db)
     check_threshold(threshold_db)
     pts = sorted((float(d), float(v)) for d, v in deviations)
     if len(pts) < 2:

@@ -63,10 +63,10 @@ class MeasurementEntry:
     path: str | None = None  # None for in-memory synthetic recordings
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.distance_cm) and self.distance_cm >= 0):
-            raise InvalidInputError(
-                f"distance must be finite and >= 0 cm, got {self.distance_cm}"
-            )
+        distance = float(self.distance_cm)  # an int and the equal float give one entry
+        if not (math.isfinite(distance) and distance >= 0):
+            raise InvalidInputError(f"distance must be finite and >= 0 cm, got {distance}")
+        object.__setattr__(self, "distance_cm", distance)
         for label_name in ("microphone", "directivity", "stimulus"):
             if not getattr(self, label_name):
                 raise InvalidInputError(f"{label_name} label must be nonempty")
@@ -95,9 +95,10 @@ def check_reference(
 ) -> None:
     """Raise :class:`MissingReferenceError` unless ``distances`` hold the
     reference distance; ``owner`` names what holds them in the message."""
-    if float(reference_distance_cm) not in distances:
+    reference = float(reference_distance_cm)
+    if reference not in distances:
         raise MissingReferenceError(
-            f"{owner} has no recording at reference {reference_distance_cm} cm "
+            f"{owner} has no recording at reference {reference} cm "
             f"(distances: {tuple(distances)})"
         )
 
@@ -107,12 +108,13 @@ class Measurement:
     """What the measuring pass keeps of one recording once its samples are dropped."""
 
     distance_cm: float
-    balance: BalanceResult | None  # None for a silent recording: no balance exists
+    balance: BalanceResult | None  # None for an all-zero recording: no balance exists
     sha256: str  # of the file's bytes, or of an in-memory signal's float64 samples
 
     @property
     def level(self) -> LevelDbfs:
-        """Mean level of the analyzed samples; the silence sentinel if all zero."""
+        """Mean level of the analyzed samples; the silence sentinel if they
+        are all zero or their mean power underflows to zero."""
         return SILENCE if self.balance is None else self.balance.mean_level
 
 
@@ -133,7 +135,7 @@ class SeriesMeasurement:
         check_reference(distances, self.reference_distance_cm)
         reference = float(self.reference_distance_cm)
         object.__setattr__(self, "reference_distance_cm", reference)
-        silent = [m.distance_cm for m in self.measurements if m.balance is None]
+        silent = [m.distance_cm for m in self.measurements if m.level.is_silence]
         if reference in silent:
             raise InvalidInputError(f"reference recording at {reference} cm is silent")
         if silent:
@@ -211,11 +213,12 @@ class MeasurementSeries:
 
     def signal_at(self, distance_cm: float) -> Signal:
         """The whole recording at ``distance_cm``; a file is decoded now."""
+        distance = float(distance_cm)
         for entry, recording in zip(self.entries, self.recordings):
-            if entry.distance_cm == float(distance_cm):
+            if entry.distance_cm == distance:
                 return _signal(recording)
         raise MissingDistanceError(
-            f"series {self.key} has no recording at {distance_cm} cm "
+            f"series {self.key} has no recording at {distance} cm "
             f"(distances: {self.distances})"
         )
 

@@ -301,7 +301,7 @@ def test_c10_comparison_table_fidelity(banks):
         assert header[11:] == ["stimulus_level_dbfs", "recording_level_dbfs"]
 
         for (mic, band), row in zip(cases, rows):
-            diffs = np.array(row.difference.diffs_db)
+            diffs = np.array(row.diffs_db)
             if band is None:
                 np.testing.assert_allclose(diffs, 0.0, atol=1e-9)
                 continue

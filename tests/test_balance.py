@@ -23,7 +23,6 @@ from bandscope import (
 )
 from bandscope.campaign import ComparisonReport, ComparisonRow
 from bandscope.synthfield import DistanceProfile, SynthCampaignSpec, synth_campaign
-from bandscope.balance import BalanceDifference
 from bandscope.errors import (
     MappingMismatchError,
     MissingReferenceError,
@@ -134,15 +133,15 @@ class TestBandWorkers:
         band_workers(2)
         spectral_balance(pink_10s, ids10_bank)  # band responses are the bank's
         peak = _traced_peak(lambda: spectral_balance(pink_10s, ids10_bank))
-        # the input spectrum plus two workers' transforms (about 18 MB),
-        # against the 35 MB that ten 10 s subbands hold
+        # the input's block spectra plus two workers' subbands and their
+        # copies (about 19 MB), against the 35 MB that ten 10 s subbands hold
         assert peak < 0.6 * ids10_bank.n_bands * pink_10s.samples.nbytes
 
     def test_peak_memory_on_many_cpus_below_decompose(self, band_workers, ids10_bank,
                                                       pink_10s):
         # whatever the CPU count, at most one band per two is in flight:
-        # five workers' transforms (about 41 MB) against decompose's ten
-        # subbands (43 MB)
+        # five workers' subbands and their copies (about 39 MB) against
+        # decompose's ten subbands (about 54 MB)
         band_workers(32)
         spectral_balance(pink_10s, ids10_bank)
         serial = _traced_peak(lambda: decompose(ids10_bank, pink_10s))
@@ -218,17 +217,15 @@ class TestWeightEvolution:
 class TestBalanceDifference:
     def test_identical_inputs_zero_row(self, ids10_bank_fast, white_2s):
         a = spectral_balance(white_2s, ids10_bank_fast)
-        diff = balance_difference(a, a)
-        assert all(d == 0.0 for d in diff.diffs_db)
+        assert all(d == 0.0 for d in balance_difference(a, a))
 
     def test_half_scale_recording(self, ids10_bank_fast, white_2s):
         stim = spectral_balance(white_2s, ids10_bank_fast)
         rec = spectral_balance(white_2s.scaled(0.5), ids10_bank_fast)
-        diff = balance_difference(stim, rec)
-        for d in diff.diffs_db:
+        for d in balance_difference(stim, rec):
             assert d == pytest.approx(0.0, abs=1e-9)
         assert (
-            diff.stimulus_level.value - diff.recording_level.value
+            stim.mean_level.value - rec.mean_level.value
             == pytest.approx(6.0206, abs=1e-3)
         )
 
@@ -238,7 +235,7 @@ class TestBalanceDifference:
         b = spectral_balance(pink_short, ids10_bank_fast)
         ab = balance_difference(a, b)
         ba = balance_difference(b, a)
-        for x, y in zip(ab.diffs_db, ba.diffs_db):
+        for x, y in zip(ab, ba):
             assert x == pytest.approx(-y, abs=1e-12)
 
     def test_mapping_mismatch(self, ids10_bank_fast, white_2s):
@@ -252,8 +249,7 @@ class TestBalanceDifference:
         longer = Signal(np.tile(white_2s.samples, 2), FS)
         a = spectral_balance(white_2s, ids10_bank_fast)
         b = spectral_balance(longer, ids10_bank_fast)
-        diff = balance_difference(a, b)
-        for d in diff.diffs_db:
+        for d in balance_difference(a, b):
             assert abs(d) < 0.2  # same spectrum, independent lengths
 
 
@@ -264,11 +260,9 @@ class TestTableRowFormat:
         diffs = (8.2, 3.9, -2.3, 3.5, -0.1, -3.2, -5.0, -7.1, -4.7, -6.8)
         row = ComparisonRow(
             label="ECM8000 omni",
-            difference=BalanceDifference(
-                diffs_db=diffs,
-                stimulus_level=LevelDbfs(-18.6),
-                recording_level=LevelDbfs(-50.2),
-            ),
+            diffs_db=diffs,
+            stimulus_level=LevelDbfs(-18.6),
+            recording_level=LevelDbfs(-50.2),
         )
         report = ComparisonReport(stimulus_label="One", rows=(row,), n_bands=10)
         csv = report.to_csv().strip().split("\n")

@@ -15,6 +15,7 @@ from bandscope import (
     BandMapping,
     DirectivityModel,
     DistanceProfile,
+    IngestReport,
     MeasurementEntry,
     MeasurementSeries,
     Signal,
@@ -30,13 +31,16 @@ from bandscope import (
     save_wav,
     synth_campaign,
     theoretical_amplification,
+    validity_limit,
 )
 from bandscope.campaign import ComparisonReport
 from bandscope.cli import run
 from bandscope.errors import (
     DuplicateDistanceError,
+    InvalidInputError,
     ManifestError,
     MissingDistanceError,
+    MissingReferenceError,
     RateMismatchError,
 )
 
@@ -61,6 +65,17 @@ def _synth_files(tmp_path, signal, distances, mic="ECM8000", directivity="omni",
             "directivity": directivity, "stimulus": stimulus,
         })
     return rows
+
+
+def _memory_series(signals, distances):
+    entries = tuple(MeasurementEntry(distance_cm=d, microphone="m", directivity="o",
+                                     stimulus="s") for d in distances)
+    return MeasurementSeries(entries=entries, recordings=tuple(signals))
+
+
+@pytest.fixture(scope="module")
+def two_band_bank():
+    return design_bank(BandMapping((0, 1000, 22050)), FS, 63)
 
 
 @pytest.fixture(scope="module")
@@ -210,13 +225,48 @@ class TestAnalyze:
         assert result.analyzed_length == len(white_2s)
         assert abs(result.level_points[0].amplification_db) < 0.2
 
+    def test_int_distances_and_threshold_read_as_floats(self, two_band_bank):
+        noise = Signal(0.05 * np.random.default_rng(5).standard_normal(3000), FS)
+
+        def config_hash(distances):
+            series = _memory_series([noise, noise], distances)
+            return analyze_report(IngestReport((series,), ()), two_band_bank).config_hash
+
+        assert config_hash((50, 100)) == config_hash((50.0, 100.0))
+        with pytest.raises(MissingReferenceError) as info:
+            _memory_series([noise, noise], (50, 100)).measure(two_band_bank, 70)
+        assert "reference 70.0 cm (distances: (50.0, 100.0))" in str(info.value)
+        with pytest.raises(MissingDistanceError, match=r"at 70\.0 cm \(distances"):
+            _memory_series([noise, noise], (50, 100)).signal_at(70)
+        threshold = validity_limit([(1, 0.0), (2, 0.0)], 1).threshold_db
+        assert threshold == 1.0 and isinstance(threshold, float)
+
+    @pytest.mark.parametrize("threshold", [math.nan, 0, -1])
+    def test_invalid_threshold_raises(self, two_band_bank, short_noise, threshold):
+        # one recording: no verdict calls validity_limit, which also checks it
+        series = _memory_series([short_noise], (100,))
+        with pytest.raises(InvalidInputError, match="threshold must be positive"):
+            analyze(series, two_band_bank, 100.0, threshold)
+
+    def test_recording_whose_power_underflows_is_silent(self, two_band_bank):
+        # its energy sum is a positive subnormal, so it has a balance, but
+        # its mean level is silence: no amplification exists against it
+        noise = Signal(0.05 * np.random.default_rng(6).standard_normal(2000), FS)
+        tiny = np.zeros(2000)
+        tiny[0] = 2.3e-162
+        series = _memory_series([noise, Signal(tiny, FS), noise], (50, 100, 200))
+        result = analyze_report(IngestReport((series,), ()), two_band_bank)
+        assert result.analyses == ()
+        assert [(e.kind, e.message) for e in result.errors] == [
+            ("InvalidInputError", "reference recording at 100.0 cm is silent")]
+
 
 class TestCompare:
     def test_identity_zero_row(self, ids10_bank_fast, white_2s):
         spec = SynthCampaignSpec(stimulus=white_2s, distances_cm=(100,))
         series, _ = synth_campaign(spec)
         row = compare_to_stimulus(white_2s, series, ids10_bank_fast, 100.0)
-        assert all(d == pytest.approx(0.0, abs=1e-9) for d in row.difference.diffs_db)
+        assert all(d == pytest.approx(0.0, abs=1e-9) for d in row.diffs_db)
 
     def test_flat_profile_levels_differ_by_gain(self, ids10_bank_fast, white_2s):
         spec = SynthCampaignSpec(
@@ -227,11 +277,10 @@ class TestCompare:
         )
         series, _ = synth_campaign(spec)
         row = compare_to_stimulus(white_2s, series, ids10_bank_fast, 100.0)
-        for d in row.difference.diffs_db:
+        for d in row.diffs_db:
             assert d == pytest.approx(0.0, abs=1e-9)
         gain_db = 20 * math.log10(0.5 + 0.5 * math.cos(math.pi / 3))
-        level_gap = (row.difference.recording_level.value
-                     - row.difference.stimulus_level.value)
+        level_gap = row.recording_level.value - row.stimulus_level.value
         assert level_gap == pytest.approx(gain_db, abs=1e-6)
 
     def test_missing_distance(self, ids10_bank_fast, white_2s):
