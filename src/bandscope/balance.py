@@ -57,7 +57,8 @@ class WeightEvolution:
 
 def spectral_balance(signal: Signal, bank: FilterBank) -> BalanceResult:
     """Weights of every subband of ``signal`` under ``bank``'s mapping."""
-    total = float(np.sum(np.square(signal.samples)))
+    with np.errstate(over="ignore"):  # band_energies refuses an energy that overflows
+        total = float(np.sum(np.square(signal.samples)))
     if total == 0.0:
         raise SilenceError("spectral balance of an all-zero signal is undefined")
     linear = tuple(energy / total for energy in band_energies(bank, signal))

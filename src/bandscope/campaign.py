@@ -23,8 +23,8 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from .balance import WeightEvolution, balance_difference, spectral_balance, weight_evolution
-from .errors import (BandscopeError, LoadError, ManifestError, converting, json_number,
-                     json_text, read_input)
+from .errors import (BandscopeError, LoadError, ManifestError, SilenceError, converting,
+                     json_number, json_text, read_input)
 from .filterbank import FilterBank
 from .level import (
     LevelPoint,
@@ -358,11 +358,17 @@ def compare_to_stimulus(
 ) -> ComparisonRow:
     """Balance difference between a stimulus and one series recording.
 
-    Only the recording at ``at_distance_cm`` is decoded.
+    Only the recording at ``at_distance_cm`` is decoded. A side whose mean
+    power underflows is silent, as in :class:`SeriesMeasurement`, and
+    raises :class:`SilenceError`.
     """
     recording_signal = series.signal_at(at_distance_cm)  # raises MissingDistanceError
     stimulus = spectral_balance(stimulus_signal, bank)
     recording = spectral_balance(recording_signal, bank)
+    for side, balance in (("stimulus", stimulus),
+                          (f"recording at {float(at_distance_cm)} cm", recording)):
+        if balance.mean_level.is_silence:
+            raise SilenceError(f"{side} is silent; its balance is undefined")
     return ComparisonRow(
         label=f"{series.key[0]} {series.key[1]}".strip(),
         diffs_db=balance_difference(stimulus, recording),

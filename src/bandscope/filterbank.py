@@ -43,6 +43,7 @@ returns. The results are the same whatever the CPU count.
 from __future__ import annotations
 
 import math
+import numbers
 import os
 import threading
 from collections.abc import Callable
@@ -54,6 +55,7 @@ from numpy.fft import irfft, rfft
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (
+    InvalidInputError,
     InvalidLengthError,
     InvalidMappingError,
     RateMismatchError,
@@ -238,20 +240,20 @@ def design_bank(
     return FilterBank(mapping=mapping, taps=taps, sample_rate=sample_rate)
 
 
-def apply_zero_phase(bank: FilterBank, band_index: int, signal: Signal) -> Signal:
+def apply_zero_phase(bank: FilterBank, band_index: int, signal: Signal) -> np.ndarray:
     """Filter ``signal`` through one band with the group delay removed.
 
     Zero-padded full convolution cropped back to the input length: output
     sample n is aligned with input sample n, so an in-band sinusoid emerges
-    with zero lag.
+    with zero lag. The subband is a new float64 array of the input's length.
     """
     if signal.sample_rate != bank.sample_rate:
         raise RateMismatchError(
             f"signal rate {signal.sample_rate} != bank rate {bank.sample_rate}"
         )
-    if not 0 <= band_index < bank.n_bands:
+    if not (isinstance(band_index, numbers.Integral) and 0 <= band_index < bank.n_bands):
         raise InvalidMappingError(
-            f"band index {band_index} out of range 0..{bank.n_bands - 1}"
+            f"band index {band_index!r} is not an integer in 0..{bank.n_bands - 1}"
         )
     m, blocks = _blocks(bank, len(signal))
     spectra = bank._spectra
@@ -259,7 +261,7 @@ def apply_zero_phase(bank: FilterBank, band_index: int, signal: Signal) -> Signa
     if x is None:
         x = _block_spectra(bank, signal.samples, m, blocks)
     h = spectra.band_responses(bank.taps, m)[band_index]
-    return Signal(_overlap_save(x, h, m, bank.length, len(signal)), signal.sample_rate)
+    return _overlap_save(x, h, m, bank.length, len(signal))
 
 
 def _blocks(bank: FilterBank, n: int) -> tuple[int, int]:
@@ -278,7 +280,14 @@ def _block_spectra(bank: FilterBank, samples: np.ndarray, m: int, blocks: int) -
     """One batched ``rfft`` of the input's overlapping length-``m`` blocks,
     ``m - taps + 1`` apart, after padding it ahead with the group delay's
     worth of zeros, so that block k's kept outputs are the zero-phase output
-    samples from k * (m - taps + 1) on."""
+    samples from k * (m - taps + 1) on. An input whose energy overflows is
+    refused: its subbands would hold inf or NaN."""
+    # not np.dot: BLAS's threads keep spinning after it returns and take the
+    # two cores from the band threads
+    with np.errstate(over="ignore"):
+        energy = np.sum(np.square(samples))
+    if not math.isfinite(energy):
+        raise InvalidInputError("signal energy overflows a float64")
     step = m - bank.length + 1
     delay = (bank.length - 1) // 2
     padded = np.zeros((blocks - 1) * step + m)
@@ -317,7 +326,7 @@ def _next_fast_len(n: int) -> int:
     return best
 
 
-def _over_bands(bank: FilterBank, signal: Signal, reduce: Callable[[Signal], object]) -> list:
+def _over_bands(bank: FilterBank, signal: Signal, reduce: Callable[[np.ndarray], object]) -> list:
     """``reduce`` of each band's subband of ``signal``, in band order, on
     max(1, min(CPUs, bands // 2)) worker threads that live for this call.
     The input's blocks are transformed once for all the bands."""
@@ -333,8 +342,8 @@ def _over_bands(bank: FilterBank, signal: Signal, reduce: Callable[[Signal], obj
         spectra.inputs.pop(id(signal), None)
 
 
-def decompose(bank: FilterBank, signal: Signal) -> list[Signal]:
-    """Split ``signal`` into one subband signal per band, all input-length.
+def decompose(bank: FilterBank, signal: Signal) -> list[np.ndarray]:
+    """Split ``signal`` into one subband array per band, all input-length.
 
     The subbands sum sample-wise back to the input (complementary bank).
     """
@@ -346,7 +355,7 @@ def band_energies(bank: FilterBank, signal: Signal) -> tuple[float, ...]:
     bit to the energies of :func:`decompose`'s subbands, each subband
     reduced to its energy as soon as it is made."""
     return tuple(_over_bands(bank, signal,
-                             lambda subband: float(np.sum(np.square(subband.samples)))))
+                             lambda subband: float(np.sum(np.square(subband)))))
 
 
 def _usable_cpus() -> int:

@@ -181,7 +181,7 @@ def _shaped(bank: FilterBank, stimulus: Signal, gains_db: np.ndarray, gain: floa
     subbands = decompose(bank, stimulus)
     shaped = np.zeros(len(stimulus))
     for gain_db, sub in zip(gains_db.tolist(), subbands):
-        shaped += db_to_gain(gain_db) * sub.samples
+        shaped += db_to_gain(gain_db) * sub
     return Signal(gain * shaped, stimulus.sample_rate)
 
 
@@ -220,8 +220,7 @@ def synth_campaign(
         table = np.array([[profile.gain_db(b, d) for b in range(bank.n_bands)]
                           for d in distances])
         # before the recordings, so the stimulus' subbands never sit beside them
-        band_energy = np.array([float(np.sum(s.samples**2))
-                                for s in decompose(bank, spec.stimulus)])
+        band_energy = np.array([float(np.sum(s**2)) for s in decompose(bank, spec.stimulus)])
 
     signals = []
     for i, gain in enumerate(gains):

@@ -155,7 +155,7 @@ def test_c02_reconstruction_both_presets(banks, white10):
     with criterion(2, "decompose-then-sum residual <= -60 dB, both presets"):
         for name in ("ids10", "nl8"):
             bands = decompose(banks[name], white10)
-            residual = np.sum([b.samples for b in bands], axis=0) - white10.samples
+            residual = np.sum(bands, axis=0) - white10.samples
             err_db = 10 * np.log10(
                 np.sum(residual**2) / np.sum(white10.samples**2)
             )
@@ -169,7 +169,7 @@ def test_c03_zero_phase_band_center_sines(banks):
         for band in range(bank.n_bands):
             fc = 0.5 * (edges[band] + edges[band + 1])
             x = np.sin(2 * np.pi * fc * np.arange(2 * FS) / FS)
-            y = decompose(bank, Signal(x, FS))[band].samples
+            y = decompose(bank, Signal(x, FS))[band]
             c = correlate(y, x, mode="full", method="fft")
             lag = int(np.argmax(c)) - (len(x) - 1)
             assert lag == 0, f"band {band + 1} ({fc:g} Hz): lag {lag}"

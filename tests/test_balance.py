@@ -134,13 +134,13 @@ class TestBandWorkers:
         spectral_balance(pink_10s, ids10_bank)  # band responses are the bank's
         peak = _traced_peak(lambda: spectral_balance(pink_10s, ids10_bank))
         # the input's block spectra plus two workers' subbands and their
-        # copies (about 19 MB), against the 35 MB that ten 10 s subbands hold
+        # squares (about 19 MB), against the 35 MB that ten 10 s subbands hold
         assert peak < 0.6 * ids10_bank.n_bands * pink_10s.samples.nbytes
 
     def test_peak_memory_on_many_cpus_below_decompose(self, band_workers, ids10_bank,
                                                       pink_10s):
         # whatever the CPU count, at most one band per two is in flight:
-        # five workers' subbands and their copies (about 39 MB) against
+        # five workers' subbands and their squares (about 39 MB) against
         # decompose's ten subbands (about 54 MB)
         band_workers(32)
         spectral_balance(pink_10s, ids10_bank)

@@ -42,6 +42,7 @@ from bandscope.errors import (
     MissingDistanceError,
     MissingReferenceError,
     RateMismatchError,
+    SilenceError,
 )
 
 FS = 44100
@@ -288,6 +289,18 @@ class TestCompare:
         series, _ = synth_campaign(spec)
         with pytest.raises(MissingDistanceError):
             compare_to_stimulus(white_2s, series, ids10_bank_fast, 50.0)
+
+    def test_side_whose_power_underflows_is_silent(self, two_band_bank):
+        # the silence rule of SeriesMeasurement: a positive energy whose
+        # mean underflows has weights, but no level to compare them at
+        noise = Signal(0.05 * np.random.default_rng(6).standard_normal(2000), FS)
+        tiny = np.zeros(2000)
+        tiny[0] = 2.3e-162
+        series = _memory_series([noise, Signal(tiny, FS), noise], (50, 100, 200))
+        with pytest.raises(SilenceError, match=r"^recording at 100\.0 cm is silent"):
+            compare_to_stimulus(noise, series, two_band_bank, 100)
+        with pytest.raises(SilenceError, match=r"^stimulus is silent"):
+            compare_to_stimulus(Signal(tiny, FS), series, two_band_bank, 50.0)
 
 
 class TestExport:

@@ -20,6 +20,7 @@ from bandscope import (
     load_mapping,
 )
 from bandscope.errors import (
+    InvalidInputError,
     InvalidLengthError,
     InvalidMappingError,
     RateMismatchError,
@@ -108,7 +109,7 @@ class TestApplyZeroPhase:
         out = apply_zero_phase(ids10_bank_fast, 4, Signal(x, FS))
         half = (ids10_bank_fast.length - 1) // 2
         np.testing.assert_allclose(
-            out.samples[pos - half:pos + half + 1], ids10_bank_fast.taps[4], atol=1e-12
+            out[pos - half:pos + half + 1], ids10_bank_fast.taps[4], atol=1e-12
         )
 
     def test_rate_mismatch(self, ids10_bank_fast):
@@ -119,16 +120,43 @@ class TestApplyZeroPhase:
         with pytest.raises(InvalidMappingError):
             apply_zero_phase(ids10_bank_fast, 10, Signal(np.zeros(100), FS))
 
+    def test_band_index_must_be_an_integer(self, ids10_bank_fast):
+        signal = Signal(np.ones(100), FS)
+        for index in (1.5, 1.0, "1", None):
+            with pytest.raises(InvalidMappingError, match="not an integer"):
+                apply_zero_phase(ids10_bank_fast, index, signal)
+        assert np.array_equal(apply_zero_phase(ids10_bank_fast, np.int64(1), signal),
+                              apply_zero_phase(ids10_bank_fast, 1, signal))
+
+    def test_subbands_are_float64_arrays_of_the_input_length(self, ids10_bank_fast):
+        signal = Signal(np.random.default_rng(3).standard_normal(5000), FS)
+        subbands = [apply_zero_phase(ids10_bank_fast, 2, signal),
+                    *decompose(ids10_bank_fast, signal)]
+        for subband in subbands:
+            assert type(subband) is np.ndarray
+            assert subband.dtype == np.float64 and subband.shape == (5000,)
+
+    def test_input_whose_energy_overflows_raises(self, ids10_bank_fast):
+        # 1e154 squared is finite, its sum over 1000 samples is not
+        with pytest.raises(InvalidInputError, match="energy overflows"):
+            bandscope.spectral_balance(Signal(np.full(1000, 1e154), FS), ids10_bank_fast)
+        huge = Signal(np.full(1000, 1e306), FS)
+        with pytest.raises(InvalidInputError):
+            decompose(ids10_bank_fast, huge)
+        with pytest.raises(InvalidInputError):
+            apply_zero_phase(ids10_bank_fast, 0, huge)
+        assert ids10_bank_fast._spectra.inputs == {}
+
     def test_inband_sine_zero_lag_and_gain(self, ids10_bank):
         # 1 kHz sits inside band 5 (800-1200 Hz)
         x = np.sin(2 * np.pi * 1000 * np.arange(2 * FS) / FS)
         out = apply_zero_phase(ids10_bank, 4, Signal(x, FS))
-        c = correlate(out.samples, x, mode="full", method="fft")
+        c = correlate(out, x, mode="full", method="fft")
         assert int(np.argmax(c)) - (len(x) - 1) == 0
 
         expected = dft_magnitude(np.asarray(ids10_bank.taps[4]), FS, 1000.0)
         core_in = steady_state(x, ids10_bank.length)
-        core_out = steady_state(out.samples, ids10_bank.length)
+        core_out = steady_state(out, ids10_bank.length)
         ratio_db = 10 * np.log10(np.mean(core_out**2) / np.mean(core_in**2))
         assert ratio_db == pytest.approx(20 * np.log10(expected), abs=0.05)
 
@@ -138,7 +166,7 @@ class TestApplyZeroPhase:
         x = np.sin(2 * np.pi * 1000 * np.arange(2 * FS) / FS)
         out = apply_zero_phase(ids10_bank, 1, Signal(x, FS))
         core_in = steady_state(x, ids10_bank.length)
-        core_out = steady_state(out.samples, ids10_bank.length)
+        core_out = steady_state(out, ids10_bank.length)
         ratio_db = 10 * np.log10(np.mean(core_out**2) / np.mean(core_in**2))
         assert ratio_db <= -80.0
 
@@ -148,11 +176,11 @@ class TestDecompose:
         bands = decompose(ids10_bank_fast, Signal(np.zeros(1000), FS))
         assert len(bands) == 10
         for b in bands:
-            assert np.all(b.samples == 0.0)
+            assert np.all(b == 0.0)
 
     def test_reconstruction_white_noise(self, ids10_bank_fast, white_2s):
         bands = decompose(ids10_bank_fast, white_2s)
-        total = np.sum([b.samples for b in bands], axis=0)
+        total = np.sum(bands, axis=0)
         err = total - white_2s.samples
         err_db = 10 * np.log10(np.sum(err**2) / np.sum(white_2s.samples**2))
         assert err_db <= -60.0
@@ -167,12 +195,12 @@ class TestDecompose:
         dy = decompose(ids10_bank_fast, Signal(y, FS))
         for m, u, v in zip(mixed, dx, dy):
             np.testing.assert_allclose(
-                m.samples, a * u.samples + b * v.samples, atol=1e-9
+                m, a * u + b * v, atol=1e-9
             )
 
     def test_energy_partition_white(self, ids10_bank, white_10s):
         bands = decompose(ids10_bank, white_10s)
-        total = sum(float(np.sum(b.samples**2)) for b in bands)
+        total = sum(float(np.sum(b**2)) for b in bands)
         ratio = total / float(np.sum(white_10s.samples**2))
         assert 0.98 <= ratio <= 1.02
 
@@ -180,7 +208,7 @@ class TestDecompose:
         x = np.sin(2 * np.pi * 65 * np.arange(2 * FS) / FS)
         bands = decompose(nl8_bank, Signal(x, FS))
         energies = np.array(
-            [np.sum(steady_state(b.samples, nl8_bank.length) ** 2) for b in bands]
+            [np.sum(steady_state(b, nl8_bank.length) ** 2) for b in bands]
         )
         main = energies[1]  # 50-75 Hz
         assert main / energies.sum() >= 0.99
@@ -191,7 +219,7 @@ class TestDecompose:
     def test_matches_periodogram_oracle(self, ids10_bank, white_10s):
         bands = decompose(ids10_bank, white_10s)
         total = float(np.sum(white_10s.samples**2))
-        measured = np.array([np.sum(b.samples**2) / total for b in bands])
+        measured = np.array([np.sum(b**2) / total for b in bands])
         oracle = periodogram_band_weights(
             white_10s.samples, FS, ids10_bank.mapping.edges
         )
@@ -252,9 +280,9 @@ class TestAgainstDirectConvolution:
             for signal in _inputs(n, rng):
                 subbands = decompose(bank, signal)
                 for i, taps in enumerate(bank.taps):
-                    _assert_matches_direct(apply_zero_phase(bank, i, signal).samples,
+                    _assert_matches_direct(apply_zero_phase(bank, i, signal),
                                            signal, taps, at)
-                    _assert_matches_direct(subbands[i].samples, signal, taps, at)
+                    _assert_matches_direct(subbands[i], signal, taps, at)
 
     def test_alternating_lengths_cache_one_length(self, ids10_bank_fast):
         bank = ids10_bank_fast
@@ -266,7 +294,7 @@ class TestAgainstDirectConvolution:
         assert filterbank._blocks(bank, len(long_))[1] > 1
         for signal in (short, long_, short, long_, short):
             for i, taps in enumerate(bank.taps):
-                _assert_matches_direct(apply_zero_phase(bank, i, signal).samples, signal,
+                _assert_matches_direct(apply_zero_phase(bank, i, signal), signal,
                                        taps, np.arange(len(signal)))
             m = filterbank._blocks(bank, len(signal))[0]
             length, responses = bank._spectra.responses
@@ -284,8 +312,8 @@ class TestAgainstDirectConvolution:
         at = _checked_indices(len(white_2s), _block_step(ids10_bank_fast),
                               np.random.default_rng(cpus))
         for sub, alone, taps in zip(subbands, one_worker, ids10_bank_fast.taps, strict=True):
-            _assert_matches_direct(sub.samples, white_2s, taps, at)
-            assert np.array_equal(sub.samples, alone.samples)
+            _assert_matches_direct(sub, white_2s, taps, at)
+            assert np.array_equal(sub, alone)
 
 
 class TestAgainstFftconvolve:
@@ -299,7 +327,7 @@ class TestAgainstFftconvolve:
         for signal in _inputs(1, np.random.default_rng(2)):
             for i, taps in enumerate(bank.taps):
                 ref = fftconvolve(signal.samples, taps, mode="same")
-                got = apply_zero_phase(bank, i, signal).samples
+                got = apply_zero_phase(bank, i, signal)
                 np.testing.assert_allclose(got, ref, rtol=1e-15, atol=0)
 
     @pytest.mark.parametrize("kind", ["pink", "sine65"])
@@ -338,7 +366,7 @@ class TestNextFastLen:
 
 
 def _energies(subbands):
-    return tuple(float(np.sum(np.square(s.samples))) for s in subbands)
+    return tuple(float(np.sum(np.square(s))) for s in subbands)
 
 
 class TestBandEnergies:

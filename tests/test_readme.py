@@ -29,6 +29,7 @@ def test_library_example_runs(tmp_path, monkeypatch):
     exec(compile(_library_example(), str(README), "exec"), namespace)
 
     assert (tmp_path / "results" / "summary.json").exists()
+    assert bs.load_wav(tmp_path / "band1.wav").samples.size == namespace["subbands"][0].size
     measured = namespace["measured"]
     assert isinstance(measured, bs.SeriesMeasurement)
     assert measured.reference_distance_cm == 100.0

@@ -62,7 +62,7 @@ class TestSine:
                             target_level=-10.0)
         s = gen_sine(spec)
         bands = decompose(nl8_bank, s)
-        energies = [np.sum(steady_state(b.samples, nl8_bank.length) ** 2) for b in bands]
+        energies = [np.sum(steady_state(b, nl8_bank.length) ** 2) for b in bands]
         assert energies[1] / sum(energies) >= 0.99
 
     def test_level_contract_various_frequencies(self):
