@@ -15,8 +15,6 @@ import warnings
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-import numpy as np
-
 from .errors import MappingMismatchError, SilenceError
 from .filterbank import BandMapping, FilterBank, band_energies
 from .signal import LevelDbfs, Signal, level_of_power
@@ -57,11 +55,10 @@ class WeightEvolution:
 
 def spectral_balance(signal: Signal, bank: FilterBank) -> BalanceResult:
     """Weights of every subband of ``signal`` under ``bank``'s mapping."""
-    with np.errstate(over="ignore"):  # band_energies refuses an energy that overflows
-        total = float(np.sum(np.square(signal.samples)))
+    total, energies = band_energies(bank, signal)  # refuses a total that overflows
     if total == 0.0:
         raise SilenceError("spectral balance of an all-zero signal is undefined")
-    linear = tuple(energy / total for energy in band_energies(bank, signal))
+    linear = tuple(energy / total for energy in energies)
     db = tuple(10.0 * math.log10(w) if w > 0.0 else -math.inf for w in linear)
     return BalanceResult(
         mapping=bank.mapping,

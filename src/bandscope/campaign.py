@@ -25,7 +25,7 @@ from pathlib import Path
 from .balance import WeightEvolution, balance_difference, spectral_balance, weight_evolution
 from .errors import (BandscopeError, LoadError, ManifestError, SilenceError, converting,
                      json_number, json_text, read_input)
-from .filterbank import FilterBank
+from .filterbank import FilterBank, _each
 from .level import (
     LevelPoint,
     ValidityVerdict,
@@ -358,13 +358,14 @@ def compare_to_stimulus(
 ) -> ComparisonRow:
     """Balance difference between a stimulus and one series recording.
 
-    Only the recording at ``at_distance_cm`` is decoded. A side whose mean
-    power underflows is silent, as in :class:`SeriesMeasurement`, and
-    raises :class:`SilenceError`.
+    Only the recording at ``at_distance_cm`` is decoded. The two sides are
+    balanced on worker threads, one each. A side whose mean power
+    underflows is silent, as in :class:`SeriesMeasurement`, and raises
+    :class:`SilenceError`.
     """
     recording_signal = series.signal_at(at_distance_cm)  # raises MissingDistanceError
-    stimulus = spectral_balance(stimulus_signal, bank)
-    recording = spectral_balance(recording_signal, bank)
+    stimulus, recording = _each(lambda signal: spectral_balance(signal, bank),
+                                (stimulus_signal, recording_signal))
     for side, balance in (("stimulus", stimulus),
                           (f"recording at {float(at_distance_cm)} cm", recording)):
         if balance.mean_level.is_silence:

@@ -390,10 +390,12 @@ def _keep_freed_memory() -> None:
     of a few MB each. By default glibc returns them to the kernel after each
     recording and the next one faults them in again: about 570k page faults
     and 1 s of system time on 24 recordings of 10 s. Peak memory is set by
-    one recording either way. All threads share one arena, so the band
-    workers reuse the same freed buffers instead of each keeping its own
-    (analyze on 24 recordings of 10 s peaks about 10 MB lower). Does nothing
-    where there is no mallopt.
+    one recording per worker thread either way. All threads share one arena,
+    so the workers take their buffers from one pool of freed memory instead
+    of each keeping its own; with one recording per thread that no longer
+    lowers the peak (analyze on 24 recordings of 10 s on two threads: 85-88
+    MB high-water mark with it, 81-85 MB without). Does nothing where there
+    is no mallopt.
 
     Only the command line sets this: the allocator serves the whole process,
     so a program that calls the library owns the choice (glibc also reads it

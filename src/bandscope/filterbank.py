@@ -32,12 +32,16 @@ A bank keeps every band's response at its block length, and
 once for all its bands, so splitting a recording into B bands costs one
 batched forward transform plus one batched inverse per band.
 
-Both filter the bands on every CPU in the process' affinity mask
-(``taskset`` restricts it), on worker threads started for each call and
-joined before it returns, one thread per two bands at most. Each subband is
-reduced as soon as it is made: :func:`band_energies` keeps only its energy,
-so it holds at most half as many subbands at once as :func:`decompose`
-returns. The results are the same whatever the CPU count.
+The unit of parallel work is the recording: :func:`_each` maps a function
+over a few items on every CPU in the process' affinity mask (``taskset``
+restricts it), on worker threads started for the call and joined before it
+returns. Measuring a series runs one recording per thread, from its decode
+to its balance, so peak memory grows with the number of threads times one
+recording's working set. :func:`band_energies` filters its bands one after
+another on the calling thread and keeps only each subband's energy, so it
+holds one subband at a time. :func:`decompose`, which returns every
+subband, makes them on the worker threads, one band each. The results are
+the same whatever the CPU count.
 """
 
 from __future__ import annotations
@@ -46,8 +50,9 @@ import math
 import numbers
 import os
 import threading
-from collections.abc import Callable
-from concurrent.futures import ThreadPoolExecutor
+from collections.abc import Callable, Iterator, Sequence
+from concurrent import futures
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -259,6 +264,7 @@ def apply_zero_phase(bank: FilterBank, band_index: int, signal: Signal) -> np.nd
     spectra = bank._spectra
     x = spectra.inputs.get(id(signal))
     if x is None:
+        _energy(signal.samples)  # refuses an input whose energy overflows
         x = _block_spectra(bank, signal.samples, m, blocks)
     h = spectra.band_responses(bank.taps, m)[band_index]
     return _overlap_save(x, h, m, bank.length, len(signal))
@@ -276,18 +282,23 @@ def _blocks(bank: FilterBank, n: int) -> tuple[int, int]:
     return m, -(-n // (m - bank.length + 1))
 
 
+def _energy(samples: np.ndarray) -> float:
+    """The input's energy (sum of squares). An input whose energy overflows
+    is refused: its subbands would hold inf or NaN."""
+    # not np.dot: BLAS's threads keep spinning after it returns and take the
+    # two cores from the worker threads
+    with np.errstate(over="ignore"):
+        energy = float(np.sum(np.square(samples)))
+    if not math.isfinite(energy):
+        raise InvalidInputError("signal energy overflows a float64")
+    return energy
+
+
 def _block_spectra(bank: FilterBank, samples: np.ndarray, m: int, blocks: int) -> np.ndarray:
     """One batched ``rfft`` of the input's overlapping length-``m`` blocks,
     ``m - taps + 1`` apart, after padding it ahead with the group delay's
     worth of zeros, so that block k's kept outputs are the zero-phase output
-    samples from k * (m - taps + 1) on. An input whose energy overflows is
-    refused: its subbands would hold inf or NaN."""
-    # not np.dot: BLAS's threads keep spinning after it returns and take the
-    # two cores from the band threads
-    with np.errstate(over="ignore"):
-        energy = np.sum(np.square(samples))
-    if not math.isfinite(energy):
-        raise InvalidInputError("signal energy overflows a float64")
+    samples from k * (m - taps + 1) on."""
     step = m - bank.length + 1
     delay = (bank.length - 1) // 2
     padded = np.zeros((blocks - 1) * step + m)
@@ -326,36 +337,50 @@ def _next_fast_len(n: int) -> int:
     return best
 
 
-def _over_bands(bank: FilterBank, signal: Signal, reduce: Callable[[np.ndarray], object]) -> list:
-    """``reduce`` of each band's subband of ``signal``, in band order, on
-    max(1, min(CPUs, bands // 2)) worker threads that live for this call.
-    The input's blocks are transformed once for all the bands."""
+@contextmanager
+def _shared_blocks(bank: FilterBank, signal: Signal) -> Iterator[float]:
+    """Registers the block spectra of ``signal``, transformed once, for the
+    band calls made on it inside the ``with`` block, and yields the input's
+    energy, checked finite."""
+    energy = _energy(signal.samples)
     spectra = bank._spectra
     spectra.inputs[id(signal)] = _block_spectra(bank, signal.samples, *_blocks(bank, len(signal)))
     try:
-        workers = max(1, min(_usable_cpus(), bank.n_bands // 2))
-        with ThreadPoolExecutor(workers, thread_name_prefix="bandscope-band") as pool:
-            return list(pool.map(lambda band: reduce(apply_zero_phase(bank, band, signal)),
-                                 range(bank.n_bands)))
+        yield energy
     finally:
         # a concurrent split of the same signal may have removed it already
         spectra.inputs.pop(id(signal), None)
 
 
 def decompose(bank: FilterBank, signal: Signal) -> list[np.ndarray]:
-    """Split ``signal`` into one subband array per band, all input-length.
+    """Split ``signal`` into one subband array per band, all input-length,
+    the bands filtered on worker threads, one band each.
 
     The subbands sum sample-wise back to the input (complementary bank).
     """
-    return _over_bands(bank, signal, lambda subband: subband)
+    with _shared_blocks(bank, signal):
+        return _each(lambda band: apply_zero_phase(bank, band, signal), range(bank.n_bands))
 
 
-def band_energies(bank: FilterBank, signal: Signal) -> tuple[float, ...]:
-    """Energy (sum of squares) of each subband of ``signal``, equal bit for
-    bit to the energies of :func:`decompose`'s subbands, each subband
-    reduced to its energy as soon as it is made."""
-    return tuple(_over_bands(bank, signal,
-                             lambda subband: float(np.sum(np.square(subband)))))
+def band_energies(bank: FilterBank, signal: Signal) -> tuple[float, tuple[float, ...]]:
+    """The energy (sum of squares) of ``signal`` and the energy of each of
+    its subbands, the latter equal bit for bit to the energies of
+    :func:`decompose`'s subbands. The bands are filtered one after another
+    on the calling thread, each subband reduced to its energy as soon as it
+    is made."""
+    with _shared_blocks(bank, signal) as total:
+        return total, tuple(float(np.sum(np.square(apply_zero_phase(bank, band, signal))))
+                            for band in range(bank.n_bands))
+
+
+def _each(fn: Callable, items: Sequence) -> list:
+    """``fn`` of each item, in input order, on min(CPUs, items) worker
+    threads that start and are joined within this call. The first item to
+    fail, in input order, raises its error; the items not started by then
+    are cancelled."""
+    with futures.ThreadPoolExecutor(min(_usable_cpus(), len(items)),
+                                    thread_name_prefix="bandscope") as pool:
+        return list(pool.map(fn, items))
 
 
 def _usable_cpus() -> int:

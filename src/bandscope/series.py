@@ -2,11 +2,12 @@
 
 A recording is an in-memory :class:`Signal` (synthetic series) or the
 header of a WAV file, which is decoded only when the recording is measured
-or compared. Measuring a series is one pass: each recording in turn is
-decoded, cut to the series' common length, reduced to a
-:class:`Measurement`, and its samples are dropped, so a campaign of any
-size holds one recording at a time. The pass returns a
-:class:`SeriesMeasurement`, whose constructor checks the rules of the chain.
+or compared. Measuring a series is one pass: each recording is decoded,
+cut to the series' common length, reduced to a :class:`Measurement`, and
+its samples are dropped. The recordings are measured one per worker
+thread, so a campaign of any size holds one recording per thread at a
+time. The pass returns a :class:`SeriesMeasurement`, whose constructor
+checks the rules of the chain.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from .errors import (
     RateMismatchError,
     SilenceError,
 )
-from .filterbank import FilterBank
+from .filterbank import FilterBank, _each
 from .signal import SILENCE, LevelDbfs, Signal
 from .wavio import WavHeader
 
@@ -223,21 +224,23 @@ class MeasurementSeries:
         )
 
     def measure(self, bank: FilterBank, reference_distance_cm: float) -> SeriesMeasurement:
-        """One pass over the recordings, by distance: decode each once, cut
-        it to the common length, take its level and spectral balance from
-        those samples, keep the :class:`Measurement` and drop the samples.
+        """One pass over the recordings, one recording per worker thread:
+        decode each once, cut it to the common length, take its level and
+        spectral balance from those samples, keep the :class:`Measurement`
+        and drop the samples. The measurements come back by distance.
 
         A series without the reference distance fails before any decode. A
-        recording that cannot be decoded raises :class:`LoadError`. The
-        silence rules of :class:`SeriesMeasurement` apply once every
-        recording is measured, so a decode failure is reported first.
+        recording that cannot be decoded raises :class:`LoadError`, the one
+        of the shortest distance where several cannot. The silence rules of
+        :class:`SeriesMeasurement` apply once every recording is measured,
+        so a decode failure is reported first.
         """
         check_reference(self.distances, reference_distance_cm, f"series {self.key}")
         n = self.common_length
-        return SeriesMeasurement(reference_distance_cm, tuple(
-            _measure(entry.distance_cm, recording, n, bank)
-            for entry, recording in zip(self.entries, self.recordings)
-        ))
+        return SeriesMeasurement(reference_distance_cm, tuple(_each(
+            lambda i: _measure(self.entries[i].distance_cm, self.recordings[i], n, bank),
+            range(len(self.entries)),
+        )))
 
 
 def _reading(read, path, **kwargs):

@@ -54,7 +54,9 @@ def pink_10s():
 
 @pytest.fixture
 def band_workers(monkeypatch):
-    """``band_workers(cpus)``: the band workers see ``cpus`` usable CPUs."""
+    """``band_workers(cpus)``: the worker threads of ``filterbank._each``
+    (recordings, comparison sides, the bands of a split) see ``cpus`` usable
+    CPUs."""
     from bandscope import filterbank
 
     def use(cpus):

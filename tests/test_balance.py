@@ -121,27 +121,29 @@ class TestBandWorkers:
     def test_child_forked_after_a_balance_finishes_its_own(self, band_workers,
                                                            ids10_bank_fast, white_2s):
         band_workers(2)
-        expected = spectral_balance(white_2s, ids10_bank_fast)  # starts and joins the workers
-        _in_forked_child(lambda: spectral_balance(white_2s, ids10_bank_fast) == expected)
-        # synth_campaign decomposes on the band workers too
+        series = _series([white_2s, white_2s.scaled(0.5), white_2s.scaled(0.25)],
+                         [25, 50, 100])
+        # measures one recording per worker thread, started and joined in the call
+        expected = series.measure(ids10_bank_fast, 100.0)
+        _in_forked_child(lambda: series.measure(ids10_bank_fast, 100.0) == expected)
+        # synth_campaign decomposes on the worker threads too
         spec = SynthCampaignSpec(stimulus=white_2s, distances_cm=(50.0, 100.0),
                                  profile=DistanceProfile({0: ((50.0, 3.0), (100.0, 0.0))}))
         synth_campaign(spec, ids10_bank_fast)
-        _in_forked_child(lambda: spectral_balance(white_2s, ids10_bank_fast) == expected)
+        _in_forked_child(lambda: series.measure(ids10_bank_fast, 100.0) == expected)
 
     def test_peak_memory_well_below_ten_subbands(self, band_workers, ids10_bank, pink_10s):
         band_workers(2)
         spectral_balance(pink_10s, ids10_bank)  # band responses are the bank's
         peak = _traced_peak(lambda: spectral_balance(pink_10s, ids10_bank))
-        # the input's block spectra plus two workers' subbands and their
-        # squares (about 19 MB), against the 35 MB that ten 10 s subbands hold
+        # the input's block spectra plus one subband and its square (about
+        # 12 MB) on any CPU count, against the 35 MB that ten 10 s subbands hold
         assert peak < 0.6 * ids10_bank.n_bands * pink_10s.samples.nbytes
 
     def test_peak_memory_on_many_cpus_below_decompose(self, band_workers, ids10_bank,
                                                       pink_10s):
-        # whatever the CPU count, at most one band per two is in flight:
-        # five workers' subbands and their squares (about 39 MB) against
-        # decompose's ten subbands (about 54 MB)
+        # whatever the CPU count, a balance filters one band at a time (about
+        # 12 MB), against decompose's ten subbands on ten workers (about 60 MB)
         band_workers(32)
         spectral_balance(pink_10s, ids10_bank)
         serial = _traced_peak(lambda: decompose(ids10_bank, pink_10s))

@@ -3,6 +3,7 @@ import json
 import math
 import shutil
 import struct
+import sys
 import tracemalloc
 import warnings
 
@@ -33,11 +34,13 @@ from bandscope import (
     theoretical_amplification,
     validity_limit,
 )
-from bandscope.campaign import ComparisonReport
+from bandscope.balance import balance_difference, spectral_balance
+from bandscope.campaign import ComparisonReport, ComparisonRow
 from bandscope.cli import run
 from bandscope.errors import (
     DuplicateDistanceError,
     InvalidInputError,
+    LoadError,
     ManifestError,
     MissingDistanceError,
     MissingReferenceError,
@@ -543,7 +546,9 @@ def test_missing_reference_fails_before_any_decode(tmp_path, monkeypatch):
         "message": "series ('m', 'omni', 's') has no recording at reference 100.0 cm "
                    "(distances: (25.0, 50.0))",
     }]
-    assert decoded == [tmp_path / "g50.wav", tmp_path / "g100.wav"]  # the sound series only
+    # the sound series only, each file once; its two recordings decode on
+    # worker threads, in either order
+    assert sorted(decoded) == sorted([tmp_path / "g50.wav", tmp_path / "g100.wav"])
 
 
 def test_ingest_reads_headers_only(tmp_path, monkeypatch):
@@ -633,6 +638,82 @@ def _one_and_four_series(tmp_path):
     return one, four
 
 
+# --- the recording pool: one recording per worker thread ---------------------
+
+def test_analyze_alike_on_any_worker_count(tmp_path, ids10_bank_fast, band_workers):
+    _, four = _one_and_four_series(tmp_path)
+    report = ingest(four)
+    measured, trees = [], []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # the workers, more than the cores, switch often
+    try:
+        for cpus in (1, 2, 8):
+            band_workers(cpus)
+            result = analyze_report(report, ids10_bank_fast)
+            out = tmp_path / f"out{cpus}"
+            export(result, out)
+            measured.append([a.measured for a in result.analyses])
+            trees.append({p.name: p.read_bytes() for p in out.iterdir()})
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(measured[0]) == 4
+    assert measured[1] == measured[0] and measured[2] == measured[0]
+    assert trees[1] == trees[0] and trees[2] == trees[0]
+
+
+def _four_files(tmp_path):
+    rows = _fault_campaign(tmp_path, distances=(25, 50, 75, 100))[:4]
+    return MeasurementSeries.from_files(
+        [MeasurementEntry(r["distance_cm"], r["microphone"], r["directivity"], r["stimulus"])
+         for r in rows],
+        [tmp_path / r["path"] for r in rows])
+
+
+@pytest.mark.parametrize("cpus", [1, 8])
+def test_first_broken_recording_by_distance_is_reported(tmp_path, two_band_bank, band_workers,
+                                                        cpus):
+    series = _four_files(tmp_path)
+    # the 2nd file takes longer to decode than the 4th, so on many workers
+    # the 4th fails first
+    long_nan = np.full(30 * FS, 0.1, dtype="<f4").tobytes() + bytes([1, 0, 0x80, 0x7F])
+    (tmp_path / "r50.wav").write_bytes(_raw_wav(3, 32, long_nan))
+    _nan_file(tmp_path / "r100.wav")
+    band_workers(cpus)
+    with pytest.raises(LoadError) as raised:
+        series.measure(two_band_bank, 25.0)
+    assert str(raised.value) == f"{tmp_path / 'r50.wav'}: signal contains NaN or Inf samples"
+
+
+def test_series_without_the_reference_decodes_nothing(tmp_path, two_band_bank, band_workers,
+                                                      monkeypatch):
+    series = _four_files(tmp_path)
+    band_workers(8)
+    decoded = []
+    monkeypatch.setattr(bandscope.wavio, "load_wav",
+                        lambda path, **k: decoded.append(path) or load_wav(path, **k))
+    with pytest.raises(MissingReferenceError):
+        series.measure(two_band_bank, 60.0)
+    assert decoded == []
+    series.measure(two_band_bank, 100.0)
+    assert len(decoded) == 4
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 8])
+def test_compare_row_is_the_serial_one(ids10_bank_fast, white_2s, band_workers, cpus):
+    rng = np.random.default_rng(12)
+    stimulus = Signal(np.cumsum(0.01 * rng.standard_normal(FS)), FS)
+    series = _memory_series([white_2s.scaled(2.0), white_2s.scaled(0.5)], (50, 100))
+    stimulus_balance = spectral_balance(stimulus, ids10_bank_fast)
+    recording_balance = spectral_balance(series.signal_at(100), ids10_bank_fast)
+    band_workers(cpus)
+    assert compare_to_stimulus(stimulus, series, ids10_bank_fast, 100.0) == ComparisonRow(
+        label="m o",
+        diffs_db=balance_difference(stimulus_balance, recording_balance),
+        stimulus_level=stimulus_balance.mean_level,
+        recording_level=recording_balance.mean_level,
+    )
+
+
 def _analyze_peak(manifest, bank):
     """tracemalloc peak of ingesting and analyzing ``manifest``, and the
     number of series analyzed; numpy reports its buffers to tracemalloc."""
@@ -645,9 +726,9 @@ def _analyze_peak(manifest, bank):
 
 
 def test_analyze_memory_does_not_grow_with_series(tmp_path, ids10_bank_fast, band_workers):
-    # the measuring pass holds one recording at a time, so four series must
-    # peak where one does. One band worker, so the peak does not depend on
-    # how the workers' bands overlap in time
+    # the measuring pass holds one recording per worker at a time, so four
+    # series must peak where one does. One worker, so the peak does not
+    # depend on how the workers' recordings overlap in time
     band_workers(1)
     one, four = _one_and_four_series(tmp_path)
     _analyze_peak(one, ids10_bank_fast)  # the bank caches its band responses
@@ -659,11 +740,11 @@ def test_analyze_memory_does_not_grow_with_series(tmp_path, ids10_bank_fast, ban
 
 def test_analyze_memory_on_two_band_workers_does_not_grow_with_series(
         tmp_path, ids10_bank_fast, band_workers):
-    # with two workers the peak also depends on whether both hold a band's
-    # transforms at once, and four series give more chances of that than
-    # one: the bound allows one worker's pair of transforms more than the
-    # largest of three one-series peaks. Holding each series' recordings
-    # would add 3 MB
+    # with two workers, one recording each, the peak also depends on whether
+    # both hold a band's transforms at once, and four series give more
+    # chances of that than one: the bound allows one worker's pair of
+    # transforms more than the largest of three one-series peaks. Holding
+    # each series' recordings would add 3 MB
     band_workers(2)
     one, four = _one_and_four_series(tmp_path)
     _analyze_peak(one, ids10_bank_fast)

@@ -786,7 +786,7 @@ ctypes.CDLL(None).malloc_stats()  # one "Arena N:" block per arena, on stderr
 
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="tunes glibc's allocator")
 def test_threads_share_one_arena():
-    # by default each band worker would keep a glibc arena of freed buffers
+    # by default each worker thread would keep a glibc arena of freed buffers
     src = Path(bandscope.__file__).resolve().parents[1]
     env = {**os.environ, "PYTHONPATH": str(src)}
     env.pop("MALLOC_ARENA_MAX", None)

@@ -337,7 +337,7 @@ class TestAgainstFftconvolve:
         else:  # the bands above 200 Hz hold almost nothing: the top one 1e-11
             t = np.arange(10 * FS) / FS
             signal = Signal(0.1 * np.sin(2 * np.pi * 65 * t), FS)
-        energies = np.array(band_energies(ids10_bank, signal))
+        energies = np.array(band_energies(ids10_bank, signal)[1])
         ref = np.array([np.sum(np.square(fftconvolve(signal.samples, taps, mode="same")))
                         for taps in ids10_bank.taps])
         np.testing.assert_allclose(energies / energies.sum(), ref / ref.sum(),
@@ -370,7 +370,8 @@ def _energies(subbands):
 
 
 class TestBandEnergies:
-    """The pooled energy path against the energies of decompose's subbands."""
+    """The energy path against the energies of decompose's subbands, and the
+    threads each of them runs on."""
 
     @pytest.mark.parametrize("cpus", [1, 2])
     @pytest.mark.parametrize("kind", ["pink", "sine65", "shorter-than-taps"])
@@ -384,7 +385,9 @@ class TestBandEnergies:
             signal = Signal(0.1 * np.sin(2 * np.pi * 65 * t), FS)
         else:
             signal = Signal(np.random.default_rng(6).standard_normal(5000), FS)
-        assert band_energies(ids10_bank, signal) == _energies(decompose(ids10_bank, signal))
+        total, energies = band_energies(ids10_bank, signal)
+        assert energies == _energies(decompose(ids10_bank, signal))
+        assert total == float(np.sum(np.square(signal.samples)))
 
     def test_import_starts_no_thread(self):
         code = "import threading, bandscope; print(threading.active_count())"
@@ -393,41 +396,46 @@ class TestBandEnergies:
                              capture_output=True, text=True, check=True).stdout
         assert out.strip() == "1"
 
+    @pytest.mark.parametrize("cpus", [1, 2, 8])
     @pytest.mark.parametrize("n_bands", [3, 5, 10])
-    def test_at_most_one_thread_per_two_bands(self, n_bands, band_workers, monkeypatch):
-        band_workers(8)
+    def test_energies_on_caller_decompose_on_workers(
+            self, n_bands, cpus, band_workers, monkeypatch):
+        band_workers(cpus)
         edges = (0, *np.geomspace(100, 15000, n_bands - 1), 22050)
         bank = design_bank(BandMapping(edges), FS, 63)
         signal = Signal(np.ones(1000), FS)
-        for split in (band_energies, decompose):
-            filtering = set()
+        filtering = []
 
-            def apply(*args):
-                filtering.add(threading.get_ident())
-                return apply_zero_phase(*args)
+        def apply(*args):
+            filtering.append(threading.get_ident())
+            return apply_zero_phase(*args)
 
-            monkeypatch.setattr(filterbank, "apply_zero_phase", apply)
-            threads = threading.active_count()
-            split(bank, signal)
-            # never the caller, even with one worker
-            assert threading.get_ident() not in filtering
-            assert 0 < len(filtering) <= max(1, n_bands // 2)
-            assert threading.active_count() == threads  # the workers are joined
+        monkeypatch.setattr(filterbank, "apply_zero_phase", apply)
+        started = []
+        monkeypatch.setattr(threading.Thread, "start",
+                            lambda t, start=threading.Thread.start: started.append(t) or start(t))
+        band_energies(bank, signal)
+        assert filtering == [threading.get_ident()] * n_bands
+        assert started == []
+        filtering.clear()
+        decompose(bank, signal)
+        assert len(filtering) == n_bands
+        # never the caller, even with one worker
+        assert threading.get_ident() not in filtering
+        assert 0 < len(set(filtering)) <= len(started) <= min(cpus, n_bands)
+        assert not any(t.is_alive() for t in started)  # the workers are joined
 
-    def test_concurrent_callers_of_other_lengths_get_the_serial_result(self, band_workers):
+    def test_concurrent_callers_of_other_lengths_get_the_serial_result(self):
         # every call of one caller swaps the band responses for its length
         # while the other caller's bands are being filtered
-        band_workers(2 * (os.cpu_count() or 1))  # more workers than cores
         bank = design_bank(BandMapping(BAND_PRESETS["ids10"]), FS, 1023)
         rng = np.random.default_rng(8)
         signals = [Signal(rng.standard_normal(n), FS) for n in (20_000, 30_000)]
         serial = [_energies(decompose(bank, s)) for s in signals]
-        outcomes = _concurrently(50, *(lambda s=s: band_energies(bank, s) for s in signals))
+        outcomes = _concurrently(50, *(lambda s=s: band_energies(bank, s)[1] for s in signals))
         assert outcomes == [[s] * 50 for s in serial]
 
-    def test_concurrent_callers_transform_each_input_once_per_call(self, band_workers,
-                                                                   monkeypatch):
-        band_workers(2)
+    def test_concurrent_callers_transform_each_input_once_per_call(self, monkeypatch):
         bank = design_bank(BandMapping(BAND_PRESETS["ids10"]), FS, 1023)
         rng = np.random.default_rng(9)
         signals = [Signal(0.05 * rng.standard_normal(2 * FS), FS) for _ in range(2)]
@@ -441,13 +449,12 @@ class TestBandEnergies:
             return np.fft.rfft(a, *args, **kwargs)
 
         monkeypatch.setattr(filterbank, "rfft", rfft)
-        outcomes = _concurrently(5, *(lambda s=s: band_energies(bank, s) for s in signals))
+        outcomes = _concurrently(5, *(lambda s=s: band_energies(bank, s)[1] for s in signals))
         assert outcomes == [[s] * 5 for s in serial]
         assert input_transforms == [(blocks, m)] * 10
 
     def test_concurrent_callers_longer_than_a_block_share_one_set_of_responses(
-            self, band_workers, monkeypatch):
-        band_workers(2)
+            self, monkeypatch):
         bank = design_bank(BandMapping(BAND_PRESETS["ids10"]), FS, 1023)
         rng = np.random.default_rng(10)
         signals = [Signal(rng.standard_normal(n), FS) for n in (20_000, 30_000)]
@@ -462,7 +469,7 @@ class TestBandEnergies:
             return np.fft.rfft(a, *args, **kwargs)
 
         monkeypatch.setattr(filterbank, "rfft", rfft)
-        outcomes = _concurrently(10, *(lambda s=s: band_energies(bank, s) for s in signals))
+        outcomes = _concurrently(10, *(lambda s=s: band_energies(bank, s)[1] for s in signals))
         assert outcomes == [[s] * 10 for s in serial]
         assert response_transforms == [bank.length] * bank.n_bands
 
@@ -479,9 +486,10 @@ class TestBandEnergies:
 
     def test_errors_of_a_band_reach_the_caller(self, band_workers, ids10_bank_fast):
         band_workers(2)
-        with pytest.raises(RateMismatchError):
-            band_energies(ids10_bank_fast, Signal(np.ones(500), 48000))
-        assert ids10_bank_fast._spectra.inputs == {}
+        for split in (band_energies, decompose):
+            with pytest.raises(RateMismatchError):
+                split(ids10_bank_fast, Signal(np.ones(500), 48000))
+            assert ids10_bank_fast._spectra.inputs == {}
 
 
 def _concurrently(calls: int, *targets) -> list[list]:
