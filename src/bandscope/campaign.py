@@ -14,7 +14,9 @@ live here only.
 
 from __future__ import annotations
 
+import csv
 import hashlib
+import io
 import json
 import math
 import os
@@ -327,15 +329,17 @@ class ComparisonReport:
     n_bands: int
 
     def to_csv(self) -> str:
-        head = ",".join(f"band{i + 1}" for i in range(self.n_bands))
-        lines = [f"comparison,{head},stimulus_level_dbfs,recording_level_dbfs"]
+        """The rows as CSV; a label holding a comma, a quote or a line break
+        is quoted, so every row keeps its columns."""
+        text = io.StringIO()
+        writer = csv.writer(text, lineterminator="\n")
+        writer.writerow(["comparison", *(f"band{i + 1}" for i in range(self.n_bands)),
+                         "stimulus_level_dbfs", "recording_level_dbfs"])
         for row in self.rows:
-            diffs = ",".join(_csv_float(v) for v in row.diffs_db)
-            lines.append(
-                f"{self.stimulus_label}/{row.label},{diffs},"
-                f"{_level_csv(row.stimulus_level)},{_level_csv(row.recording_level)}"
-            )
-        return "\n".join(lines) + "\n"
+            writer.writerow([f"{self.stimulus_label}/{row.label}",
+                             *(_csv_float(v) for v in row.diffs_db),
+                             _level_csv(row.stimulus_level), _level_csv(row.recording_level)])
+        return text.getvalue()
 
     def to_text(self) -> str:
         head = ["comparison"] + [f"b{i + 1}" for i in range(self.n_bands)] + ["levels"]

@@ -61,7 +61,6 @@ _OUT_ENV = "BANDSCOPE_OUT"
 # glibc mallopt parameters
 _M_TRIM_THRESHOLD = -1
 _M_MMAP_THRESHOLD = -3
-_M_ARENA_MAX = -8
 
 
 def _add_mapping_args(p: argparse.ArgumentParser) -> None:
@@ -390,17 +389,14 @@ def _keep_freed_memory() -> None:
     of a few MB each. By default glibc returns them to the kernel after each
     recording and the next one faults them in again: about 570k page faults
     and 1 s of system time on 24 recordings of 10 s. Peak memory is set by
-    one recording per worker thread either way. All threads share one arena,
-    so the workers take their buffers from one pool of freed memory instead
-    of each keeping its own; with one recording per thread that no longer
-    lowers the peak (analyze on 24 recordings of 10 s on two threads: 85-88
-    MB high-water mark with it, 81-85 MB without). Does nothing where there
-    is no mallopt.
+    one recording per worker thread either way. The worker threads keep
+    glibc's default arenas: limiting them to one shared arena raised
+    analyze's high-water mark on 24 recordings of 10 s on two threads
+    (82-88 MB, against 78-85 MB). Does nothing where there is no mallopt.
 
     Only the command line sets this: the allocator serves the whole process,
     so a program that calls the library owns the choice (glibc also reads it
-    from ``MALLOC_MMAP_THRESHOLD_``, ``MALLOC_TRIM_THRESHOLD_`` and
-    ``MALLOC_ARENA_MAX``).
+    from ``MALLOC_MMAP_THRESHOLD_`` and ``MALLOC_TRIM_THRESHOLD_``).
     """
     try:
         mallopt = ctypes.CDLL(None).mallopt
@@ -408,7 +404,6 @@ def _keep_freed_memory() -> None:
         return
     mallopt(_M_MMAP_THRESHOLD, 32 << 20)  # glibc's largest automatic value
     mallopt(_M_TRIM_THRESHOLD, 1 << 30)
-    mallopt(_M_ARENA_MAX, 1)
 
 
 def main() -> None:

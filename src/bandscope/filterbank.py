@@ -27,10 +27,12 @@ weights within 1e-12 relative of fftconvolve's. M came from
 ``tools/sweep_block_length.py``: at 16383 taps blocks of 3 L to 5 L points
 were fastest, 2 L and 6 L or more slower.
 
-A bank keeps every band's response at its block length, and
-:func:`decompose` and :func:`band_energies` transform the input's blocks
-once for all its bands, so splitting a recording into B bands costs one
-batched forward transform plus one batched inverse per band.
+A bank keeps every band's response at its block length. :func:`decompose`
+and :func:`band_energies` transform the input's blocks once per call and
+hand those block spectra to their :func:`apply_zero_phase` call for each
+band, so splitting a recording into B bands costs one batched forward
+transform plus one batched inverse per band, however many callers split
+the same signal at once.
 
 The unit of parallel work is the recording: :func:`_each` maps a function
 over a few items on every CPU in the process' affinity mask (``taskset``
@@ -50,9 +52,8 @@ import math
 import numbers
 import os
 import threading
-from collections.abc import Callable, Iterator, Sequence
+from collections.abc import Callable, Sequence
 from concurrent import futures
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -157,11 +158,8 @@ def load_mapping(path: str | os.PathLike) -> BandMapping:
 
 
 class _Spectra:
-    """Transforms a bank's band filters share: every band's response at one
-    block length, and, while :func:`decompose` or :func:`band_energies` runs,
-    the block spectra of each signal it splits, keyed by the signal's ``id``
-    (unique while the entry lives, since the split that stores it holds the
-    signal until it removes it).
+    """Every band's response of a bank at one block length, the transforms
+    its band filters share.
 
     The responses are one ``(length, responses)`` pair, replaced whole for a
     new length, so memory stays bounded and a caller never pairs its block
@@ -172,7 +170,6 @@ class _Spectra:
 
     def __init__(self) -> None:
         self.responses: tuple[int, tuple[np.ndarray, ...]] = (0, ())
-        self.inputs: dict[int, np.ndarray] = {}
         self._lock = threading.Lock()
 
     def band_responses(self, taps: tuple[np.ndarray, ...], m: int) -> tuple[np.ndarray, ...]:
@@ -245,7 +242,8 @@ def design_bank(
     return FilterBank(mapping=mapping, taps=taps, sample_rate=sample_rate)
 
 
-def apply_zero_phase(bank: FilterBank, band_index: int, signal: Signal) -> np.ndarray:
+def apply_zero_phase(bank: FilterBank, band_index: int, signal: Signal, *,
+                     _input_spectra: np.ndarray | None = None) -> np.ndarray:
     """Filter ``signal`` through one band with the group delay removed.
 
     Zero-padded full convolution cropped back to the input length: output
@@ -261,12 +259,11 @@ def apply_zero_phase(bank: FilterBank, band_index: int, signal: Signal) -> np.nd
             f"band index {band_index!r} is not an integer in 0..{bank.n_bands - 1}"
         )
     m, blocks = _blocks(bank, len(signal))
-    spectra = bank._spectra
-    x = spectra.inputs.get(id(signal))
+    x = _input_spectra
     if x is None:
         _energy(signal.samples)  # refuses an input whose energy overflows
         x = _block_spectra(bank, signal.samples, m, blocks)
-    h = spectra.band_responses(bank.taps, m)[band_index]
+    h = bank._spectra.band_responses(bank.taps, m)[band_index]
     return _overlap_save(x, h, m, bank.length, len(signal))
 
 
@@ -337,19 +334,14 @@ def _next_fast_len(n: int) -> int:
     return best
 
 
-@contextmanager
-def _shared_blocks(bank: FilterBank, signal: Signal) -> Iterator[float]:
-    """Registers the block spectra of ``signal``, transformed once, for the
-    band calls made on it inside the ``with`` block, and yields the input's
-    energy, checked finite."""
+def _band_filter(bank: FilterBank, signal: Signal
+                 ) -> tuple[float, Callable[[int], np.ndarray]]:
+    """The energy of ``signal``, checked finite, and a function of a band
+    index that filters ``signal`` through that band with
+    :func:`apply_zero_phase`, from block spectra transformed once here."""
     energy = _energy(signal.samples)
-    spectra = bank._spectra
-    spectra.inputs[id(signal)] = _block_spectra(bank, signal.samples, *_blocks(bank, len(signal)))
-    try:
-        yield energy
-    finally:
-        # a concurrent split of the same signal may have removed it already
-        spectra.inputs.pop(id(signal), None)
+    x = _block_spectra(bank, signal.samples, *_blocks(bank, len(signal)))
+    return energy, lambda band: apply_zero_phase(bank, band, signal, _input_spectra=x)
 
 
 def decompose(bank: FilterBank, signal: Signal) -> list[np.ndarray]:
@@ -358,8 +350,8 @@ def decompose(bank: FilterBank, signal: Signal) -> list[np.ndarray]:
 
     The subbands sum sample-wise back to the input (complementary bank).
     """
-    with _shared_blocks(bank, signal):
-        return _each(lambda band: apply_zero_phase(bank, band, signal), range(bank.n_bands))
+    _, band = _band_filter(bank, signal)
+    return _each(band, range(bank.n_bands))
 
 
 def band_energies(bank: FilterBank, signal: Signal) -> tuple[float, tuple[float, ...]]:
@@ -368,9 +360,8 @@ def band_energies(bank: FilterBank, signal: Signal) -> tuple[float, tuple[float,
     :func:`decompose`'s subbands. The bands are filtered one after another
     on the calling thread, each subband reduced to its energy as soon as it
     is made."""
-    with _shared_blocks(bank, signal) as total:
-        return total, tuple(float(np.sum(np.square(apply_zero_phase(bank, band, signal))))
-                            for band in range(bank.n_bands))
+    total, band = _band_filter(bank, signal)
+    return total, tuple(float(np.sum(np.square(band(i)))) for i in range(bank.n_bands))
 
 
 def _each(fn: Callable, items: Sequence) -> list:

@@ -20,6 +20,9 @@ from .signal import Signal, check_level, check_sample_rate, db_to_gain, normaliz
 
 __all__ = ["StimulusSpec", "gen_sine", "gen_pink", "gen_stimulus"]
 
+# the most float64 samples one array's size in bytes can count
+_MAX_SAMPLES = np.iinfo(np.intp).max // np.dtype(np.float64).itemsize
+
 
 @dataclass(frozen=True)
 class StimulusSpec:
@@ -40,6 +43,11 @@ class StimulusSpec:
                 f"duration must be positive and finite, got {self.duration}"
             )
         check_sample_rate(self.sample_rate)
+        if self.duration * self.sample_rate > _MAX_SAMPLES:
+            raise InvalidInputError(
+                f"duration {self.duration}s at {self.sample_rate} Hz is more samples "
+                "than a float64 array can hold"
+            )
         check_level(self.target_level, "target level")
         if self.kind == "sine":
             if self.frequency is None:

@@ -1,4 +1,5 @@
 import csv
+import io
 import json
 import math
 import shutil
@@ -17,6 +18,7 @@ from bandscope import (
     DirectivityModel,
     DistanceProfile,
     IngestReport,
+    LevelDbfs,
     MeasurementEntry,
     MeasurementSeries,
     Signal,
@@ -446,6 +448,18 @@ class TestComparisonReportAssembly:
         assert csv[7].startswith("One/C-2 cardioid,")
         for line in csv[1:]:
             assert len(line.split(",")) == 13  # label + 10 bands + 2 levels
+
+    def test_labels_with_commas_quotes_and_line_breaks_keep_their_columns(self):
+        labels = ("AKG, C414 omni", 'the "hot" one', "two\nlines")
+        rows = tuple(ComparisonRow(label, (1.0, 2.0), LevelDbfs(-20.0), LevelDbfs(-30.0))
+                     for label in labels)
+        report = ComparisonReport(stimulus_label="pink, 10 s", rows=rows, n_bands=2)
+        header, *records = csv.reader(io.StringIO(report.to_csv()))
+        assert header == ["comparison", "band1", "band2", "stimulus_level_dbfs",
+                          "recording_level_dbfs"]
+        assert [r[0] for r in records] == [f"pink, 10 s/{label}" for label in labels]
+        assert all(len(r) == 1 + 2 + 2 for r in records)
+        assert all(r[1:] == ["1.0", "2.0", "-20.0", "-30.0"] for r in records)
 
 
 # --- one pass per recording: error semantics, input digests, memory ---------

@@ -145,7 +145,6 @@ class TestApplyZeroPhase:
             decompose(ids10_bank_fast, huge)
         with pytest.raises(InvalidInputError):
             apply_zero_phase(ids10_bank_fast, 0, huge)
-        assert ids10_bank_fast._spectra.inputs == {}
 
     def test_inband_sine_zero_lag_and_gain(self, ids10_bank):
         # 1 kHz sits inside band 5 (800-1200 Hz)
@@ -343,13 +342,6 @@ class TestAgainstFftconvolve:
         np.testing.assert_allclose(energies / energies.sum(), ref / ref.sum(),
                                    rtol=1e-12, atol=0)
 
-    def test_shared_spectrum_released_after_decompose(self, ids10_bank_fast):
-        decompose(ids10_bank_fast, Signal(np.ones(500), FS))
-        assert ids10_bank_fast._spectra.inputs == {}
-        with pytest.raises(RateMismatchError):
-            decompose(ids10_bank_fast, Signal(np.ones(500), 48000))
-        assert ids10_bank_fast._spectra.inputs == {}
-
 
 class TestNextFastLen:
     """The transform length against scipy's, the one fftconvolve uses, so
@@ -406,9 +398,9 @@ class TestBandEnergies:
         signal = Signal(np.ones(1000), FS)
         filtering = []
 
-        def apply(*args):
+        def apply(*args, **kwargs):
             filtering.append(threading.get_ident())
-            return apply_zero_phase(*args)
+            return apply_zero_phase(*args, **kwargs)
 
         monkeypatch.setattr(filterbank, "apply_zero_phase", apply)
         started = []
@@ -435,23 +427,34 @@ class TestBandEnergies:
         outcomes = _concurrently(50, *(lambda s=s: band_energies(bank, s)[1] for s in signals))
         assert outcomes == [[s] * 50 for s in serial]
 
-    def test_concurrent_callers_transform_each_input_once_per_call(self, monkeypatch):
+    def test_concurrent_callers_transform_each_input_once_per_call(self, band_workers,
+                                                                 monkeypatch):
+        band_workers(2)
         bank = design_bank(BandMapping(BAND_PRESETS["ids10"]), FS, 1023)
         rng = np.random.default_rng(9)
         signals = [Signal(0.05 * rng.standard_normal(2 * FS), FS) for _ in range(2)]
         serial = [_energies(decompose(bank, s)) for s in signals]
         m, blocks = filterbank._blocks(bank, 2 * FS)
-        input_transforms = []
+        input_transforms = _count_input_transforms(monkeypatch)
+        for split in (lambda s: band_energies(bank, s)[1], lambda s: _energies(decompose(bank, s))):
+            input_transforms.clear()
+            outcomes = _concurrently(5, *(lambda s=s, split=split: split(s) for s in signals))
+            assert outcomes == [[s] * 5 for s in serial]
+            assert input_transforms == [(blocks, m)] * 10
 
-        def rfft(a, *args, **kwargs):
-            if np.ndim(a) == 2:  # an input's blocks; a band response is 1-D taps
-                input_transforms.append(np.shape(a))
-            return np.fft.rfft(a, *args, **kwargs)
+    def test_concurrent_splits_of_one_signal_transform_it_once_per_call(
+            self, band_workers, ids10_bank_fast, white_2s, monkeypatch):
+        # each split's bands filter from its own block spectra, so one split
+        # finishing leaves the other's bands nothing to transform again
+        band_workers(2)
+        m, blocks = filterbank._blocks(ids10_bank_fast, len(white_2s))
+        input_transforms = _count_input_transforms(monkeypatch)
 
-        monkeypatch.setattr(filterbank, "rfft", rfft)
-        outcomes = _concurrently(5, *(lambda s=s: band_energies(bank, s)[1] for s in signals))
-        assert outcomes == [[s] * 5 for s in serial]
-        assert input_transforms == [(blocks, m)] * 10
+        def split():
+            decompose(ids10_bank_fast, white_2s)
+
+        _concurrently(10, split, split)
+        assert input_transforms == [(blocks, m)] * 20
 
     def test_concurrent_callers_longer_than_a_block_share_one_set_of_responses(
             self, monkeypatch):
@@ -482,14 +485,26 @@ class TestBandEnergies:
             return _energies(decompose(ids10_bank_fast, white_2s))
 
         assert _concurrently(10, split, split) == [[serial] * 10] * 2
-        assert ids10_bank_fast._spectra.inputs == {}
 
     def test_errors_of_a_band_reach_the_caller(self, band_workers, ids10_bank_fast):
         band_workers(2)
         for split in (band_energies, decompose):
             with pytest.raises(RateMismatchError):
                 split(ids10_bank_fast, Signal(np.ones(500), 48000))
-            assert ids10_bank_fast._spectra.inputs == {}
+
+
+def _count_input_transforms(monkeypatch) -> list[tuple[int, int]]:
+    """Patches ``filterbank.rfft``: the list it returns gets the (blocks,
+    block length) shape of every input's blocks transformed from then on."""
+    shapes = []
+
+    def rfft(a, *args, **kwargs):
+        if np.ndim(a) == 2:  # an input's blocks; a band response is 1-D taps
+            shapes.append(np.shape(a))
+        return np.fft.rfft(a, *args, **kwargs)
+
+    monkeypatch.setattr(filterbank, "rfft", rfft)
+    return shapes
 
 
 def _concurrently(calls: int, *targets) -> list[list]:
