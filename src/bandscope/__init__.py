@@ -39,13 +39,7 @@ from .level import (
     validity_limit,
 )
 from .series import Measurement, MeasurementEntry, MeasurementSeries, SeriesMeasurement
-from .signal import (
-    SILENCE,
-    LevelDbfs,
-    Signal,
-    mean_level_dbfs,
-    normalize_to_level,
-)
+from .signal import Signal, mean_level_dbfs, normalize_to_level
 from .stimuli import StimulusSpec, gen_pink, gen_sine, gen_stimulus
 from .synthfield import (
     DirectivityModel,
@@ -62,7 +56,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BAND_PRESETS",
     "DEFAULT_TAPS",
-    "SILENCE",
     "BalanceResult",
     "BandMapping",
     "BandscopeError",
@@ -75,7 +68,6 @@ __all__ = [
     "GroundTruth",
     "IngestReport",
     "LevelPoint",
-    "LevelDbfs",
     "Measurement",
     "MeasurementEntry",
     "MeasurementSeries",

@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING
 
 from .errors import MappingMismatchError, SilenceError
 from .filterbank import BandMapping, FilterBank, band_energies
-from .signal import LevelDbfs, Signal, level_of_power
+from .signal import Signal, level_of_power
 
 if TYPE_CHECKING:
     from .series import SeriesMeasurement
@@ -37,8 +37,8 @@ class BalanceResult:
 
     mapping: BandMapping
     weights_linear: tuple[float, ...]
-    weights_db: tuple[float, ...]  # -inf marks an empty band (silence sentinel)
-    mean_level: LevelDbfs
+    weights_db: tuple[float, ...]  # -inf marks an empty band
+    mean_level: float  # dB FS; -inf when the mean power underflows
 
 
 @dataclass(frozen=True)

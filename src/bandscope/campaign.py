@@ -37,7 +37,7 @@ from .level import (
 )
 from .series import (MeasurementEntry, MeasurementSeries, SeriesMeasurement,
                      check_unique_distances, distance_text)
-from .signal import LevelDbfs, Signal
+from .signal import Signal
 from .wavio import save_wav
 
 __all__ = [
@@ -311,8 +311,8 @@ class ComparisonRow:
 
     label: str
     diffs_db: tuple[float, ...]
-    stimulus_level: LevelDbfs
-    recording_level: LevelDbfs
+    stimulus_level: float  # dB FS
+    recording_level: float
 
 
 @dataclass(frozen=True)
@@ -338,18 +338,21 @@ class ComparisonReport:
         for row in self.rows:
             writer.writerow([f"{self.stimulus_label}/{row.label}",
                              *(_csv_float(v) for v in row.diffs_db),
-                             _level_csv(row.stimulus_level), _level_csv(row.recording_level)])
+                             _csv_float(row.stimulus_level), _csv_float(row.recording_level)])
         return text.getvalue()
 
     def to_text(self) -> str:
+        """The rows as a table whose label column is as wide as the longest
+        label, at least 28 characters, so every row keeps the header's columns."""
+        labels = [_one_line(f"{self.stimulus_label}/{row.label}") for row in self.rows]
         head = ["comparison"] + [f"b{i + 1}" for i in range(self.n_bands)] + ["levels"]
-        widths = [28] + [7] * self.n_bands + [16]
+        widths = [max([28, *map(len, labels)])] + [7] * self.n_bands + [16]
         out = ["".join(h.rjust(w) for h, w in zip(head, widths))]
-        for row in self.rows:
-            cells = [f"{self.stimulus_label}/{row.label}"]
+        for label, row in zip(labels, self.rows):
+            cells = [label]
             for v in row.diffs_db:
                 cells.append("n/a" if math.isnan(v) else f"{v:+.1f}")
-            cells.append(f"{_level_text(row.stimulus_level)}/{_level_text(row.recording_level)}")
+            cells.append(f"{row.stimulus_level:.1f}/{row.recording_level:.1f}")
             out.append("".join(c.rjust(w) for c, w in zip(cells, widths)))
         return "\n".join(out) + "\n"
 
@@ -372,7 +375,7 @@ def compare_to_stimulus(
                                 (stimulus_signal, recording_signal))
     for side, balance in (("stimulus", stimulus),
                           (f"recording at {float(at_distance_cm)} cm", recording)):
-        if balance.mean_level.is_silence:
+        if balance.mean_level == -math.inf:
             raise SilenceError(f"{side} is silent; its balance is undefined")
     return ComparisonRow(
         label=f"{series.key[0]} {series.key[1]}".strip(),
@@ -382,20 +385,18 @@ def compare_to_stimulus(
     )
 
 
+def _one_line(text: str) -> str:
+    """``text`` with each unprintable character, a line break say, escaped."""
+    return "".join(c if c.isprintable() else c.encode("unicode_escape").decode("ascii")
+                   for c in text)
+
+
 # --- export ---------------------------------------------------------------
 
 def _csv_float(v: float | None) -> str:
     if v is None or (isinstance(v, float) and math.isnan(v)):
         return ""
     return repr(float(v))
-
-
-def _level_csv(level: LevelDbfs) -> str:
-    return "silence" if level.is_silence else repr(level.value)
-
-
-def _level_text(level: LevelDbfs) -> str:
-    return "silence" if level.is_silence else f"{level.value:.1f}"
 
 
 def _verdict_json(v: ValidityVerdict | None) -> dict | None:
@@ -454,7 +455,7 @@ def export(result: CampaignResult, out_dir: str | os.PathLike) -> list[Path]:
                 "n_points": len(analysis.level_points),
                 "analyzed_length_samples": analysis.analyzed_length,
                 "mean_levels_dbfs": [
-                    [p.distance_cm, p.level.to_json()] for p in analysis.level_points
+                    [p.distance_cm, p.level] for p in analysis.level_points
                 ],
                 "max_abs_gap_db": analysis.max_abs_gap_db,
                 "level_verdict": _verdict_json(analysis.level_verdict),

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 
 from .errors import InvalidInputError, SingularityError
 from .series import SeriesMeasurement
-from .signal import LevelDbfs
 
 __all__ = [
     "LevelPoint",
@@ -33,10 +32,11 @@ __all__ = [
 class LevelPoint:
     """One distance of a level curve: the mean level, its amplification
     relative to the reference, the 1/x law there and the measured-minus-law
-    gap. At x = 0 the law diverges, so ``theory_db`` and ``gap_db`` are None."""
+    gap. Where x_ref/x is not a finite positive number (at x = 0, say)
+    ``theory_db`` and ``gap_db`` are None."""
 
     distance_cm: float
-    level: LevelDbfs
+    level: float  # dB FS
     amplification_db: float
     theory_db: float | None
     gap_db: float | None
@@ -58,12 +58,16 @@ def check_threshold(threshold_db: float) -> None:
 
 
 def theoretical_amplification(x_cm: float, x_ref_cm: float) -> float:
-    """Spherical-wave level gain at ``x_cm`` relative to ``x_ref_cm``: 20*log10(x_ref/x)."""
-    if x_cm <= 0:
-        raise SingularityError(f"1/x law diverges at distance {x_cm} cm")
-    if x_ref_cm <= 0:
-        raise SingularityError(f"reference distance must be positive, got {x_ref_cm}")
-    return 20.0 * math.log10(x_ref_cm / x_cm)
+    """Spherical-wave level gain at ``x_cm`` relative to ``x_ref_cm``: 20*log10(x_ref/x).
+
+    Raises :class:`SingularityError` unless x_ref/x is a finite positive
+    number, as at x = 0 or where the ratio over- or underflows.
+    """
+    ratio = x_ref_cm / x_cm if x_cm > 0 else math.inf
+    if not 0 < ratio < math.inf:
+        raise SingularityError(
+            f"1/x law: x_ref/x = {x_ref_cm}/{x_cm} cm is not a finite positive number")
+    return 20.0 * math.log10(ratio)
 
 
 def measured_level_curve(measured: SeriesMeasurement) -> tuple[LevelPoint, ...]:
@@ -73,14 +77,18 @@ def measured_level_curve(measured: SeriesMeasurement) -> tuple[LevelPoint, ...]:
     rules were checked when it was built. Amplifications are invariant
     under any global gain applied to the whole series, and exactly 0 dB at
     the reference. A negative gap means the measurement sits below the 1/x
-    law; points at x = 0 get no law and no gap instead of an extrapolation.
+    law; a point where :func:`theoretical_amplification` has no value gets
+    no law and no gap instead of an extrapolation.
     """
     ref_cm = measured.reference_distance_cm
-    ref_db = measured.at_reference.level.value
+    ref_db = measured.at_reference.level
     points = []
     for m in measured.measurements:
-        amp = m.level.value - ref_db
-        theory = None if m.distance_cm <= 0 else theoretical_amplification(m.distance_cm, ref_cm)
+        amp = m.level - ref_db
+        try:
+            theory = theoretical_amplification(m.distance_cm, ref_cm)
+        except SingularityError:
+            theory = None
         gap = None if theory is None else amp - theory
         points.append(LevelPoint(m.distance_cm, m.level, amp, theory, gap))
     return tuple(points)

@@ -31,7 +31,7 @@ from .errors import (
     SilenceError,
 )
 from .filterbank import FilterBank, _each
-from .signal import SILENCE, LevelDbfs, Signal
+from .signal import Signal
 from .wavio import WavHeader
 
 __all__ = [
@@ -113,10 +113,10 @@ class Measurement:
     sha256: str  # of the file's bytes, or of an in-memory signal's float64 samples
 
     @property
-    def level(self) -> LevelDbfs:
-        """Mean level of the analyzed samples; the silence sentinel if they
-        are all zero or their mean power underflows to zero."""
-        return SILENCE if self.balance is None else self.balance.mean_level
+    def level(self) -> float:
+        """Mean level of the analyzed samples in dB FS; ``-inf`` if they are
+        all zero or their mean power underflows to zero."""
+        return -math.inf if self.balance is None else self.balance.mean_level
 
 
 @dataclass(frozen=True)
@@ -136,7 +136,7 @@ class SeriesMeasurement:
         check_reference(distances, self.reference_distance_cm)
         reference = float(self.reference_distance_cm)
         object.__setattr__(self, "reference_distance_cm", reference)
-        silent = [m.distance_cm for m in self.measurements if m.level.is_silence]
+        silent = [m.distance_cm for m in self.measurements if m.level == -math.inf]
         if reference in silent:
             raise InvalidInputError(f"reference recording at {reference} cm is silent")
         if silent:

@@ -2,9 +2,8 @@
 
 A :class:`Signal` is an immutable mono waveform with a sample rate. Levels
 are mean-power dB FS: ``10*log10(mean(s**2))``, so a full-scale DC signal
-reads 0 dB FS and a full-scale sine reads -3.01 dB FS. All-zero signals
-carry no level; they report the silence sentinel instead of ``-inf`` so
-result tables stay serializable.
+reads 0 dB FS and a full-scale sine reads -3.01 dB FS. A level is a plain
+float; an all-zero signal reads ``-inf``, as an empty band's weight does.
 """
 
 from __future__ import annotations
@@ -18,8 +17,6 @@ from .errors import CannotNormalizeError, EmptySignalError, InvalidInputError
 
 __all__ = [
     "Signal",
-    "LevelDbfs",
-    "SILENCE",
     "mean_level_dbfs",
     "normalize_to_level",
     "db_to_gain",
@@ -92,59 +89,31 @@ class Signal:
         return Signal(self.samples[:n_samples], self.sample_rate)
 
 
-@dataclass(frozen=True, order=True)
-class LevelDbfs:
-    """Mean power level in dB relative to full scale.
-
-    The all-zero case is the distinct silence sentinel (``value`` is -inf,
-    ``is_silence`` is True); it formats and serializes as "silence".
-    """
-
-    value: float
-    # order=True compares by value; -inf sorts below every finite level.
-
-    @property
-    def is_silence(self) -> bool:
-        return self.value == -math.inf
-
-    def __str__(self) -> str:
-        return "silence" if self.is_silence else f"{self.value:.4f} dB FS"
-
-    def to_json(self) -> float | None:
-        """JSON-safe representation; silence maps to null."""
-        return None if self.is_silence else self.value
-
-
-SILENCE = LevelDbfs(-math.inf)
-
-
-def mean_level_dbfs(signal: Signal) -> LevelDbfs:
+def mean_level_dbfs(signal: Signal) -> float:
     """Mean power of ``signal`` in dB FS.
 
     Scaling the samples by g shifts the result by exactly 20*log10(g).
-    All-zero input returns the silence sentinel.
+    All-zero input reads ``-inf``.
     """
     return level_of_power(float(np.mean(np.square(signal.samples))))
 
 
-def level_of_power(power: float) -> LevelDbfs:
-    """The level of a mean power in dB FS; the silence sentinel for 0, which
-    is also what the mean of a positive but subnormal energy can underflow to."""
-    return LevelDbfs(10.0 * math.log10(power)) if power > 0.0 else SILENCE
+def level_of_power(power: float) -> float:
+    """The level of a mean power in dB FS; ``-inf`` for 0, which is also
+    what the mean of a positive but subnormal energy can underflow to."""
+    return 10.0 * math.log10(power) if power > 0.0 else -math.inf
 
 
-def normalize_to_level(signal: Signal, target: LevelDbfs | float) -> Signal:
-    """Scale ``signal`` by a single positive gain so it measures ``target``.
+def normalize_to_level(signal: Signal, target: float) -> Signal:
+    """Scale ``signal`` by a single positive gain so it measures ``target`` dB FS.
 
     Raises :class:`CannotNormalizeError` for all-zero input (no gain can
     produce a finite level), :class:`InvalidInputError` for a target that
     :func:`check_level` rejects. Idempotent: re-normalizing to the same
     target is the identity up to rounding.
     """
-    target_db = target.value if isinstance(target, LevelDbfs) else float(target)
-    check_level(target_db, "target level")
+    check_level(target, "target level")
     current = mean_level_dbfs(signal)
-    if current.is_silence:
+    if current == -math.inf:
         raise CannotNormalizeError("cannot normalize an all-zero signal")
-    gain = db_to_gain(target_db - current.value)
-    return signal.scaled(gain)
+    return signal.scaled(db_to_gain(target - current))

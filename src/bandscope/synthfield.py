@@ -24,7 +24,7 @@ import numpy as np
 from .errors import InvalidInputError, InvalidSpecError, MappingMismatchError, SilenceError
 from .filterbank import FilterBank, decompose
 from .series import MeasurementEntry, MeasurementSeries, distance_text
-from .signal import Signal, check_level, db_to_gain
+from .signal import Signal, check_level, db_to_gain, mean_level_dbfs
 
 __all__ = [
     "DirectivityModel",
@@ -208,7 +208,7 @@ def synth_campaign(
             f"distance {distance_text(distances[gains.index(0.0)])} cm: its x_ref/x gain "
             f"times the directivity gain {d_gain:g} is 0"
         )
-    if not spec.stimulus.samples.any():
+    if mean_level_dbfs(spec.stimulus) == -math.inf:
         raise SilenceError("stimulus is silent: no recording of it has a level or a balance")
     table = None  # dB gain per (distance, band)
     if profile is not None:

@@ -25,7 +25,7 @@ from .errors import (
 )
 from .signal import Signal, check_sample_rate
 
-__all__ = ["WavHeader", "read_header", "load_wav", "save_wav", "check_float32"]
+__all__ = ["WavHeader", "read_header", "load_wav", "save_wav", "check_writable"]
 
 _FMT_PCM = 0x0001
 _FMT_FLOAT = 0x0003
@@ -100,25 +100,25 @@ def load_wav(path: str | os.PathLike, channel: int = 0, digest=None) -> Signal:
 def save_wav(signal: Signal, path: str | os.PathLike, encoding: str = "float32") -> None:
     """Write a mono WAV file in the given encoding (float32, pcm16, pcm24).
 
-    PCM clips at full scale; float32 raises :class:`InvalidInputError`,
-    before opening the file, unless :func:`check_float32` passes.
+    PCM clips at full scale. Raises :class:`InvalidInputError`, before
+    opening the file, unless :func:`check_writable` passes.
     """
+    if encoding not in _WIDTH:
+        raise UnsupportedEncodingError(f"unknown encoding {encoding!r}")
+    check_writable(signal, path, encoding)
     x = signal.samples
     if encoding == "float32":
-        check_float32(signal, path)
         audio_format, bits = _FMT_FLOAT, 32
         body = x.astype("<f4").tobytes()
     elif encoding == "pcm16":
         audio_format, bits = _FMT_PCM, 16
         q = np.clip(np.round(x * _PCM16_SCALE), -32768, 32767).astype("<i2")
         body = q.tobytes()
-    elif encoding == "pcm24":
+    else:
         audio_format, bits = _FMT_PCM, 24
         q = np.clip(np.round(x * _PCM24_SCALE), -8388608, 8388607).astype("<i4")
         b = q.view(np.uint8).reshape(-1, 4)
         body = b[:, :3].tobytes()  # little-endian: drop the high byte
-    else:
-        raise UnsupportedEncodingError(f"unknown encoding {encoding!r}")
 
     block_align = bits // 8
     byte_rate = signal.sample_rate * block_align
@@ -135,13 +135,24 @@ def save_wav(signal: Signal, path: str | os.PathLike, encoding: str = "float32")
         fh.write(b"RIFF" + struct.pack("<I", 4 + len(chunks)) + b"WAVE" + chunks)
 
 
-def check_float32(signal: Signal, what) -> None:
-    """Raise :class:`InvalidInputError` naming ``what`` unless a float32 WAV
-    can hold ``signal``: its peak is 0 or within float32's normal range."""
-    x = signal.samples
-    peak = max(x.max(), -x.min())
-    if peak > _FLOAT32.max or 0 < peak < _FLOAT32.tiny:
-        raise InvalidInputError(f"{what}: a peak of {peak:g} is outside the float32 range")
+def check_writable(signal: Signal, what, encoding: str = "float32") -> None:
+    """Raise :class:`InvalidInputError` naming ``what`` unless a WAV in
+    ``encoding`` can hold ``signal``: its byte rate and RIFF size fit the
+    header's unsigned 32-bit fields, and a float32 peak is 0 or within
+    float32's normal range."""
+    width = _WIDTH[encoding]
+    data = len(signal) * width
+    # the RIFF size counts "WAVE", the fmt chunk, the data chunk's header and pad byte
+    for name, size in (("byte rate", signal.sample_rate * width),
+                       ("RIFF size", 36 + data + (data & 1))):
+        if size >= 1 << 32:
+            raise InvalidInputError(f"{what}: a {name} of {size} in {encoding} is more "
+                                    "than a WAV header holds")
+    if encoding == "float32":
+        x = signal.samples
+        peak = max(x.max(), -x.min())
+        if peak > _FLOAT32.max or 0 < peak < _FLOAT32.tiny:
+            raise InvalidInputError(f"{what}: a peak of {peak:g} is outside the float32 range")
 
 
 def _walk(read, size: int, path, channel: int) -> tuple[WavHeader, int]:

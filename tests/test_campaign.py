@@ -18,7 +18,6 @@ from bandscope import (
     DirectivityModel,
     DistanceProfile,
     IngestReport,
-    LevelDbfs,
     MeasurementEntry,
     MeasurementSeries,
     Signal,
@@ -286,7 +285,7 @@ class TestCompare:
         for d in row.diffs_db:
             assert d == pytest.approx(0.0, abs=1e-9)
         gain_db = 20 * math.log10(0.5 + 0.5 * math.cos(math.pi / 3))
-        level_gap = row.recording_level.value - row.stimulus_level.value
+        level_gap = row.recording_level - row.stimulus_level
         assert level_gap == pytest.approx(gain_db, abs=1e-6)
 
     def test_missing_distance(self, ids10_bank_fast, white_2s):
@@ -385,7 +384,7 @@ class TestExport:
         summary = json.loads((tmp_path / "out" / "summary.json").read_text())
         # ingest reads headers only, so decode the files here
         expected = [
-            [row["distance_cm"], mean_level_dbfs(load_wav(tmp_path / row["path"])).value]
+            [row["distance_cm"], mean_level_dbfs(load_wav(tmp_path / row["path"]))]
             for row in rows
         ]
         assert summary["series"][0]["mean_levels_dbfs"] == expected
@@ -451,7 +450,7 @@ class TestComparisonReportAssembly:
 
     def test_labels_with_commas_quotes_and_line_breaks_keep_their_columns(self):
         labels = ("AKG, C414 omni", 'the "hot" one', "two\nlines")
-        rows = tuple(ComparisonRow(label, (1.0, 2.0), LevelDbfs(-20.0), LevelDbfs(-30.0))
+        rows = tuple(ComparisonRow(label, (1.0, 2.0), -20.0, -30.0)
                      for label in labels)
         report = ComparisonReport(stimulus_label="pink, 10 s", rows=rows, n_bands=2)
         header, *records = csv.reader(io.StringIO(report.to_csv()))
@@ -460,6 +459,23 @@ class TestComparisonReportAssembly:
         assert [r[0] for r in records] == [f"pink, 10 s/{label}" for label in labels]
         assert all(len(r) == 1 + 2 + 2 for r in records)
         assert all(r[1:] == ["1.0", "2.0", "-20.0", "-30.0"] for r in records)
+
+    def test_text_rows_keep_the_header_columns_whatever_the_label(self):
+        labels = ("ECM8000 omni", "Neumann U89i cardioid rear", "two\nlines")
+        rows = tuple(ComparisonRow(label, (1.0, -2.0), -20.0, -30.0) for label in labels)
+        header, *lines = ComparisonReport("stimulus", rows, n_bands=2).to_text().splitlines()
+        assert len(lines) == len(labels)
+        # every row ends each column where the header does
+        assert {len(line) for line in lines} == {len(header)}
+        assert all(line.endswith("   +1.0   -2.0     -20.0/-30.0") for line in lines)
+        assert lines[1].lstrip() == "stimulus/Neumann U89i cardioid rear" + lines[1][-30:]
+        assert lines[2].lstrip().startswith("stimulus/two\\nlines ")
+
+    def test_text_label_column_is_28_wide_for_short_labels(self):
+        rows = (ComparisonRow("ECM8000 omni", (1.0,), -20.0, -30.0),)
+        header, line = ComparisonReport("One", rows, n_bands=1).to_text().splitlines()
+        assert header == "comparison".rjust(28) + "b1".rjust(7) + "levels".rjust(16)
+        assert line == "One/ECM8000 omni".rjust(28) + "+1.0".rjust(7) + "-20.0/-30.0".rjust(16)
 
 
 # --- one pass per recording: error semantics, input digests, memory ---------

@@ -72,7 +72,7 @@ class TestSynth:
                     "--level", "-3.0103", "--dur", "2", "--out-file", str(out)])
         assert code == 0
         signal = load_wav(out)
-        assert mean_level_dbfs(signal).value == pytest.approx(-3.0103, abs=1e-3)
+        assert mean_level_dbfs(signal) == pytest.approx(-3.0103, abs=1e-3)
         sidecar = json.loads((tmp_path / "sine65.wav.json").read_text())
         assert sidecar["frequency_hz"] == 65.0
         assert "# bandscope" in capsys.readouterr().out
@@ -118,7 +118,7 @@ class TestNormalize:
         dst = tmp_path / "out.wav"
         assert run(["normalize", "--in-file", str(src), "--level", "-20",
                     "--out-file", str(dst)]) == 0
-        assert mean_level_dbfs(load_wav(dst)).value == pytest.approx(-20.0, abs=1e-3)
+        assert mean_level_dbfs(load_wav(dst)) == pytest.approx(-20.0, abs=1e-3)
 
 
 class TestCampaignPipeline:
@@ -568,6 +568,13 @@ BAD_INPUTS = {
                                         "--dur", "1e300", "--out-file", str(t / "x.wav")], 1),
     "synth-sine-dur-1e305": (lambda t: ["synth", "--kind", "sine", "--freq", "1000",
                                         "--dur", "1e305", "--out-file", str(t / "x.wav")], 1),
+    # RIFF's 32-bit fields: a rate above 2**32 - 1, a float32 byte rate above it
+    "synth-rate-beyond-riff":
+        (lambda t: _synth(t, "--seed", "1", "--dur", "1e-9", "--rate", "5000000000"), 1),
+    "synth-byte-rate-beyond-riff":
+        (lambda t: _synth(t, "--seed", "1", "--dur", "1e-9", "--rate", "2000000000"), 1),
+    "spec-rate-beyond-riff": (lambda t: _synth_campaign(t, stimulus={
+        "kind": "pink", "duration_s": 1e-9, "sample_rate_hz": 5000000000, "seed": 7}), 1),
     "synth-level-inf": (lambda t: _synth(t, "--dur", "1", "--level", "inf"), 2),
     "synth-freq-nan": (lambda t: ["synth", "--kind", "sine", "--freq", "nan", "--dur", "1",
                                   "--out-file", str(t / "x.wav")], 2),
@@ -606,6 +613,42 @@ def test_bad_input_exits_cleanly(case, tmp_path, capsys):
         code = exc.code
     assert code == expected
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("case", ["synth-rate-beyond-riff", "synth-byte-rate-beyond-riff",
+                                  "spec-rate-beyond-riff"])
+def test_wav_its_header_cannot_describe_is_never_started(case, tmp_path, capsys):
+    argv = BAD_INPUTS[case][0](tmp_path)
+    before = sorted(tmp_path.iterdir())
+    assert run(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "more than a WAV header holds" in err
+    assert sorted(tmp_path.iterdir()) == before
+
+
+@pytest.mark.parametrize("near_cm, far_cm, reference", [
+    (1e-320, 100.0, "100"),    # 100 / 1e-320 overflows to inf
+    (1e-320, 1e10, "1e-320"),  # 1e-320 / 1e10 underflows to 0
+], ids=["ratio-overflows", "ratio-underflows"])
+def test_no_law_where_the_distance_ratio_is_not_finite(near_cm, far_cm, reference, tmp_path):
+    manifest = _wav_manifest(tmp_path, near_cm)
+    doc = json.loads(manifest.read_text())
+    doc["entries"][1]["distance_cm"] = far_cm
+    manifest.write_text(json.dumps(doc))
+    assert run(_analyze(tmp_path, manifest, "--reference", reference)) == 0
+    (level_csv,) = (tmp_path / "out").glob("*_level.csv")
+    cells = [row.split(",")[2:] for row in level_csv.read_text().splitlines()[1:]]
+    law_at_reference = ["0.0", "0.0"]
+    assert cells == ([["", ""], law_at_reference] if far_cm == float(reference)
+                     else [law_at_reference, ["", ""]])
+
+    def strict(name):
+        raise ValueError(f"summary.json holds {name}")
+
+    text = (tmp_path / "out" / "summary.json").read_text()
+    (series,) = json.loads(text, parse_constant=strict)["series"]
+    assert series["max_abs_gap_db"] == 0.0
 
 
 @pytest.mark.parametrize("field, value, what", [

@@ -22,7 +22,6 @@ from bandscope.errors import (
     MissingReferenceError,
     SingularityError,
 )
-from bandscope.signal import LevelDbfs
 
 FS = 44100
 
@@ -44,7 +43,7 @@ def _checked(levels, reference):
     mapping = BandMapping((0, 1000, 22050))
     return SeriesMeasurement(reference, tuple(
         Measurement(d, None if db is None else
-                    BalanceResult(mapping, (0.5, 0.5), (-3.0, -3.0), LevelDbfs(db)), "")
+                    BalanceResult(mapping, (0.5, 0.5), (-3.0, -3.0), db), "")
         for d, db in levels
     ))
 
@@ -64,6 +63,12 @@ class TestTheoretical:
             theoretical_amplification(0, 100)
         with pytest.raises(SingularityError):
             theoretical_amplification(50, 0)
+
+    @pytest.mark.parametrize("x, x_ref", [(1e-320, 100.0), (1e10, 1e-320)],
+                             ids=["ratio-overflows", "ratio-underflows"])
+    def test_ratio_that_is_not_finite_and_positive(self, x, x_ref):
+        with pytest.raises(SingularityError, match="not a finite positive number"):
+            theoretical_amplification(x, x_ref)
 
     @given(x=st.floats(min_value=0.1, max_value=1000.0))
     @settings(max_examples=50, deadline=None)
@@ -188,9 +193,20 @@ class TestLevelCurveInvariants:
     def test_points_are_levels_relative_to_reference(self):
         points = measured_level_curve(_checked(((10.0, -10.5), (100.0, -30.25)), 100.0))
         assert [(p.distance_cm, p.level, p.amplification_db) for p in points] == [
-            (10.0, LevelDbfs(-10.5), 19.75), (100.0, LevelDbfs(-30.25), 0.0)]
+            (10.0, -10.5, 19.75), (100.0, -30.25, 0.0)]
         assert [(p.theory_db, p.gap_db) for p in points] == [
             (theoretical_amplification(10.0, 100.0), 19.75 - 20.0), (0.0, 0.0)]
+
+    @pytest.mark.parametrize("distances, reference", [((1e-320, 100.0), 100.0),
+                                                      ((1e-320, 1e10), 1e-320)],
+                             ids=["ratio-overflows", "ratio-underflows"])
+    def test_no_law_where_the_ratio_is_not_finite_and_positive(self, distances, reference):
+        points = measured_level_curve(_checked(((distances[0], -10.0), (distances[1], -30.0)),
+                                               reference))
+        assert [(p.theory_db, p.gap_db) for p in points if p.distance_cm != reference] == [
+            (None, None)]
+        assert [(p.theory_db, p.gap_db) for p in points if p.distance_cm == reference] == [
+            (0.0, 0.0)]
 
 
 # case -> ((distance_cm, level dB or None), reference, error, message)

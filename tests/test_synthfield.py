@@ -107,7 +107,7 @@ class TestSynthRecording:
 
     def test_half_distance_is_plus_6db(self, white_2s):
         out = _recordings(white_2s, [50.0])[50.0]
-        delta = mean_level_dbfs(out).value - mean_level_dbfs(white_2s).value
+        delta = mean_level_dbfs(out) - mean_level_dbfs(white_2s)
         assert delta == pytest.approx(6.0206, abs=1e-4)
 
     def test_inverse_distance_composition(self, white_2s):
@@ -259,6 +259,13 @@ class TestOffAxisCampaign:
         )
         with pytest.raises(SilenceError, match="stimulus is silent"):
             synth_campaign(spec, ids10_bank_fast)
+
+    def test_stimulus_whose_mean_power_underflows_is_silent(self, no_recording):
+        # nonzero samples, but 1e-200 squared is 0: the meter reads -inf
+        spec = SynthCampaignSpec(stimulus=Signal(np.full(FS // 10, 1e-200), FS),
+                                 distances_cm=(50, 100))
+        with pytest.raises(SilenceError, match="stimulus is silent"):
+            synth_campaign(spec)
 
     # x_ref/x overflows to inf, or underflows to 0
     @pytest.mark.parametrize("distances, reference, named",

@@ -4,7 +4,8 @@ import warnings
 import numpy as np
 import pytest
 
-from bandscope import Signal, load_wav, read_header, save_wav
+from bandscope import Signal, WavHeader, load_wav, read_header, save_wav
+from bandscope.wavio import check_writable
 from bandscope.errors import (
     BandscopeError,
     EmptySignalError,
@@ -124,6 +125,24 @@ class TestRoundTrip:
         with pytest.raises(InvalidInputError, match="outside the float32 range"):
             save_wav(Signal(np.array([0.0, peak, 1e-45]), FS), p)
         assert not p.exists()
+
+    @pytest.mark.parametrize("encoding, rate", [("pcm16", 2**31), ("pcm24", 1431655766),
+                                                ("float32", 2**30)])
+    def test_refuses_a_byte_rate_beyond_32_bits(self, tmp_path, encoding, rate):
+        p = tmp_path / "x.wav"
+        save_wav(Signal(np.zeros(2), rate - 1), p, encoding=encoding)  # the largest that fits
+        assert read_header(p).sample_rate == rate - 1
+        with pytest.raises(InvalidInputError, match="byte rate of .* more than a WAV header"):
+            save_wav(Signal(np.zeros(2), rate), tmp_path / "y.wav", encoding=encoding)
+        assert not (tmp_path / "y.wav").exists()
+
+    @pytest.mark.parametrize("encoding, n", [("pcm16", 2147483630), ("pcm24", 1431655753)])
+    def test_riff_size_beyond_32_bits_is_refused(self, encoding, n):
+        # 36 + n * width (+ a pad byte) reaches 2**32; a header stands in for
+        # a signal of that many samples, so none is allocated
+        check_writable(WavHeader("x.wav", FS, 1, encoding, n - 1), "x.wav", encoding)
+        with pytest.raises(InvalidInputError, match="RIFF size of .* more than a WAV header"):
+            check_writable(WavHeader("x.wav", FS, 1, encoding, n), "x.wav", encoding)
 
     def test_float32_keeps_silence_and_its_range_ends(self, tmp_path):
         p = tmp_path / "x.wav"
