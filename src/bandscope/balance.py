@@ -38,7 +38,7 @@ class BalanceResult:
     mapping: BandMapping
     weights_linear: tuple[float, ...]
     weights_db: tuple[float, ...]  # -inf marks an empty band
-    mean_level: float  # dB FS; -inf when the mean power underflows
+    mean_level: float  # dB FS, finite
 
 
 @dataclass(frozen=True)
@@ -54,19 +54,17 @@ class WeightEvolution:
 
 
 def spectral_balance(signal: Signal, bank: FilterBank) -> BalanceResult:
-    """Weights of every subband of ``signal`` under ``bank``'s mapping."""
+    """Weights of every subband of ``signal`` under ``bank``'s mapping; a silent
+    signal (all zero, or a mean power that underflows) raises :class:`SilenceError`."""
     total, energies = band_energies(bank, signal)  # refuses a total that overflows
-    if total == 0.0:
-        raise SilenceError("spectral balance of an all-zero signal is undefined")
+    # sum / n is how np.mean divides, so this equals mean_level_dbfs bit for bit
+    mean_level = level_of_power(total / len(signal))
+    if mean_level == -math.inf:
+        raise SilenceError("spectral balance of a silent signal is undefined")
     linear = tuple(energy / total for energy in energies)
     db = tuple(10.0 * math.log10(w) if w > 0.0 else -math.inf for w in linear)
-    return BalanceResult(
-        mapping=bank.mapping,
-        weights_linear=linear,
-        weights_db=db,
-        # sum / n is how np.mean divides, so this equals mean_level_dbfs bit for bit
-        mean_level=level_of_power(total / len(signal)),
-    )
+    return BalanceResult(mapping=bank.mapping, weights_linear=linear, weights_db=db,
+                         mean_level=mean_level)
 
 
 def weight_evolution(measured: SeriesMeasurement) -> list[WeightEvolution]:

@@ -8,8 +8,8 @@ recordings and runs the level and balance chains on the measurements.
 Export writes the level chain's rows (one per distance) as the level CSV
 and the summary's levels, one CSV per band and a summary JSON,
 deterministically. A synthetic series is saved as WAVs plus the manifest
-that lists them, so the manifest format and the file-naming rule each
-live here only.
+that lists them, so the manifest format, the file-naming rule and the
+text rules of every CSV and JSON file bandscope writes each live here only.
 """
 
 from __future__ import annotations
@@ -132,9 +132,7 @@ def save_series(series: MeasurementSeries, out_dir: str | os.PathLike) -> None:
         name = f"{_file_stem(series.key)}_{distance_text(entry.distance_cm)}cm.wav"
         save_wav(signal, out / name, encoding="float32")
         rows.append({**asdict(entry), "path": name})
-    (out / "manifest.json").write_text(
-        json.dumps({"entries": rows}, sort_keys=True, indent=2) + "\n"
-    )
+    (out / "manifest.json").write_text(_json_text({"entries": rows}))
 
 
 def ingest(manifest_path: str | os.PathLike) -> IngestReport:
@@ -331,15 +329,11 @@ class ComparisonReport:
     def to_csv(self) -> str:
         """The rows as CSV; a label holding a comma, a quote or a line break
         is quoted, so every row keeps its columns."""
-        text = io.StringIO()
-        writer = csv.writer(text, lineterminator="\n")
-        writer.writerow(["comparison", *(f"band{i + 1}" for i in range(self.n_bands)),
-                         "stimulus_level_dbfs", "recording_level_dbfs"])
-        for row in self.rows:
-            writer.writerow([f"{self.stimulus_label}/{row.label}",
-                             *(_csv_float(v) for v in row.diffs_db),
-                             _csv_float(row.stimulus_level), _csv_float(row.recording_level)])
-        return text.getvalue()
+        return _csv_text(
+            ["comparison", *(f"band{i + 1}" for i in range(self.n_bands)),
+             "stimulus_level_dbfs", "recording_level_dbfs"],
+            ([f"{self.stimulus_label}/{row.label}", *row.diffs_db,
+              row.stimulus_level, row.recording_level] for row in self.rows))
 
     def to_text(self) -> str:
         """The rows as a table whose label column is as wide as the longest
@@ -366,17 +360,19 @@ def compare_to_stimulus(
     """Balance difference between a stimulus and one series recording.
 
     Only the recording at ``at_distance_cm`` is decoded. The two sides are
-    balanced on worker threads, one each. A side whose mean power
-    underflows is silent, as in :class:`SeriesMeasurement`, and raises
-    :class:`SilenceError`.
+    balanced on worker threads, one each. A silent side, as in
+    :class:`SeriesMeasurement`, raises a :class:`SilenceError` naming it.
     """
-    recording_signal = series.signal_at(at_distance_cm)  # raises MissingDistanceError
-    stimulus, recording = _each(lambda signal: spectral_balance(signal, bank),
-                                (stimulus_signal, recording_signal))
-    for side, balance in (("stimulus", stimulus),
-                          (f"recording at {float(at_distance_cm)} cm", recording)):
-        if balance.mean_level == -math.inf:
-            raise SilenceError(f"{side} is silent; its balance is undefined")
+    sides = {"stimulus": stimulus_signal,  # signal_at raises MissingDistanceError
+             f"recording at {float(at_distance_cm)} cm": series.signal_at(at_distance_cm)}
+
+    def balance_of(side):
+        try:
+            return spectral_balance(sides[side], bank)
+        except SilenceError:
+            raise SilenceError(f"{side} is silent; its balance is undefined") from None
+
+    stimulus, recording = _each(balance_of, list(sides))
     return ComparisonRow(
         label=f"{series.key[0]} {series.key[1]}".strip(),
         diffs_db=balance_difference(stimulus, recording),
@@ -393,20 +389,23 @@ def _one_line(text: str) -> str:
 
 # --- export ---------------------------------------------------------------
 
-def _csv_float(v: float | None) -> str:
-    if v is None or (isinstance(v, float) and math.isnan(v)):
-        return ""
-    return repr(float(v))
+def _csv_text(header: list[str], rows) -> str:
+    """A CSV file's text, a line feed ending each line: a text cell as given
+    (quoted where it holds a comma, a quote or a line break), a number as
+    ``repr(float(v))``, None and NaN as an empty cell."""
+    text = io.StringIO()
+    writer = csv.writer(text, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(
+        [v if isinstance(v, str) else "" if v is None or math.isnan(v) else repr(float(v))
+         for v in row]
+        for row in rows)
+    return text.getvalue()
 
 
-def _verdict_json(v: ValidityVerdict | None) -> dict | None:
-    if v is None:
-        return None
-    return {
-        "limit_distance_cm": v.limit_distance_cm,
-        "threshold_db": v.threshold_db,
-        "rule": v.rule,
-    }
+def _json_text(doc) -> str:
+    """A JSON file's text: keys sorted, indented by 2, a newline at the end."""
+    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
 def export(result: CampaignResult, out_dir: str | os.PathLike) -> list[Path]:
@@ -431,22 +430,18 @@ def export(result: CampaignResult, out_dir: str | os.PathLike) -> list[Path]:
 
     for analysis in sorted(result.analyses, key=lambda a: a.key):
         stem = _file_stem(analysis.key)
-        lines = ["distance_cm,amplification_db,theory_db,gap_db"]
-        lines += [
-            f"{distance_text(p.distance_cm)},{_csv_float(p.amplification_db)},"
-            f"{_csv_float(p.theory_db)},{_csv_float(p.gap_db)}"
-            for p in analysis.level_points
-        ]
         level_path = out / f"{stem}_level.csv"
-        level_path.write_text("\n".join(lines) + "\n")
+        level_path.write_text(_csv_text(
+            ["distance_cm", "amplification_db", "theory_db", "gap_db"],
+            ([distance_text(p.distance_cm), p.amplification_db, p.theory_db, p.gap_db]
+             for p in analysis.level_points)))
         written.append(level_path)
 
         for evo in analysis.weight_evolutions:
-            lines = ["distance_cm,delta_weight_db"]
-            for distance, delta in evo.points:
-                lines.append(f"{distance_text(distance)},{_csv_float(delta)}")
             band_path = out / f"{stem}_band{evo.band_index + 1:02d}_weight.csv"
-            band_path.write_text("\n".join(lines) + "\n")
+            band_path.write_text(_csv_text(
+                ["distance_cm", "delta_weight_db"],
+                ([distance_text(distance), delta] for distance, delta in evo.points)))
             written.append(band_path)
 
         summary["series"].append(
@@ -458,15 +453,13 @@ def export(result: CampaignResult, out_dir: str | os.PathLike) -> list[Path]:
                     [p.distance_cm, p.level] for p in analysis.level_points
                 ],
                 "max_abs_gap_db": analysis.max_abs_gap_db,
-                "level_verdict": _verdict_json(analysis.level_verdict),
-                "band_verdicts": [
-                    _verdict_json(v) for v in analysis.band_verdicts
-                ],
+                "level_verdict": analysis.level_verdict and asdict(analysis.level_verdict),
+                "band_verdicts": [asdict(v) for v in analysis.band_verdicts],
                 "reequalized_bands": [b + 1 for b in analysis.reequalized_bands],
             }
         )
 
     summary_path = out / "summary.json"
-    summary_path.write_text(json.dumps(summary, sort_keys=True, indent=2) + "\n")
+    summary_path.write_text(_json_text(summary))
     written.append(summary_path)
     return written

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import ctypes
-import json
 import math
 import os
 import sys
@@ -20,6 +19,7 @@ from .campaign import (
     ComparisonReport,
     IngestReport,
     SeriesError,
+    _json_text,
     analyze_report,
     compare_to_stimulus,
     export,
@@ -152,7 +152,7 @@ def _cmd_synth(args) -> int:
     out.parent.mkdir(parents=True, exist_ok=True)
     save_wav(signal, out, encoding=args.bits)
     sidecar = out.with_suffix(out.suffix + ".json")
-    sidecar.write_text(json.dumps(spec.to_json(), sort_keys=True, indent=2) + "\n")
+    sidecar.write_text(_json_text(spec.to_json()))
     print(f"wrote {out} ({len(signal)} samples, {mean_level_dbfs(signal):.4f} dB FS)")
     print(f"wrote {sidecar}")
     return 0
@@ -231,9 +231,7 @@ def _cmd_synth_campaign(args) -> int:
     save_series(series, out)
     save_wav(stimulus, out / "stimulus.wav", encoding="float32")
     (out / "ground_truth.csv").write_text(truth.to_csv())
-    (out / "campaign_spec.json").write_text(
-        json.dumps({**doc, "stimulus": stim_json}, sort_keys=True, indent=2) + "\n"
-    )
+    (out / "campaign_spec.json").write_text(_json_text({**doc, "stimulus": stim_json}))
     print(f"wrote {len(series.entries)} recordings, manifest.json, ground_truth.csv to {out}")
     return 0
 

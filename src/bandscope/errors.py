@@ -6,6 +6,7 @@ distinguish usage problems from broken input data.
 """
 
 import json
+import math
 import os
 from contextlib import contextmanager
 
@@ -98,19 +99,27 @@ class LoadError(BandscopeError):
 
 # --- input files: manifests, campaign specs, mapping files ---
 
+def _finite(text: str) -> float:
+    """A JSON float or NaN/Infinity constant as a float; ValueError unless finite."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{text} is not a finite JSON number")
+    return value
+
+
 def read_input(path: str | os.PathLike, error: type[BandscopeError], as_json: bool = False):
     """The UTF-8 text of input file ``path``, or the JSON document it holds.
     A file that cannot be read (missing, a directory, no permission), is not
-    text or is not JSON raises ``error`` naming it."""
+    text or is not JSON of finite numbers raises ``error`` naming it."""
     try:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
-        return json.loads(text) if as_json else text
+        return json.loads(text, parse_constant=_finite, parse_float=_finite) if as_json else text
     except OSError as exc:
         raise error(f"{path}: cannot read ({exc.strerror or exc})") from exc
     except UnicodeDecodeError as exc:
         raise error(f"{path}: not a text file ({exc})") from exc
-    except ValueError as exc:  # not JSON, or an integer too long to convert
+    except ValueError as exc:  # not JSON, a number that is not finite, or too long an integer
         raise error(f"{path}: not valid JSON ({exc})") from exc
 
 

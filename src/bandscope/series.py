@@ -109,7 +109,7 @@ class Measurement:
     """What the measuring pass keeps of one recording once its samples are dropped."""
 
     distance_cm: float
-    balance: BalanceResult | None  # None for an all-zero recording: no balance exists
+    balance: BalanceResult | None  # None for a silent recording: no balance exists
     sha256: str  # of the file's bytes, or of an in-memory signal's float64 samples
 
     @property

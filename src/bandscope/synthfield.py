@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .campaign import _csv_text
 from .errors import InvalidInputError, InvalidSpecError, MappingMismatchError, SilenceError
 from .filterbank import FilterBank, decompose
 from .series import MeasurementEntry, MeasurementSeries, distance_text
@@ -164,8 +165,8 @@ class GroundTruth:
     expected_weight_delta_db: tuple[tuple[int, float, float], ...]
 
     def to_csv(self) -> str:
-        rows = (f"{b + 1},{distance_text(d)},{gain!r}\n" for b, d, gain in self.band_rows)
-        return "band,distance_cm,injected_gain_db\n" + "".join(rows)
+        return _csv_text(["band", "distance_cm", "injected_gain_db"],
+                         ([str(b + 1), distance_text(d), gain] for b, d, gain in self.band_rows))
 
     def expected_delta(self, band_index: int, distance_cm: float) -> float:
         for band, distance, delta in self.expected_weight_delta_db:

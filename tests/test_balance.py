@@ -73,11 +73,18 @@ class TestSpectralBalance:
 
     def test_mean_level_silent_when_power_underflows(self):
         # the energy sum is a positive subnormal, its mean rounds to zero: the
-        # meter reads silence, and so must the balance instead of failing
+        # meter reads silence, and the balance refuses to weigh subnormal band
+        # energies; the same impulse at 1.0 has ordinary weights
         bank = design_bank(BandMapping((0, 1000, 22050)), FS, 63)
-        signal = Signal(np.array([2.3e-162, 0.0]), FS)
+        impulse = np.zeros(2000)
+        impulse[0] = 2.3e-162
+        signal = Signal(impulse, FS)
         assert mean_level_dbfs(signal) == -math.inf
-        assert spectral_balance(signal, bank).mean_level == mean_level_dbfs(signal)
+        with pytest.raises(SilenceError, match="silent signal"):
+            spectral_balance(signal, bank)
+        impulse[0] = 1.0
+        weights = spectral_balance(Signal(impulse, FS), bank).weights_linear
+        assert 0.0 < min(weights) and max(weights) < 1.0
 
     def test_white_noise_weights_track_bandwidth(self, ids10_bank, white_10s):
         result = spectral_balance(white_10s, ids10_bank)

@@ -296,15 +296,20 @@ class TestCompare:
 
     def test_side_whose_power_underflows_is_silent(self, two_band_bank):
         # the silence rule of SeriesMeasurement: a positive energy whose
-        # mean underflows has weights, but no level to compare them at
+        # mean underflows has no level and no balance, as all zeros have
+        # none; either way the message names the silent side
         noise = Signal(0.05 * np.random.default_rng(6).standard_normal(2000), FS)
         tiny = np.zeros(2000)
         tiny[0] = 2.3e-162
-        series = _memory_series([noise, Signal(tiny, FS), noise], (50, 100, 200))
+        zeros = Signal(np.zeros(2000), FS)
+        series = _memory_series([noise, Signal(tiny, FS), zeros], (50, 100, 200))
         with pytest.raises(SilenceError, match=r"^recording at 100\.0 cm is silent"):
             compare_to_stimulus(noise, series, two_band_bank, 100)
-        with pytest.raises(SilenceError, match=r"^stimulus is silent"):
-            compare_to_stimulus(Signal(tiny, FS), series, two_band_bank, 50.0)
+        with pytest.raises(SilenceError, match=r"^recording at 200\.0 cm is silent"):
+            compare_to_stimulus(noise, series, two_band_bank, 200)
+        for stimulus in (Signal(tiny, FS), zeros):
+            with pytest.raises(SilenceError, match=r"^stimulus is silent"):
+                compare_to_stimulus(stimulus, series, two_band_bank, 50.0)
 
 
 class TestExport:
@@ -328,6 +333,31 @@ class TestExport:
         b = export(result, tmp_path / "b")
         for pa, pb in zip(sorted(a), sorted(b)):
             assert pa.read_bytes() == pb.read_bytes()
+
+    def test_every_csv_kind_byte_for_byte(self, two_band_bank, short_noise, tmp_path):
+        # one recording at every distance: each amplification and weight
+        # delta is exactly 0, and x = 0 has no law and no gap
+        series = _memory_series([short_noise] * 3, (0, 10, 100))
+        export(analyze_report(IngestReport((series,), ()), two_band_bank), tmp_path)
+        assert (tmp_path / "m_o_s_level.csv").read_text() == (
+            "distance_cm,amplification_db,theory_db,gap_db\n"
+            "0,0.0,,\n"
+            "10,0.0,20.0,-20.0\n"
+            "100,0.0,0.0,0.0\n")
+        assert (tmp_path / "m_o_s_band02_weight.csv").read_text() == (
+            "distance_cm,delta_weight_db\n0,0.0\n10,0.0\n100,0.0\n")
+        # a silent band has no difference; a label holding "," and '"' is quoted
+        report = ComparisonReport(stimulus_label='a,"b', n_bands=2, rows=(
+            ComparisonRow("m o", (math.nan, -1.5), -20.0, -26.25),))
+        assert report.to_csv() == (
+            "comparison,band1,band2,stimulus_level_dbfs,recording_level_dbfs\n"
+            '"a,""b/m o",,-1.5,-20.0,-26.25\n')
+        _, truth = synth_campaign(SynthCampaignSpec(
+            stimulus=short_noise, distances_cm=(0.5, 100, 1000),
+            profile=DistanceProfile({0: ((0.5, 3.0), (100, 0.0))})), two_band_bank)
+        assert truth.to_csv() == (
+            "band,distance_cm,injected_gain_db\n"
+            "1,0.5,3.0\n2,0.5,0.0\n1,100,0.0\n2,100,0.0\n1,1000,0.0\n2,1000,0.0\n")
 
     def test_csv_round_trip_exact(self, ids10_bank_fast, short_noise, tmp_path):
         result = self._result(ids10_bank_fast, short_noise, tmp_path)

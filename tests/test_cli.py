@@ -483,6 +483,15 @@ def _synth_campaign(tmp_path, **overrides):
     return ["synth-campaign", "--spec", str(spec), "--out", str(tmp_path / "camp")]
 
 
+def _spec_noting(tmp_path, literal):
+    """The campaign spec with a "note" holding ``literal`` as written, which
+    json.dumps would not write."""
+    argv = _synth_campaign(tmp_path, note="@")
+    spec = Path(argv[2])
+    spec.write_text(spec.read_text().replace('"@"', literal))
+    return argv
+
+
 def _synth(tmp_path, *flags):
     return ["synth", "--kind", "pink", *flags, "--out-file", str(tmp_path / "x.wav")]
 
@@ -549,6 +558,12 @@ BAD_INPUTS = {
         t, stimulus={"kind": "pink", "target_level_dbfs": True, "seed": 7}), 1),
     "spec-frequency-text": (lambda t: _synth_campaign(
         t, stimulus={"kind": "sine", "duration_s": 0.5, "frequency_hz": "1000"}), 1),
+    # JSON has no NaN or Infinity; Python's reader takes them unless told not to
+    "spec-constants-not-json":
+        (lambda t: _synth_campaign(t, note=math.nan, extra=[math.inf]), 1),
+    "spec-number-overflows-float": (lambda t: _spec_noting(t, "-1e400"), 1),
+    "spec-frequency-nan": (lambda t: _synth_campaign(
+        t, stimulus={"kind": "pink", "duration_s": 0.5, "seed": 7, "frequency_hz": math.nan}), 1),
     "spec-seed-bool": (lambda t: _synth_campaign(
         t, stimulus={"kind": "pink", "duration_s": 0.5, "seed": True}), 1),
     "spec-seed-fraction": (lambda t: _synth_campaign(
@@ -625,6 +640,18 @@ def test_wav_its_header_cannot_describe_is_never_started(case, tmp_path, capsys)
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "more than a WAV header holds" in err
     assert sorted(tmp_path.iterdir()) == before
+
+
+@pytest.mark.parametrize("case, number", [("spec-constants-not-json", "NaN"),
+                                          ("spec-frequency-nan", "NaN"),
+                                          ("spec-number-overflows-float", "-1e400")])
+def test_spec_holding_nan_or_infinity_writes_nothing(case, number, tmp_path, capsys):
+    # else campaign_spec.json would echo it as NaN or -Infinity
+    assert run(BAD_INPUTS[case][0](tmp_path)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert f"not valid JSON ({number} is not a finite JSON number)" in err
+    assert not (tmp_path / "camp").exists()
 
 
 @pytest.mark.parametrize("near_cm, far_cm, reference", [
