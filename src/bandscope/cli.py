@@ -176,6 +176,24 @@ def _spec_profile(bands: dict) -> DistanceProfile:
     return DistanceProfile(by_index)
 
 
+# The keys a campaign spec may hold; its stimulus holds the generator's
+# keys or only "file".
+_SPEC_KEYS = ("stimulus", "distances_cm", "reference_distance_cm", "directivity_m",
+              "theta_rad", "microphone", "stimulus_label", "profile")
+_GENERATOR_KEYS = ("kind", "duration_s", "sample_rate_hz", "target_level_dbfs",
+                   "frequency_hz", "seed")
+
+
+def _known_keys(doc: dict, known: tuple[str, ...], what: str) -> None:
+    """ValueError naming each key of ``doc`` not in ``known``: a misspelled
+    key would otherwise leave its field at the default."""
+    unknown = [key for key in doc if key not in known]
+    if unknown:
+        raise ValueError(f"unknown {what} key{'s' * (len(unknown) > 1)} "
+                         f"{', '.join(map(repr, unknown))} "
+                         f"(known: {', '.join(known)})")
+
+
 def _cmd_synth_campaign(args) -> int:
     spec_path = Path(args.spec)
     doc = read_input(spec_path, InvalidSpecError, as_json=True)
@@ -183,11 +201,14 @@ def _cmd_synth_campaign(args) -> int:
         if not isinstance(doc, dict) or not isinstance(doc.get("stimulus"), dict):
             raise TypeError("expected a JSON object with a 'stimulus' object")
         stim_doc = doc["stimulus"]
+        _known_keys(doc, _SPEC_KEYS, "spec")
         if "file" in stim_doc:
+            _known_keys(stim_doc, ("file",), "stimulus file")
             stim_json = {"file": stim_doc["file"]}
             # relative to the spec file; an absolute path stays as is
             stimulus = load_wav(spec_path.parent / stim_doc["file"])
         else:
+            _known_keys(stim_doc, _GENERATOR_KEYS, "stimulus")
             frequency, seed = stim_doc.get("frequency_hz"), stim_doc.get("seed")
             sspec = StimulusSpec(
                 kind=stim_doc.get("kind", "pink"),

@@ -31,8 +31,12 @@ A bank keeps every band's response at its block length. :func:`decompose`
 and :func:`band_energies` transform the input's blocks once per call and
 hand those block spectra to their :func:`apply_zero_phase` call for each
 band, so splitting a recording into B bands costs one batched forward
-transform plus one batched inverse per band, however many callers split
-the same signal at once.
+transform plus one batched inverse per band. A caller that splits one
+signal many times, as :func:`~bandscope.synthfield.synth_campaign` splits
+its stimulus once per recording, checks and transforms it once with
+:func:`_checked_spectra` and hands those spectra to each :func:`decompose`
+call as its private ``_input_spectra``, so each further split costs only
+the inverse transforms.
 
 The unit of parallel work is the recording: :func:`_each` maps a function
 over a few items on every CPU in the process' affinity mask (``taskset``
@@ -334,24 +338,24 @@ def _next_fast_len(n: int) -> int:
     return best
 
 
-def _band_filter(bank: FilterBank, signal: Signal
-                 ) -> tuple[float, Callable[[int], np.ndarray]]:
-    """The energy of ``signal``, checked finite, and a function of a band
-    index that filters ``signal`` through that band with
-    :func:`apply_zero_phase`, from block spectra transformed once here."""
+def _checked_spectra(bank: FilterBank, signal: Signal) -> tuple[float, np.ndarray]:
+    """The energy of ``signal``, checked finite, and the block spectra of
+    ``signal`` that :func:`apply_zero_phase` takes as ``_input_spectra``."""
     energy = _energy(signal.samples)
-    x = _block_spectra(bank, signal.samples, *_blocks(bank, len(signal)))
-    return energy, lambda band: apply_zero_phase(bank, band, signal, _input_spectra=x)
+    return energy, _block_spectra(bank, signal.samples, *_blocks(bank, len(signal)))
 
 
-def decompose(bank: FilterBank, signal: Signal) -> list[np.ndarray]:
+def decompose(bank: FilterBank, signal: Signal, *,
+              _input_spectra: np.ndarray | None = None) -> list[np.ndarray]:
     """Split ``signal`` into one subband array per band, all input-length,
     the bands filtered on worker threads, one band each.
 
     The subbands sum sample-wise back to the input (complementary bank).
+    ``_input_spectra``, when given, is ``_checked_spectra(bank, signal)[1]``.
     """
-    _, band = _band_filter(bank, signal)
-    return _each(band, range(bank.n_bands))
+    x = _checked_spectra(bank, signal)[1] if _input_spectra is None else _input_spectra
+    return _each(lambda band: apply_zero_phase(bank, band, signal, _input_spectra=x),
+                 range(bank.n_bands))
 
 
 def band_energies(bank: FilterBank, signal: Signal) -> tuple[float, tuple[float, ...]]:
@@ -360,8 +364,10 @@ def band_energies(bank: FilterBank, signal: Signal) -> tuple[float, tuple[float,
     :func:`decompose`'s subbands. The bands are filtered one after another
     on the calling thread, each subband reduced to its energy as soon as it
     is made."""
-    total, band = _band_filter(bank, signal)
-    return total, tuple(float(np.sum(np.square(band(i)))) for i in range(bank.n_bands))
+    total, x = _checked_spectra(bank, signal)
+    return total, tuple(
+        float(np.sum(np.square(apply_zero_phase(bank, i, signal, _input_spectra=x))))
+        for i in range(bank.n_bands))
 
 
 def _each(fn: Callable, items: Sequence) -> list:

@@ -103,8 +103,9 @@ def _pink_rows(n: int, rows: int, rng: np.random.Generator) -> np.ndarray:
         offset = 1 << (k - 1)
         n_vals = (n - offset + step - 1) // step + 1
         vals = rng.standard_normal(n_vals)
-        idx = np.minimum((np.arange(n) + step - offset) // step, n_vals - 1)
-        out += vals[idx]
+        # sample i holds vals[(i + step - offset) // step]; n_vals * step
+        # >= n + step - offset, so the repeat covers every sample
+        out += np.repeat(vals, step)[step - offset:step - offset + n]
     return out / math.sqrt(rows)
 
 

@@ -7,7 +7,10 @@ per-band distance profile (piecewise-linear gain breakpoints per subband).
 decided: it checks every rule before it synthesizes a recording, evaluates
 the profile once into a (distance x band) table of dB gains, and builds
 both the recordings and the :class:`GroundTruth` from that table, so the
-truth is what was injected by construction.
+truth is what was injected by construction. With a profile, the stimulus
+is checked and its blocks are transformed once per campaign; every split
+of it (one for the band energies of the truth, one per recording) takes
+those block spectra and does only the bank's inverse transforms.
 
 Profiles exist to exercise the analyzer: inject a known curve, recover it
 through the weight-evolution chain. This is a test harness, not a physical
@@ -23,7 +26,7 @@ import numpy as np
 
 from .campaign import _csv_text
 from .errors import InvalidInputError, InvalidSpecError, MappingMismatchError, SilenceError
-from .filterbank import FilterBank, decompose
+from .filterbank import FilterBank, _checked_spectra, decompose
 from .series import MeasurementEntry, MeasurementSeries, distance_text
 from .signal import Signal, check_level, db_to_gain, mean_level_dbfs
 
@@ -175,15 +178,25 @@ class GroundTruth:
         raise KeyError((band_index, distance_cm))
 
 
-def _shaped(bank: FilterBank, stimulus: Signal, gains_db: np.ndarray, gain: float) -> Signal:
-    """``stimulus`` with subband b scaled by ``gains_db[b]``, the bands
-    resummed (complementary bank, so 0 dB everywhere is the identity) and
-    the sum scaled by ``gain``. The subbands are freed when this returns."""
-    subbands = decompose(bank, stimulus)
-    shaped = np.zeros(len(stimulus))
-    for gain_db, sub in zip(gains_db.tolist(), subbands):
-        shaped += db_to_gain(gain_db) * sub
-    return Signal(gain * shaped, stimulus.sample_rate)
+def _shaped(bank: FilterBank, stimulus: Signal, spectra: np.ndarray,
+            gains_db: np.ndarray, gain: float) -> Signal:
+    """``stimulus`` with subband b scaled by ``gains_db[b]`` and the whole
+    scaled by ``gain``. ``spectra`` are the stimulus' block spectra, made
+    once per campaign, so its split here does no forward transform.
+
+    The bank is complementary (the subbands sum to the stimulus), so the
+    sum of scaled subbands is the stimulus plus (g_b - 1) times each
+    subband whose gain is not 0 dB, formed in place on the subbands. A row
+    that is 0 dB in every band gives exactly ``stimulus.scaled(gain)``.
+    """
+    shaped = np.array(stimulus.samples)
+    for gain_db, sub in zip(gains_db.tolist(),
+                            decompose(bank, stimulus, _input_spectra=spectra)):
+        if gain_db != 0.0:
+            sub *= db_to_gain(gain_db) - 1.0
+            shaped += sub
+    shaped *= gain
+    return Signal(shaped, stimulus.sample_rate)
 
 
 def synth_campaign(
@@ -220,15 +233,17 @@ def synth_campaign(
             )
         table = np.array([[profile.gain_db(b, d) for b in range(bank.n_bands)]
                           for d in distances])
+        _, spectra = _checked_spectra(bank, spec.stimulus)
         # before the recordings, so the stimulus' subbands never sit beside them
-        band_energy = np.array([float(np.sum(s**2)) for s in decompose(bank, spec.stimulus)])
+        band_energy = np.array([float(np.sum(s**2)) for s in
+                                decompose(bank, spec.stimulus, _input_spectra=spectra)])
 
     signals = []
     for i, gain in enumerate(gains):
         if table is None:
             signals.append(spec.stimulus.scaled(gain))
         else:
-            signals.append(_shaped(bank, spec.stimulus, table[i], gain))
+            signals.append(_shaped(bank, spec.stimulus, spectra, table[i], gain))
     entries = tuple(
         MeasurementEntry(distance_cm=d, microphone=spec.microphone,
                          directivity=spec.model.label, stimulus=spec.stimulus_label)

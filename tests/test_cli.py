@@ -572,6 +572,12 @@ BAD_INPUTS = {
         t, profile={"1": [[True, 3.0], [100, 0.0]]}), 1),
     "spec-profile-gain-text": (lambda t: _synth_campaign(
         t, profile={"1": [[5, "3.0"], [100, 0.0]]}), 1),
+    # a misspelled key would leave its field at the default
+    "spec-unknown-keys": (lambda t: _synth_campaign(t, theta=1.0, directivity=0.5), 1),
+    "spec-unknown-stimulus-key": (lambda t: _synth_campaign(
+        t, stimulus={"kind": "pink", "duration_s": 0.5, "seed": 7, "levle_dbfs": -40}), 1),
+    "spec-stimulus-file-and-seed":
+        (lambda t: _synth_campaign(t, stimulus={"file": "x.wav", "seed": 7}), 1),
     "synth-seed-negative": (lambda t: _synth(t, "--dur", "1", "--seed", "-1"), 1),
     "synth-dur-inf": (lambda t: _synth(t, "--dur", "inf"), 2),
     "synth-dur-beyond-memory": (lambda t: _synth(t, "--dur", "1e9", "--seed", "1"), 1),
@@ -651,6 +657,23 @@ def test_spec_holding_nan_or_infinity_writes_nothing(case, number, tmp_path, cap
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert f"not valid JSON ({number} is not a finite JSON number)" in err
+    assert not (tmp_path / "camp").exists()
+
+
+# case -> what its error names
+UNKNOWN_KEYS = {
+    "spec-unknown-keys": "unknown spec keys 'theta', 'directivity'",
+    "spec-unknown-stimulus-key": "unknown stimulus key 'levle_dbfs'",
+    "spec-stimulus-file-and-seed": "unknown stimulus file key 'seed' (known: file)",
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNKNOWN_KEYS))
+def test_unknown_spec_key_is_named_and_writes_nothing(case, tmp_path, capsys):
+    assert run(BAD_INPUTS[case][0](tmp_path)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert UNKNOWN_KEYS[case] in err
     assert not (tmp_path / "camp").exists()
 
 

@@ -1,3 +1,6 @@
+import hashlib
+import math
+
 import numpy as np
 import pytest
 
@@ -14,6 +17,7 @@ from bandscope.errors import (
     InvalidFrequencyError,
     InvalidInputError,
 )
+from bandscope.stimuli import _pink_rows
 from oracles import spectral_slope, steady_state
 
 FS = 44100
@@ -102,6 +106,34 @@ class TestPink:
     def test_dispatch(self):
         s = gen_stimulus(StimulusSpec(kind="pink", duration=0.25, seed=5))
         assert isinstance(s, Signal)
+
+
+def _pink_rows_by_index(n, rows, rng):
+    """The staggered row sum by an explicit index per sample: sample i of
+    row k holds value min((i + 2**k - 2**(k-1)) // 2**k, values - 1)."""
+    out = rng.standard_normal(n)
+    for k in range(1, rows):
+        step = 1 << k
+        offset = 1 << (k - 1)
+        n_vals = (n - offset + step - 1) // step + 1
+        vals = rng.standard_normal(n_vals)
+        idx = np.minimum((np.arange(n) + step - offset) // step, n_vals - 1)
+        out += vals[idx]
+    return out / math.sqrt(rows)
+
+
+class TestPinkRows:
+    @pytest.mark.parametrize("rows", range(4, 13))
+    def test_equals_the_index_formula_bit_for_bit(self, rows):
+        for n in [*range(1, 301), 441000]:
+            got = _pink_rows(n, rows, np.random.default_rng(n))
+            want = _pink_rows_by_index(n, rows, np.random.default_rng(n))
+            assert got.tobytes() == want.tobytes(), n
+
+    def test_seeded_10s_stimulus_is_pinned(self):
+        s = gen_pink(StimulusSpec(kind="pink", duration=10.0, seed=7))
+        digest = hashlib.sha256(s.samples.astype("<f8").tobytes()).hexdigest()
+        assert digest == "91005bf9a0f90a07e9b3b5539a2164c1550bef6f0fe615531c92ec61800f2ce5"
 
 
 class TestSpectralSlope:

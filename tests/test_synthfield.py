@@ -8,6 +8,7 @@ from bandscope import (
     DistanceProfile,
     Signal,
     SynthCampaignSpec,
+    decompose,
     directivity_gain,
     measured_level_curve,
     mean_level_dbfs,
@@ -40,7 +41,7 @@ def no_recording(monkeypatch):
     profiled recording does."""
     from bandscope import synthfield
 
-    def decompose(*args):
+    def decompose(*args, **kwargs):
         raise AssertionError("a recording was synthesized")
 
     monkeypatch.setattr(synthfield, "decompose", decompose)
@@ -144,6 +145,61 @@ class TestSynthRecording:
         out = _recordings(white_2s, [100.0], profile=prof, bank=ids10_bank_fast)[100.0]
         # complementary bank: scaling every band by 1 and resumming is exact
         np.testing.assert_allclose(out.samples, white_2s.samples, atol=1e-9)
+
+
+class TestProfiledCampaignWork:
+    """A profiled campaign transforms its stimulus once and splits it once
+    per recording plus once for the truth's band energies."""
+
+    DISTANCES = (5.0, 25.0, 50.0, 100.0)
+    PROFILE = DistanceProfile(bands={0: ((5.0, 8.0), (50.0, 0.0)),
+                                     3: ((5.0, -6.0), (25.0, 0.0))})
+
+    def _campaign(self, stimulus, bank):
+        spec = SynthCampaignSpec(stimulus=stimulus, distances_cm=self.DISTANCES,
+                                 model=DirectivityModel.cardioid(), theta_rad=0.3,
+                                 profile=self.PROFILE)
+        return synth_campaign(spec, bank)[0]
+
+    def test_one_block_transform_and_a_split_per_recording(self, white_2s, ids10_bank_fast,
+                                                           monkeypatch):
+        from bandscope import filterbank, synthfield
+
+        block_transforms, splits = [], []
+        rfft, decompose = filterbank.rfft, synthfield.decompose
+
+        def counted_rfft(a, *args, **kwargs):
+            if np.ndim(a) == 2:  # a batch of input blocks, not a band's response
+                block_transforms.append(np.shape(a))
+            return rfft(a, *args, **kwargs)
+
+        def counted_decompose(*args, **kwargs):
+            splits.append(args[1])
+            return decompose(*args, **kwargs)
+
+        monkeypatch.setattr(filterbank, "rfft", counted_rfft)
+        monkeypatch.setattr(synthfield, "decompose", counted_decompose)
+        self._campaign(white_2s, ids10_bank_fast)
+        assert len(block_transforms) == 1
+        assert len(splits) == len(self.DISTANCES) + 1
+        assert all(split is white_2s for split in splits)
+
+    def test_row_flat_in_every_band_is_the_scaled_stimulus(self, white_2s, ids10_bank_fast):
+        series = self._campaign(white_2s, ids10_bank_fast)
+        d_gain = directivity_gain(DirectivityModel.cardioid(), 0.3)
+        for d in (50.0, 100.0):  # past every breakpoint that is not 0 dB
+            want = white_2s.scaled((100.0 / d) * d_gain).samples
+            assert series.signal_at(d).samples.tobytes() == want.tobytes()
+
+    def test_shaped_rows_equal_the_sum_of_scaled_subbands(self, white_2s, ids10_bank_fast):
+        series = self._campaign(white_2s, ids10_bank_fast)
+        subbands = decompose(ids10_bank_fast, white_2s)
+        d_gain = directivity_gain(DirectivityModel.cardioid(), 0.3)
+        for d in (5.0, 25.0):
+            gains = [10.0 ** (self.PROFILE.gain_db(b, d) / 20.0) for b in range(len(subbands))]
+            want = (100.0 / d) * d_gain * sum(g * sub for g, sub in zip(gains, subbands))
+            np.testing.assert_allclose(series.signal_at(d).samples, want,
+                                       rtol=0, atol=1e-13 * np.abs(want).max())
 
 
 class TestSynthCampaign:

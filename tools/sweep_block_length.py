@@ -2,9 +2,12 @@
 
 Times ``band_energies`` with blocks of ``_next_fast_len(k * taps)`` points
 for several multiples k, on pink noise, with the allocator settings the
-command line uses. Each round times every k once, in an order that rotates
-from round to round, and the median of the rounds is reported. The last
-line of standard output is the whole table as one JSON object.
+command line uses. Multiples that give one block length (an input short
+enough to fit one block gets the same block for every k) are timed once,
+as one row listing them. Each round times every distinct block once, in an
+order that rotates from round to round, and the median of the rounds is
+reported. The last line of standard output is the whole table as one JSON
+object.
 
     PYTHONPATH=src python3 tools/sweep_block_length.py --rounds 9
 """
@@ -35,25 +38,29 @@ def sweep(rounds: int) -> dict:
     for label, preset, taps, seconds in CASES:
         bank = design_bank(BandMapping(BAND_PRESETS[preset]), FS, taps)
         signal = gen_pink(StimulusSpec(kind="pink", duration=seconds, seed=1))
-        times = {k: [] for k in MULTIPLES}
-        blocks = {}
+        multiples = {}  # block length -> the multiples that give it
+        for k in MULTIPLES:
+            filterbank._BLOCK_TAPS = k
+            multiples.setdefault(filterbank._blocks(bank, len(signal))[0], []).append(k)
+        blocks = list(multiples)
+        times = {block: [] for block in blocks}
         for r in range(rounds):
-            for k in MULTIPLES[r % len(MULTIPLES):] + MULTIPLES[:r % len(MULTIPLES)]:
-                filterbank._BLOCK_TAPS = k
-                blocks[k] = filterbank._blocks(bank, len(signal))[0]
+            for block in blocks[r % len(blocks):] + blocks[:r % len(blocks)]:
+                filterbank._BLOCK_TAPS = multiples[block][0]
                 filterbank.band_energies(bank, signal)  # responses at this length
                 start = time.perf_counter()
                 filterbank.band_energies(bank, signal)
-                times[k].append(1e3 * (time.perf_counter() - start))
+                times[block].append(1e3 * (time.perf_counter() - start))
+        # one row per block length, keyed by the multiples that share it
         table[label] = {
-            str(k): {"block": blocks[k],
-                     "median_ms": round(statistics.median(ms), 2),
-                     "min_ms": round(min(ms), 2)}
-            for k, ms in times.items()
+            ",".join(map(str, shared)): {"block": block,
+                                         "median_ms": round(statistics.median(times[block]), 2),
+                                         "min_ms": round(min(times[block]), 2)}
+            for block, shared in multiples.items()
         }
         print(label)
-        for k, row in table[label].items():
-            print(f"  k={k}: block {row['block']}, median {row['median_ms']} ms, "
+        for key, row in table[label].items():
+            print(f"  k={key}: block {row['block']}, median {row['median_ms']} ms, "
                   f"min {row['min_ms']} ms")
     return table
 
