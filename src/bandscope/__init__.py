@@ -38,7 +38,7 @@ from .level import (
     theoretical_amplification,
     validity_limit,
 )
-from .series import Measurement, MeasurementEntry, MeasurementSeries, SeriesMeasurement
+from .series import Measurement, MeasurementSeries, SeriesMeasurement
 from .signal import Signal, mean_level_dbfs, normalize_to_level
 from .stimuli import StimulusSpec, gen_pink, gen_sine, gen_stimulus
 from .synthfield import (
@@ -69,7 +69,6 @@ __all__ = [
     "IngestReport",
     "LevelPoint",
     "Measurement",
-    "MeasurementEntry",
     "MeasurementSeries",
     "SeriesAnalysis",
     "SeriesError",

@@ -35,8 +35,8 @@ from .level import (
     measured_level_curve,
     validity_limit,
 )
-from .series import (MeasurementEntry, MeasurementSeries, SeriesMeasurement,
-                     check_unique_distances, distance_text)
+from .series import (MeasurementSeries, SeriesMeasurement, _check_labels, check_distances,
+                     distance_text)
 from .signal import Signal
 from .wavio import save_wav
 
@@ -80,23 +80,32 @@ class IngestReport:
     errors: tuple[SeriesError, ...]
 
 
-def _manifest_series(manifest_path: str | os.PathLike) -> dict[tuple, list[MeasurementEntry]]:
-    """The manifest's entries, grouped by series key."""
+# the labels of a manifest entry, in the order of a series key
+_LABELS = ("microphone", "directivity", "stimulus")
+
+
+def _manifest_series(manifest_path: str | os.PathLike) -> dict[tuple, tuple[list, list]]:
+    """The manifest's series: key -> (distances, paths), each series' labels
+    and distances checked, so a manifest fails before any file is read."""
     path = Path(manifest_path)
     doc = read_input(path, ManifestError, as_json=True)
     if not isinstance(doc, dict) or not isinstance(doc.get("entries"), list):
         raise ManifestError(f"{path}: expected an object with an 'entries' array")
-    groups: dict[tuple[str, str, str], list[MeasurementEntry]] = {}
+    groups: dict[tuple[str, str, str], tuple[list, list]] = {}
     for i, row in enumerate(doc["entries"]):
         with converting(ManifestError, f"{path}: entry {i} invalid"):
-            texts = {name: json_text(row[name], name)
-                     for name in ("microphone", "directivity", "stimulus", "path")}
-            entry = MeasurementEntry(
-                distance_cm=json_number(row["distance_cm"], "distance_cm"), **texts
-            )
-        groups.setdefault(entry.key, []).append(entry)
+            key = tuple(json_text(row[name], name) for name in _LABELS)
+            file = json_text(row["path"], "path")
+            distance = json_number(row["distance_cm"], "distance_cm")
+        distances, files = groups.setdefault(key, ([], []))
+        distances.append(distance)
+        files.append(path.parent / file)  # an absolute path stays as is
     if not groups:
         raise ManifestError(f"{path}: manifest holds no entries")
+    with converting(ManifestError, str(path)):
+        for key, (distances, _) in groups.items():
+            _check_labels(key)
+            check_distances(distances, f"series {key}")
     return groups
 
 
@@ -128,10 +137,11 @@ def save_series(series: MeasurementSeries, out_dir: str | os.PathLike) -> None:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     rows = []
-    for entry, signal in zip(series.entries, series.recordings):
-        name = f"{_file_stem(series.key)}_{distance_text(entry.distance_cm)}cm.wav"
+    for distance, signal in zip(series.distances, series.recordings):
+        name = f"{_file_stem(series.key)}_{distance_text(distance)}cm.wav"
         save_wav(signal, out / name, encoding="float32")
-        rows.append({**asdict(entry), "path": name})
+        rows.append({"path": name, "distance_cm": distance,
+                     **dict(zip(_LABELS, series.key))})
     (out / "manifest.json").write_text(_json_text({"entries": rows}))
 
 
@@ -139,20 +149,18 @@ def ingest(manifest_path: str | os.PathLike) -> IngestReport:
     """Read a manifest and the header of every file it lists into series,
     grouped and sorted by distance. No samples are decoded here.
 
-    Duplicate distances within a series and sample-rate mixtures raise;
-    a series with a missing file or a broken WAV header is excluded and
-    listed in the report's errors instead (no silent drops).
+    Each series' labels and distances are checked before any file is read:
+    an empty label or a distance that is not finite and >= 0 raises
+    :class:`ManifestError`, a distance given twice
+    :class:`DuplicateDistanceError`. A series mixing sample rates raises;
+    one with a missing file or a broken WAV header is excluded and listed
+    in the report's errors instead (no silent drops).
     """
-    groups = _manifest_series(manifest_path)
-    base = Path(manifest_path).parent
     series_list: list[MeasurementSeries] = []
     errors: list[SeriesError] = []
-    for key in sorted(groups):
-        group = groups[key]
-        check_unique_distances(group)  # before any file is read
-        paths = [base / entry.path for entry in group]  # an absolute path stays as is
+    for key, (distances, paths) in sorted(_manifest_series(manifest_path).items()):
         try:
-            series_list.append(MeasurementSeries.from_files(group, paths))
+            series_list.append(MeasurementSeries.from_files(key, distances, paths))
         except LoadError as exc:
             errors.append(SeriesError.of(key, exc))
     return IngestReport(series=tuple(series_list), errors=tuple(errors))
@@ -214,13 +222,14 @@ def analyze(
 
     All of them come from one measuring pass over the recordings, each cut
     to the series' common length (:meth:`MeasurementSeries.measure`). The
-    reference distance and the threshold are taken as floats, and an
+    reference distance and the threshold are taken as floats (-0 as 0), and an
     invalid threshold fails before anything is measured. Band verdicts use
     the weight deltas as deviations; a band showing the re-equalization
     pattern gets no validity limit regardless of its suffix, because the
     late rise is exactly what the limit is supposed to exclude.
     """
-    reference_distance_cm, threshold_db = float(reference_distance_cm), float(threshold_db)
+    reference_distance_cm = float(reference_distance_cm) + 0.0  # -0 reads as 0
+    threshold_db = float(threshold_db)
     check_threshold(threshold_db)
     measured = series.measure(bank, reference_distance_cm)
     points = measured_level_curve(measured)
@@ -276,11 +285,12 @@ def analyze_report(
 ) -> CampaignResult:
     """Analyze every ingested series; failures become recorded errors,
     never silent drops. The reference distance and the threshold are taken
-    as floats, so an int and the equal float give the same result and
-    ``config_hash``. An invalid threshold, or two series that
+    as floats, so an int and the equal float, or -0 and 0, give the same
+    result and ``config_hash``. An invalid threshold, or two series that
     :func:`export` would write to the same files, fails once, before any
     series is measured."""
-    reference_distance_cm, threshold_db = float(reference_distance_cm), float(threshold_db)
+    reference_distance_cm = float(reference_distance_cm) + 0.0  # -0 reads as 0
+    threshold_db = float(threshold_db)
     check_threshold(threshold_db)
     _check_distinct_stems([series.key for series in report.series])
     analyses = []

@@ -32,9 +32,9 @@ from .errors import (
     ManifestError,
     SilenceError,
     converting,
-    json_integer,
     json_number,
     json_text,
+    known_keys,
     read_input,
 )
 from .filterbank import (
@@ -79,14 +79,15 @@ def _add_bank_args(p: argparse.ArgumentParser) -> None:
 
 
 def _finite_float(text: str) -> float:
-    """argparse type for float flags: NaN and infinities are usage errors."""
+    """argparse type for float flags: NaN and infinities are usage errors;
+    -0 reads as 0."""
     try:
         value = float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"not a number: {text!r}")
     if not math.isfinite(value):
         raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
-    return value
+    return value + 0.0
 
 
 def _add_out_arg(p: argparse.ArgumentParser, required: bool = False) -> None:
@@ -176,22 +177,10 @@ def _spec_profile(bands: dict) -> DistanceProfile:
     return DistanceProfile(by_index)
 
 
-# The keys a campaign spec may hold; its stimulus holds the generator's
-# keys or only "file".
+# The keys a campaign spec may hold; its stimulus holds the keys of
+# StimulusSpec.to_json or only "file".
 _SPEC_KEYS = ("stimulus", "distances_cm", "reference_distance_cm", "directivity_m",
               "theta_rad", "microphone", "stimulus_label", "profile")
-_GENERATOR_KEYS = ("kind", "duration_s", "sample_rate_hz", "target_level_dbfs",
-                   "frequency_hz", "seed")
-
-
-def _known_keys(doc: dict, known: tuple[str, ...], what: str) -> None:
-    """ValueError naming each key of ``doc`` not in ``known``: a misspelled
-    key would otherwise leave its field at the default."""
-    unknown = [key for key in doc if key not in known]
-    if unknown:
-        raise ValueError(f"unknown {what} key{'s' * (len(unknown) > 1)} "
-                         f"{', '.join(map(repr, unknown))} "
-                         f"(known: {', '.join(known)})")
 
 
 def _cmd_synth_campaign(args) -> int:
@@ -201,24 +190,14 @@ def _cmd_synth_campaign(args) -> int:
         if not isinstance(doc, dict) or not isinstance(doc.get("stimulus"), dict):
             raise TypeError("expected a JSON object with a 'stimulus' object")
         stim_doc = doc["stimulus"]
-        _known_keys(doc, _SPEC_KEYS, "spec")
+        known_keys(doc, _SPEC_KEYS, "spec")
         if "file" in stim_doc:
-            _known_keys(stim_doc, ("file",), "stimulus file")
+            known_keys(stim_doc, ("file",), "stimulus file")
             stim_json = {"file": stim_doc["file"]}
             # relative to the spec file; an absolute path stays as is
             stimulus = load_wav(spec_path.parent / stim_doc["file"])
         else:
-            _known_keys(stim_doc, _GENERATOR_KEYS, "stimulus")
-            frequency, seed = stim_doc.get("frequency_hz"), stim_doc.get("seed")
-            sspec = StimulusSpec(
-                kind=stim_doc.get("kind", "pink"),
-                duration=json_number(stim_doc.get("duration_s", 2.0), "duration_s"),
-                sample_rate=json_integer(stim_doc.get("sample_rate_hz", 44100), "sample_rate_hz"),
-                target_level=json_number(stim_doc.get("target_level_dbfs", -20.0),
-                                         "target_level_dbfs"),
-                frequency=None if frequency is None else json_number(frequency, "frequency_hz"),
-                seed=None if seed is None else json_integer(seed, "seed"),
-            )
+            sspec = StimulusSpec.from_json(stim_doc)
             stim_json = sspec.to_json()
             stimulus = gen_stimulus(sspec)
         profile = _spec_profile(doc["profile"]) if doc.get("profile") else None
@@ -253,7 +232,7 @@ def _cmd_synth_campaign(args) -> int:
     save_wav(stimulus, out / "stimulus.wav", encoding="float32")
     (out / "ground_truth.csv").write_text(truth.to_csv())
     (out / "campaign_spec.json").write_text(_json_text({**doc, "stimulus": stim_json}))
-    print(f"wrote {len(series.entries)} recordings, manifest.json, ground_truth.csv to {out}")
+    print(f"wrote {len(series.recordings)} recordings, manifest.json, ground_truth.csv to {out}")
     return 0
 
 

@@ -137,6 +137,16 @@ def converting(error: type[BandscopeError], where: str):
         raise error(f"{where}: {exc}") from exc
 
 
+def known_keys(doc: dict, known: tuple[str, ...], what: str) -> None:
+    """ValueError naming each key of ``doc`` not in ``known``: a misspelled
+    key would otherwise leave its field at the default."""
+    unknown = [key for key in doc if key not in known]
+    if unknown:
+        raise ValueError(f"unknown {what} key{'s' * (len(unknown) > 1)} "
+                         f"{', '.join(map(repr, unknown))} "
+                         f"(known: {', '.join(known)})")
+
+
 def json_text(value, name: str) -> str:
     """``value`` of field ``name``, which must be a JSON string."""
     if not isinstance(value, str):

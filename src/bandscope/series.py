@@ -15,6 +15,7 @@ from __future__ import annotations
 import hashlib
 import math
 import os
+from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -36,11 +37,10 @@ from .wavio import WavHeader
 
 __all__ = [
     "Measurement",
-    "MeasurementEntry",
     "MeasurementSeries",
     "SeriesMeasurement",
+    "check_distances",
     "check_reference",
-    "check_unique_distances",
     "distance_text",
 ]
 
@@ -53,42 +53,31 @@ def distance_text(distance_cm: float) -> str:
     return short if float(short) == distance_cm else repr(float(distance_cm))
 
 
-@dataclass(frozen=True)
-class MeasurementEntry:
-    """One recording position: file, distance and the grouping labels."""
+def check_distances(distances: Sequence[float], owner: str) -> tuple[float, ...]:
+    """``distances`` as floats, ``-0`` read as 0, so an int and the equal
+    float, or -0 and 0, are one distance. Raises :class:`InvalidInputError`
+    unless each is finite and >= 0, and :class:`DuplicateDistanceError` if
+    one repeats; ``owner`` names what holds them in the message.
 
-    distance_cm: float
-    microphone: str
-    directivity: str
-    stimulus: str
-    path: str | None = None  # None for in-memory synthetic recordings
-
-    def __post_init__(self) -> None:
-        distance = float(self.distance_cm)  # an int and the equal float give one entry
-        if not (math.isfinite(distance) and distance >= 0):
-            raise InvalidInputError(f"distance must be finite and >= 0 cm, got {distance}")
-        object.__setattr__(self, "distance_cm", distance)
-        for label_name in ("microphone", "directivity", "stimulus"):
-            if not getattr(self, label_name):
-                raise InvalidInputError(f"{label_name} label must be nonempty")
-
-    @property
-    def key(self) -> tuple[str, str, str]:
-        return (self.microphone, self.directivity, self.stimulus)
-
-
-def check_unique_distances(entries: Sequence[MeasurementEntry]) -> None:
-    """Raise :class:`DuplicateDistanceError` if two entries share a distance.
-
-    Needs only the entries, so a manifest can be checked before any file
+    Needs no recording, so a manifest's series are checked before any file
     is read.
     """
-    dists = [e.distance_cm for e in entries]
-    dup = sorted({d for d in dists if dists.count(d) > 1})
+    dists = tuple(float(d) + 0.0 for d in distances)
+    for d in dists:
+        if not (math.isfinite(d) and d >= 0):
+            raise InvalidInputError(f"{owner}: distance must be finite and >= 0 cm, got {d}")
+    dup = sorted(d for d, n in Counter(dists).items() if n > 1)
     if dup:
-        raise DuplicateDistanceError(
-            f"series {entries[0].key}: duplicate distance(s) {dup} cm"
-        )
+        raise DuplicateDistanceError(f"{owner}: duplicate distance(s) {dup} cm")
+    return dists
+
+
+def _check_labels(key: tuple[str, str, str]) -> None:
+    """Raise :class:`InvalidInputError` unless series ``key`` is three
+    nonempty labels: microphone, directivity and stimulus."""
+    if len(key) != 3 or not all(key):
+        raise InvalidInputError(
+            f"series {key}: microphone, directivity and stimulus labels must be nonempty")
 
 
 def check_reference(
@@ -134,7 +123,7 @@ class SeriesMeasurement:
         if sorted(set(distances)) != distances:
             raise InvalidInputError("distances must be unique and ascending")
         check_reference(distances, self.reference_distance_cm)
-        reference = float(self.reference_distance_cm)
+        reference = float(self.reference_distance_cm) + 0.0
         object.__setattr__(self, "reference_distance_cm", reference)
         silent = [m.distance_cm for m in self.measurements if m.level == -math.inf]
         if reference in silent:
@@ -149,38 +138,38 @@ class SeriesMeasurement:
 
 @dataclass(frozen=True)
 class MeasurementSeries:
-    """Recordings sharing (microphone, directivity, stimulus), sorted by distance.
+    """Recordings of one (microphone, directivity, stimulus) ``key``, one per
+    distance in cm, sorted by distance.
 
     Each recording is a :class:`Signal` or the :class:`WavHeader` of the
     file that holds it.
     """
 
-    entries: tuple[MeasurementEntry, ...]
+    key: tuple[str, str, str]
+    distances: tuple[float, ...]
     recordings: tuple[Signal | WavHeader, ...]
 
     def __post_init__(self) -> None:
-        if len(self.entries) != len(self.recordings):
-            raise InvalidInputError("one recording per entry required")
-        if not self.entries:
-            raise InvalidInputError("series must contain at least one entry")
-        keys = {e.key for e in self.entries}
-        if len(keys) > 1:
-            raise InvalidInputError(f"series mixes labels: {sorted(keys)}")
-        order = sorted(range(len(self.entries)), key=lambda i: self.entries[i].distance_cm)
-        entries = tuple(self.entries[i] for i in order)
+        key = tuple(self.key)
+        _check_labels(key)
+        if len(self.distances) != len(self.recordings):
+            raise InvalidInputError(f"series {key}: one recording per distance required")
+        if not self.recordings:
+            raise InvalidInputError(f"series {key} must contain at least one recording")
+        distances = check_distances(self.distances, f"series {key}")
+        order = sorted(range(len(distances)), key=distances.__getitem__)
         recordings = tuple(self.recordings[i] for i in order)
-        check_unique_distances(entries)
         rates = {r.sample_rate for r in recordings}
         if len(rates) > 1:
-            raise RateMismatchError(
-                f"series {entries[0].key} mixes sample rates {sorted(rates)}"
-            )
-        object.__setattr__(self, "entries", entries)
+            raise RateMismatchError(f"series {key} mixes sample rates {sorted(rates)}")
+        object.__setattr__(self, "key", key)
+        object.__setattr__(self, "distances", tuple(distances[i] for i in order))
         object.__setattr__(self, "recordings", recordings)
 
     @classmethod
     def from_files(
-        cls, entries: Sequence[MeasurementEntry], paths: Sequence[str | os.PathLike]
+        cls, key: tuple[str, str, str], distances: Sequence[float],
+        paths: Sequence[str | os.PathLike],
     ) -> "MeasurementSeries":
         """A series over WAV files, of which only the headers are read.
 
@@ -188,11 +177,7 @@ class MeasurementSeries:
         that cannot be opened or whose container is broken.
         """
         headers = tuple(_reading(wavio.read_header, path) for path in paths)
-        return cls(entries=tuple(entries), recordings=headers)
-
-    @property
-    def key(self) -> tuple[str, str, str]:
-        return self.entries[0].key
+        return cls(key, distances, headers)
 
     @property
     def sample_rate(self) -> int:
@@ -208,15 +193,11 @@ class MeasurementSeries:
         """
         return min(len(r) for r in self.recordings)
 
-    @property
-    def distances(self) -> tuple[float, ...]:
-        return tuple(e.distance_cm for e in self.entries)
-
     def signal_at(self, distance_cm: float) -> Signal:
         """The whole recording at ``distance_cm``; a file is decoded now."""
         distance = float(distance_cm)
-        for entry, recording in zip(self.entries, self.recordings):
-            if entry.distance_cm == distance:
+        for d, recording in zip(self.distances, self.recordings):
+            if d == distance:
                 return _signal(recording)
         raise MissingDistanceError(
             f"series {self.key} has no recording at {distance} cm "
@@ -238,8 +219,8 @@ class MeasurementSeries:
         check_reference(self.distances, reference_distance_cm, f"series {self.key}")
         n = self.common_length
         return SeriesMeasurement(reference_distance_cm, tuple(_each(
-            lambda i: _measure(self.entries[i].distance_cm, self.recordings[i], n, bank),
-            range(len(self.entries)),
+            lambda i: _measure(self.distances[i], self.recordings[i], n, bank),
+            range(len(self.recordings)),
         )))
 
 

@@ -15,13 +15,18 @@ from numbers import Integral
 
 import numpy as np
 
-from .errors import InvalidFrequencyError, InvalidInputError
+from .errors import InvalidFrequencyError, InvalidInputError, json_integer, json_number, known_keys
 from .signal import Signal, check_level, check_sample_rate, db_to_gain, normalize_to_level
 
 __all__ = ["StimulusSpec", "gen_sine", "gen_pink", "gen_stimulus"]
 
 # the most float64 samples one array's size in bytes can count
 _MAX_SAMPLES = np.iinfo(np.intp).max // np.dtype(np.float64).itemsize
+
+# JSON key -> StimulusSpec field, in the order messages list the keys
+_JSON_FIELDS = {"kind": "kind", "duration_s": "duration", "sample_rate_hz": "sample_rate",
+                "target_level_dbfs": "target_level", "frequency_hz": "frequency",
+                "seed": "seed"}
 
 
 @dataclass(frozen=True)
@@ -62,14 +67,25 @@ class StimulusSpec:
             )
 
     def to_json(self) -> dict:
-        return {
-            "kind": self.kind,
-            "duration_s": self.duration,
-            "sample_rate_hz": self.sample_rate,
-            "target_level_dbfs": self.target_level,
-            "frequency_hz": self.frequency,
-            "seed": self.seed,
-        }
+        return {key: getattr(self, name) for key, name in _JSON_FIELDS.items()}
+
+    @classmethod
+    def from_json(cls, doc: dict) -> "StimulusSpec":
+        """The spec a campaign spec's ``stimulus`` object of :meth:`to_json`'s
+        keys describes. A key left out, or a ``null`` frequency or seed, takes
+        its default (kind ``"pink"``, 2 s, else the field's). Numbers must be
+        JSON numbers, the rate and the seed whole; any other key is a
+        ValueError naming it."""
+        known_keys(doc, tuple(_JSON_FIELDS), "stimulus")
+        fields = {"kind": doc.get("kind", "pink"),
+                  "duration": json_number(doc.get("duration_s", 2.0), "duration_s")}
+        for key, read in (("sample_rate_hz", json_integer), ("target_level_dbfs", json_number)):
+            if key in doc:
+                fields[_JSON_FIELDS[key]] = read(doc[key], key)
+        for key, read in (("frequency_hz", json_number), ("seed", json_integer)):
+            if doc.get(key) is not None:
+                fields[_JSON_FIELDS[key]] = read(doc[key], key)
+        return cls(**fields)
 
 
 def gen_sine(spec: StimulusSpec) -> Signal:

@@ -27,7 +27,8 @@ import numpy as np
 from .campaign import _csv_text
 from .errors import InvalidInputError, InvalidSpecError, MappingMismatchError, SilenceError
 from .filterbank import FilterBank, _checked_spectra, decompose
-from .series import MeasurementEntry, MeasurementSeries, distance_text
+from .series import (MeasurementSeries, _check_labels, check_distances, check_reference,
+                     distance_text)
 from .signal import Signal, check_level, db_to_gain, mean_level_dbfs
 
 __all__ = [
@@ -116,7 +117,10 @@ class DistanceProfile:
 
 @dataclass(frozen=True)
 class SynthCampaignSpec:
-    """Everything needed to generate one synthetic series."""
+    """Everything needed to generate one synthetic series. Its constructor
+    checks the series' labels and distances as :class:`MeasurementSeries`
+    does, that the reference is one of the distances, and that each
+    distance's x_ref/x gain is finite and positive."""
 
     stimulus: Signal
     distances_cm: tuple[float, ...]
@@ -128,27 +132,23 @@ class SynthCampaignSpec:
     stimulus_label: str = "stimulus"
 
     def __post_init__(self) -> None:
-        dists = tuple(float(d) for d in self.distances_cm)
-        if not dists:
+        if not self.distances_cm:
             raise InvalidSpecError("campaign needs at least one distance")
-        if not all(math.isfinite(d) and d > 0 for d in dists):
-            raise InvalidSpecError(f"distances must be positive and finite: {dists}")
+        dists = check_distances(self.distances_cm, "campaign")
+        _check_labels((self.microphone, self.model.label, self.stimulus_label))
         if not math.isfinite(self.theta_rad):
             raise InvalidSpecError(f"theta_rad must be finite, got {self.theta_rad}")
-        if len(set(dists)) != len(dists):
-            raise InvalidSpecError(f"distances must be unique: {dists}")
-        if self.reference_distance_cm not in dists:
-            raise InvalidSpecError(
-                f"reference distance {self.reference_distance_cm} cm must be one of "
-                f"the campaign distances {dists}"
-            )
+        check_reference(dists, self.reference_distance_cm, "campaign")
+        reference = float(self.reference_distance_cm) + 0.0
         for d in dists:
-            if not 0 < self.reference_distance_cm / d < math.inf:
+            gain = reference / d if d > 0 else math.inf
+            if not 0 < gain < math.inf:
                 raise InvalidSpecError(
                     f"distance {distance_text(d)} cm: its x_ref/x gain "
-                    f"{self.reference_distance_cm / d:g} is not finite and positive"
+                    f"{gain:g} is not finite and positive"
                 )
         object.__setattr__(self, "distances_cm", tuple(sorted(dists)))
+        object.__setattr__(self, "reference_distance_cm", reference)
 
 
 @dataclass(frozen=True)
@@ -244,12 +244,8 @@ def synth_campaign(
             signals.append(spec.stimulus.scaled(gain))
         else:
             signals.append(_shaped(bank, spec.stimulus, spectra, table[i], gain))
-    entries = tuple(
-        MeasurementEntry(distance_cm=d, microphone=spec.microphone,
-                         directivity=spec.model.label, stimulus=spec.stimulus_label)
-        for d in distances
-    )
-    series = MeasurementSeries(entries=entries, recordings=tuple(signals))
+    series = MeasurementSeries((spec.microphone, spec.model.label, spec.stimulus_label),
+                               distances, tuple(signals))
 
     # negative gain is a polarity flip (bidirectional rear lobe); levels
     # follow the magnitude

@@ -94,14 +94,15 @@ def _write_campaign(root, bank):
     profile_series, profile_truth = synth_campaign(profile_spec, bank)
 
     for series in (flat_series, profile_series):
-        for entry, signal in zip(series.entries, series.recordings):
-            name = f"{'_'.join(series.key)}_{entry.distance_cm:g}cm.wav"
+        microphone, directivity, stimulus_label = series.key
+        for distance, signal in zip(series.distances, series.recordings):
+            name = f"{'_'.join(series.key)}_{distance:g}cm.wav"
             save_wav(signal, root / name, encoding="float32")
             entries.append({
-                "path": name, "distance_cm": entry.distance_cm,
-                "microphone": entry.microphone,
-                "directivity": entry.directivity,
-                "stimulus": entry.stimulus,
+                "path": name, "distance_cm": distance,
+                "microphone": microphone,
+                "directivity": directivity,
+                "stimulus": stimulus_label,
             })
     (root / "manifest.json").write_text(json.dumps({"entries": entries}, indent=2))
     (root / "ground_truth.csv").write_text(profile_truth.to_csv())

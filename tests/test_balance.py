@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 
 from bandscope import (
     BandMapping,
-    MeasurementEntry,
     MeasurementSeries,
     Signal,
     balance_difference,
@@ -35,12 +34,7 @@ FS = 44100
 
 
 def _series(signals, distances, mic="test"):
-    entries = tuple(
-        MeasurementEntry(distance_cm=d, microphone=mic, directivity="omni",
-                         stimulus="x")
-        for d in distances
-    )
-    return MeasurementSeries(entries=entries, recordings=tuple(signals))
+    return MeasurementSeries((mic, "omni", "x"), tuple(distances), tuple(signals))
 
 
 class TestSpectralBalance:

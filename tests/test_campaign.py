@@ -18,7 +18,6 @@ from bandscope import (
     DirectivityModel,
     DistanceProfile,
     IngestReport,
-    MeasurementEntry,
     MeasurementSeries,
     Signal,
     SynthCampaignSpec,
@@ -36,7 +35,7 @@ from bandscope import (
     validity_limit,
 )
 from bandscope.balance import balance_difference, spectral_balance
-from bandscope.campaign import ComparisonReport, ComparisonRow
+from bandscope.campaign import ComparisonReport, ComparisonRow, save_series
 from bandscope.cli import run
 from bandscope.errors import (
     DuplicateDistanceError,
@@ -73,9 +72,7 @@ def _synth_files(tmp_path, signal, distances, mic="ECM8000", directivity="omni",
 
 
 def _memory_series(signals, distances):
-    entries = tuple(MeasurementEntry(distance_cm=d, microphone="m", directivity="o",
-                                     stimulus="s") for d in distances)
-    return MeasurementSeries(entries=entries, recordings=tuple(signals))
+    return MeasurementSeries(("m", "o", "s"), tuple(distances), tuple(signals))
 
 
 @pytest.fixture(scope="module")
@@ -96,7 +93,7 @@ class TestIngest:
         assert len(report.series) == 1
         assert report.errors == ()
         series = report.series[0]
-        assert len(series.entries) == 11
+        assert len(series.recordings) == 11
         assert series.distances == tuple(sorted(series.distances))
 
     def test_three_directivities_three_series(self, tmp_path, short_noise):
@@ -192,12 +189,7 @@ class TestAnalyze:
         assert result.max_abs_gap_db <= 0.05
 
     def test_identical_signals_flat_curves(self, ids10_bank_fast, white_2s):
-        entries = tuple(
-            MeasurementEntry(distance_cm=d, microphone="m", directivity="o",
-                             stimulus="s")
-            for d in (10, 50, 100)
-        )
-        series = MeasurementSeries(entries=entries, recordings=(white_2s,) * 3)
+        series = MeasurementSeries(("m", "o", "s"), (10, 50, 100), (white_2s,) * 3)
         result = analyze(series, ids10_bank_fast)
         assert all(p.amplification_db == 0.0 for p in result.level_points)
         for evo in result.weight_evolutions:
@@ -220,12 +212,7 @@ class TestAnalyze:
 
     def test_mixed_lengths_trimmed(self, ids10_bank_fast, white_2s):
         longer = Signal(np.concatenate([white_2s.samples, white_2s.samples]), FS)
-        entries = tuple(
-            MeasurementEntry(distance_cm=d, microphone="m", directivity="o",
-                             stimulus="s")
-            for d in (50, 100)
-        )
-        series = MeasurementSeries(entries=entries, recordings=(white_2s, longer))
+        series = MeasurementSeries(("m", "o", "s"), (50, 100), (white_2s, longer))
         result = analyze(series, ids10_bank_fast)
         assert result.analyzed_length == len(white_2s)
         assert abs(result.level_points[0].amplification_db) < 0.2
@@ -245,6 +232,18 @@ class TestAnalyze:
             _memory_series([noise, noise], (50, 100)).signal_at(70)
         threshold = validity_limit([(1, 0.0), (2, 0.0)], 1).threshold_db
         assert threshold == 1.0 and isinstance(threshold, float)
+
+    def test_minus_zero_distance_reads_as_zero(self, two_band_bank, tmp_path):
+        noise = Signal(0.05 * np.random.default_rng(5).standard_normal(3000), FS)
+        series = _memory_series([noise, noise], (-0.0, 100))
+        assert [math.copysign(1.0, d) for d in series.distances] == [1.0, 1.0]
+        save_series(series, tmp_path / "camp")
+        assert sorted(p.name for p in (tmp_path / "camp").iterdir()) == [
+            "m_o_s_0cm.wav", "m_o_s_100cm.wav", "manifest.json"]
+        assert "-0" not in (tmp_path / "camp" / "manifest.json").read_text()
+        export(analyze_report(IngestReport((series,), ()), two_band_bank), tmp_path / "out")
+        rows = (tmp_path / "out" / "m_o_s_level.csv").read_text().splitlines()
+        assert [row.split(",")[0] for row in rows[1:]] == ["0", "100"]
 
     @pytest.mark.parametrize("threshold", [math.nan, 0, -1])
     def test_invalid_threshold_raises(self, two_band_bank, short_noise, threshold):
@@ -463,12 +462,8 @@ class TestComparisonReportAssembly:
             )
             series, _ = synth_campaign(spec)
             # rebuild with the requested directivity label
-            entries = tuple(
-                MeasurementEntry(distance_cm=e.distance_cm, microphone=mic,
-                                 directivity=directivity, stimulus="music")
-                for e in series.entries
-            )
-            series = MeasurementSeries(entries=entries, recordings=series.recordings)
+            series = MeasurementSeries((mic, directivity, "music"), series.distances,
+                                       series.recordings)
             rows.append(compare_to_stimulus(white_2s, series, ids10_bank_fast, 100.0))
         report = ComparisonReport(stimulus_label="One", rows=tuple(rows), n_bands=10)
         csv = report.to_csv().strip().split("\n")
@@ -724,9 +719,8 @@ def test_analyze_alike_on_any_worker_count(tmp_path, ids10_bank_fast, band_worke
 def _four_files(tmp_path):
     rows = _fault_campaign(tmp_path, distances=(25, 50, 75, 100))[:4]
     return MeasurementSeries.from_files(
-        [MeasurementEntry(r["distance_cm"], r["microphone"], r["directivity"], r["stimulus"])
-         for r in rows],
-        [tmp_path / r["path"] for r in rows])
+        (rows[0]["microphone"], rows[0]["directivity"], rows[0]["stimulus"]),
+        [r["distance_cm"] for r in rows], [tmp_path / r["path"] for r in rows])
 
 
 @pytest.mark.parametrize("cpus", [1, 8])

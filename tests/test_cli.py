@@ -720,6 +720,39 @@ def test_negative_zero_distance_prints_as_zero(tmp_path):
     assert distances == ["0", "100"]
 
 
+def test_reference_minus_zero_reads_as_zero(tmp_path, capsys):
+    manifest = _wav_manifest(tmp_path, 0.0)
+    trees = {}
+    for reference in ("-0", "0"):
+        out = tmp_path / f"out{reference}"
+        assert run(["analyze", "--manifest", str(manifest), "--length", "1023",
+                    "--reference", reference, "--out", str(out)]) == 0
+        assert "# reference: 0 cm\n" in capsys.readouterr().out
+        trees[reference] = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert trees["-0"] == trees["0"]  # as diff -r compares them
+    assert json.loads(trees["-0"]["summary.json"])["provenance"]["reference_distance_cm"] == 0.0
+    assert b"-0.0" not in trees["-0"]["summary.json"]
+
+
+def test_negative_manifest_distance_fails_before_any_file_is_read(tmp_path, capsys,
+                                                                  monkeypatch):
+    manifest = _manifest_with(tmp_path, distance_cm=-5)
+    doc = json.loads(manifest.read_text())
+    doc["entries"].append({"path": "absent.wav", "distance_cm": 25, "microphone": "m",
+                           "directivity": "omni", "stimulus": "s"})
+    manifest.write_text(json.dumps(doc))
+    opened = []
+    monkeypatch.setattr(bandscope.wavio, "read_header", opened.append)
+    before = sorted(tmp_path.iterdir())
+    assert run(_analyze(tmp_path, manifest)) == 1
+    err = capsys.readouterr().err
+    assert err == (f"error: {manifest}: series ('m', 'omni', 's'): "
+                   "distance must be finite and >= 0 cm, got -5.0\n")
+    assert opened == [] and sorted(tmp_path.iterdir()) == before
+    with pytest.raises(ManifestError):
+        ingest(manifest)
+
+
 def test_analyze_bad_threshold_fails_before_any_series(tmp_path, capsys):
     code = run(_analyze(tmp_path, _wav_manifest(tmp_path, 50.0), "--threshold", "-1"))
     assert code == 1

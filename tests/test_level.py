@@ -9,9 +9,9 @@ from bandscope import (
     BalanceResult,
     BandMapping,
     Measurement,
-    MeasurementEntry,
     MeasurementSeries,
     SeriesMeasurement,
+    Signal,
     design_bank,
     measured_level_curve,
     theoretical_amplification,
@@ -29,11 +29,7 @@ FS = 44100
 def _measured(signals, distances, reference=100.0):
     """The measuring pass over in-memory recordings; the level does not
     depend on the bank, so a small one will do."""
-    entries = tuple(
-        MeasurementEntry(distance_cm=d, microphone="m", directivity="omni", stimulus="s")
-        for d in distances
-    )
-    series = MeasurementSeries(entries=entries, recordings=tuple(signals))
+    series = MeasurementSeries(("m", "omni", "s"), tuple(distances), tuple(signals))
     return series.measure(design_bank(BandMapping((0, 1000, 22050)), FS, 63), reference)
 
 
@@ -186,9 +182,9 @@ class TestValidityLimit:
 
 class TestLevelCurveInvariants:
     def test_rejects_negative_distance(self):
-        # a distance enters as a manifest or spec entry, which refuses it
-        with pytest.raises(InvalidInputError):
-            MeasurementEntry(distance_cm=-1.0, microphone="m", directivity="omni", stimulus="s")
+        # a distance enters with its series, which refuses it
+        with pytest.raises(InvalidInputError, match="distance must be finite and >= 0 cm"):
+            MeasurementSeries(("m", "omni", "s"), (-1.0,), (Signal(np.ones(8), FS),))
 
     def test_points_are_levels_relative_to_reference(self):
         points = measured_level_curve(_checked(((10.0, -10.5), (100.0, -30.25)), 100.0))

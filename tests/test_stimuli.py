@@ -43,6 +43,28 @@ class TestSpec:
             StimulusSpec(kind="chirp", duration=1.0)
 
 
+class TestJson:
+    @pytest.mark.parametrize("spec", [
+        StimulusSpec(kind="pink", duration=0.5, sample_rate=48000, target_level=-30.0, seed=3),
+        StimulusSpec(kind="sine", duration=1.0, frequency=1000.0),
+    ])
+    def test_from_json_reads_what_to_json_writes(self, spec):
+        assert StimulusSpec.from_json(spec.to_json()) == spec
+
+    def test_left_out_keys_take_the_defaults(self):
+        assert StimulusSpec.from_json({"seed": 7}) == StimulusSpec(kind="pink", duration=2.0,
+                                                                   seed=7)
+
+    @pytest.mark.parametrize("doc, error", [
+        ({"seed": 7, "levle_dbfs": -40}, "unknown stimulus key 'levle_dbfs'"),
+        ({"seed": 7, "sample_rate_hz": None}, "sample_rate_hz must be a number, got null"),
+        ({"seed": True}, "seed must be a number, got true"),
+    ])
+    def test_other_keys_and_values_are_named(self, doc, error):
+        with pytest.raises((TypeError, ValueError), match=error):
+            StimulusSpec.from_json(doc)
+
+
 class TestSine:
     def test_65hz_at_sine_fullscale_level_has_unit_amplitude(self):
         spec = StimulusSpec(kind="sine", duration=1.0, frequency=65.0,

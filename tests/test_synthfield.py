@@ -17,9 +17,11 @@ from bandscope import (
     weight_evolution,
 )
 from bandscope.errors import (
+    DuplicateDistanceError,
     InvalidInputError,
     InvalidSpecError,
     MappingMismatchError,
+    MissingReferenceError,
     SilenceError,
 )
 
@@ -225,11 +227,11 @@ class TestSynthCampaign:
             SynthCampaignSpec(stimulus=white_2s, distances_cm=())
 
     def test_duplicate_distances_rejected(self, white_2s):
-        with pytest.raises(InvalidSpecError):
+        with pytest.raises(DuplicateDistanceError):
             SynthCampaignSpec(stimulus=white_2s, distances_cm=(5, 5, 100))
 
     def test_reference_must_be_in_distances(self, white_2s):
-        with pytest.raises(InvalidSpecError):
+        with pytest.raises(MissingReferenceError):
             SynthCampaignSpec(stimulus=white_2s, distances_cm=(5, 10))
 
     def test_profile_recovery_round_trip(self, white_2s, ids10_bank):
