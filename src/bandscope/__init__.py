@@ -47,6 +47,7 @@ from .synthfield import (
     GroundTruth,
     SynthCampaignSpec,
     directivity_gain,
+    load_campaign_spec,
     synth_campaign,
 )
 from .wavio import WavHeader, load_wav, read_header, save_wav
@@ -92,6 +93,7 @@ __all__ = [
     "gen_sine",
     "gen_stimulus",
     "ingest",
+    "load_campaign_spec",
     "load_mapping",
     "load_wav",
     "mean_level_dbfs",

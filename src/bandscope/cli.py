@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import ctypes
 import math
-import os
 import sys
 from pathlib import Path
 
@@ -26,17 +25,7 @@ from .campaign import (
     ingest,
     save_series,
 )
-from .errors import (
-    BandscopeError,
-    InvalidSpecError,
-    ManifestError,
-    SilenceError,
-    converting,
-    json_number,
-    json_text,
-    known_keys,
-    read_input,
-)
+from .errors import BandscopeError, ManifestError, SilenceError
 from .filterbank import (
     BAND_PRESETS,
     DEFAULT_TAPS,
@@ -48,15 +37,8 @@ from .filterbank import (
 from .series import distance_text
 from .signal import mean_level_dbfs, normalize_to_level
 from .stimuli import StimulusSpec, gen_stimulus
-from .synthfield import (
-    DirectivityModel,
-    DistanceProfile,
-    SynthCampaignSpec,
-    synth_campaign,
-)
+from .synthfield import load_campaign_spec, synth_campaign
 from .wavio import check_writable, load_wav, save_wav
-
-_OUT_ENV = "BANDSCOPE_OUT"
 
 # glibc mallopt parameters
 _M_TRIM_THRESHOLD = -1
@@ -88,12 +70,6 @@ def _finite_float(text: str) -> float:
     if not math.isfinite(value):
         raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
     return value + 0.0
-
-
-def _add_out_arg(p: argparse.ArgumentParser, required: bool = False) -> None:
-    default = os.environ.get(_OUT_ENV)
-    p.add_argument("--out", default=default, required=required and default is None,
-                   help=f"output directory (or ${_OUT_ENV})")
 
 
 def _resolve_mapping(args) -> BandMapping:
@@ -159,79 +135,23 @@ def _cmd_synth(args) -> int:
     return 0
 
 
-def _spec_profile(bands: dict) -> DistanceProfile:
-    """The spec's ``profile``: its keys number bands from 1 in ASCII digits, as
-    ``ground_truth.csv`` does; any other key, one below 1 or one repeating a
-    number (``"1"`` and ``"01"``) is an :class:`InvalidSpecError` naming it."""
-    by_index = {}
-    for key, pts in bands.items():
-        if not (key.isascii() and key.isdigit()):
-            raise InvalidSpecError(f"profile key {key!r}: not a band number in ASCII digits")
-        band = int(key)
-        if band < 1 or band - 1 in by_index:
-            why = "band numbers start at 1" if band < 1 else f"band {band} is given twice"
-            raise InvalidSpecError(f"profile key {key!r}: {why}")
-        by_index[band - 1] = [(json_number(d, f"profile key {key!r}: distance_cm"),
-                               json_number(g, f"profile key {key!r}: gain_db"))
-                              for d, g in pts]
-    return DistanceProfile(by_index)
-
-
-# The keys a campaign spec may hold; its stimulus holds the keys of
-# StimulusSpec.to_json or only "file".
-_SPEC_KEYS = ("stimulus", "distances_cm", "reference_distance_cm", "directivity_m",
-              "theta_rad", "microphone", "stimulus_label", "profile")
-
-
 def _cmd_synth_campaign(args) -> int:
-    spec_path = Path(args.spec)
-    doc = read_input(spec_path, InvalidSpecError, as_json=True)
-    with converting(InvalidSpecError, str(spec_path)):
-        if not isinstance(doc, dict) or not isinstance(doc.get("stimulus"), dict):
-            raise TypeError("expected a JSON object with a 'stimulus' object")
-        stim_doc = doc["stimulus"]
-        known_keys(doc, _SPEC_KEYS, "spec")
-        if "file" in stim_doc:
-            known_keys(stim_doc, ("file",), "stimulus file")
-            stim_json = {"file": stim_doc["file"]}
-            # relative to the spec file; an absolute path stays as is
-            stimulus = load_wav(spec_path.parent / stim_doc["file"])
-        else:
-            sspec = StimulusSpec.from_json(stim_doc)
-            stim_json = sspec.to_json()
-            stimulus = gen_stimulus(sspec)
-        profile = _spec_profile(doc["profile"]) if doc.get("profile") else None
-        cspec = SynthCampaignSpec(
-            stimulus=stimulus,
-            distances_cm=tuple(json_number(d, "each of distances_cm")
-                               for d in doc["distances_cm"]),
-            model=DirectivityModel(json_number(doc.get("directivity_m", 1.0), "directivity_m")),
-            theta_rad=json_number(doc.get("theta_rad", 0.0), "theta_rad"),
-            reference_distance_cm=json_number(doc.get("reference_distance_cm", 100.0),
-                                              "reference_distance_cm"),
-            profile=profile,
-            microphone=json_text(doc.get("microphone", "synthetic"), "microphone"),
-            stimulus_label=json_text(doc.get("stimulus_label", "stimulus"), "stimulus_label"),
-        )
+    spec, echo = load_campaign_spec(args.spec)
+    bank = None if spec.profile is None else _build_bank(args, spec.stimulus.sample_rate)
+    extra = [f"campaign spec: {Path(args.spec)}"]
+    _provenance(extra if bank is None else _bank_provenance(args, bank, extra))
 
-    bank = None
-    extra = [f"campaign spec: {spec_path}"]
-    if profile is not None:
-        bank = _build_bank(args, stimulus.sample_rate)
-        extra = _bank_provenance(args, bank, extra)
-    _provenance(extra)
-
-    series, truth = synth_campaign(cspec, bank)
+    series, truth = synth_campaign(spec, bank)
     # every file is checked before the first is opened, so an error leaves --out as it was
     for d, recording in zip(series.distances, series.recordings):
         check_writable(recording, f"recording at {distance_text(d)} cm")
-    check_writable(stimulus, "stimulus")
+    check_writable(spec.stimulus, "stimulus")
 
     out = Path(args.out)
     save_series(series, out)
-    save_wav(stimulus, out / "stimulus.wav", encoding="float32")
+    save_wav(spec.stimulus, out / "stimulus.wav", encoding="float32")
     (out / "ground_truth.csv").write_text(truth.to_csv())
-    (out / "campaign_spec.json").write_text(_json_text({**doc, "stimulus": stim_json}))
+    (out / "campaign_spec.json").write_text(_json_text(echo))
     print(f"wrote {len(series.recordings)} recordings, manifest.json, ground_truth.csv to {out}")
     return 0
 
@@ -340,7 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("synth-campaign", help="generate a synthetic campaign")
     p.add_argument("--spec", required=True, metavar="FILE", help="campaign spec JSON")
     _add_bank_args(p)
-    _add_out_arg(p, required=True)
+    p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=_cmd_synth_campaign)
 
     p = sub.add_parser("analyze", help="analyze a measurement manifest")
@@ -348,7 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_bank_args(p)
     p.add_argument("--reference", type=_finite_float, default=100.0, metavar="CM")
     p.add_argument("--threshold", type=_finite_float, default=1.0, metavar="DB")
-    _add_out_arg(p, required=True)
+    p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=_cmd_analyze)
 
     p = sub.add_parser("compare", help="stimulus-vs-recordings balance table")
@@ -357,7 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--distance", type=_finite_float, default=100.0, metavar="CM")
     p.add_argument("--label", default="stimulus", help="stimulus label in the table")
     _add_bank_args(p)
-    _add_out_arg(p)
+    p.add_argument("--out", help="output directory")
     p.set_defaults(func=_cmd_compare)
 
     p = sub.add_parser("normalize", help="rescale a WAV to a target mean level")

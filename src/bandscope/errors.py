@@ -130,11 +130,14 @@ _FIELD_ERRORS = (AttributeError, KeyError, OverflowError, TypeError, ValueError,
 def converting(error: type[BandscopeError], where: str):
     """Turn what converting the fields of an input document can raise (a
     missing key, a wrong type, a number that does not parse or overflows a
-    float, a value the library rejects) into ``error``, prefixed by ``where``."""
+    float, a value the library rejects) into ``error``, prefixed by ``where``.
+    Any other :class:`BandscopeError` keeps its type and gains the prefix."""
     try:
         yield
     except _FIELD_ERRORS as exc:
         raise error(f"{where}: {exc}") from exc
+    except BandscopeError as exc:
+        raise type(exc)(f"{where}: {exc}") from exc
 
 
 def known_keys(doc: dict, known: tuple[str, ...], what: str) -> None:

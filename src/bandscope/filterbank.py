@@ -152,13 +152,12 @@ class BandMapping:
 def load_mapping(path: str | os.PathLike) -> BandMapping:
     """Read a mapping from a plain-text config: one edge per line, in Hz.
 
-    Blank lines and ``#`` comments are ignored.
+    Blank lines and ``#`` comments are ignored. Every error names the file.
     """
     text = read_input(path, InvalidMappingError)
     lines = [raw.split("#", 1)[0].strip() for raw in text.split("\n")]
-    with converting(InvalidMappingError, f"{path}: not a frequency"):
-        edges = tuple(float(line) for line in lines if line)
-    return BandMapping(edges)
+    with converting(InvalidMappingError, str(path)):
+        return BandMapping(tuple(float(line) for line in lines if line))
 
 
 class _Spectra:

@@ -3,14 +3,14 @@
 A synthetic recording is the stimulus scaled by the exact inverse-distance
 gain x_ref/x and a first-order directivity factor, optionally shaped by a
 per-band distance profile (piecewise-linear gain breakpoints per subband).
-:func:`synth_campaign` is the one place where a campaign's gains are
-decided: it checks every rule before it synthesizes a recording, evaluates
-the profile once into a (distance x band) table of dB gains, and builds
-both the recordings and the :class:`GroundTruth` from that table, so the
-truth is what was injected by construction. With a profile, the stimulus
-is checked and its blocks are transformed once per campaign; every split
-of it (one for the band energies of the truth, one per recording) takes
-those block spectra and does only the bank's inverse transforms.
+:func:`load_campaign_spec` reads a spec file; :class:`SynthCampaignSpec`
+checks every campaign rule but the bank's two, which :func:`synth_campaign`
+checks. It evaluates the profile once into a (distance x band) table of dB
+gains and builds both the recordings and the :class:`GroundTruth` from it,
+so the truth is what was injected by construction. With a profile, the
+stimulus' blocks are transformed once per campaign; every split of it (one
+for the band energies of the truth, one per recording) takes those block
+spectra and does only the bank's inverse transforms.
 
 Profiles exist to exercise the analyzer: inject a known curve, recover it
 through the weight-evolution chain. This is a test harness, not a physical
@@ -19,17 +19,23 @@ near-field model; the directivity factor is the classical broadband one.
 
 from __future__ import annotations
 
+import json
 import math
+import os
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
 from .campaign import _csv_text
-from .errors import InvalidInputError, InvalidSpecError, MappingMismatchError, SilenceError
+from .errors import (InvalidInputError, InvalidSpecError, MappingMismatchError, SilenceError,
+                     converting, json_number, json_text, known_keys, read_input)
 from .filterbank import FilterBank, _checked_spectra, decompose
 from .series import (MeasurementSeries, _check_labels, check_distances, check_reference,
                      distance_text)
 from .signal import Signal, check_level, db_to_gain, mean_level_dbfs
+from .stimuli import StimulusSpec, gen_stimulus
+from .wavio import load_wav
 
 __all__ = [
     "DirectivityModel",
@@ -37,6 +43,7 @@ __all__ = [
     "SynthCampaignSpec",
     "GroundTruth",
     "directivity_gain",
+    "load_campaign_spec",
     "synth_campaign",
 ]
 
@@ -118,9 +125,10 @@ class DistanceProfile:
 @dataclass(frozen=True)
 class SynthCampaignSpec:
     """Everything needed to generate one synthetic series. Its constructor
-    checks the series' labels and distances as :class:`MeasurementSeries`
-    does, that the reference is one of the distances, and that each
-    distance's x_ref/x gain is finite and positive."""
+    checks every campaign rule that needs no bank: the labels and distances
+    as :class:`MeasurementSeries` does, the reference among the distances,
+    each x_ref/x gain finite and positive, no :attr:`gains` entry 0, and a
+    stimulus that is not silent."""
 
     stimulus: Signal
     distances_cm: tuple[float, ...]
@@ -143,12 +151,88 @@ class SynthCampaignSpec:
         for d in dists:
             gain = reference / d if d > 0 else math.inf
             if not 0 < gain < math.inf:
-                raise InvalidSpecError(
-                    f"distance {distance_text(d)} cm: its x_ref/x gain "
-                    f"{gain:g} is not finite and positive"
-                )
+                raise InvalidSpecError(f"distance {distance_text(d)} cm: its x_ref/x gain "
+                                       f"{gain:g} is not finite and positive")
         object.__setattr__(self, "distances_cm", tuple(sorted(dists)))
         object.__setattr__(self, "reference_distance_cm", reference)
+        d_gain = directivity_gain(self.model, self.theta_rad)
+        if d_gain == 0:
+            raise InvalidSpecError(
+                f"directivity null at theta={self.theta_rad:g} leaves no signal to analyze")
+        for d, gain in zip(self.distances_cm, self.gains):
+            if gain == 0:
+                raise InvalidSpecError(f"distance {distance_text(d)} cm: its x_ref/x gain "
+                                       f"times the directivity gain {d_gain:g} is 0")
+        if mean_level_dbfs(self.stimulus) == -math.inf:
+            raise SilenceError("stimulus is silent: no recording of it has a level or a balance")
+
+    @property
+    def gains(self) -> tuple[float, ...]:
+        """(x_ref/x) * D(theta) at each distance; negative on a rear lobe."""
+        d_gain = directivity_gain(self.model, self.theta_rad)
+        return tuple((self.reference_distance_cm / d) * d_gain for d in self.distances_cm)
+
+
+def _spec_profile(bands, name: str) -> DistanceProfile | None:
+    """The spec's ``profile``, ``null`` or ``{}`` for none. Its keys number
+    bands from 1 in ASCII digits, as ``ground_truth.csv`` does; any other
+    key, one below 1 or one repeating a number (``"1"`` and ``"01"``) is an
+    :class:`InvalidSpecError` naming it."""
+    if bands is not None and not isinstance(bands, dict):
+        raise TypeError(f"{name} must be an object, got {json.dumps(bands)}")
+    by_index = {}
+    for key, pts in (bands or {}).items():
+        if not (key.isascii() and key.isdigit()):
+            raise InvalidSpecError(f"profile key {key!r}: not a band number in ASCII digits")
+        band = int(key)
+        if band < 1 or band - 1 in by_index:
+            why = "band numbers start at 1" if band < 1 else f"band {band} is given twice"
+            raise InvalidSpecError(f"profile key {key!r}: {why}")
+        by_index[band - 1] = [(json_number(d, f"profile key {key!r}: distance_cm"),
+                               json_number(g, f"profile key {key!r}: gain_db"))
+                              for d, g in pts]
+    return DistanceProfile(by_index) if by_index else None
+
+
+# spec key -> (SynthCampaignSpec field, reader of the key's JSON value); a spec
+# holds these and "stimulus", which holds StimulusSpec.to_json's keys or "file"
+_SPEC_FIELDS = {
+    "distances_cm": ("distances_cm",
+                     lambda v, _: tuple(json_number(d, "each of distances_cm") for d in v)),
+    "reference_distance_cm": ("reference_distance_cm", json_number),
+    "directivity_m": ("model", lambda v, key: DirectivityModel(json_number(v, key))),
+    "theta_rad": ("theta_rad", json_number),
+    "microphone": ("microphone", json_text),
+    "stimulus_label": ("stimulus_label", json_text),
+    "profile": ("profile", _spec_profile),
+}
+
+
+def load_campaign_spec(path: str | os.PathLike) -> tuple[SynthCampaignSpec, dict]:
+    """The campaign spec file ``path`` describes, and the document
+    ``campaign_spec.json`` echoes: the spec with its stimulus as
+    :meth:`StimulusSpec.to_json` writes it, or as ``{"file": ...}``, a WAV
+    relative to the spec file. A key left out takes the field's default.
+    Every error names the file."""
+    path = Path(path)
+    doc = read_input(path, InvalidSpecError, as_json=True)
+    with converting(InvalidSpecError, str(path)):
+        if not isinstance(doc, dict) or not isinstance(doc.get("stimulus"), dict):
+            raise TypeError("expected a JSON object with a 'stimulus' object")
+        known_keys(doc, ("stimulus", *_SPEC_FIELDS), "spec")
+        fields = {name: read(doc[key], key) for key, (name, read) in _SPEC_FIELDS.items()
+                  if key in doc}
+        stim_doc = doc["stimulus"]
+        if "file" in stim_doc:
+            known_keys(stim_doc, ("file",), "stimulus file")
+            stim_json = {"file": stim_doc["file"]}
+            # relative to the spec file; an absolute path stays as is
+            stimulus = load_wav(path.parent / stim_doc["file"])
+        else:
+            stim_spec = StimulusSpec.from_json(stim_doc)
+            stim_json = stim_spec.to_json()
+            stimulus = gen_stimulus(stim_spec)
+        return SynthCampaignSpec(stimulus, **fields), {**doc, "stimulus": stim_json}
 
 
 @dataclass(frozen=True)
@@ -204,26 +288,16 @@ def synth_campaign(
 ) -> tuple[MeasurementSeries, GroundTruth]:
     """Generate one recording per distance plus the injected-gain record.
 
-    Every rule is checked before the first recording is synthesized. Each
-    recording is the stimulus times (x_ref/x) * D(theta); with a profile,
-    its subbands are first scaled by that distance's row of the gain table.
+    The spec has checked every rule but the bank's two (a profile needs a
+    bank, and only the bank's bands), checked here before the first
+    recording is synthesized. Each recording is the stimulus times its entry
+    of ``spec.gains``; with a profile, its subbands are first scaled by that
+    distance's row of the gain table.
     """
     profile, ref, distances = spec.profile, spec.reference_distance_cm, spec.distances_cm
     if profile is not None and bank is None:
         raise InvalidInputError("a campaign with a profile needs a filter bank")
-    d_gain = directivity_gain(spec.model, spec.theta_rad)
-    if d_gain == 0:
-        raise InvalidSpecError(
-            f"directivity null at theta={spec.theta_rad:g} leaves no signal to analyze"
-        )
-    gains = [(ref / d) * d_gain for d in distances]
-    if 0.0 in gains:
-        raise InvalidSpecError(
-            f"distance {distance_text(distances[gains.index(0.0)])} cm: its x_ref/x gain "
-            f"times the directivity gain {d_gain:g} is 0"
-        )
-    if mean_level_dbfs(spec.stimulus) == -math.inf:
-        raise SilenceError("stimulus is silent: no recording of it has a level or a balance")
+    gains = spec.gains
     table = None  # dB gain per (distance, band)
     if profile is not None:
         if max(profile.bands, default=-1) >= bank.n_bands:

@@ -19,7 +19,8 @@ import bandscope
 from bandscope import Signal, ingest, load_mapping, load_wav, mean_level_dbfs, save_wav
 from bandscope import cli
 from bandscope.cli import run
-from bandscope.errors import InvalidMappingError, InvalidSpecError, ManifestError
+from bandscope.errors import (DuplicateDistanceError, InvalidMappingError, InvalidSpecError,
+                              ManifestError)
 
 FS = 44100
 
@@ -179,18 +180,6 @@ class TestCampaignPipeline:
         diffs = [float(v) for v in csv[1].split(",")[1:11]]
         assert all(abs(d) < 1e-6 for d in diffs)
 
-    def test_out_dir_env_override(self, tmp_path, monkeypatch, capsys):
-        spec = _flat_campaign_spec(tmp_path, distances=(50, 100))
-        camp_dir = tmp_path / "campaign"
-        run(["synth-campaign", "--spec", str(spec), "--out", str(camp_dir)])
-        env_dir = tmp_path / "from_env"
-        monkeypatch.setenv("BANDSCOPE_OUT", str(env_dir))
-        # parser defaults are resolved at build time, so rebuild via run()
-        code = run(["analyze", "--manifest", str(camp_dir / "manifest.json"),
-                    "--length", "1023"])
-        assert code == 0
-        assert (env_dir / "summary.json").exists()
-
 
 class TestProfiledCampaign:
     def test_profile_bands_are_one_based_in_spec(self, tmp_path):
@@ -226,7 +215,7 @@ class TestProfiledCampaign:
         code = run(["synth-campaign", "--spec", str(spec), "--length", "63",
                     "--out", str(tmp_path / "camp")])
         assert code == 1
-        assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+        assert capsys.readouterr().err.splitlines() == [f"error: {spec}: {message}"]
 
     def test_profile_band_beyond_the_bank_is_numbered_from_1(self, tmp_path, capsys):
         spec = _flat_campaign_spec(tmp_path, profile={"9": [[5, 6.0]]})
@@ -422,6 +411,15 @@ def test_unreadable_input_file_raises_its_domain_error(reader, fault, tmp_path):
         read(path)
 
 
+def test_content_error_of_a_manifest_or_mapping_names_the_file(tmp_path):
+    manifest = _manifest_with(tmp_path, distance_cm=100.0)  # 100 cm twice
+    with pytest.raises(DuplicateDistanceError, match=f"^{re.escape(str(manifest))}: series"):
+        ingest(manifest)
+    mapping = _nan_mapping(tmp_path)
+    with pytest.raises(InvalidMappingError, match=f"^{re.escape(mapping)}: edges must be finite"):
+        load_mapping(mapping)
+
+
 def _wav_manifest(tmp_path, near_cm):
     """Two readable recordings, at ``near_cm`` and at the 100 cm reference."""
     noise = Signal(0.05 * np.random.default_rng(1).standard_normal(FS // 10), FS)
@@ -526,6 +524,11 @@ BAD_INPUTS = {
         (lambda t: _synth_campaign(t, profile={"+3": [[5, 3.0], [100, 0.0]]}), 1),
     "spec-profile-band-arabic-indic-digit":
         (lambda t: _synth_campaign(t, profile={"\u0661": [[5, 3.0], [100, 0.0]]}), 1),
+    # null and {} mean no profile; any other value that is not an object is an error
+    "spec-profile-list": (lambda t: _synth_campaign(t, profile=[]), 1),
+    "spec-profile-zero": (lambda t: _synth_campaign(t, profile=0), 1),
+    "spec-profile-false": (lambda t: _synth_campaign(t, profile=False), 1),
+    "spec-profile-empty-text": (lambda t: _synth_campaign(t, profile=""), 1),
     "spec-duration-inf": (lambda t: _synth_campaign(
         t, stimulus={"kind": "pink", "duration_s": math.inf, "seed": 7}), 1),
     "spec-distance-inf": (lambda t: _synth_campaign(t, distances=(math.inf, 100)), 1),
@@ -674,6 +677,34 @@ def test_unknown_spec_key_is_named_and_writes_nothing(case, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert UNKNOWN_KEYS[case] in err
+    assert not (tmp_path / "camp").exists()
+
+
+def _silent_file_stimulus(tmp_path):
+    save_wav(Signal(np.zeros(FS // 10), FS), tmp_path / "silent.wav")
+    return {"file": "silent.wav"}
+
+
+# case -> the fields it sets in the flat spec, given the spec's directory
+SPEC_CONTENT_ERRORS = {
+    "distance-negative": lambda t: {"distances": (-1, 100)},
+    "distance-twice": lambda t: {"distances": (5, 5, 100)},
+    "no-reference": lambda t: {"distances": (5, 10)},
+    "no-distance": lambda t: {"distances": ()},
+    "sine-beyond-nyquist": lambda t: {"stimulus": {"kind": "sine", "duration_s": 0.1,
+                                                   "frequency_hz": 30000}},
+    "directivity-null": lambda t: {"directivity_m": 0.5, "theta_rad": math.pi},
+    "silent-file-stimulus": lambda t: {"stimulus": _silent_file_stimulus(t)},
+}
+
+
+@pytest.mark.parametrize("case", sorted(SPEC_CONTENT_ERRORS))
+def test_spec_content_error_names_the_spec(case, tmp_path, capsys):
+    fields = {"stimulus": _SHORT_PINK, **SPEC_CONTENT_ERRORS[case](tmp_path)}
+    argv = _synth_campaign(tmp_path, **fields)
+    assert run(argv) == 1
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith(f"error: {argv[2]}: ")
     assert not (tmp_path / "camp").exists()
 
 

@@ -1,5 +1,7 @@
-"""The README's Library example runs as printed, on a small campaign."""
+"""The README's Library example runs as printed, on a small campaign, and
+its campaign spec example reads as the spec it describes."""
 
+import dataclasses
 import json
 import re
 import shutil
@@ -15,6 +17,28 @@ def _library_example() -> str:
     """The first ```python block under the ``## Library`` heading."""
     library = README.read_text(encoding="utf-8").split("\n## Library\n", 1)[1]
     return re.search(r"```python\n(.*?)```", library, re.DOTALL).group(1)
+
+
+def test_spec_example_reads_as_the_spec_built_by_hand(tmp_path):
+    section = README.read_text(encoding="utf-8").split("\n### Campaign spec format\n", 1)[1]
+    path = tmp_path / "spec.json"
+    path.write_text(re.search(r"```json\n(.*?)```", section, re.DOTALL).group(1))
+    spec, echo = bs.load_campaign_spec(path)
+    stimulus = bs.StimulusSpec("pink", 2.0, 44100, -20.0, seed=7)
+    by_hand = bs.SynthCampaignSpec(
+        stimulus=bs.gen_stimulus(stimulus),
+        distances_cm=(5, 10, 20, 30, 40, 50, 60, 70, 80, 90, 100),
+        reference_distance_cm=100.0,
+        model=bs.DirectivityModel.cardioid(),
+        theta_rad=0.0,
+        microphone="synthcard",
+        stimulus_label="pink",
+        profile=bs.DistanceProfile({0: ((5, 8.0), (25, 4.0), (50, 0.0), (100, 0.0))}),
+    )
+    assert spec.stimulus.sample_rate == by_hand.stimulus.sample_rate
+    assert (spec.stimulus.samples == by_hand.stimulus.samples).all()
+    assert dataclasses.replace(spec, stimulus=by_hand.stimulus) == by_hand
+    assert echo == {**json.loads(path.read_text()), "stimulus": stimulus.to_json()}
 
 
 def test_library_example_runs(tmp_path, monkeypatch):

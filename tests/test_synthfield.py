@@ -283,47 +283,40 @@ class TestOffAxisCampaign:
         assert gains[100.0] == pytest.approx(-6.0206, abs=1e-3)
 
     def test_directivity_null_rejected(self, white_2s):
-        spec = SynthCampaignSpec(
-            stimulus=white_2s, distances_cm=(50, 100),
-            model=DirectivityModel.cardioid(), theta_rad=math.pi,
-        )
         with pytest.raises(InvalidSpecError):
-            synth_campaign(spec)
+            SynthCampaignSpec(
+                stimulus=white_2s, distances_cm=(50, 100),
+                model=DirectivityModel.cardioid(), theta_rad=math.pi,
+            )
 
-    def test_directivity_null_rejected_before_any_recording(self, white_2s,
-                                                            ids10_bank_fast, no_recording):
-        spec = SynthCampaignSpec(
-            stimulus=white_2s, distances_cm=(50, 100),
-            model=DirectivityModel.cardioid(), theta_rad=math.pi,
-            profile=DistanceProfile(bands={0: ((50.0, 6.0), (100.0, 0.0))}),
-        )
+    def test_directivity_null_rejected_before_any_recording(self, white_2s, no_recording):
         with pytest.raises(InvalidSpecError, match="directivity null at theta=3.14159"):
-            synth_campaign(spec, ids10_bank_fast)
+            SynthCampaignSpec(
+                stimulus=white_2s, distances_cm=(50, 100),
+                model=DirectivityModel.cardioid(), theta_rad=math.pi,
+                profile=DistanceProfile(bands={0: ((50.0, 6.0), (100.0, 0.0))}),
+            )
 
     def test_gain_that_underflows_to_0_rejected(self, white_2s):
         # x_ref/x = 1e-308 is finite and positive; times cos(pi/2) it is 0
-        spec = SynthCampaignSpec(
-            stimulus=white_2s, distances_cm=(1e-300, 1e8), reference_distance_cm=1e-300,
-            model=DirectivityModel.bidirectional(), theta_rad=math.pi / 2,
-        )
         with pytest.raises(InvalidSpecError, match=r"distance 1e\+08 cm"):
-            synth_campaign(spec)
+            SynthCampaignSpec(
+                stimulus=white_2s, distances_cm=(1e-300, 1e8), reference_distance_cm=1e-300,
+                model=DirectivityModel.bidirectional(), theta_rad=math.pi / 2,
+            )
 
-    def test_silent_stimulus_rejected_before_any_recording(self, ids10_bank_fast,
-                                                           no_recording):
-        spec = SynthCampaignSpec(
-            stimulus=Signal(np.zeros(FS // 10), FS), distances_cm=(50, 100),
-            profile=DistanceProfile(bands={0: ((50.0, 3.0), (100.0, 0.0))}),
-        )
+    def test_silent_stimulus_rejected_before_any_recording(self, no_recording):
         with pytest.raises(SilenceError, match="stimulus is silent"):
-            synth_campaign(spec, ids10_bank_fast)
+            SynthCampaignSpec(
+                stimulus=Signal(np.zeros(FS // 10), FS), distances_cm=(50, 100),
+                profile=DistanceProfile(bands={0: ((50.0, 3.0), (100.0, 0.0))}),
+            )
 
     def test_stimulus_whose_mean_power_underflows_is_silent(self, no_recording):
         # nonzero samples, but 1e-200 squared is 0: the meter reads -inf
-        spec = SynthCampaignSpec(stimulus=Signal(np.full(FS // 10, 1e-200), FS),
-                                 distances_cm=(50, 100))
         with pytest.raises(SilenceError, match="stimulus is silent"):
-            synth_campaign(spec)
+            SynthCampaignSpec(stimulus=Signal(np.full(FS // 10, 1e-200), FS),
+                              distances_cm=(50, 100))
 
     # x_ref/x overflows to inf, or underflows to 0
     @pytest.mark.parametrize("distances, reference, named",
