@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import ctypes
+import dataclasses
 import math
 import sys
 from pathlib import Path
@@ -36,7 +37,7 @@ from .filterbank import (
 )
 from .series import distance_text
 from .signal import mean_level_dbfs, normalize_to_level
-from .stimuli import StimulusSpec, gen_stimulus
+from .stimuli import GENERATORS, StimulusSpec, gen_stimulus
 from .synthfield import load_campaign_spec, synth_campaign
 from .wavio import check_writable, load_wav, save_wav
 
@@ -110,14 +111,8 @@ def _cmd_bands(args) -> int:
 
 
 def _cmd_synth(args) -> int:
-    spec = StimulusSpec(
-        kind=args.kind,
-        duration=args.dur,
-        sample_rate=args.rate,
-        target_level=args.level,
-        frequency=args.freq,
-        seed=args.seed,
-    )
+    spec = StimulusSpec(**{f.name: getattr(args, f.name)
+                           for f in dataclasses.fields(StimulusSpec) if hasattr(args, f.name)})
     _provenance([
         f"synth: kind={spec.kind} dur={spec.duration:g}s rate={spec.sample_rate}Hz "
         f"level={spec.target_level:g}dBFS freq={spec.frequency} seed={spec.seed}",
@@ -246,12 +241,19 @@ def build_parser() -> argparse.ArgumentParser:
     _add_mapping_args(p)
     p.set_defaults(func=_cmd_bands)
 
-    p = sub.add_parser("synth", help="synthesize a stimulus WAV")
-    p.add_argument("--kind", choices=["sine", "pink"], required=True)
-    p.add_argument("--freq", type=_finite_float, help="sine frequency in Hz")
-    p.add_argument("--level", type=_finite_float, default=-20.0, help="target mean level dB FS")
-    p.add_argument("--dur", type=_finite_float, required=True, help="duration in seconds")
-    p.add_argument("--rate", type=int, default=44100, help="sample rate in Hz")
+    # each stimulus flag is stored under its StimulusSpec field's name, and only
+    # when given, so a flag left out leaves the field at the dataclass default
+    p = sub.add_parser("synth", help="synthesize a stimulus WAV",
+                       argument_default=argparse.SUPPRESS)
+    p.add_argument("--kind", choices=list(GENERATORS), required=True)
+    p.add_argument("--freq", dest="frequency", metavar="FREQ", type=_finite_float,
+                   help="sine frequency in Hz")
+    p.add_argument("--level", dest="target_level", metavar="LEVEL", type=_finite_float,
+                   help="target mean level dB FS")
+    p.add_argument("--dur", dest="duration", metavar="DUR", type=_finite_float, required=True,
+                   help="duration in seconds")
+    p.add_argument("--rate", dest="sample_rate", metavar="RATE", type=int,
+                   help="sample rate in Hz")
     p.add_argument("--seed", type=int, help="random seed (pink)")
     p.add_argument("--bits", choices=["float32", "pcm16", "pcm24"], default="float32")
     p.add_argument("--out-file", required=True, metavar="FILE")
@@ -295,7 +297,7 @@ def run(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    # OSError: a WAV or output path; MemoryError: an array the machine cannot hold
+    # OSError: an output path; MemoryError: an array the machine cannot hold
     except (BandscopeError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

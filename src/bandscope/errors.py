@@ -2,7 +2,10 @@
 rules that turn a failed read or field conversion of an input file into one.
 
 Every domain failure maps to one of these so callers (and the CLI) can
-distinguish usage problems from broken input data.
+distinguish usage problems from broken input data. :func:`reading` names
+the file once in what reading it raises, for :func:`read_input` (manifests,
+specs, mappings) and for ``wavio``, where it makes every WAV failure a
+:class:`LoadError`.
 """
 
 import json
@@ -17,11 +20,15 @@ class BandscopeError(Exception):
 
 # --- signal / wav i/o ---
 
-class WavFormatError(BandscopeError):
+class LoadError(BandscopeError):
+    """A WAV file cannot be opened, walked or decoded; names the file once."""
+
+
+class WavFormatError(LoadError):
     """Malformed RIFF/WAVE container or chunk layout."""
 
 
-class UnsupportedEncodingError(BandscopeError):
+class UnsupportedEncodingError(LoadError):
     """WAV encoding other than PCM16/PCM24 or float32."""
 
 
@@ -93,10 +100,6 @@ class ManifestError(BandscopeError):
     """Manifest file missing, unparsable, or schema-violating."""
 
 
-class LoadError(BandscopeError):
-    """A recording a series lists cannot be read or decoded; names the file."""
-
-
 # --- input files: manifests, campaign specs, mapping files ---
 
 def _finite(text: str) -> float:
@@ -107,16 +110,28 @@ def _finite(text: str) -> float:
     return value
 
 
+@contextmanager
+def reading(path: str | os.PathLike, error: type[BandscopeError]):
+    """Name input file ``path``, once, in what reading it raises: an
+    ``OSError`` (missing, a directory, no permission) becomes ``error``
+    worded ``cannot read (...)``, and a :class:`BandscopeError` becomes
+    ``error`` unless it is one already, when it keeps its type."""
+    try:
+        yield
+    except OSError as exc:
+        raise error(f"{path}: cannot read ({exc.strerror or exc})") from exc
+    except BandscopeError as exc:
+        raise (type(exc) if isinstance(exc, error) else error)(f"{path}: {exc}") from exc
+
+
 def read_input(path: str | os.PathLike, error: type[BandscopeError], as_json: bool = False):
     """The UTF-8 text of input file ``path``, or the JSON document it holds.
     A file that cannot be read (missing, a directory, no permission), is not
     text or is not JSON of finite numbers raises ``error`` naming it."""
     try:
-        with open(path, encoding="utf-8") as fh:
+        with reading(path, error), open(path, encoding="utf-8") as fh:
             text = fh.read()
         return json.loads(text, parse_constant=_finite, parse_float=_finite) if as_json else text
-    except OSError as exc:
-        raise error(f"{path}: cannot read ({exc.strerror or exc})") from exc
     except UnicodeDecodeError as exc:
         raise error(f"{path}: not a text file ({exc})") from exc
     except ValueError as exc:  # not JSON, a number that is not finite, or too long an integer

@@ -22,10 +22,8 @@ from dataclasses import dataclass
 from . import wavio
 from .balance import BalanceResult, spectral_balance
 from .errors import (
-    BandscopeError,
     DuplicateDistanceError,
     InvalidInputError,
-    LoadError,
     MissingDistanceError,
     MissingReferenceError,
     RateMismatchError,
@@ -73,11 +71,12 @@ def check_distances(distances: Sequence[float], owner: str) -> tuple[float, ...]
 
 
 def _check_labels(key: tuple[str, str, str]) -> None:
-    """Raise :class:`InvalidInputError` unless series ``key`` is three
-    nonempty labels: microphone, directivity and stimulus."""
-    if len(key) != 3 or not all(key):
-        raise InvalidInputError(
-            f"series {key}: microphone, directivity and stimulus labels must be nonempty")
+    """Raise :class:`InvalidInputError` unless series ``key`` is a tuple or
+    list of three nonempty strings: microphone, directivity and stimulus."""
+    if not (isinstance(key, (tuple, list)) and len(key) == 3
+            and all(isinstance(label, str) and label for label in key)):
+        raise InvalidInputError(f"series {key}: microphone, directivity and stimulus labels "
+                                "must be nonempty strings")
 
 
 def check_reference(
@@ -150,8 +149,8 @@ class MeasurementSeries:
     recordings: tuple[Signal | WavHeader, ...]
 
     def __post_init__(self) -> None:
+        _check_labels(self.key)
         key = tuple(self.key)
-        _check_labels(key)
         if len(self.distances) != len(self.recordings):
             raise InvalidInputError(f"series {key}: one recording per distance required")
         if not self.recordings:
@@ -176,7 +175,7 @@ class MeasurementSeries:
         Raises :class:`LoadError` naming the first file, in the given order,
         that cannot be opened or whose container is broken.
         """
-        headers = tuple(_reading(wavio.read_header, path) for path in paths)
+        headers = tuple(wavio.read_header(path) for path in paths)
         return cls(key, distances, headers)
 
     @property
@@ -224,21 +223,12 @@ class MeasurementSeries:
         )))
 
 
-def _reading(read, path, **kwargs):
-    """``read(path)``, with any failure to read it turned into a
-    :class:`LoadError` that names the file."""
-    try:
-        return read(path, **kwargs)
-    except (OSError, BandscopeError) as exc:
-        raise LoadError(f"{path}: {exc}") from exc
-
-
 def _signal(recording: Signal | WavHeader, digest=None) -> Signal:
     if isinstance(recording, Signal):
         if digest is not None:
             digest.update(recording.samples)
         return recording
-    return _reading(wavio.load_wav, recording.path, digest=digest)
+    return wavio.load_wav(recording.path, digest=digest)
 
 
 def _measure(

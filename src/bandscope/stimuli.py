@@ -18,7 +18,7 @@ import numpy as np
 from .errors import InvalidFrequencyError, InvalidInputError, json_integer, json_number, known_keys
 from .signal import Signal, check_level, check_sample_rate, db_to_gain, normalize_to_level
 
-__all__ = ["StimulusSpec", "gen_sine", "gen_pink", "gen_stimulus"]
+__all__ = ["GENERATORS", "StimulusSpec", "gen_sine", "gen_pink", "gen_stimulus"]
 
 # the most float64 samples one array's size in bytes can count
 _MAX_SAMPLES = np.iinfo(np.intp).max // np.dtype(np.float64).itemsize
@@ -33,7 +33,7 @@ _JSON_FIELDS = {"kind": "kind", "duration_s": "duration", "sample_rate_hz": "sam
 class StimulusSpec:
     """Parameters of a synthesized stimulus."""
 
-    kind: str  # "pink" or "sine"
+    kind: str  # a key of GENERATORS: "sine" or "pink"
     duration: float  # seconds
     sample_rate: int = 44100
     target_level: float = -20.0  # dB FS, mean power
@@ -41,7 +41,7 @@ class StimulusSpec:
     seed: int | None = None  # pink only
 
     def __post_init__(self) -> None:
-        if self.kind not in ("pink", "sine"):
+        if self.kind not in GENERATORS:
             raise InvalidInputError(f"unknown stimulus kind {self.kind!r}")
         if not (math.isfinite(self.duration) and self.duration > 0):
             raise InvalidInputError(
@@ -144,5 +144,9 @@ def gen_pink(spec: StimulusSpec) -> Signal:
     return normalize_to_level(Signal(x, fs), spec.target_level)
 
 
+# stimulus kind -> its generator: the one list of kinds a spec and `synth` accept
+GENERATORS = {"sine": gen_sine, "pink": gen_pink}
+
+
 def gen_stimulus(spec: StimulusSpec) -> Signal:
-    return gen_sine(spec) if spec.kind == "sine" else gen_pink(spec)
+    return GENERATORS[spec.kind](spec)

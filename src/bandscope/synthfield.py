@@ -23,6 +23,7 @@ import json
 import math
 import os
 from dataclasses import dataclass, field
+from numbers import Integral
 from pathlib import Path
 
 import numpy as np
@@ -88,9 +89,9 @@ def directivity_gain(model: DirectivityModel, theta_rad: float) -> float:
 class DistanceProfile:
     """Per-band gain breakpoints over distance, linearly interpolated.
 
-    ``bands`` maps band index -> ((distance_cm, gain_db), ...). Bands
-    without an entry are flat 0 dB. Outside the breakpoint range the end
-    values hold (no extrapolation). Gains are levels for
+    ``bands`` maps band index, an integer >= 0, -> ((distance_cm, gain_db),
+    ...), finite distances ascending. Bands without an entry are flat 0 dB.
+    Outside the breakpoint range the end values hold (no extrapolation). Gains are levels for
     :func:`~bandscope.signal.check_level`. Messages number bands from 1, as
     ``ground_truth.csv`` does.
     """
@@ -100,18 +101,22 @@ class DistanceProfile:
     def __post_init__(self) -> None:
         clean: dict[int, tuple[tuple[float, float], ...]] = {}
         for band, pts in self.bands.items():
-            if int(band) < 0:
-                raise InvalidInputError(f"band index must be >= 0, got {band}")
-            pairs = tuple((float(d), float(g)) for d, g in pts)
+            if isinstance(band, bool) or not isinstance(band, Integral) or band < 0:
+                raise InvalidInputError(f"band index must be an integer >= 0, got {band!r}")
+            try:
+                pairs = tuple((float(d), float(g)) for d, g in pts)
+            except (TypeError, ValueError):
+                raise InvalidInputError(f"band {band + 1}: breakpoints must be (distance_cm, "
+                                        f"gain_db) pairs, got {pts!r}") from None
             if not pairs:
                 raise InvalidInputError(f"band {band + 1}: empty breakpoint list")
             dists = [d for d, _ in pairs]
+            if not all(math.isfinite(d) for d in dists):
+                raise InvalidInputError(f"band {band + 1}: breakpoint distances must be finite")
             if sorted(set(dists)) != dists:
                 raise InvalidInputError(
                     f"band {band + 1}: breakpoint distances must be unique ascending"
                 )
-            if not all(math.isfinite(d) for d in dists):
-                raise InvalidInputError(f"band {band + 1}: breakpoint distances must be finite")
             for _, gain in pairs:
                 check_level(gain, f"band {band + 1} gain")
             clean[int(band)] = pairs
@@ -213,7 +218,8 @@ def load_campaign_spec(path: str | os.PathLike) -> tuple[SynthCampaignSpec, dict
     ``campaign_spec.json`` echoes: the spec with its stimulus as
     :meth:`StimulusSpec.to_json` writes it, or as ``{"file": ...}``, a WAV
     relative to the spec file. A key left out takes the field's default.
-    Every error names the file."""
+    Every error names the file; a stimulus file's :class:`LoadError` names
+    the spec file, then the WAV."""
     path = Path(path)
     doc = read_input(path, InvalidSpecError, as_json=True)
     with converting(InvalidSpecError, str(path)):

@@ -5,6 +5,10 @@ and 32-bit float, little-endian, mono or multichannel (one channel is
 selected on load). The fmt-chunk sample rate is authoritative. Everything
 else (LIST, fact, bext, ...) is skipped on read.
 
+:func:`read_header` and :func:`load_wav` hold the one rule for a WAV that
+cannot be read: every failure to open, walk or decode it is a
+:class:`LoadError` whose message names the path once.
+
 Full-scale convention: 16-bit divides by 32768, 24-bit by 8388608, so a
 positive-full-scale PCM16 sample reads 32767/32768.
 """
@@ -17,12 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    EmptySignalError,
-    InvalidInputError,
-    UnsupportedEncodingError,
-    WavFormatError,
-)
+from .errors import (InvalidInputError, LoadError, UnsupportedEncodingError, WavFormatError,
+                     reading)
 from .signal import Signal, check_sample_rate
 
 __all__ = ["WavHeader", "read_header", "load_wav", "save_wav", "check_writable"]
@@ -64,9 +64,10 @@ def read_header(path: str | os.PathLike) -> WavHeader:
 
     Every check :func:`load_wav` makes before decoding is made here too
     (they share one chunk walk), so a file that passes fails later only for
-    what its samples hold, such as NaN.
+    what its samples hold, such as NaN. Raises :class:`LoadError` as
+    :func:`load_wav` does.
     """
-    with open(path, "rb") as fh:
+    with reading(path, LoadError), open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
 
         def read(offset: int, n: int) -> bytes:
@@ -82,29 +83,33 @@ def load_wav(path: str | os.PathLike, channel: int = 0, digest=None) -> Signal:
     ``channel`` selects from multichannel files (default: first). When a
     hashlib object is passed as ``digest``, it is fed the file's bytes, so a
     caller gets a content digest from the same read.
-    Raises :class:`WavFormatError` for a broken container,
+    Raises :class:`LoadError` naming the file once: a
+    :class:`WavFormatError` for a broken container, an
     :class:`UnsupportedEncodingError` for encodings other than
-    PCM16/PCM24/float32, :class:`EmptySignalError` for an empty data chunk.
+    PCM16/PCM24/float32, a plain one for a file that cannot be opened, an
+    empty data chunk, a sample rate of 0 or NaN/Inf samples.
     """
-    with open(path, "rb") as fh:
-        data = fh.read()
-    if digest is not None:
-        digest.update(data)
-    header, offset = _walk(lambda o, n: data[o:o + n], len(data), path, channel)
-    n_bytes = header.n_frames * header.n_channels * _WIDTH[header.encoding]
-    samples = _decode(memoryview(data)[offset:offset + n_bytes], header.encoding)
-    frames = samples.reshape(header.n_frames, header.n_channels)
-    return Signal(frames[:, channel], header.sample_rate)
+    with reading(path, LoadError):
+        with open(path, "rb") as fh:
+            data = fh.read()
+        if digest is not None:
+            digest.update(data)
+        header, offset = _walk(lambda o, n: data[o:o + n], len(data), path, channel)
+        n_bytes = header.n_frames * header.n_channels * _WIDTH[header.encoding]
+        samples = _decode(memoryview(data)[offset:offset + n_bytes], header.encoding)
+        frames = samples.reshape(header.n_frames, header.n_channels)
+        return Signal(frames[:, channel], header.sample_rate)
 
 
 def save_wav(signal: Signal, path: str | os.PathLike, encoding: str = "float32") -> None:
     """Write a mono WAV file in the given encoding (float32, pcm16, pcm24).
 
     PCM clips at full scale. Raises :class:`InvalidInputError`, before
-    opening the file, unless :func:`check_writable` passes.
+    opening the file, for another encoding and unless :func:`check_writable`
+    passes.
     """
     if encoding not in _WIDTH:
-        raise UnsupportedEncodingError(f"unknown encoding {encoding!r}")
+        raise InvalidInputError(f"unknown encoding {encoding!r}")
     check_writable(signal, path, encoding)
     x = signal.samples
     if encoding == "float32":
@@ -160,11 +165,12 @@ def _walk(read, size: int, path, channel: int) -> tuple[WavHeader, int]:
     returns its bytes at ``offset``: the header and the data chunk's offset.
 
     Every container rule lives here, in the order it is checked. A file
-    whose fmt or data chunk repeats is read by its last one.
+    whose fmt or data chunk repeats is read by its last one. The caller
+    puts ``path`` in the messages.
     """
     head = read(0, 12)
     if size < 12 or head[0:4] != b"RIFF" or head[8:12] != b"WAVE":
-        raise WavFormatError(f"{path}: not a RIFF/WAVE file")
+        raise WavFormatError("not a RIFF/WAVE file")
 
     fmt = None
     data = None
@@ -174,45 +180,43 @@ def _walk(read, size: int, path, channel: int) -> tuple[WavHeader, int]:
         cid = chunk[0:4]
         (n,) = struct.unpack_from("<I", chunk, 4)
         if pos + 8 + n > size:
-            raise WavFormatError(f"{path}: truncated '{cid.decode(errors='replace')}' chunk")
+            raise WavFormatError(f"truncated '{cid.decode(errors='replace')}' chunk")
         if cid == b"fmt ":
-            fmt = _parse_fmt(read(pos + 8, n), path)
+            fmt = _parse_fmt(read(pos + 8, n))
         elif cid == b"data":
             data = (pos + 8, n)
         pos += 8 + n + (n & 1)  # chunks are word-aligned
 
     if fmt is None:
-        raise WavFormatError(f"{path}: missing fmt chunk")
+        raise WavFormatError("missing fmt chunk")
     if data is None:
-        raise WavFormatError(f"{path}: missing data chunk")
+        raise WavFormatError("missing data chunk")
     audio_format, n_channels, sample_rate, bits = fmt
     if n_channels < 1:
-        raise WavFormatError(f"{path}: fmt declares {n_channels} channels")
+        raise WavFormatError(f"fmt declares {n_channels} channels")
     if not 0 <= channel < n_channels:
-        raise WavFormatError(
-            f"{path}: channel {channel} requested but file has {n_channels}"
-        )
+        raise WavFormatError(f"channel {channel} requested but file has {n_channels}")
     encoding = _ENCODINGS.get((audio_format, bits))
     if encoding is None:
         raise UnsupportedEncodingError(
-            f"{path}: unsupported encoding (format tag {audio_format}, {bits}-bit)"
+            f"unsupported encoding (format tag {audio_format}, {bits}-bit)"
         )
     offset, n = data
     n_frames = n // _WIDTH[encoding] // n_channels
     if n_frames == 0:
-        raise EmptySignalError(f"{path}: data chunk holds no samples")
+        raise LoadError("data chunk holds no samples")
     check_sample_rate(sample_rate)
     return WavHeader(path, sample_rate, n_channels, encoding, n_frames), offset
 
 
-def _parse_fmt(body: bytes, path) -> tuple[int, int, int, int]:
+def _parse_fmt(body: bytes) -> tuple[int, int, int, int]:
     if len(body) < 16:
-        raise WavFormatError(f"{path}: fmt chunk too short ({len(body)} bytes)")
+        raise WavFormatError(f"fmt chunk too short ({len(body)} bytes)")
     audio_format, n_channels, sample_rate, _, _, bits = struct.unpack_from("<HHIIHH", body)
     if audio_format == _FMT_EXTENSIBLE:
         # actual format lives in the first two bytes of the SubFormat GUID
         if len(body) < 26:
-            raise WavFormatError(f"{path}: extensible fmt chunk too short")
+            raise WavFormatError("extensible fmt chunk too short")
         (audio_format,) = struct.unpack_from("<H", body, 24)
     return audio_format, n_channels, sample_rate, bits
 

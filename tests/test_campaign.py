@@ -210,6 +210,19 @@ class TestAnalyze:
         assert 1 in result.reequalized_bands
         assert result.band_verdicts[1].limit_distance_cm is None
 
+    @pytest.mark.parametrize("key, distances, message", [
+        ((1, "omni", "s"), (100,), "labels must be nonempty strings"),
+        (("m", "", "s"), (100,), "labels must be nonempty strings"),
+        (("m", "omni"), (100,), "labels must be nonempty strings"),
+        ("mos", (100,), "labels must be nonempty strings"),
+        (("m", "omni", "s"), (50, 100), "one recording per distance required"),
+        (("m", "omni", "s"), (math.nan,), "distance must be finite and >= 0 cm"),
+    ], ids=["int-label", "empty-label", "two-labels", "one-string", "two-distances",
+            "nan-distance"])
+    def test_series_rejects_what_is_not_a_series(self, key, distances, message):
+        with pytest.raises(InvalidInputError, match=message):
+            MeasurementSeries(key, distances, (Signal(np.ones(8), FS),))
+
     def test_mixed_lengths_trimmed(self, ids10_bank_fast, white_2s):
         longer = Signal(np.concatenate([white_2s.samples, white_2s.samples]), FS)
         series = MeasurementSeries(("m", "o", "s"), (50, 100), (white_2s, longer))
@@ -541,15 +554,15 @@ def _silent(path):
 # path of the 50 cm file
 SERIES_FAULTS = {
     "missing-file": (lambda t: (t / "r50.wav").unlink(), "load",
-                     "{p}: [Errno 2] No such file or directory: '{p}'"),
+                     "{p}: cannot read (No such file or directory)"),
     "not-riff": (lambda t: (t / "r50.wav").write_bytes(b"OggS" + bytes(40)), "load",
-                 "{p}: {p}: not a RIFF/WAVE file"),
+                 "{p}: not a RIFF/WAVE file"),
     "truncated-chunk": (lambda t: (t / "r50.wav").write_bytes((t / "r50.wav").read_bytes()[:-3]),
-                        "load", "{p}: {p}: truncated 'data' chunk"),
+                        "load", "{p}: truncated 'data' chunk"),
     "unsupported-encoding": (lambda t: (t / "r50.wav").write_bytes(_raw_wav(1, 8, b"\x80" * 9)),
-                             "load", "{p}: {p}: unsupported encoding (format tag 1, 8-bit)"),
+                             "load", "{p}: unsupported encoding (format tag 1, 8-bit)"),
     "empty-data": (lambda t: (t / "r50.wav").write_bytes(_raw_wav(1, 16, b"")), "load",
-                   "{p}: {p}: data chunk holds no samples"),
+                   "{p}: data chunk holds no samples"),
     "float32-nan": (lambda t: _nan_file(t / "r50.wav"), "load",
                     "{p}: signal contains NaN or Inf samples"),
     "silent-reference": (lambda t: _silent(t / "r100.wav"), "InvalidInputError",

@@ -99,6 +99,23 @@ class TestDistanceProfile:
         with pytest.raises(InvalidInputError, match=r"band 2 gain must be within ±300 dB"):
             DistanceProfile(bands={1: ((10.0, 1e308),)})
 
+    @pytest.mark.parametrize("bands, message", [
+        ({1.5: ((10.0, 0.0),)}, "band index must be an integer >= 0, got 1.5"),
+        ({"2": ((10.0, 0.0),)}, "band index must be an integer >= 0, got '2'"),
+        ({True: ((10.0, 0.0),)}, "band index must be an integer >= 0, got True"),
+        ({-1: ((10.0, 0.0),)}, "band index must be an integer >= 0, got -1"),
+        ({1: [(5, 3.0, 9)]}, r"band 2: breakpoints must be \(distance_cm, gain_db\) pairs"),
+        ({1: 5}, r"band 2: breakpoints must be \(distance_cm, gain_db\) pairs, got 5"),
+        ({1: [("near", 3.0)]}, r"band 2: breakpoints must be \(distance_cm, gain_db\) pairs"),
+        ({0: ()}, "band 1: empty breakpoint list"),
+        ({0: ((math.nan, 0.0), (10.0, 0.0))}, "band 1: breakpoint distances must be finite"),
+        ({0: ((10.0, 0.0), (10.0, 1.0))}, "band 1: breakpoint distances must be unique"),
+    ], ids=["float-index", "str-index", "bool-index", "negative-index", "triple", "not-a-list",
+            "str-distance", "no-breakpoint", "nan-distance", "repeated-distance"])
+    def test_rejects_what_is_not_a_profile(self, bands, message):
+        with pytest.raises(InvalidInputError, match=message):
+            DistanceProfile(bands)
+
 
 class TestSynthRecording:
     """One recording of a campaign: the stimulus times x_ref/x and D(theta),

@@ -8,8 +8,8 @@ from bandscope import Signal, WavHeader, load_wav, read_header, save_wav
 from bandscope.wavio import check_writable
 from bandscope.errors import (
     BandscopeError,
-    EmptySignalError,
     InvalidInputError,
+    LoadError,
     UnsupportedEncodingError,
     WavFormatError,
 )
@@ -86,7 +86,7 @@ class TestLoad:
     def test_empty_data(self, tmp_path):
         p = tmp_path / "e.wav"
         _write_raw_wav(p, 1, 1, FS, 16, b"")
-        with pytest.raises(EmptySignalError):
+        with pytest.raises(LoadError, match="data chunk holds no samples"):
             load_wav(p)
 
     def test_extensible_float(self, tmp_path):
@@ -165,7 +165,7 @@ class TestRoundTrip:
 
     def test_unknown_encoding(self, tmp_path):
         s = Signal(np.zeros(4), FS)
-        with pytest.raises(UnsupportedEncodingError):
+        with pytest.raises(InvalidInputError, match="unknown encoding 'pcm32'"):
             save_wav(s, tmp_path / "x.wav", encoding="pcm32")
 
 
@@ -265,5 +265,5 @@ class TestDecode:
         p.write_bytes(_wav_bytes(3, 1, 32, struct.pack("<f", 0.5) + bytes([1, 0, 0x80, 0x7F])))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(InvalidInputError, match="NaN or Inf"):
+            with pytest.raises(LoadError, match="NaN or Inf"):
                 load_wav(p)
