@@ -26,7 +26,7 @@ from pathlib import Path
 
 from .balance import WeightEvolution, balance_difference, spectral_balance, weight_evolution
 from .errors import (BandscopeError, LoadError, ManifestError, SilenceError, converting,
-                     json_number, json_text, read_input)
+                     json_array, json_fields, json_number, json_text, read_input)
 from .filterbank import FilterBank, _each
 from .level import (
     LevelPoint,
@@ -82,6 +82,9 @@ class IngestReport:
 
 # the labels of a manifest entry, in the order of a series key
 _LABELS = ("microphone", "directivity", "stimulus")
+# what a manifest entry holds, every key required: key -> (field, reader)
+_ENTRY_FIELDS = {**{key: (key, json_text) for key in (*_LABELS, "path")},
+                 "distance_cm": ("distance_cm", json_number)}
 
 
 def _manifest_series(manifest_path: str | os.PathLike) -> dict[tuple, tuple[list, list]]:
@@ -89,14 +92,14 @@ def _manifest_series(manifest_path: str | os.PathLike) -> dict[tuple, tuple[list
     and distances checked, so a manifest fails before any file is read."""
     path = Path(manifest_path)
     doc = read_input(path, ManifestError, as_json=True)
-    if not isinstance(doc, dict) or not isinstance(doc.get("entries"), list):
-        raise ManifestError(f"{path}: expected an object with an 'entries' array")
+    with converting(ManifestError, str(path)):
+        rows = json_fields(doc, {"entries": ("entries", json_array)}, "manifest")["entries"]
     groups: dict[tuple[str, str, str], tuple[list, list]] = {}
-    for i, row in enumerate(doc["entries"]):
+    for i, row in enumerate(rows):
         with converting(ManifestError, f"{path}: entry {i} invalid"):
-            key = tuple(json_text(row[name], name) for name in _LABELS)
-            file = json_text(row["path"], "path")
-            distance = json_number(row["distance_cm"], "distance_cm")
+            entry = json_fields(row, _ENTRY_FIELDS, "entry")
+            key = tuple(entry[name] for name in _LABELS)
+            distance, file = entry["distance_cm"], entry["path"]
         distances, files = groups.setdefault(key, ([], []))
         distances.append(distance)
         files.append(path.parent / file)  # an absolute path stays as is
@@ -122,10 +125,8 @@ def _check_distinct_stems(keys: list[tuple[str, str, str]]) -> None:
     for key in sorted(keys):
         stem = _file_stem(key)
         if stem in stems:
-            raise ManifestError(
-                f"series {stems[stem]} and {key} would write to the same files "
-                f"(stem {stem!r})"
-            )
+            raise ManifestError(f"series {stems[stem]} and {key} would write to the same files "
+                                f"(stem {stem!r})")
         stems[stem] = key
 
 
@@ -222,14 +223,13 @@ def analyze(
 
     All of them come from one measuring pass over the recordings, each cut
     to the series' common length (:meth:`MeasurementSeries.measure`). The
-    reference distance and the threshold are taken as floats (-0 as 0), and an
-    invalid threshold fails before anything is measured. Band verdicts use
-    the weight deltas as deviations; a band showing the re-equalization
-    pattern gets no validity limit regardless of its suffix, because the
-    late rise is exactly what the limit is supposed to exclude.
+    reference distance and the threshold are read by the number rule (not
+    a bool or text, -0 as 0); an invalid threshold fails before anything is
+    measured. Band verdicts use the weight deltas as deviations; a band
+    showing the re-equalization pattern gets no validity limit regardless of
+    its suffix, because the late rise is exactly what the limit excludes.
     """
-    reference_distance_cm = float(reference_distance_cm) + 0.0  # -0 reads as 0
-    threshold_db = float(threshold_db)
+    threshold_db = json_number(threshold_db, "threshold")
     check_threshold(threshold_db)
     measured = series.measure(bank, reference_distance_cm)
     points = measured_level_curve(measured)
@@ -284,13 +284,13 @@ def analyze_report(
     threshold_db: float = 1.0,
 ) -> CampaignResult:
     """Analyze every ingested series; failures become recorded errors,
-    never silent drops. The reference distance and the threshold are taken
-    as floats, so an int and the equal float, or -0 and 0, give the same
-    result and ``config_hash``. An invalid threshold, or two series that
-    :func:`export` would write to the same files, fails once, before any
-    series is measured."""
-    reference_distance_cm = float(reference_distance_cm) + 0.0  # -0 reads as 0
-    threshold_db = float(threshold_db)
+    never silent drops. The reference distance and the threshold are read
+    as :func:`analyze` reads them, so an int and the equal float, or -0 and
+    0, give the same result and ``config_hash``. An invalid threshold, or
+    two series that :func:`export` would write to the same files, fails
+    once, before any series is measured."""
+    reference_distance_cm = json_number(reference_distance_cm, "reference distance")
+    threshold_db = json_number(threshold_db, "threshold")
     check_threshold(threshold_db)
     _check_distinct_stems([series.key for series in report.series])
     analyses = []
@@ -307,9 +307,7 @@ def analyze_report(
         "reference_distance_cm": reference_distance_cm,
         "threshold_db": threshold_db,
     }
-    return CampaignResult(
-        analyses=tuple(analyses), errors=tuple(errors), provenance=provenance
-    )
+    return CampaignResult(analyses=tuple(analyses), errors=tuple(errors), provenance=provenance)
 
 
 @dataclass(frozen=True)
@@ -373,8 +371,9 @@ def compare_to_stimulus(
     balanced on worker threads, one each. A silent side, as in
     :class:`SeriesMeasurement`, raises a :class:`SilenceError` naming it.
     """
+    distance = json_number(at_distance_cm, "distance")
     sides = {"stimulus": stimulus_signal,  # signal_at raises MissingDistanceError
-             f"recording at {float(at_distance_cm)} cm": series.signal_at(at_distance_cm)}
+             f"recording at {distance} cm": series.signal_at(distance)}
 
     def balance_of(side):
         try:

@@ -167,17 +167,9 @@ def _cmd_analyze(args) -> int:
     if len(rates) > 1:
         raise ManifestError(f"manifest mixes sample rates across series: {sorted(rates)}")
     bank = _build_bank(args, rates.pop())
-    _provenance(
-        _bank_provenance(
-            args,
-            bank,
-            [
-                f"reference: {args.reference:g} cm",
-                f"threshold: {args.threshold:g} dB",
-                f"manifest: {args.manifest}",
-            ],
-        )
-    )
+    _provenance(_bank_provenance(args, bank, [f"reference: {args.reference:g} cm",
+                                              f"threshold: {args.threshold:g} dB",
+                                              f"manifest: {args.manifest}"]))
     result = analyze_report(report, bank, args.reference, args.threshold)
     files = export(result, args.out)
     _warn_excluded(result.errors)
@@ -191,9 +183,7 @@ def _cmd_compare(args) -> int:
     stimulus = load_wav(args.stimulus)
     report = _ingest(args.manifest)
     bank = _build_bank(args, stimulus.sample_rate)
-    _provenance(
-        _bank_provenance(args, bank, [f"comparison distance: {args.distance:g} cm"])
-    )
+    _provenance(_bank_provenance(args, bank, [f"comparison distance: {args.distance:g} cm"]))
     # a silent stimulus would fail every series; report it once
     if mean_level_dbfs(stimulus) == -math.inf:
         raise SilenceError(f"{args.stimulus}: stimulus is silent, its balance is undefined")
@@ -205,12 +195,8 @@ def _cmd_compare(args) -> int:
             failed.append(SeriesError.of(series.key, exc))
     _warn_excluded(report.errors + tuple(failed))
     if not rows:
-        raise ManifestError(
-            f"{args.manifest}: no series can be compared at {args.distance:g} cm"
-        )
-    table = ComparisonReport(
-        stimulus_label=args.label, rows=tuple(rows), n_bands=bank.n_bands
-    )
+        raise ManifestError(f"{args.manifest}: no series can be compared at {args.distance:g} cm")
+    table = ComparisonReport(stimulus_label=args.label, rows=tuple(rows), n_bands=bank.n_bands)
     print(table.to_text(), end="")
     if args.out:
         out = Path(args.out)

@@ -5,11 +5,13 @@ Every domain failure maps to one of these so callers (and the CLI) can
 distinguish usage problems from broken input data. :func:`reading` names
 the file once in what reading it raises, for :func:`read_input` (manifests,
 specs, mappings) and for ``wavio``, where it makes every WAV failure a
-:class:`LoadError`.
+:class:`LoadError`. :func:`json_fields` and :func:`json_number` are the one
+rules for the keys of an input object and for a number a file or caller gives.
 """
 
 import json
 import math
+import numbers
 import os
 from contextlib import contextmanager
 
@@ -150,37 +152,60 @@ def converting(error: type[BandscopeError], where: str):
     try:
         yield
     except _FIELD_ERRORS as exc:
-        raise error(f"{where}: {exc}") from exc
+        raise error(f"{where}: {'missing key ' * isinstance(exc, KeyError)}{exc}") from exc
     except BandscopeError as exc:
         raise type(exc)(f"{where}: {exc}") from exc
 
 
-def known_keys(doc: dict, known: tuple[str, ...], what: str) -> None:
-    """ValueError naming each key of ``doc`` not in ``known``: a misspelled
-    key would otherwise leave its field at the default."""
-    unknown = [key for key in doc if key not in known]
+def _shown(value) -> str:
+    """``value`` as JSON writes it, or as Python does where JSON cannot."""
+    try:
+        return json.dumps(value)
+    except (TypeError, ValueError):
+        return repr(value)
+
+
+def json_fields(doc, table: dict, what: str) -> dict:
+    """Field -> value of each key of object ``doc``, read in the order of
+    ``table``: key -> (field, reader of the value and key). Raises
+    :class:`InvalidInputError` unless ``doc`` is an object, naming each key
+    not in ``table``: a misspelled key would leave its field at the default."""
+    if not isinstance(doc, dict):
+        raise InvalidInputError(f"{what} must be an object, got {_shown(doc)}")
+    unknown = [key for key in doc if key not in table]
     if unknown:
-        raise ValueError(f"unknown {what} key{'s' * (len(unknown) > 1)} "
-                         f"{', '.join(map(repr, unknown))} "
-                         f"(known: {', '.join(known)})")
+        raise InvalidInputError(f"unknown {what} key{'s' * (len(unknown) > 1)} "
+                                f"{', '.join(map(repr, unknown))} (known: {', '.join(table)})")
+    return {name: read(doc[key], key) for key, (name, read) in table.items() if key in doc}
 
 
 def json_text(value, name: str) -> str:
-    """``value`` of field ``name``, which must be a JSON string."""
+    """``value`` of field ``name``, which must be a string."""
     if not isinstance(value, str):
-        raise TypeError(f"{name} must be a string, got {json.dumps(value)}")
+        raise InvalidInputError(f"{name} must be a string, got {_shown(value)}")
+    return value
+
+
+def json_array(value, name: str) -> list:
+    """``value`` of field ``name``, which must be a JSON array."""
+    if not isinstance(value, list):
+        raise InvalidInputError(f"{name} must be an array, got {_shown(value)}")
     return value
 
 
 def json_number(value, name: str) -> float:
-    """``value`` of field ``name``, a JSON number but not a bool; -0 reads as 0."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise TypeError(f"{name} must be a number, got {json.dumps(value)}")
-    return float(value) + 0.0
+    """``value`` of field ``name``, a real number (numpy's too) but not a bool
+    or text, as a float; -0 reads as 0. The one rule for a number given."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise InvalidInputError(f"{name} must be a number, got {_shown(value)}")
+    try:
+        return float(value) + 0.0
+    except OverflowError:
+        raise InvalidInputError(f"{name} is too large for a float") from None
 
 
 def json_integer(value, name: str) -> int:
-    """``value`` of field ``name``, a JSON number with no fractional part."""
+    """``value`` of field ``name``, a number with no fractional part."""
     if not json_number(value, name).is_integer():
-        raise ValueError(f"{name} must be a whole number, got {json.dumps(value)}")
+        raise InvalidInputError(f"{name} must be a whole number, got {_shown(value)}")
     return int(value)

@@ -70,6 +70,7 @@ from .errors import (
     InvalidMappingError,
     RateMismatchError,
     converting,
+    json_number,
     read_input,
 )
 from .signal import Signal
@@ -110,13 +111,13 @@ class BandMapping:
     """Ordered partition of [0, Nyquist] into contiguous subbands.
 
     ``edges`` starts at 0 and ends at the Nyquist frequency; band i covers
-    [edges[i], edges[i+1]).
+    [edges[i], edges[i+1]). Edges are read by the number rule, ``json_number``.
     """
 
     edges: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        edges = tuple(float(e) for e in self.edges)
+        edges = tuple(json_number(e, "edge") for e in self.edges)
         if len(edges) < 3:
             raise InvalidMappingError(
                 f"mapping needs at least 2 bands (3 edges), got {len(edges)} edges"
@@ -133,13 +134,8 @@ class BandMapping:
     def n_bands(self) -> int:
         return len(self.edges) - 1
 
-    def band(self, i: int) -> tuple[float, float]:
-        """(low, high) edge pair of band ``i``."""
-        return self.edges[i], self.edges[i + 1]
-
     def band_label(self, i: int) -> str:
-        lo, hi = self.band(i)
-        return f"{lo:g}-{hi:g}Hz"
+        return f"{self.edges[i]:g}-{self.edges[i + 1]:g}Hz"
 
     def validate_for_rate(self, sample_rate: int) -> None:
         if self.edges[-1] != sample_rate / 2.0:

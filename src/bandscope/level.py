@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import InvalidInputError, SingularityError
+from .errors import InvalidInputError, SingularityError, json_number
 from .series import SeriesMeasurement
 
 __all__ = [
@@ -104,11 +104,12 @@ def validity_limit(
     required. Every point at or beyond the returned limit satisfies
     |deviation| <= threshold; if even the farthest point violates, there is
     no limit. Suffix-based by design: a compliant stretch followed by a late
-    excursion does not count. The threshold is taken as a float.
+    excursion does not count. Every figure is read by the number rule.
     """
-    threshold_db = float(threshold_db)
+    threshold_db = json_number(threshold_db, "threshold")
     check_threshold(threshold_db)
-    pts = sorted((float(d), float(v)) for d, v in deviations)
+    pts = sorted((json_number(d, "deviation distance"), json_number(v, "deviation"))
+                 for d, v in deviations)
     if len(pts) < 2:
         raise InvalidInputError(f"need at least 2 deviation points, got {len(pts)}")
     if len({d for d, _ in pts}) != len(pts):

@@ -28,6 +28,7 @@ from .errors import (
     MissingReferenceError,
     RateMismatchError,
     SilenceError,
+    json_number,
 )
 from .filterbank import FilterBank, _each
 from .signal import Signal
@@ -52,15 +53,15 @@ def distance_text(distance_cm: float) -> str:
 
 
 def check_distances(distances: Sequence[float], owner: str) -> tuple[float, ...]:
-    """``distances`` as floats, ``-0`` read as 0, so an int and the equal
-    float, or -0 and 0, are one distance. Raises :class:`InvalidInputError`
-    unless each is finite and >= 0, and :class:`DuplicateDistanceError` if
-    one repeats; ``owner`` names what holds them in the message.
+    """``distances`` read by the number rule, so an int and the equal float,
+    or -0 and 0, are one distance. Raises :class:`InvalidInputError` unless
+    each is a number, finite and >= 0, and :class:`DuplicateDistanceError`
+    if one repeats; ``owner`` names what holds them in the message.
 
     Needs no recording, so a manifest's series are checked before any file
     is read.
     """
-    dists = tuple(float(d) + 0.0 for d in distances)
+    dists = tuple(json_number(d, f"{owner}: distance") for d in distances)
     for d in dists:
         if not (math.isfinite(d) and d >= 0):
             raise InvalidInputError(f"{owner}: distance must be finite and >= 0 cm, got {d}")
@@ -81,15 +82,15 @@ def _check_labels(key: tuple[str, str, str]) -> None:
 
 def check_reference(
     distances: Sequence[float], reference_distance_cm: float, owner: str = "measured series"
-) -> None:
-    """Raise :class:`MissingReferenceError` unless ``distances`` hold the
-    reference distance; ``owner`` names what holds them in the message."""
-    reference = float(reference_distance_cm)
+) -> float:
+    """The reference distance by the number rule; raises
+    :class:`MissingReferenceError` unless ``distances`` hold it. ``owner``
+    names what holds them in the message."""
+    reference = json_number(reference_distance_cm, "reference distance")
     if reference not in distances:
-        raise MissingReferenceError(
-            f"{owner} has no recording at reference {reference} cm "
-            f"(distances: {tuple(distances)})"
-        )
+        raise MissingReferenceError(f"{owner} has no recording at reference {reference} cm "
+                                    f"(distances: {tuple(distances)})")
+    return reference
 
 
 @dataclass(frozen=True)
@@ -121,8 +122,7 @@ class SeriesMeasurement:
         distances = [m.distance_cm for m in self.measurements]
         if sorted(set(distances)) != distances:
             raise InvalidInputError("distances must be unique and ascending")
-        check_reference(distances, self.reference_distance_cm)
-        reference = float(self.reference_distance_cm) + 0.0
+        reference = check_reference(distances, self.reference_distance_cm)
         object.__setattr__(self, "reference_distance_cm", reference)
         silent = [m.distance_cm for m in self.measurements if m.level == -math.inf]
         if reference in silent:
@@ -193,15 +193,14 @@ class MeasurementSeries:
         return min(len(r) for r in self.recordings)
 
     def signal_at(self, distance_cm: float) -> Signal:
-        """The whole recording at ``distance_cm``; a file is decoded now."""
-        distance = float(distance_cm)
+        """The recording at ``distance_cm`` cut to the common length, the
+        samples :meth:`measure` reads of it; a file is decoded now."""
+        distance = json_number(distance_cm, "distance")
         for d, recording in zip(self.distances, self.recordings):
             if d == distance:
-                return _signal(recording)
-        raise MissingDistanceError(
-            f"series {self.key} has no recording at {distance} cm "
-            f"(distances: {self.distances})"
-        )
+                return _signal(recording, self.common_length)
+        raise MissingDistanceError(f"series {self.key} has no recording at {distance} cm "
+                                   f"(distances: {self.distances})")
 
     def measure(self, bank: FilterBank, reference_distance_cm: float) -> SeriesMeasurement:
         """One pass over the recordings, one recording per worker thread:
@@ -223,21 +222,22 @@ class MeasurementSeries:
         )))
 
 
-def _signal(recording: Signal | WavHeader, digest=None) -> Signal:
+def _signal(recording: Signal | WavHeader, n: int, digest=None) -> Signal:
+    """The first ``n`` samples of ``recording``, the whole fed to ``digest``."""
     if isinstance(recording, Signal):
         if digest is not None:
             digest.update(recording.samples)
-        return recording
-    return wavio.load_wav(recording.path, digest=digest)
+        signal = recording
+    else:
+        signal = wavio.load_wav(recording.path, digest=digest)
+    return signal if len(signal) == n else signal.trimmed(n)
 
 
 def _measure(
     distance_cm: float, recording: Signal | WavHeader, n: int, bank: FilterBank
 ) -> Measurement:
     digest = hashlib.sha256()
-    signal = _signal(recording, digest)
-    if len(signal) != n:
-        signal = signal.trimmed(n)
+    signal = _signal(recording, n, digest)
     try:
         balance = spectral_balance(signal, bank)
     except SilenceError:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CannotNormalizeError, EmptySignalError, InvalidInputError
+from .errors import CannotNormalizeError, EmptySignalError, InvalidInputError, json_number
 
 __all__ = [
     "Signal",
@@ -37,7 +37,7 @@ def db_to_gain(db: float) -> float:
 
 def check_sample_rate(sample_rate: int) -> None:
     """Raise :class:`InvalidInputError` unless the rate is a positive whole number."""
-    if not (0 < sample_rate < math.inf and sample_rate % 1 == 0):
+    if not (0 < json_number(sample_rate, "sample_rate") < math.inf and sample_rate % 1 == 0):
         raise InvalidInputError(f"sample_rate must be a positive whole number, got {sample_rate}")
 
 
@@ -78,14 +78,12 @@ class Signal:
 
     def scaled(self, gain: float) -> "Signal":
         """New signal with every sample multiplied by ``gain``."""
-        return Signal(self.samples * float(gain), self.sample_rate)
+        return Signal(self.samples * json_number(gain, "gain"), self.sample_rate)
 
     def trimmed(self, n_samples: int) -> "Signal":
         """First ``n_samples`` samples as a new signal."""
         if n_samples < 1 or n_samples > self.samples.size:
-            raise InvalidInputError(
-                f"cannot trim to {n_samples} samples from {self.samples.size}"
-            )
+            raise InvalidInputError(f"cannot trim to {n_samples} samples from {self.samples.size}")
         return Signal(self.samples[:n_samples], self.sample_rate)
 
 

@@ -15,18 +15,26 @@ from numbers import Integral
 
 import numpy as np
 
-from .errors import InvalidFrequencyError, InvalidInputError, json_integer, json_number, known_keys
+from .errors import (InvalidFrequencyError, InvalidInputError, json_fields, json_integer,
+                     json_number, json_text)
 from .signal import Signal, check_level, check_sample_rate, db_to_gain, normalize_to_level
+from .wavio import check_header
 
 __all__ = ["GENERATORS", "StimulusSpec", "gen_sine", "gen_pink", "gen_stimulus"]
 
-# the most float64 samples one array's size in bytes can count
-_MAX_SAMPLES = np.iinfo(np.intp).max // np.dtype(np.float64).itemsize
 
-# JSON key -> StimulusSpec field, in the order messages list the keys
-_JSON_FIELDS = {"kind": "kind", "duration_s": "duration", "sample_rate_hz": "sample_rate",
-                "target_level_dbfs": "target_level", "frequency_hz": "frequency",
-                "seed": "seed"}
+def _or_null(read):
+    """``read``, which also takes ``null`` for the field's default of None."""
+    return lambda value, name: None if value is None else read(value, name)
+
+
+# JSON key -> (StimulusSpec field, reader of the key's value), in the order
+# messages list the keys
+_JSON_FIELDS = {"kind": ("kind", json_text), "duration_s": ("duration", json_number),
+                "sample_rate_hz": ("sample_rate", json_integer),
+                "target_level_dbfs": ("target_level", json_number),
+                "frequency_hz": ("frequency", _or_null(json_number)),
+                "seed": ("seed", _or_null(json_integer))}
 
 
 @dataclass(frozen=True)
@@ -44,48 +52,34 @@ class StimulusSpec:
         if self.kind not in GENERATORS:
             raise InvalidInputError(f"unknown stimulus kind {self.kind!r}")
         if not (math.isfinite(self.duration) and self.duration > 0):
-            raise InvalidInputError(
-                f"duration must be positive and finite, got {self.duration}"
-            )
+            raise InvalidInputError(f"duration must be positive and finite, got {self.duration}")
         check_sample_rate(self.sample_rate)
-        if self.duration * self.sample_rate > _MAX_SAMPLES:
-            raise InvalidInputError(
-                f"duration {self.duration}s at {self.sample_rate} Hz is more samples "
-                "than a float64 array can hold"
-            )
+        # float32 is the widest encoding written, so nothing is made that no WAV holds
+        check_header(self.duration * self.sample_rate, self.sample_rate,
+                     f"duration {self.duration}s at {self.sample_rate} Hz")
         check_level(self.target_level, "target level")
         if self.kind == "sine":
             if self.frequency is None:
                 raise InvalidInputError("sine stimulus needs a frequency")
             if not 0 < self.frequency < self.sample_rate / 2:
-                raise InvalidFrequencyError(
-                    f"frequency must be in (0, {self.sample_rate / 2}), got {self.frequency}"
-                )
+                raise InvalidFrequencyError(f"frequency must be in (0, {self.sample_rate / 2}), "
+                                            f"got {self.frequency}")
         if self.kind == "pink" and not (isinstance(self.seed, Integral) and self.seed >= 0):
-            raise InvalidInputError(
-                f"pink stimulus needs a non-negative integer seed, got {self.seed!r}"
-            )
+            raise InvalidInputError(f"pink stimulus needs a non-negative integer seed, "
+                                    f"got {self.seed!r}")
 
     def to_json(self) -> dict:
-        return {key: getattr(self, name) for key, name in _JSON_FIELDS.items()}
+        return {key: getattr(self, name) for key, (name, _) in _JSON_FIELDS.items()}
 
     @classmethod
     def from_json(cls, doc: dict) -> "StimulusSpec":
         """The spec a campaign spec's ``stimulus`` object of :meth:`to_json`'s
         keys describes. A key left out, or a ``null`` frequency or seed, takes
         its default (kind ``"pink"``, 2 s, else the field's). Numbers must be
-        JSON numbers, the rate and the seed whole; any other key is a
-        ValueError naming it."""
-        known_keys(doc, tuple(_JSON_FIELDS), "stimulus")
-        fields = {"kind": doc.get("kind", "pink"),
-                  "duration": json_number(doc.get("duration_s", 2.0), "duration_s")}
-        for key, read in (("sample_rate_hz", json_integer), ("target_level_dbfs", json_number)):
-            if key in doc:
-                fields[_JSON_FIELDS[key]] = read(doc[key], key)
-        for key, read in (("frequency_hz", json_number), ("seed", json_integer)):
-            if doc.get(key) is not None:
-                fields[_JSON_FIELDS[key]] = read(doc[key], key)
-        return cls(**fields)
+        numbers, the rate and the seed whole; a value of another type, and
+        any other key, is an :class:`InvalidInputError` naming it."""
+        return cls(**{"kind": "pink", "duration": 2.0,
+                      **json_fields(doc, _JSON_FIELDS, "stimulus")})
 
 
 def gen_sine(spec: StimulusSpec) -> Signal:
@@ -101,9 +95,7 @@ def gen_sine(spec: StimulusSpec) -> Signal:
     n_requested = round(spec.duration * fs)
     periods = math.floor(n_requested * f / fs)
     if periods < 1:
-        raise InvalidInputError(
-            f"duration {spec.duration}s holds no whole period of {f} Hz"
-        )
+        raise InvalidInputError(f"duration {spec.duration}s holds no whole period of {f} Hz")
     n = round(periods * fs / f)
     unit = np.sin(2.0 * np.pi * f * np.arange(n) / fs)
     rms = math.sqrt(float(np.mean(unit**2)))

@@ -30,8 +30,10 @@ import numpy as np
 
 from .campaign import _csv_text
 from .errors import (InvalidInputError, InvalidSpecError, MappingMismatchError, SilenceError,
-                     converting, json_number, json_text, known_keys, read_input)
+                     SingularityError, converting, json_fields, json_number, json_text,
+                     read_input)
 from .filterbank import FilterBank, _checked_spectra, decompose
+from .level import theoretical_amplification
 from .series import (MeasurementSeries, _check_labels, check_distances, check_reference,
                      distance_text)
 from .signal import Signal, check_level, db_to_gain, mean_level_dbfs
@@ -90,7 +92,7 @@ class DistanceProfile:
     """Per-band gain breakpoints over distance, linearly interpolated.
 
     ``bands`` maps band index, an integer >= 0, -> ((distance_cm, gain_db),
-    ...), finite distances ascending. Bands without an entry are flat 0 dB.
+    ...), numbers, finite distances ascending. Bands without an entry are flat 0 dB.
     Outside the breakpoint range the end values hold (no extrapolation). Gains are levels for
     :func:`~bandscope.signal.check_level`. Messages number bands from 1, as
     ``ground_truth.csv`` does.
@@ -104,8 +106,8 @@ class DistanceProfile:
             if isinstance(band, bool) or not isinstance(band, Integral) or band < 0:
                 raise InvalidInputError(f"band index must be an integer >= 0, got {band!r}")
             try:
-                pairs = tuple((float(d), float(g)) for d, g in pts)
-            except (TypeError, ValueError):
+                pairs = tuple((json_number(d, "distance"), json_number(g, "gain")) for d, g in pts)
+            except (TypeError, ValueError, InvalidInputError):
                 raise InvalidInputError(f"band {band + 1}: breakpoints must be (distance_cm, "
                                         f"gain_db) pairs, got {pts!r}") from None
             if not pairs:
@@ -114,9 +116,8 @@ class DistanceProfile:
             if not all(math.isfinite(d) for d in dists):
                 raise InvalidInputError(f"band {band + 1}: breakpoint distances must be finite")
             if sorted(set(dists)) != dists:
-                raise InvalidInputError(
-                    f"band {band + 1}: breakpoint distances must be unique ascending"
-                )
+                raise InvalidInputError(f"band {band + 1}: breakpoint distances must be "
+                                        "unique ascending")
             for _, gain in pairs:
                 check_level(gain, f"band {band + 1} gain")
             clean[int(band)] = pairs
@@ -151,13 +152,12 @@ class SynthCampaignSpec:
         _check_labels((self.microphone, self.model.label, self.stimulus_label))
         if not math.isfinite(self.theta_rad):
             raise InvalidSpecError(f"theta_rad must be finite, got {self.theta_rad}")
-        check_reference(dists, self.reference_distance_cm, "campaign")
-        reference = float(self.reference_distance_cm) + 0.0
+        reference = check_reference(dists, self.reference_distance_cm, "campaign")
         for d in dists:
-            gain = reference / d if d > 0 else math.inf
-            if not 0 < gain < math.inf:
-                raise InvalidSpecError(f"distance {distance_text(d)} cm: its x_ref/x gain "
-                                       f"{gain:g} is not finite and positive")
+            try:
+                theoretical_amplification(d, reference)
+            except SingularityError as exc:
+                raise InvalidSpecError(f"distance {distance_text(d)} cm: {exc}") from None
         object.__setattr__(self, "distances_cm", tuple(sorted(dists)))
         object.__setattr__(self, "reference_distance_cm", reference)
         d_gain = directivity_gain(self.model, self.theta_rad)
@@ -193,15 +193,21 @@ def _spec_profile(bands, name: str) -> DistanceProfile | None:
         if band < 1 or band - 1 in by_index:
             why = "band numbers start at 1" if band < 1 else f"band {band} is given twice"
             raise InvalidSpecError(f"profile key {key!r}: {why}")
-        by_index[band - 1] = [(json_number(d, f"profile key {key!r}: distance_cm"),
-                               json_number(g, f"profile key {key!r}: gain_db"))
-                              for d, g in pts]
+        by_index[band - 1] = pts  # whose numbers DistanceProfile reads
     return DistanceProfile(by_index) if by_index else None
 
 
-# spec key -> (SynthCampaignSpec field, reader of the key's JSON value); a spec
-# holds these and "stimulus", which holds StimulusSpec.to_json's keys or "file"
+def _spec_stimulus(doc, name: str) -> StimulusSpec | dict:
+    """The spec's ``stimulus``: the :class:`StimulusSpec` its object
+    describes, or, when it holds ``file``, the object, which holds only that."""
+    if isinstance(doc, dict) and "file" in doc:
+        return json_fields(doc, {"file": ("file", json_text)}, f"{name} file")
+    return StimulusSpec.from_json(doc)
+
+
+# spec key -> (SynthCampaignSpec field, reader of the key's value)
 _SPEC_FIELDS = {
+    "stimulus": ("stimulus", _spec_stimulus),
     "distances_cm": ("distances_cm",
                      lambda v, _: tuple(json_number(d, "each of distances_cm") for d in v)),
     "reference_distance_cm": ("reference_distance_cm", json_number),
@@ -217,27 +223,18 @@ def load_campaign_spec(path: str | os.PathLike) -> tuple[SynthCampaignSpec, dict
     """The campaign spec file ``path`` describes, and the document
     ``campaign_spec.json`` echoes: the spec with its stimulus as
     :meth:`StimulusSpec.to_json` writes it, or as ``{"file": ...}``, a WAV
-    relative to the spec file. A key left out takes the field's default.
-    Every error names the file; a stimulus file's :class:`LoadError` names
-    the spec file, then the WAV."""
+    relative to the spec file, made once every field is read. A key left out
+    takes the field's default. Every error names the file; a stimulus
+    file's :class:`LoadError` names the spec file, then the WAV."""
     path = Path(path)
     doc = read_input(path, InvalidSpecError, as_json=True)
     with converting(InvalidSpecError, str(path)):
-        if not isinstance(doc, dict) or not isinstance(doc.get("stimulus"), dict):
-            raise TypeError("expected a JSON object with a 'stimulus' object")
-        known_keys(doc, ("stimulus", *_SPEC_FIELDS), "spec")
-        fields = {name: read(doc[key], key) for key, (name, read) in _SPEC_FIELDS.items()
-                  if key in doc}
-        stim_doc = doc["stimulus"]
-        if "file" in stim_doc:
-            known_keys(stim_doc, ("file",), "stimulus file")
-            stim_json = {"file": stim_doc["file"]}
-            # relative to the spec file; an absolute path stays as is
-            stimulus = load_wav(path.parent / stim_doc["file"])
-        else:
-            stim_spec = StimulusSpec.from_json(stim_doc)
-            stim_json = stim_spec.to_json()
-            stimulus = gen_stimulus(stim_spec)
+        fields = json_fields(doc, _SPEC_FIELDS, "spec")
+        stimulus = fields.pop("stimulus")
+        if isinstance(stimulus, StimulusSpec):
+            stim_json, stimulus = stimulus.to_json(), gen_stimulus(stimulus)
+        else:  # relative to the spec file; an absolute path stays as is
+            stim_json, stimulus = stimulus, load_wav(path.parent / stimulus["file"])
         return SynthCampaignSpec(stimulus, **fields), {**doc, "stimulus": stim_json}
 
 
@@ -307,10 +304,8 @@ def synth_campaign(
     table = None  # dB gain per (distance, band)
     if profile is not None:
         if max(profile.bands, default=-1) >= bank.n_bands:
-            raise MappingMismatchError(
-                f"profile addresses band {max(profile.bands) + 1} but the bank has "
-                f"{bank.n_bands} bands"
-            )
+            raise MappingMismatchError(f"profile addresses band {max(profile.bands) + 1} but "
+                                       f"the bank has {bank.n_bands} bands")
         table = np.array([[profile.gain_db(b, d) for b in range(bank.n_bands)]
                           for d in distances])
         _, spectra = _checked_spectra(bank, spec.stimulus)
@@ -330,7 +325,7 @@ def synth_campaign(
     # negative gain is a polarity flip (bidirectional rear lobe); levels
     # follow the magnitude
     global_gain = tuple((d, 20.0 * math.log10(abs(gain))) for d, gain in zip(distances, gains))
-    expected_amp = [(d, 20.0 * math.log10(ref / d)) for d in distances]
+    expected_amp = [(d, theoretical_amplification(d, ref)) for d in distances]
     band_rows, expected_delta = [], []
     if table is not None:
         # total energy after per-band scaling, per distance

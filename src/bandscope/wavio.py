@@ -15,6 +15,7 @@ positive-full-scale PCM16 sample reads 32767/32768.
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 from dataclasses import dataclass
@@ -25,7 +26,7 @@ from .errors import (InvalidInputError, LoadError, UnsupportedEncodingError, Wav
                      reading)
 from .signal import Signal, check_sample_rate
 
-__all__ = ["WavHeader", "read_header", "load_wav", "save_wav", "check_writable"]
+__all__ = ["WavHeader", "read_header", "load_wav", "save_wav", "check_header", "check_writable"]
 
 _FMT_PCM = 0x0001
 _FMT_FLOAT = 0x0003
@@ -140,19 +141,25 @@ def save_wav(signal: Signal, path: str | os.PathLike, encoding: str = "float32")
         fh.write(b"RIFF" + struct.pack("<I", 4 + len(chunks)) + b"WAVE" + chunks)
 
 
-def check_writable(signal: Signal, what, encoding: str = "float32") -> None:
-    """Raise :class:`InvalidInputError` naming ``what`` unless a WAV in
-    ``encoding`` can hold ``signal``: its byte rate and RIFF size fit the
-    header's unsigned 32-bit fields, and a float32 peak is 0 or within
-    float32's normal range."""
+def check_header(n_frames: float, sample_rate: float, what, encoding: str = "float32") -> None:
+    """Raise :class:`InvalidInputError` naming ``what`` unless the byte rate
+    and RIFF size of a mono WAV of ``n_frames`` in ``encoding`` fit 32 bits;
+    a float count, inf too, is compared as a float."""
     width = _WIDTH[encoding]
-    data = len(signal) * width
+    data = n_frames * width
     # the RIFF size counts "WAVE", the fmt chunk, the data chunk's header and pad byte
-    for name, size in (("byte rate", signal.sample_rate * width),
-                       ("RIFF size", 36 + data + (data & 1))):
+    for name, size in (("byte rate", sample_rate * width),
+                       ("RIFF size", 36 + data + (data % 2 if data < math.inf else 0))):
         if size >= 1 << 32:
             raise InvalidInputError(f"{what}: a {name} of {size} in {encoding} is more "
                                     "than a WAV header holds")
+
+
+def check_writable(signal: Signal, what, encoding: str = "float32") -> None:
+    """Raise :class:`InvalidInputError` naming ``what`` unless a WAV in
+    ``encoding`` can hold ``signal``: :func:`check_header` passes, and a
+    float32 peak is 0 or within float32's normal range."""
+    check_header(len(signal), signal.sample_rate, what, encoding)
     if encoding == "float32":
         x = signal.samples
         peak = max(x.max(), -x.min())
@@ -198,9 +205,8 @@ def _walk(read, size: int, path, channel: int) -> tuple[WavHeader, int]:
         raise WavFormatError(f"channel {channel} requested but file has {n_channels}")
     encoding = _ENCODINGS.get((audio_format, bits))
     if encoding is None:
-        raise UnsupportedEncodingError(
-            f"unsupported encoding (format tag {audio_format}, {bits}-bit)"
-        )
+        raise UnsupportedEncodingError(f"unsupported encoding (format tag {audio_format}, "
+                                       f"{bits}-bit)")
     offset, n = data
     n_frames = n // _WIDTH[encoding] // n_channels
     if n_frames == 0:

@@ -20,12 +20,14 @@ from bandscope import (
     IngestReport,
     MeasurementSeries,
     Signal,
+    StimulusSpec,
     SynthCampaignSpec,
     analyze,
     analyze_report,
     compare_to_stimulus,
     design_bank,
     export,
+    gen_pink,
     ingest,
     load_wav,
     mean_level_dbfs,
@@ -37,6 +39,7 @@ from bandscope import (
 from bandscope.balance import balance_difference, spectral_balance
 from bandscope.campaign import ComparisonReport, ComparisonRow, save_series
 from bandscope.cli import run
+from bandscope.series import check_distances
 from bandscope.errors import (
     DuplicateDistanceError,
     InvalidInputError,
@@ -305,6 +308,17 @@ class TestCompare:
         series, _ = synth_campaign(spec)
         with pytest.raises(MissingDistanceError):
             compare_to_stimulus(white_2s, series, ids10_bank_fast, 50.0)
+
+    def test_reads_the_samples_analyze_reads(self, ids10_bank_fast):
+        # the 100 cm take is the whole 0.3 s stimulus, the 50 cm take its first
+        # third: compare, as analyze, reads the first 0.1 s of each
+        stimulus = gen_pink(StimulusSpec(kind="pink", duration=0.3, seed=3))
+        series = _memory_series([stimulus.trimmed(len(stimulus) // 3), stimulus], (50, 100))
+        row = compare_to_stimulus(stimulus, series, ids10_bank_fast, 100.0)
+        measured = analyze(series, ids10_bank_fast).measured.at_reference
+        assert row.recording_level == measured.level != row.stimulus_level
+        assert row.diffs_db == balance_difference(spectral_balance(stimulus, ids10_bank_fast),
+                                                  measured.balance)
 
     def test_side_whose_power_underflows_is_silent(self, two_band_bank):
         # the silence rule of SeriesMeasurement: a positive energy whose
@@ -821,3 +835,25 @@ def test_analyze_memory_on_two_band_workers_does_not_grow_with_series(
     pair = n * 8 + (n // 2 + 1) * 16  # the inverse transform and the product it inverts
     assert n_four == 4
     assert peak_four <= 1.10 * peak_one + pair, (peak_one, peak_four, pair)
+
+
+# library value -> what reads it by the number rule, given a bank
+NUMBER_FIELDS = {
+    "check_distances": lambda v, bank: check_distances((v, 100), "series")[0],
+    "BandMapping": lambda v, bank: BandMapping((0, v, 22050)).edges[1],
+    "DistanceProfile": lambda v, bank: DistanceProfile({0: ((v, 3.0),)}).bands[0][0][0],
+    "analyze-reference": lambda v, bank: analyze(
+        _memory_series([Signal(np.ones(500), FS)] * 2, (5, 100)), bank,
+        reference_distance_cm=v).measured.reference_distance_cm,
+}
+
+
+@pytest.mark.parametrize("value", ["5", True, np.int64(5)], ids=["text", "bool", "numpy-int"])
+@pytest.mark.parametrize("field", sorted(NUMBER_FIELDS))
+def test_library_number_is_a_number_not_text_or_a_bool(field, value, two_band_bank):
+    if isinstance(value, np.integer):
+        read = NUMBER_FIELDS[field](value, two_band_bank)
+        assert read == 5.0 and type(read) is float
+    else:
+        with pytest.raises(InvalidInputError):
+            NUMBER_FIELDS[field](value, two_band_bank)

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 import bandscope
 from bandscope import (Signal, ingest, load_campaign_spec, load_mapping, load_wav,
                        mean_level_dbfs, read_header, save_wav)
-from bandscope import cli
+from bandscope import cli, stimuli
 from bandscope.cli import run
 from bandscope.errors import (DuplicateDistanceError, InvalidMappingError, InvalidSpecError,
                               LoadError, ManifestError)
@@ -734,16 +734,66 @@ UNKNOWN_KEYS = {
 
 @pytest.mark.parametrize("case", sorted(UNKNOWN_KEYS))
 def test_unknown_spec_key_is_named_and_writes_nothing(case, tmp_path, capsys):
-    assert run(BAD_INPUTS[case][0](tmp_path)) == 1
+    argv = BAD_INPUTS[case][0](tmp_path)
+    assert run(argv) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1
+    assert err.startswith(f"error: {argv[2]}: ") and err.count("\n") == 1
     assert UNKNOWN_KEYS[case] in err
     assert not (tmp_path / "camp").exists()
+
+
+@pytest.mark.parametrize("top, entry, named", [
+    ({"note": "x"}, {}, "unknown manifest key 'note' (known: entries)"),
+    ({}, {"channel": 1}, "entry 0 invalid: unknown entry key 'channel' (known: microphone, "
+                         "directivity, stimulus, path, distance_cm)"),
+    ({}, {"distanse_cm": 7}, "entry 0 invalid: unknown entry key 'distanse_cm'"),
+], ids=["top-level", "entry", "entry-misspelled"])
+def test_unknown_manifest_key_is_named_and_writes_nothing(top, entry, named, tmp_path, capsys):
+    # a misspelled or unsupported key (say, a channel) would leave its field at the default
+    manifest = _manifest_with(tmp_path, **entry)
+    manifest.write_text(json.dumps({**json.loads(manifest.read_text()), **top}))
+    out = str(tmp_path / "out")
+    for argv in (_analyze(tmp_path, manifest),
+                 ["compare", "--stimulus", str(tmp_path / "r0.wav"), "--manifest", str(manifest),
+                  "--length", "1023", "--out", out]):
+        assert run(argv) == 1
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith(f"error: {manifest}: {named}")
+        assert not Path(out).exists()
 
 
 def _silent_file_stimulus(tmp_path):
     save_wav(Signal(np.zeros(FS // 10), FS), tmp_path / "silent.wav")
     return {"file": "silent.wav"}
+
+
+# the 8e9 Hz spec would allocate 4e8 samples; a pcm16 synth of 1.3e9 samples
+# fits pcm16 but not float32, the widest encoding bandscope writes
+NO_WAV_HOLDS = {
+    "spec-rate-8e9": lambda t: _synth_campaign(t, distances=(50, 100), stimulus={
+        "kind": "pink", "duration_s": 0.05, "seed": 1, "sample_rate_hz": 8000000000.0}),
+    "synth-pcm16-beyond-float32": lambda t: _synth(t, "--seed", "1", "--dur", "30000",
+                                                   "--bits", "pcm16"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NO_WAV_HOLDS))
+def test_stimulus_no_wav_holds_is_refused_before_it_is_made(case, tmp_path, capsys,
+                                                           monkeypatch):
+    def never(spec):
+        raise AssertionError("a stimulus no WAV holds was synthesized")
+
+    # so no sample is allocated, whatever the rule does
+    for kind in stimuli.GENERATORS:
+        monkeypatch.setitem(stimuli.GENERATORS, kind, never)
+    argv = NO_WAV_HOLDS[case](tmp_path)
+    before = sorted(tmp_path.iterdir())
+    assert run(argv) == 1
+    (line,) = capsys.readouterr().err.splitlines()
+    named = f"error: {argv[2]}: " if argv[0] == "synth-campaign" else "error: "
+    assert line.startswith(named)
+    assert line.endswith("in float32 is more than a WAV header holds")
+    assert sorted(tmp_path.iterdir()) == before
 
 
 # case -> the fields it sets in the flat spec, given the spec's directory
@@ -1069,6 +1119,7 @@ _JSON = st.recursive(
     max_leaves=8,
 )
 _ROW = st.fixed_dictionaries({}, optional={
+    "channel": st.integers(0, 2) | _JSON,  # a key no manifest entry holds
     "path": st.sampled_from(["r50.wav", "r100.wav", "absent.wav", "", "."]) | st.text(max_size=4),
     "distance_cm": st.sampled_from([50, 100, 100.0, 0, -1, math.inf, math.nan, "50", 10**400])
     | _JSON,

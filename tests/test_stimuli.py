@@ -61,7 +61,7 @@ class TestJson:
         ({"seed": True}, "seed must be a number, got true"),
     ])
     def test_other_keys_and_values_are_named(self, doc, error):
-        with pytest.raises((TypeError, ValueError), match=error):
+        with pytest.raises(InvalidInputError, match=error):
             StimulusSpec.from_json(doc)
 
 
