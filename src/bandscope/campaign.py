@@ -4,12 +4,15 @@ A manifest is one JSON document with an ``entries`` array; each entry names
 a recording file, its distance in cm and the (microphone, directivity,
 stimulus) labels. Entries sharing labels form a series. Ingest reads only
 the WAV headers; analysis measures each series in one pass over its
-recordings and runs the level and balance chains on the measurements.
-Export writes the level chain's rows (one per distance) as the level CSV
-and the summary's levels, one CSV per band and a summary JSON,
-deterministically. A synthetic series is saved as WAVs plus the manifest
-that lists them, so the manifest format, the file-naming rule and the
-text rules of every CSV and JSON file bandscope writes each live here only.
+recordings and runs the level and balance chains on the measurements. A
+comparison row measures the stimulus and one recording as that pass
+measures a recording, and both record each series they fail on through
+:meth:`IngestReport.each`. Export writes the level chain's rows (one per
+distance) as the level CSV and the summary's levels, one CSV per band and
+a summary JSON, deterministically. A synthetic series is saved as WAVs
+plus the manifest that lists them, so the manifest format, the
+file-naming rule and the text rules of every CSV and JSON file bandscope
+writes each live here only.
 """
 
 from __future__ import annotations
@@ -24,9 +27,10 @@ import re
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
-from .balance import WeightEvolution, balance_difference, spectral_balance, weight_evolution
-from .errors import (BandscopeError, LoadError, ManifestError, SilenceError, converting,
-                     json_array, json_fields, json_number, json_text, read_input)
+from .balance import WeightEvolution, balance_difference, weight_evolution
+from .errors import (BandscopeError, LoadError, ManifestError, MissingDistanceError,
+                     SilenceError, converting, json_array, json_fields, json_number,
+                     json_text, read_input)
 from .filterbank import FilterBank, _each
 from .level import (
     LevelPoint,
@@ -35,8 +39,8 @@ from .level import (
     measured_level_curve,
     validity_limit,
 )
-from .series import (MeasurementSeries, SeriesMeasurement, _check_labels, check_distances,
-                     distance_text)
+from .series import (MeasurementSeries, SeriesMeasurement, _check_labels, _measure,
+                     check_distances, distance_text)
 from .signal import Signal
 from .wavio import save_wav
 
@@ -78,6 +82,17 @@ class IngestReport:
 
     series: tuple[MeasurementSeries, ...]
     errors: tuple[SeriesError, ...]
+
+    def each(self, fn) -> tuple[list, tuple[SeriesError, ...]]:
+        """``fn`` of each series, in order, and the report's errors followed by
+        each series on which ``fn`` raised a :class:`BandscopeError`."""
+        results, errors = [], list(self.errors)
+        for series in self.series:
+            try:
+                results.append(fn(series))
+            except BandscopeError as exc:
+                errors.append(SeriesError.of(series.key, exc))
+        return results, tuple(errors)
 
 
 # the labels of a manifest entry, in the order of a series key
@@ -293,13 +308,8 @@ def analyze_report(
     threshold_db = json_number(threshold_db, "threshold")
     check_threshold(threshold_db)
     _check_distinct_stems([series.key for series in report.series])
-    analyses = []
-    errors = list(report.errors)
-    for series in report.series:
-        try:
-            analyses.append(analyze(series, bank, reference_distance_cm, threshold_db))
-        except BandscopeError as exc:
-            errors.append(SeriesError.of(series.key, exc))
+    analyses, errors = report.each(
+        lambda series: analyze(series, bank, reference_distance_cm, threshold_db))
     provenance = {
         "mapping_edges_hz": list(bank.mapping.edges),
         "filter_length": bank.length,
@@ -307,7 +317,7 @@ def analyze_report(
         "reference_distance_cm": reference_distance_cm,
         "threshold_db": threshold_db,
     }
-    return CampaignResult(analyses=tuple(analyses), errors=tuple(errors), provenance=provenance)
+    return CampaignResult(analyses=tuple(analyses), errors=errors, provenance=provenance)
 
 
 @dataclass(frozen=True)
@@ -367,26 +377,28 @@ def compare_to_stimulus(
 ) -> ComparisonRow:
     """Balance difference between a stimulus and one series recording.
 
-    Only the recording at ``at_distance_cm`` is decoded. The two sides are
-    balanced on worker threads, one each. A silent side, as in
-    :class:`SeriesMeasurement`, raises a :class:`SilenceError` naming it.
+    Both sides are measured as :meth:`MeasurementSeries.measure` measures a
+    recording, on worker threads, one each: only the recording at
+    ``at_distance_cm`` is decoded, and it is cut to the series' common
+    length. A series without that distance raises
+    :class:`MissingDistanceError` before anything is measured; a silent
+    side, as in :class:`SeriesMeasurement`, a :class:`SilenceError` naming it.
     """
     distance = json_number(at_distance_cm, "distance")
-    sides = {"stimulus": stimulus_signal,  # signal_at raises MissingDistanceError
-             f"recording at {distance} cm": series.signal_at(distance)}
-
-    def balance_of(side):
-        try:
-            return spectral_balance(sides[side], bank)
-        except SilenceError:
-            raise SilenceError(f"{side} is silent; its balance is undefined") from None
-
-    stimulus, recording = _each(balance_of, list(sides))
+    if distance not in series.distances:
+        raise MissingDistanceError(f"series {series.key} has no recording at {distance} cm "
+                                   f"(distances: {series.distances})")
+    stimulus, measured = _each(lambda side: _measure(*side, bank), [
+        (None, stimulus_signal, len(stimulus_signal)),
+        (distance, series.recordings[series.distances.index(distance)], series.common_length)])
+    for side, m in (("stimulus", stimulus), (f"recording at {distance} cm", measured)):
+        if m.balance is None:
+            raise SilenceError(f"{side} is silent; its balance is undefined")
     return ComparisonRow(
         label=f"{series.key[0]} {series.key[1]}".strip(),
-        diffs_db=balance_difference(stimulus, recording),
-        stimulus_level=stimulus.mean_level,
-        recording_level=recording.mean_level,
+        diffs_db=balance_difference(stimulus.balance, measured.balance),
+        stimulus_level=stimulus.level,
+        recording_level=measured.level,
     )
 
 

@@ -18,7 +18,6 @@ from . import __version__
 from .campaign import (
     ComparisonReport,
     IngestReport,
-    SeriesError,
     _json_text,
     analyze_report,
     compare_to_stimulus,
@@ -187,13 +186,9 @@ def _cmd_compare(args) -> int:
     # a silent stimulus would fail every series; report it once
     if mean_level_dbfs(stimulus) == -math.inf:
         raise SilenceError(f"{args.stimulus}: stimulus is silent, its balance is undefined")
-    rows, failed = [], []
-    for series in report.series:
-        try:
-            rows.append(compare_to_stimulus(stimulus, series, bank, args.distance))
-        except BandscopeError as exc:
-            failed.append(SeriesError.of(series.key, exc))
-    _warn_excluded(report.errors + tuple(failed))
+    rows, errors = report.each(
+        lambda series: compare_to_stimulus(stimulus, series, bank, args.distance))
+    _warn_excluded(errors)
     if not rows:
         raise ManifestError(f"{args.manifest}: no series can be compared at {args.distance:g} cm")
     table = ComparisonReport(stimulus_label=args.label, rows=tuple(rows), n_bands=bank.n_bands)

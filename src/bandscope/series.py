@@ -1,13 +1,14 @@
 """Measurement series: recordings of one stimulus/microphone pair by distance.
 
 A recording is an in-memory :class:`Signal` (synthetic series) or the
-header of a WAV file, which is decoded only when the recording is measured
-or compared. Measuring a series is one pass: each recording is decoded,
-cut to the series' common length, reduced to a :class:`Measurement`, and
-its samples are dropped. The recordings are measured one per worker
-thread, so a campaign of any size holds one recording per thread at a
-time. The pass returns a :class:`SeriesMeasurement`, whose constructor
-checks the rules of the chain.
+header of a WAV file, which is decoded only when the recording is measured.
+Measuring a series is one pass: each recording is decoded, cut to the
+series' common length, reduced to a :class:`Measurement`, and its samples
+are dropped. The recordings are measured one per worker thread, so a
+campaign of any size holds one recording per thread at a time. The pass
+returns a :class:`SeriesMeasurement`, whose constructor checks the rules of
+the chain. ``campaign.compare_to_stimulus`` measures its two sides with the
+same per-recording function, :func:`_measure`.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from .balance import BalanceResult, spectral_balance
 from .errors import (
     DuplicateDistanceError,
     InvalidInputError,
-    MissingDistanceError,
     MissingReferenceError,
     RateMismatchError,
     SilenceError,
@@ -97,7 +97,7 @@ def check_reference(
 class Measurement:
     """What the measuring pass keeps of one recording once its samples are dropped."""
 
-    distance_cm: float
+    distance_cm: float | None  # None for a stimulus, which has no distance
     balance: BalanceResult | None  # None for a silent recording: no balance exists
     sha256: str  # of the file's bytes, or of an in-memory signal's float64 samples
 
@@ -192,16 +192,6 @@ class MeasurementSeries:
         """
         return min(len(r) for r in self.recordings)
 
-    def signal_at(self, distance_cm: float) -> Signal:
-        """The recording at ``distance_cm`` cut to the common length, the
-        samples :meth:`measure` reads of it; a file is decoded now."""
-        distance = json_number(distance_cm, "distance")
-        for d, recording in zip(self.distances, self.recordings):
-            if d == distance:
-                return _signal(recording, self.common_length)
-        raise MissingDistanceError(f"series {self.key} has no recording at {distance} cm "
-                                   f"(distances: {self.distances})")
-
     def measure(self, bank: FilterBank, reference_distance_cm: float) -> SeriesMeasurement:
         """One pass over the recordings, one recording per worker thread:
         decode each once, cut it to the common length, take its level and
@@ -222,22 +212,18 @@ class MeasurementSeries:
         )))
 
 
-def _signal(recording: Signal | WavHeader, n: int, digest=None) -> Signal:
-    """The first ``n`` samples of ``recording``, the whole fed to ``digest``."""
+def _measure(distance_cm: float | None, recording: Signal | WavHeader, n: int,
+             bank: FilterBank) -> Measurement:
+    """The :class:`Measurement` of the first ``n`` samples of ``recording``,
+    which is decoded here if it is a file; its digest covers the whole."""
+    digest = hashlib.sha256()
     if isinstance(recording, Signal):
-        if digest is not None:
-            digest.update(recording.samples)
+        digest.update(recording.samples)
         signal = recording
     else:
         signal = wavio.load_wav(recording.path, digest=digest)
-    return signal if len(signal) == n else signal.trimmed(n)
-
-
-def _measure(
-    distance_cm: float, recording: Signal | WavHeader, n: int, bank: FilterBank
-) -> Measurement:
-    digest = hashlib.sha256()
-    signal = _signal(recording, n, digest)
+    if len(signal) != n:
+        signal = signal.trimmed(n)
     try:
         balance = spectral_balance(signal, bank)
     except SilenceError:

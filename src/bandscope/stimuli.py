@@ -51,6 +51,10 @@ class StimulusSpec:
     def __post_init__(self) -> None:
         if self.kind not in GENERATORS:
             raise InvalidInputError(f"unknown stimulus kind {self.kind!r}")
+        object.__setattr__(self, "duration", json_number(self.duration, "duration"))
+        object.__setattr__(self, "target_level", json_number(self.target_level, "target level"))
+        if self.frequency is not None:
+            object.__setattr__(self, "frequency", json_number(self.frequency, "frequency"))
         if not (math.isfinite(self.duration) and self.duration > 0):
             raise InvalidInputError(f"duration must be positive and finite, got {self.duration}")
         check_sample_rate(self.sample_rate)
@@ -91,7 +95,7 @@ def gen_sine(spec: StimulusSpec) -> Signal:
     """
     if spec.kind != "sine":
         raise InvalidInputError(f"gen_sine called with kind {spec.kind!r}")
-    fs, f = spec.sample_rate, float(spec.frequency)
+    fs, f = spec.sample_rate, spec.frequency
     n_requested = round(spec.duration * fs)
     periods = math.floor(n_requested * f / fs)
     if periods < 1:

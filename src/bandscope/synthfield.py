@@ -61,8 +61,10 @@ class DirectivityModel:
     m: float
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.m <= 1.0:
-            raise InvalidInputError(f"omnidirectional fraction must be in [0,1], got {self.m}")
+        m = json_number(self.m, "omnidirectional fraction")
+        if not 0.0 <= m <= 1.0:
+            raise InvalidInputError(f"omnidirectional fraction must be in [0,1], got {m}")
+        object.__setattr__(self, "m", m)
 
     @classmethod
     def omni(cls) -> "DirectivityModel":
@@ -150,8 +152,10 @@ class SynthCampaignSpec:
             raise InvalidSpecError("campaign needs at least one distance")
         dists = check_distances(self.distances_cm, "campaign")
         _check_labels((self.microphone, self.model.label, self.stimulus_label))
-        if not math.isfinite(self.theta_rad):
-            raise InvalidSpecError(f"theta_rad must be finite, got {self.theta_rad}")
+        theta = json_number(self.theta_rad, "theta_rad")
+        if not math.isfinite(theta):
+            raise InvalidSpecError(f"theta_rad must be finite, got {theta}")
+        object.__setattr__(self, "theta_rad", theta)
         reference = check_reference(dists, self.reference_distance_cm, "campaign")
         for d in dists:
             try:

@@ -96,8 +96,7 @@ def load_wav(path: str | os.PathLike, channel: int = 0, digest=None) -> Signal:
         if digest is not None:
             digest.update(data)
         header, offset = _walk(lambda o, n: data[o:o + n], len(data), path, channel)
-        n_bytes = header.n_frames * header.n_channels * _WIDTH[header.encoding]
-        samples = _decode(memoryview(data)[offset:offset + n_bytes], header.encoding)
+        samples = _decode(data, offset, header.n_frames * header.n_channels, header.encoding)
         frames = samples.reshape(header.n_frames, header.n_channels)
         return Signal(frames[:, channel], header.sample_rate)
 
@@ -227,17 +226,16 @@ def _parse_fmt(body: bytes) -> tuple[int, int, int, int]:
     return audio_format, n_channels, sample_rate, bits
 
 
-def _decode(payload, encoding: str) -> np.ndarray:
+def _decode(data: bytes, offset: int, n: int, encoding: str) -> np.ndarray:
+    """The ``n`` samples in ``encoding`` that start at byte ``offset`` of
+    ``data``, a whole file, as float64 at nominal full scale."""
     if encoding == "pcm16":
-        return np.frombuffer(payload, dtype="<i2").astype(np.float64) / _PCM16_SCALE
+        return np.frombuffer(data, "<i2", n, offset).astype(np.float64) / _PCM16_SCALE
     if encoding == "pcm24":
-        # each 3-byte sample becomes the top three bytes of a little-endian
-        # int32, so an arithmetic shift right by 8 sign-extends it
-        padded = np.zeros((len(payload) // 3, 4), dtype=np.uint8)
-        padded[:, 1:] = np.frombuffer(payload, dtype=np.uint8).reshape(-1, 3)
-        v = padded.view("<i4").reshape(-1)
-        v >>= 8
-        return v / _PCM24_SCALE
+        # each 3-byte sample is read as the top three bytes of a little-endian
+        # int32 that starts one byte early (the data chunk's size field is
+        # there), so an arithmetic shift right by 8 sign-extends it
+        return (np.ndarray((n,), "<i4", data, offset - 1, (3,)) >> 8) / _PCM24_SCALE
     # a signalling NaN sets the invalid flag as it widens; Signal rejects it
     with np.errstate(invalid="ignore"):
-        return np.frombuffer(payload, dtype="<f4").astype(np.float64)
+        return np.frombuffer(data, "<f4", n, offset).astype(np.float64)

@@ -244,8 +244,10 @@ class TestAnalyze:
         with pytest.raises(MissingReferenceError) as info:
             _memory_series([noise, noise], (50, 100)).measure(two_band_bank, 70)
         assert "reference 70.0 cm (distances: (50.0, 100.0))" in str(info.value)
-        with pytest.raises(MissingDistanceError, match=r"at 70\.0 cm \(distances"):
-            _memory_series([noise, noise], (50, 100)).signal_at(70)
+        with pytest.raises(MissingDistanceError, match=r"^series \('m', 'o', 's'\) has no "
+                           r"recording at 70\.0 cm \(distances: \(50\.0, 100\.0\)\)$"):
+            compare_to_stimulus(noise, _memory_series([noise, noise], (50, 100)),
+                                two_band_bank, 70)
         threshold = validity_limit([(1, 0.0), (2, 0.0)], 1).threshold_db
         assert threshold == 1.0 and isinstance(threshold, float)
 
@@ -309,11 +311,20 @@ class TestCompare:
         with pytest.raises(MissingDistanceError):
             compare_to_stimulus(white_2s, series, ids10_bank_fast, 50.0)
 
-    def test_reads_the_samples_analyze_reads(self, ids10_bank_fast):
+    @pytest.mark.parametrize("backing", ["memory", "pcm24-file"])
+    def test_reads_the_samples_analyze_reads(self, ids10_bank_fast, tmp_path, backing):
         # the 100 cm take is the whole 0.3 s stimulus, the 50 cm take its first
-        # third: compare, as analyze, reads the first 0.1 s of each
+        # third: compare, as analyze, reads the first 0.1 s of each, whether
+        # it is held in memory or decoded from a file in compare's worker
         stimulus = gen_pink(StimulusSpec(kind="pink", duration=0.3, seed=3))
-        series = _memory_series([stimulus.trimmed(len(stimulus) // 3), stimulus], (50, 100))
+        takes = [stimulus.trimmed(len(stimulus) // 3), stimulus]
+        if backing == "memory":
+            series = _memory_series(takes, (50, 100))
+        else:
+            paths = [tmp_path / f"{d}cm.wav" for d in (50, 100)]
+            for take, path in zip(takes, paths):
+                save_wav(take, path, encoding="pcm24")
+            series = MeasurementSeries.from_files(("m", "o", "s"), (50, 100), paths)
         row = compare_to_stimulus(stimulus, series, ids10_bank_fast, 100.0)
         measured = analyze(series, ids10_bank_fast).measured.at_reference
         assert row.recording_level == measured.level != row.stimulus_level
@@ -785,7 +796,8 @@ def test_compare_row_is_the_serial_one(ids10_bank_fast, white_2s, band_workers, 
     stimulus = Signal(np.cumsum(0.01 * rng.standard_normal(FS)), FS)
     series = _memory_series([white_2s.scaled(2.0), white_2s.scaled(0.5)], (50, 100))
     stimulus_balance = spectral_balance(stimulus, ids10_bank_fast)
-    recording_balance = spectral_balance(series.signal_at(100), ids10_bank_fast)
+    recording_balance = spectral_balance(series.recordings[series.distances.index(100)],
+                                         ids10_bank_fast)
     band_workers(cpus)
     assert compare_to_stimulus(stimulus, series, ids10_bank_fast, 100.0) == ComparisonRow(
         label="m o",
@@ -843,17 +855,27 @@ NUMBER_FIELDS = {
     "BandMapping": lambda v, bank: BandMapping((0, v, 22050)).edges[1],
     "DistanceProfile": lambda v, bank: DistanceProfile({0: ((v, 3.0),)}).bands[0][0][0],
     "analyze-reference": lambda v, bank: analyze(
-        _memory_series([Signal(np.ones(500), FS)] * 2, (5, 100)), bank,
+        _memory_series([Signal(np.ones(500), FS)] * 2, (1, 100)), bank,
         reference_distance_cm=v).measured.reference_distance_cm,
+    "DirectivityModel": lambda v, bank: DirectivityModel(v).m,
+    "StimulusSpec-duration":
+        lambda v, bank: StimulusSpec(kind="pink", duration=v, seed=1).duration,
+    "StimulusSpec-target_level": lambda v, bank: StimulusSpec(
+        kind="pink", duration=1.0, seed=1, target_level=v).target_level,
+    "StimulusSpec-frequency":
+        lambda v, bank: StimulusSpec(kind="sine", duration=1.0, frequency=v).frequency,
+    "SynthCampaignSpec-theta_rad": lambda v, bank: SynthCampaignSpec(
+        Signal(np.ones(500), FS), (50, 100), theta_rad=v).theta_rad,
 }
 
 
-@pytest.mark.parametrize("value", ["5", True, np.int64(5)], ids=["text", "bool", "numpy-int"])
+# 1 lies in every field's range, a directivity's omnidirectional fraction [0, 1] too
+@pytest.mark.parametrize("value", ["1", True, np.int64(1)], ids=["text", "bool", "numpy-int"])
 @pytest.mark.parametrize("field", sorted(NUMBER_FIELDS))
 def test_library_number_is_a_number_not_text_or_a_bool(field, value, two_band_bank):
     if isinstance(value, np.integer):
         read = NUMBER_FIELDS[field](value, two_band_bank)
-        assert read == 5.0 and type(read) is float
+        assert read == 1.0 and type(read) is float
     else:
         with pytest.raises(InvalidInputError):
             NUMBER_FIELDS[field](value, two_band_bank)

@@ -34,7 +34,8 @@ def _recordings(stimulus, distances, model=None, profile=None, bank=None):
     spec = SynthCampaignSpec(stimulus=stimulus, distances_cm=sorted({*distances, 100.0}),
                              model=model or DirectivityModel.omni(), profile=profile)
     series, _ = synth_campaign(spec, bank)
-    return {d: series.signal_at(d) for d in distances}
+    by_distance = dict(zip(series.distances, series.recordings))
+    return {d: by_distance[d] for d in distances}
 
 
 @pytest.fixture
@@ -205,19 +206,21 @@ class TestProfiledCampaignWork:
 
     def test_row_flat_in_every_band_is_the_scaled_stimulus(self, white_2s, ids10_bank_fast):
         series = self._campaign(white_2s, ids10_bank_fast)
+        recordings = dict(zip(series.distances, series.recordings))
         d_gain = directivity_gain(DirectivityModel.cardioid(), 0.3)
         for d in (50.0, 100.0):  # past every breakpoint that is not 0 dB
             want = white_2s.scaled((100.0 / d) * d_gain).samples
-            assert series.signal_at(d).samples.tobytes() == want.tobytes()
+            assert recordings[d].samples.tobytes() == want.tobytes()
 
     def test_shaped_rows_equal_the_sum_of_scaled_subbands(self, white_2s, ids10_bank_fast):
         series = self._campaign(white_2s, ids10_bank_fast)
+        recordings = dict(zip(series.distances, series.recordings))
         subbands = decompose(ids10_bank_fast, white_2s)
         d_gain = directivity_gain(DirectivityModel.cardioid(), 0.3)
         for d in (5.0, 25.0):
             gains = [10.0 ** (self.PROFILE.gain_db(b, d) / 20.0) for b in range(len(subbands))]
             want = (100.0 / d) * d_gain * sum(g * sub for g, sub in zip(gains, subbands))
-            np.testing.assert_allclose(series.signal_at(d).samples, want,
+            np.testing.assert_allclose(recordings[d].samples, want,
                                        rtol=0, atol=1e-13 * np.abs(want).max())
 
 
@@ -294,7 +297,7 @@ class TestOffAxisCampaign:
             model=DirectivityModel.bidirectional(), theta_rad=2 * math.pi / 3,
         )
         series, truth = synth_campaign(spec)
-        rec = series.signal_at(100.0)
+        rec = series.recordings[series.distances.index(100.0)]
         np.testing.assert_allclose(rec.samples, -0.5 * white_2s.samples, atol=1e-12)
         gains = dict(truth.global_gain_db)
         assert gains[100.0] == pytest.approx(-6.0206, abs=1e-3)

@@ -260,6 +260,17 @@ class TestDecode:
         assert load_wav(p).samples.tolist() == [-1.0, 8388607 / 8388608, -1 / 8388608,
                                                 1 / 8388608]
 
+    def test_pcm24_stereo_channel_1(self, tmp_path):
+        # each frame's second sample, the full-scale ends and -1 among them
+        left = np.array([1, -1, 8388607, -8388608, 0], dtype=np.int32)
+        right = np.array([-8388608, 8388607, -1, 2, -3], dtype=np.int32)
+        codes = np.stack([left, right], axis=1).reshape(-1)
+        p = tmp_path / "stereo.wav"
+        p.write_bytes(_wav_bytes(1, 2, 24, codes.astype("<i4").view(np.uint8)
+                                 .reshape(-1, 4)[:, :3].tobytes()))
+        assert np.array_equal(load_wav(p, channel=1).samples, right / 8388608.0)
+        assert np.array_equal(load_wav(p).samples, left / 8388608.0)
+
     def test_float32_signalling_nan_rejected_without_warning(self, tmp_path):
         p = tmp_path / "snan.wav"
         p.write_bytes(_wav_bytes(3, 1, 32, struct.pack("<f", 0.5) + bytes([1, 0, 0x80, 0x7F])))
