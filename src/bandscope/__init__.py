@@ -1,7 +1,7 @@
 """Subband spectral-balance and level-vs-distance analysis toolkit."""
 
 from .balance import (
-    BalanceResult,
+    Measurement,
     WeightEvolution,
     balance_difference,
     spectral_balance,
@@ -38,7 +38,7 @@ from .level import (
     theoretical_amplification,
     validity_limit,
 )
-from .series import Measurement, MeasurementSeries, SeriesMeasurement
+from .series import MeasurementSeries, SeriesMeasurement
 from .signal import Signal, mean_level_dbfs, normalize_to_level
 from .stimuli import StimulusSpec, gen_pink, gen_sine, gen_stimulus
 from .synthfield import (
@@ -57,7 +57,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BAND_PRESETS",
     "DEFAULT_TAPS",
-    "BalanceResult",
     "BandMapping",
     "BandscopeError",
     "CampaignResult",

@@ -23,7 +23,7 @@ if TYPE_CHECKING:
     from .series import SeriesMeasurement
 
 __all__ = [
-    "BalanceResult",
+    "Measurement",
     "WeightEvolution",
     "spectral_balance",
     "weight_evolution",
@@ -32,13 +32,35 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class BalanceResult:
-    """Per-band weights of one analyzed signal plus its mean level."""
+class Measurement:
+    """A measured signal's energy and band energies, which its level and weights derive from."""
 
     mapping: BandMapping
-    weights_linear: tuple[float, ...]
-    weights_db: tuple[float, ...]  # -inf marks an empty band
-    mean_level: float  # dB FS, finite
+    n_samples: int
+    energy: float  # sum of squares of the samples
+    band_energies: tuple[float, ...]  # one per band of ``mapping``
+    distance_cm: float | None = None  # None for a stimulus, which has no distance
+    sha256: str | None = None  # of the file's bytes, or of an in-memory signal's samples
+
+    @property
+    def level(self) -> float:
+        """Mean level in dB FS, ``-inf`` if the mean power is 0; sum / n is
+        how np.mean divides, so it equals mean_level_dbfs bit for bit."""
+        return level_of_power(self.energy / self.n_samples)
+
+    @property
+    def weights_linear(self) -> tuple[float, ...]:
+        """Each band's share of the energy; a silent signal (level ``-inf``)
+        has none and raises :class:`SilenceError`."""
+        if self.level == -math.inf:
+            raise SilenceError("spectral balance of a silent signal is undefined")
+        return tuple(e / self.energy for e in self.band_energies)
+
+    @property
+    def weights_db(self) -> tuple[float, ...]:
+        """The weights in dB; ``-inf`` marks an empty band."""
+        return tuple(10.0 * math.log10(w) if w > 0.0 else -math.inf
+                     for w in self.weights_linear)
 
 
 @dataclass(frozen=True)
@@ -53,18 +75,11 @@ class WeightEvolution:
         return tuple(v for _, v in self.points)
 
 
-def spectral_balance(signal: Signal, bank: FilterBank) -> BalanceResult:
-    """Weights of every subband of ``signal`` under ``bank``'s mapping; a silent
-    signal (all zero, or a mean power that underflows) raises :class:`SilenceError`."""
+def spectral_balance(signal: Signal, bank: FilterBank) -> Measurement:
+    """The :class:`Measurement` of ``signal`` under ``bank``'s mapping, a
+    silent signal's included; its weights are defined unless it is silent."""
     total, energies = band_energies(bank, signal)  # refuses a total that overflows
-    # sum / n is how np.mean divides, so this equals mean_level_dbfs bit for bit
-    mean_level = level_of_power(total / len(signal))
-    if mean_level == -math.inf:
-        raise SilenceError("spectral balance of a silent signal is undefined")
-    linear = tuple(energy / total for energy in energies)
-    db = tuple(10.0 * math.log10(w) if w > 0.0 else -math.inf for w in linear)
-    return BalanceResult(mapping=bank.mapping, weights_linear=linear, weights_db=db,
-                         mean_level=mean_level)
+    return Measurement(bank.mapping, len(signal), total, energies)
 
 
 def weight_evolution(measured: SeriesMeasurement) -> list[WeightEvolution]:
@@ -77,14 +92,14 @@ def weight_evolution(measured: SeriesMeasurement) -> list[WeightEvolution]:
     are dropped from that band's curve with a warning rather than fabricated.
     """
     reference = measured.at_reference
-    mapping = reference.balance.mapping
+    mapping = reference.mapping
+    weights = [(m, m.weights_db) for m in measured.measurements]
 
     curves = []
-    for band in range(mapping.n_bands):
-        ref_db = reference.balance.weights_db[band]
+    for band, ref_db in enumerate(reference.weights_db):
         points = []
-        for m in measured.measurements:
-            w_db = m.balance.weights_db[band]
+        for m, m_db in weights:
+            w_db = m_db[band]
             if m is reference:
                 points.append((m.distance_cm, 0.0))
             elif w_db == -math.inf or ref_db == -math.inf:
@@ -100,14 +115,14 @@ def weight_evolution(measured: SeriesMeasurement) -> list[WeightEvolution]:
 
 
 def balance_difference(
-    stimulus: BalanceResult, recording: BalanceResult
+    stimulus: Measurement, recording: Measurement
 ) -> tuple[float, ...]:
     """Stimulus weights minus recording weights, band by band, in dB.
 
     A positive difference means the band is more important in the stimulus
-    balance than in the recording. Both results must come from the same
-    mapping. Lengths of the underlying signals may differ: weights are
-    normalized ratios.
+    balance than in the recording. Both must come from the same mapping,
+    and neither may be silent (:class:`SilenceError`). Lengths of the
+    underlying signals may differ: weights are normalized ratios.
     """
     if stimulus.mapping.edges != recording.mapping.edges:
         raise MappingMismatchError(

@@ -5,8 +5,8 @@ a recording file, its distance in cm and the (microphone, directivity,
 stimulus) labels. Entries sharing labels form a series. Ingest reads only
 the WAV headers; analysis measures each series in one pass over its
 recordings and runs the level and balance chains on the measurements. A
-comparison row measures the stimulus and one recording as that pass
-measures a recording, and both record each series they fail on through
+comparison row measures one recording as that pass does and the stimulus
+by ``spectral_balance``, and both record each series they fail on through
 :meth:`IngestReport.each`. Export writes the level chain's rows (one per
 distance) as the level CSV and the summary's levels, one CSV per band and
 a summary JSON, deterministically. A synthetic series is saved as WAVs
@@ -27,7 +27,7 @@ import re
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
-from .balance import WeightEvolution, balance_difference, weight_evolution
+from .balance import WeightEvolution, balance_difference, spectral_balance, weight_evolution
 from .errors import (BandscopeError, LoadError, ManifestError, MissingDistanceError,
                      SilenceError, converting, json_array, json_fields, json_number,
                      json_text, read_input)
@@ -377,26 +377,27 @@ def compare_to_stimulus(
 ) -> ComparisonRow:
     """Balance difference between a stimulus and one series recording.
 
-    Both sides are measured as :meth:`MeasurementSeries.measure` measures a
-    recording, on worker threads, one each: only the recording at
-    ``at_distance_cm`` is decoded, and it is cut to the series' common
-    length. A series without that distance raises
+    The two sides are measured on worker threads, one each: the stimulus
+    by :func:`spectral_balance`, the recording at ``at_distance_cm`` as
+    :meth:`MeasurementSeries.measure` measures it, decoded here and cut to
+    the series' common length. A series without that distance raises
     :class:`MissingDistanceError` before anything is measured; a silent
     side, as in :class:`SeriesMeasurement`, a :class:`SilenceError` naming it.
     """
     distance = json_number(at_distance_cm, "distance")
     if distance not in series.distances:
-        raise MissingDistanceError(f"series {series.key} has no recording at {distance} cm "
+        raise MissingDistanceError(f"series has no recording at {distance} cm "
                                    f"(distances: {series.distances})")
-    stimulus, measured = _each(lambda side: _measure(*side, bank), [
-        (None, stimulus_signal, len(stimulus_signal)),
-        (distance, series.recordings[series.distances.index(distance)], series.common_length)])
+    recording = series.recordings[series.distances.index(distance)]
+    stimulus, measured = _each(lambda measure: measure(), [
+        lambda: spectral_balance(stimulus_signal, bank),
+        lambda: _measure(distance, recording, series.common_length, bank)])
     for side, m in (("stimulus", stimulus), (f"recording at {distance} cm", measured)):
-        if m.balance is None:
+        if m.level == -math.inf:
             raise SilenceError(f"{side} is silent; its balance is undefined")
     return ComparisonRow(
         label=f"{series.key[0]} {series.key[1]}".strip(),
-        diffs_db=balance_difference(stimulus.balance, measured.balance),
+        diffs_db=balance_difference(stimulus, measured),
         stimulus_level=stimulus.level,
         recording_level=measured.level,
     )

@@ -7,7 +7,7 @@ series' common length, reduced to a :class:`Measurement`, and its samples
 are dropped. The recordings are measured one per worker thread, so a
 campaign of any size holds one recording per thread at a time. The pass
 returns a :class:`SeriesMeasurement`, whose constructor checks the rules of
-the chain. ``campaign.compare_to_stimulus`` measures its two sides with the
+the chain. ``campaign.compare_to_stimulus`` measures its recording with the
 same per-recording function, :func:`_measure`.
 """
 
@@ -18,24 +18,17 @@ import math
 import os
 from collections import Counter
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from . import wavio
-from .balance import BalanceResult, spectral_balance
-from .errors import (
-    DuplicateDistanceError,
-    InvalidInputError,
-    MissingReferenceError,
-    RateMismatchError,
-    SilenceError,
-    json_number,
-)
+from .balance import Measurement, spectral_balance
+from .errors import (DuplicateDistanceError, InvalidInputError, MissingReferenceError,
+                     RateMismatchError, json_number)
 from .filterbank import FilterBank, _each
 from .signal import Signal
 from .wavio import WavHeader
 
 __all__ = [
-    "Measurement",
     "MeasurementSeries",
     "SeriesMeasurement",
     "check_distances",
@@ -91,21 +84,6 @@ def check_reference(
         raise MissingReferenceError(f"{owner} has no recording at reference {reference} cm "
                                     f"(distances: {tuple(distances)})")
     return reference
-
-
-@dataclass(frozen=True)
-class Measurement:
-    """What the measuring pass keeps of one recording once its samples are dropped."""
-
-    distance_cm: float | None  # None for a stimulus, which has no distance
-    balance: BalanceResult | None  # None for a silent recording: no balance exists
-    sha256: str  # of the file's bytes, or of an in-memory signal's float64 samples
-
-    @property
-    def level(self) -> float:
-        """Mean level of the analyzed samples in dB FS; ``-inf`` if they are
-        all zero or their mean power underflows to zero."""
-        return -math.inf if self.balance is None else self.balance.mean_level
 
 
 @dataclass(frozen=True)
@@ -204,7 +182,7 @@ class MeasurementSeries:
         :class:`SeriesMeasurement` apply once every recording is measured,
         so a decode failure is reported first.
         """
-        check_reference(self.distances, reference_distance_cm, f"series {self.key}")
+        check_reference(self.distances, reference_distance_cm, "series")
         n = self.common_length
         return SeriesMeasurement(reference_distance_cm, tuple(_each(
             lambda i: _measure(self.distances[i], self.recordings[i], n, bank),
@@ -212,10 +190,10 @@ class MeasurementSeries:
         )))
 
 
-def _measure(distance_cm: float | None, recording: Signal | WavHeader, n: int,
+def _measure(distance_cm: float, recording: Signal | WavHeader, n: int,
              bank: FilterBank) -> Measurement:
-    """The :class:`Measurement` of the first ``n`` samples of ``recording``,
-    which is decoded here if it is a file; its digest covers the whole."""
+    """The :class:`Measurement` at ``distance_cm`` of the first ``n`` samples
+    of ``recording``, decoded here if a file; its digest covers the whole."""
     digest = hashlib.sha256()
     if isinstance(recording, Signal):
         digest.update(recording.samples)
@@ -224,8 +202,5 @@ def _measure(distance_cm: float | None, recording: Signal | WavHeader, n: int,
         signal = wavio.load_wav(recording.path, digest=digest)
     if len(signal) != n:
         signal = signal.trimmed(n)
-    try:
-        balance = spectral_balance(signal, bank)
-    except SilenceError:
-        balance = None
-    return Measurement(distance_cm, balance, digest.hexdigest())
+    return replace(spectral_balance(signal, bank), distance_cm=distance_cm,
+                   sha256=digest.hexdigest())

@@ -54,6 +54,8 @@ class Signal:
 
     ``samples`` is stored as a read-only float64 array; nominal full scale
     is [-1, 1] but values outside are allowed (clipped captures exist).
+    A read-only contiguous array whose memory is its own or a read-only
+    array's is kept as given, as no one writes through it; any other is copied.
     """
 
     samples: np.ndarray
@@ -68,8 +70,11 @@ class Signal:
         if not np.all(np.isfinite(arr)):
             raise InvalidInputError("signal contains NaN or Inf samples")
         check_sample_rate(self.sample_rate)
-        arr = arr.copy()
-        arr.setflags(write=False)
+        owner = arr if arr.base is None else arr.base  # the array holding the memory
+        if arr.flags.writeable or not (arr.flags.c_contiguous and isinstance(owner, np.ndarray)
+                                       and owner.base is None and not owner.flags.writeable):
+            arr = arr.copy()
+            arr.setflags(write=False)
         object.__setattr__(self, "samples", arr)
         object.__setattr__(self, "sample_rate", int(self.sample_rate))
 
@@ -81,7 +86,7 @@ class Signal:
         return Signal(self.samples * json_number(gain, "gain"), self.sample_rate)
 
     def trimmed(self, n_samples: int) -> "Signal":
-        """First ``n_samples`` samples as a new signal."""
+        """First ``n_samples`` samples as a new signal that shares them."""
         if n_samples < 1 or n_samples > self.samples.size:
             raise InvalidInputError(f"cannot trim to {n_samples} samples from {self.samples.size}")
         return Signal(self.samples[:n_samples], self.sample_rate)

@@ -97,6 +97,7 @@ def load_wav(path: str | os.PathLike, channel: int = 0, digest=None) -> Signal:
             digest.update(data)
         header, offset = _walk(lambda o, n: data[o:o + n], len(data), path, channel)
         samples = _decode(data, offset, header.n_frames * header.n_channels, header.encoding)
+        samples.setflags(write=False)  # so Signal keeps a mono file's samples uncopied
         frames = samples.reshape(header.n_frames, header.n_channels)
         return Signal(frames[:, channel], header.sample_rate)
 

@@ -63,19 +63,23 @@ class TestSpectralBalance:
         bank = design_bank(BandMapping((0, 1000, 22050)), FS, 63)
         x = 10.0 ** log_scale * np.random.default_rng(seed).standard_normal(n)
         signal = Signal(x, FS)
-        assert spectral_balance(signal, bank).mean_level == mean_level_dbfs(signal)
+        assert spectral_balance(signal, bank).level == mean_level_dbfs(signal)
 
     def test_mean_level_silent_when_power_underflows(self):
         # the energy sum is a positive subnormal, its mean rounds to zero: the
-        # meter reads silence, and the balance refuses to weigh subnormal band
-        # energies; the same impulse at 1.0 has ordinary weights
+        # meter reads silence, and the measurement refuses to weigh subnormal
+        # band energies; the same impulse at 1.0 has ordinary weights
         bank = design_bank(BandMapping((0, 1000, 22050)), FS, 63)
         impulse = np.zeros(2000)
         impulse[0] = 2.3e-162
         signal = Signal(impulse, FS)
         assert mean_level_dbfs(signal) == -math.inf
-        with pytest.raises(SilenceError, match="silent signal"):
-            spectral_balance(signal, bank)
+        measured = spectral_balance(signal, bank)
+        assert measured.level == -math.inf and measured.energy > 0.0
+        for weights in ("weights_linear", "weights_db"):
+            with pytest.raises(SilenceError,
+                               match="^spectral balance of a silent signal is undefined$"):
+                getattr(measured, weights)
         impulse[0] = 1.0
         weights = spectral_balance(Signal(impulse, FS), bank).weights_linear
         assert 0.0 < min(weights) and max(weights) < 1.0
@@ -100,8 +104,13 @@ class TestSpectralBalance:
             assert got == pytest.approx(want, rel=0.02)
 
     def test_silence_raises(self, ids10_bank_fast):
-        with pytest.raises(SilenceError):
-            spectral_balance(Signal(np.zeros(1000), FS), ids10_bank_fast)
+        # a silent signal is measured; only its weights are undefined
+        measured = spectral_balance(Signal(np.zeros(1000), FS), ids10_bank_fast)
+        assert (measured.level, measured.energy) == (-math.inf, 0.0)
+        for weights in ("weights_linear", "weights_db"):
+            with pytest.raises(SilenceError,
+                               match="^spectral balance of a silent signal is undefined$"):
+                getattr(measured, weights)
 
     def test_weight_sum_near_unity(self, ids10_bank, pink_10s):
         result = spectral_balance(pink_10s, ids10_bank)
@@ -228,7 +237,7 @@ class TestBalanceDifference:
         for d in balance_difference(stim, rec):
             assert d == pytest.approx(0.0, abs=1e-9)
         assert (
-            stim.mean_level - rec.mean_level
+            stim.level - rec.level
             == pytest.approx(6.0206, abs=1e-3)
         )
 

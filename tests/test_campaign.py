@@ -244,8 +244,8 @@ class TestAnalyze:
         with pytest.raises(MissingReferenceError) as info:
             _memory_series([noise, noise], (50, 100)).measure(two_band_bank, 70)
         assert "reference 70.0 cm (distances: (50.0, 100.0))" in str(info.value)
-        with pytest.raises(MissingDistanceError, match=r"^series \('m', 'o', 's'\) has no "
-                           r"recording at 70\.0 cm \(distances: \(50\.0, 100\.0\)\)$"):
+        with pytest.raises(MissingDistanceError, match=r"^series has no recording at 70\.0 cm "
+                           r"\(distances: \(50\.0, 100\.0\)\)$"):
             compare_to_stimulus(noise, _memory_series([noise, noise], (50, 100)),
                                 two_band_bank, 70)
         threshold = validity_limit([(1, 0.0), (2, 0.0)], 1).threshold_db
@@ -329,7 +329,7 @@ class TestCompare:
         measured = analyze(series, ids10_bank_fast).measured.at_reference
         assert row.recording_level == measured.level != row.stimulus_level
         assert row.diffs_db == balance_difference(spectral_balance(stimulus, ids10_bank_fast),
-                                                  measured.balance)
+                                                  measured)
 
     def test_side_whose_power_underflows_is_silent(self, two_band_bank):
         # the silence rule of SeriesMeasurement: a positive energy whose
@@ -636,7 +636,7 @@ def test_missing_reference_fails_before_any_decode(tmp_path, monkeypatch):
     assert code == 0
     assert summary["errors"] == [{
         "series": ["m", "omni", "s"], "kind": "MissingReferenceError",
-        "message": "series ('m', 'omni', 's') has no recording at reference 100.0 cm "
+        "message": "series has no recording at reference 100.0 cm "
                    "(distances: (25.0, 50.0))",
     }]
     # the sound series only, each file once; its two recordings decode on
@@ -802,8 +802,8 @@ def test_compare_row_is_the_serial_one(ids10_bank_fast, white_2s, band_workers, 
     assert compare_to_stimulus(stimulus, series, ids10_bank_fast, 100.0) == ComparisonRow(
         label="m o",
         diffs_db=balance_difference(stimulus_balance, recording_balance),
-        stimulus_level=stimulus_balance.mean_level,
-        recording_level=recording_balance.mean_level,
+        stimulus_level=stimulus_balance.level,
+        recording_level=recording_balance.level,
     )
 
 

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bandscope import (
-    BalanceResult,
     BandMapping,
     Measurement,
     MeasurementSeries,
@@ -35,13 +34,12 @@ def _measured(signals, distances, reference=100.0):
 
 def _checked(levels, reference):
     """A series measurement built directly from (distance_cm, mean level dB
-    or None for a silent recording) pairs, with no samples behind them."""
+    or None for a silent recording) pairs, with no samples behind them: one
+    sample of energy 10**(level / 10), or 0, split evenly over two bands."""
     mapping = BandMapping((0, 1000, 22050))
+    energies = [(d, 0.0 if db is None else 10.0 ** (db / 10.0)) for d, db in levels]
     return SeriesMeasurement(reference, tuple(
-        Measurement(d, None if db is None else
-                    BalanceResult(mapping, (0.5, 0.5), (-3.0, -3.0), db), "")
-        for d, db in levels
-    ))
+        Measurement(mapping, 1, e, (e / 2, e / 2), d, "") for d, e in energies))
 
 
 class TestTheoretical:

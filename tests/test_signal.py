@@ -53,6 +53,26 @@ class TestSignal:
         with pytest.raises(ValueError):
             s.samples[0] = 1.0
 
+    def test_caller_cannot_write_through(self):
+        # a writeable array, or a read-only view of one, is copied
+        x = np.zeros(4)
+        frozen_view = x[:]
+        frozen_view.setflags(write=False)
+        signals = [Signal(x, FS), Signal(frozen_view, FS)]
+        x[:] = 1.0
+        assert [s.samples.tolist() for s in signals] == [[0.0] * 4] * 2
+
+    def test_read_only_samples_are_kept_after_the_checks(self):
+        x = np.arange(4.0)
+        x.setflags(write=False)
+        s = Signal(x, FS)
+        assert s.samples is x
+        assert s.trimmed(2).samples.base is x
+        x = np.array([0.0, np.nan])
+        x.setflags(write=False)
+        with pytest.raises(InvalidInputError):
+            Signal(x, FS)
+
 
 class TestMeanLevel:
     def test_full_scale_dc_is_zero_db(self):

@@ -48,6 +48,8 @@ class TestLoad:
         right = load_wav(p, channel=1)
         np.testing.assert_allclose(left.samples * 32768, [100, 200])
         np.testing.assert_allclose(right.samples * 32768, [-100, -200])
+        # one channel of several is copied out, so the other channels are freed
+        assert left.samples.base is None and right.samples.base is None
 
     def test_bad_channel_index(self, tmp_path):
         p = tmp_path / "m.wav"
