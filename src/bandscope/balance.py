@@ -15,9 +15,9 @@ import warnings
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .errors import MappingMismatchError, SilenceError
+from .errors import InvalidInputError, MappingMismatchError, json_integer, json_number
 from .filterbank import BandMapping, FilterBank, band_energies
-from .signal import Signal, level_of_power
+from .signal import Signal, check_not_silent, level_of_power
 
 if TYPE_CHECKING:
     from .series import SeriesMeasurement
@@ -42,18 +42,25 @@ class Measurement:
     distance_cm: float | None = None  # None for a stimulus, which has no distance
     sha256: str | None = None  # of the file's bytes, or of an in-memory signal's samples
 
+    def __post_init__(self) -> None:
+        energies = [json_number(e, "energy") for e in (self.energy, *self.band_energies)]
+        if not (json_integer(self.n_samples, "n_samples") >= 1
+                and len(energies) == self.mapping.n_bands + 1
+                and all(0.0 <= e < math.inf for e in energies)):
+            raise InvalidInputError(f"a measurement needs n_samples >= 1 and finite energies >= 0,"
+                                    f" a total and one per band: got {self.n_samples}, {energies}")
+
     @property
     def level(self) -> float:
-        """Mean level in dB FS, ``-inf`` if the mean power is 0; sum / n is
-        how np.mean divides, so it equals mean_level_dbfs bit for bit."""
+        """Mean level in dB FS, ``-inf`` if the mean power is 0; it equals
+        mean_level_dbfs, which divides Signal.energy alike, bit for bit."""
         return level_of_power(self.energy / self.n_samples)
 
     @property
     def weights_linear(self) -> tuple[float, ...]:
         """Each band's share of the energy; a silent signal (level ``-inf``)
         has none and raises :class:`SilenceError`."""
-        if self.level == -math.inf:
-            raise SilenceError("spectral balance of a silent signal is undefined")
+        check_not_silent(self.level, "measured signal")
         return tuple(e / self.energy for e in self.band_energies)
 
     @property

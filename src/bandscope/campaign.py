@@ -29,8 +29,7 @@ from pathlib import Path
 
 from .balance import WeightEvolution, balance_difference, spectral_balance, weight_evolution
 from .errors import (BandscopeError, LoadError, ManifestError, MissingDistanceError,
-                     SilenceError, converting, json_array, json_fields, json_number,
-                     json_text, read_input)
+                     converting, json_array, json_fields, json_number, json_text, read_input)
 from .filterbank import FilterBank, _each
 from .level import (
     LevelPoint,
@@ -41,7 +40,7 @@ from .level import (
 )
 from .series import (MeasurementSeries, SeriesMeasurement, _check_labels, _measure,
                      check_distances, distance_text)
-from .signal import Signal
+from .signal import Signal, check_not_silent
 from .wavio import save_wav
 
 __all__ = [
@@ -380,21 +379,21 @@ def compare_to_stimulus(
     The two sides are measured on worker threads, one each: the stimulus
     by :func:`spectral_balance`, the recording at ``at_distance_cm`` as
     :meth:`MeasurementSeries.measure` measures it, decoded here and cut to
-    the series' common length. A series without that distance raises
-    :class:`MissingDistanceError` before anything is measured; a silent
-    side, as in :class:`SeriesMeasurement`, a :class:`SilenceError` naming it.
+    the series' common length. A series without that distance or at another
+    rate fails before anything is measured; a silent side, as in
+    :class:`SeriesMeasurement`, raises a :class:`SilenceError` naming it.
     """
     distance = json_number(at_distance_cm, "distance")
     if distance not in series.distances:
         raise MissingDistanceError(f"series has no recording at {distance} cm "
                                    f"(distances: {series.distances})")
+    bank.check_rate(series.sample_rate)
     recording = series.recordings[series.distances.index(distance)]
     stimulus, measured = _each(lambda measure: measure(), [
         lambda: spectral_balance(stimulus_signal, bank),
         lambda: _measure(distance, recording, series.common_length, bank)])
-    for side, m in (("stimulus", stimulus), (f"recording at {distance} cm", measured)):
-        if m.level == -math.inf:
-            raise SilenceError(f"{side} is silent; its balance is undefined")
+    check_not_silent(stimulus.level, "stimulus")
+    check_not_silent(measured.level, f"recording at {distance} cm")
     return ComparisonRow(
         label=f"{series.key[0]} {series.key[1]}".strip(),
         diffs_db=balance_difference(stimulus, measured),

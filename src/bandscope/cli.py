@@ -25,7 +25,7 @@ from .campaign import (
     ingest,
     save_series,
 )
-from .errors import BandscopeError, ManifestError, SilenceError
+from .errors import BandscopeError, ManifestError
 from .filterbank import (
     BAND_PRESETS,
     DEFAULT_TAPS,
@@ -35,7 +35,7 @@ from .filterbank import (
     load_mapping,
 )
 from .series import distance_text
-from .signal import mean_level_dbfs, normalize_to_level
+from .signal import check_not_silent, mean_level_dbfs, normalize_to_level
 from .stimuli import GENERATORS, StimulusSpec, gen_stimulus
 from .synthfield import load_campaign_spec, synth_campaign
 from .wavio import check_writable, load_wav, save_wav
@@ -184,8 +184,7 @@ def _cmd_compare(args) -> int:
     bank = _build_bank(args, stimulus.sample_rate)
     _provenance(_bank_provenance(args, bank, [f"comparison distance: {args.distance:g} cm"]))
     # a silent stimulus would fail every series; report it once
-    if mean_level_dbfs(stimulus) == -math.inf:
-        raise SilenceError(f"{args.stimulus}: stimulus is silent, its balance is undefined")
+    check_not_silent(mean_level_dbfs(stimulus), f"{args.stimulus}: stimulus")
     rows, errors = report.each(
         lambda series: compare_to_stimulus(stimulus, series, bank, args.distance))
     _warn_excluded(errors)

@@ -39,11 +39,7 @@ class EmptySignalError(BandscopeError):
 
 
 class SilenceError(BandscopeError):
-    """All-zero signal where a level or balance is undefined."""
-
-
-class CannotNormalizeError(BandscopeError):
-    """Normalization target unreachable (all-zero input)."""
+    """All-zero signal where a level or balance is undefined (``check_not_silent``)."""
 
 
 # --- filter bank ---

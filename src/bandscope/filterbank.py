@@ -34,9 +34,10 @@ band, so splitting a recording into B bands costs one batched forward
 transform plus one batched inverse per band. A caller that splits one
 signal many times, as :func:`~bandscope.synthfield.synth_campaign` splits
 its stimulus once per recording, checks and transforms it once with
-:func:`_checked_spectra` and hands those spectra to each :func:`decompose`
+:func:`_block_spectra` and hands those spectra to each :func:`decompose`
 call as its private ``_input_spectra``, so each further split costs only
-the inverse transforms.
+the inverse transforms. :func:`_block_spectra` refuses an input of another
+rate or whose energy overflows, as its subbands would hold inf or NaN.
 
 The unit of parallel work is the recording: :func:`_each` maps a function
 over a few items on every CPU in the process' affinity mask (``taskset``
@@ -65,7 +66,6 @@ from numpy.fft import irfft, rfft
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (
-    InvalidInputError,
     InvalidLengthError,
     InvalidMappingError,
     RateMismatchError,
@@ -73,7 +73,7 @@ from .errors import (
     json_number,
     read_input,
 )
-from .signal import Signal
+from .signal import Signal, check_energy
 
 __all__ = [
     "BandMapping",
@@ -201,6 +201,11 @@ class FilterBank:
     def n_bands(self) -> int:
         return self.mapping.n_bands
 
+    def check_rate(self, sample_rate: int) -> None:
+        """The one rate rule of filtering, which a WAV's header meets before its decode."""
+        if sample_rate != self.sample_rate:
+            raise RateMismatchError(f"signal rate {sample_rate} != bank rate {self.sample_rate}")
+
 
 def _windowed_sinc_lowpass(cutoff: float, sample_rate: int, length: int) -> np.ndarray:
     """Blackman-windowed sinc lowpass, unit DC gain; the complementary
@@ -249,19 +254,12 @@ def apply_zero_phase(bank: FilterBank, band_index: int, signal: Signal, *,
     sample n is aligned with input sample n, so an in-band sinusoid emerges
     with zero lag. The subband is a new float64 array of the input's length.
     """
-    if signal.sample_rate != bank.sample_rate:
-        raise RateMismatchError(
-            f"signal rate {signal.sample_rate} != bank rate {bank.sample_rate}"
-        )
     if not (isinstance(band_index, numbers.Integral) and 0 <= band_index < bank.n_bands):
         raise InvalidMappingError(
             f"band index {band_index!r} is not an integer in 0..{bank.n_bands - 1}"
         )
-    m, blocks = _blocks(bank, len(signal))
-    x = _input_spectra
-    if x is None:
-        _energy(signal.samples)  # refuses an input whose energy overflows
-        x = _block_spectra(bank, signal.samples, m, blocks)
+    x = _block_spectra(bank, signal) if _input_spectra is None else _input_spectra
+    m = _blocks(bank, len(signal))[0]
     h = bank._spectra.band_responses(bank.taps, m)[band_index]
     return _overlap_save(x, h, m, bank.length, len(signal))
 
@@ -278,27 +276,18 @@ def _blocks(bank: FilterBank, n: int) -> tuple[int, int]:
     return m, -(-n // (m - bank.length + 1))
 
 
-def _energy(samples: np.ndarray) -> float:
-    """The input's energy (sum of squares). An input whose energy overflows
-    is refused: its subbands would hold inf or NaN."""
-    # not np.dot: BLAS's threads keep spinning after it returns and take the
-    # two cores from the worker threads
-    with np.errstate(over="ignore"):
-        energy = float(np.sum(np.square(samples)))
-    if not math.isfinite(energy):
-        raise InvalidInputError("signal energy overflows a float64")
-    return energy
-
-
-def _block_spectra(bank: FilterBank, samples: np.ndarray, m: int, blocks: int) -> np.ndarray:
-    """One batched ``rfft`` of the input's overlapping length-``m`` blocks,
+def _block_spectra(bank: FilterBank, signal: Signal) -> np.ndarray:
+    """One batched ``rfft`` of the input's overlapping blocks (``_blocks``),
     ``m - taps + 1`` apart, after padding it ahead with the group delay's
     worth of zeros, so that block k's kept outputs are the zero-phase output
-    samples from k * (m - taps + 1) on."""
+    samples from k * (m - taps + 1) on: ``_input_spectra`` of :func:`apply_zero_phase`."""
+    bank.check_rate(signal.sample_rate)
+    check_energy(signal)
+    m, blocks = _blocks(bank, len(signal))
     step = m - bank.length + 1
     delay = (bank.length - 1) // 2
     padded = np.zeros((blocks - 1) * step + m)
-    padded[delay:delay + samples.size] = samples
+    padded[delay:delay + len(signal)] = signal.samples
     return rfft(sliding_window_view(padded, m)[::step], m, axis=-1)
 
 
@@ -333,34 +322,26 @@ def _next_fast_len(n: int) -> int:
     return best
 
 
-def _checked_spectra(bank: FilterBank, signal: Signal) -> tuple[float, np.ndarray]:
-    """The energy of ``signal``, checked finite, and the block spectra of
-    ``signal`` that :func:`apply_zero_phase` takes as ``_input_spectra``."""
-    energy = _energy(signal.samples)
-    return energy, _block_spectra(bank, signal.samples, *_blocks(bank, len(signal)))
-
-
 def decompose(bank: FilterBank, signal: Signal, *,
               _input_spectra: np.ndarray | None = None) -> list[np.ndarray]:
     """Split ``signal`` into one subband array per band, all input-length,
     the bands filtered on worker threads, one band each.
 
     The subbands sum sample-wise back to the input (complementary bank).
-    ``_input_spectra``, when given, is ``_checked_spectra(bank, signal)[1]``.
+    ``_input_spectra``, when given, is ``_block_spectra(bank, signal)``.
     """
-    x = _checked_spectra(bank, signal)[1] if _input_spectra is None else _input_spectra
+    x = _block_spectra(bank, signal) if _input_spectra is None else _input_spectra
     return _each(lambda band: apply_zero_phase(bank, band, signal, _input_spectra=x),
                  range(bank.n_bands))
 
 
 def band_energies(bank: FilterBank, signal: Signal) -> tuple[float, tuple[float, ...]]:
-    """The energy (sum of squares) of ``signal`` and the energy of each of
-    its subbands, the latter equal bit for bit to the energies of
-    :func:`decompose`'s subbands. The bands are filtered one after another
-    on the calling thread, each subband reduced to its energy as soon as it
-    is made."""
-    total, x = _checked_spectra(bank, signal)
-    return total, tuple(
+    """:attr:`Signal.energy` and the energy of each of the subbands, equal
+    bit for bit to the energies of :func:`decompose`'s subbands. The bands
+    are filtered one after another on the calling thread, each subband
+    reduced to its energy as soon as it is made."""
+    x = _block_spectra(bank, signal)
+    return signal.energy, tuple(
         float(np.sum(np.square(apply_zero_phase(bank, i, signal, _input_spectra=x))))
         for i in range(bank.n_bands))
 

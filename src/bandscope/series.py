@@ -25,7 +25,7 @@ from .balance import Measurement, spectral_balance
 from .errors import (DuplicateDistanceError, InvalidInputError, MissingReferenceError,
                      RateMismatchError, json_number)
 from .filterbank import FilterBank, _each
-from .signal import Signal
+from .signal import Signal, check_not_silent
 from .wavio import WavHeader
 
 __all__ = [
@@ -102,11 +102,9 @@ class SeriesMeasurement:
             raise InvalidInputError("distances must be unique and ascending")
         reference = check_reference(distances, self.reference_distance_cm)
         object.__setattr__(self, "reference_distance_cm", reference)
-        silent = [m.distance_cm for m in self.measurements if m.level == -math.inf]
-        if reference in silent:
-            raise InvalidInputError(f"reference recording at {reference} cm is silent")
-        if silent:
-            raise InvalidInputError(f"recording at {silent[0]} cm is silent; no level defined")
+        check_not_silent(self.at_reference.level, f"reference recording at {reference} cm")
+        for m in self.measurements:
+            check_not_silent(m.level, f"recording at {m.distance_cm} cm")
 
     @property
     def at_reference(self) -> Measurement:
@@ -176,11 +174,11 @@ class MeasurementSeries:
         spectral balance from those samples, keep the :class:`Measurement`
         and drop the samples. The measurements come back by distance.
 
-        A series without the reference distance fails before any decode. A
-        recording that cannot be decoded raises :class:`LoadError`, the one
-        of the shortest distance where several cannot. The silence rules of
-        :class:`SeriesMeasurement` apply once every recording is measured,
-        so a decode failure is reported first.
+        A series without the reference, or of another rate than the bank's,
+        fails before any decode. A recording that cannot be decoded raises
+        :class:`LoadError`, the one of the shortest distance where several
+        cannot. The silence rules of :class:`SeriesMeasurement` apply once
+        every recording is measured, so a decode failure is reported first.
         """
         check_reference(self.distances, reference_distance_cm, "series")
         n = self.common_length
@@ -193,7 +191,9 @@ class MeasurementSeries:
 def _measure(distance_cm: float, recording: Signal | WavHeader, n: int,
              bank: FilterBank) -> Measurement:
     """The :class:`Measurement` at ``distance_cm`` of the first ``n`` samples
-    of ``recording``, decoded here if a file; its digest covers the whole."""
+    of ``recording``, decoded here if a file (and its rate is the bank's);
+    its digest covers the whole."""
+    bank.check_rate(recording.sample_rate)
     digest = hashlib.sha256()
     if isinstance(recording, Signal):
         digest.update(recording.samples)

@@ -1,19 +1,19 @@
 """Waveform representation and dB FS metering.
 
-A :class:`Signal` is an immutable mono waveform with a sample rate. Levels
-are mean-power dB FS: ``10*log10(mean(s**2))``, so a full-scale DC signal
-reads 0 dB FS and a full-scale sine reads -3.01 dB FS. A level is a plain
-float; an all-zero signal reads ``-inf``, as an empty band's weight does.
+A :class:`Signal` is an immutable mono waveform, its rate and its energy.
+Levels are mean-power dB FS: ``10*log10(mean(s**2))``, so a full-scale DC
+signal reads 0 dB FS and a full-scale sine reads -3.01 dB FS. A level is a
+float; all-zero signals read ``-inf``, which :func:`check_not_silent` refuses.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CannotNormalizeError, EmptySignalError, InvalidInputError, json_number
+from .errors import EmptySignalError, InvalidInputError, SilenceError, json_number
 
 __all__ = [
     "Signal",
@@ -22,6 +22,7 @@ __all__ = [
     "db_to_gain",
     "check_sample_rate",
     "check_level",
+    "check_not_silent",
 ]
 
 # Levels and band gains stay within this many dB of 0 dB FS, hundreds of dB
@@ -48,6 +49,13 @@ def check_level(level_db: float, what: str) -> None:
         raise InvalidInputError(f"{what} must be within ±{LEVEL_LIMIT_DB:g} dB, got {level_db}")
 
 
+def check_not_silent(level_db: float, what: str) -> None:
+    """The one silence rule: :class:`SilenceError` naming ``what`` if
+    ``level_db`` is ``-inf``, which no level or balance is read against."""
+    if level_db == -math.inf:
+        raise SilenceError(f"{what} is silent")
+
+
 @dataclass(frozen=True)
 class Signal:
     """Uniformly sampled mono waveform.
@@ -56,10 +64,12 @@ class Signal:
     is [-1, 1] but values outside are allowed (clipped captures exist).
     A read-only contiguous array whose memory is its own or a read-only
     array's is kept as given, as no one writes through it; any other is copied.
+    ``energy``, the sum of squares, is ``inf`` where that overflows a float64.
     """
 
     samples: np.ndarray
     sample_rate: int
+    energy: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         arr = np.asarray(self.samples, dtype=np.float64)
@@ -67,7 +77,10 @@ class Signal:
             raise InvalidInputError(f"samples must be 1-D, got shape {arr.shape}")
         if arr.size < 1:
             raise EmptySignalError("signal must contain at least one sample")
-        if not np.all(np.isfinite(arr)):
+        # not np.dot: BLAS's threads keep spinning after it returns, taking the workers' cores
+        with np.errstate(over="ignore"):
+            energy = float(np.sum(np.square(arr)))
+        if not math.isfinite(energy) and not np.all(np.isfinite(arr)):  # not overflow alone
             raise InvalidInputError("signal contains NaN or Inf samples")
         check_sample_rate(self.sample_rate)
         owner = arr if arr.base is None else arr.base  # the array holding the memory
@@ -77,6 +90,7 @@ class Signal:
             arr.setflags(write=False)
         object.__setattr__(self, "samples", arr)
         object.__setattr__(self, "sample_rate", int(self.sample_rate))
+        object.__setattr__(self, "energy", energy)
 
     def __len__(self) -> int:
         return int(self.samples.size)
@@ -93,12 +107,12 @@ class Signal:
 
 
 def mean_level_dbfs(signal: Signal) -> float:
-    """Mean power of ``signal`` in dB FS.
+    """Mean power of ``signal`` in dB FS; sum / n is how np.mean divides.
 
     Scaling the samples by g shifts the result by exactly 20*log10(g).
-    All-zero input reads ``-inf``.
+    All-zero input reads ``-inf``; input whose energy overflows, ``inf``.
     """
-    return level_of_power(float(np.mean(np.square(signal.samples))))
+    return level_of_power(signal.energy / len(signal))
 
 
 def level_of_power(power: float) -> float:
@@ -107,16 +121,22 @@ def level_of_power(power: float) -> float:
     return 10.0 * math.log10(power) if power > 0.0 else -math.inf
 
 
+def check_energy(signal: Signal) -> None:
+    """Refuse a signal whose energy overflows: no gain or filter of it is defined."""
+    if signal.energy == math.inf:
+        raise InvalidInputError("signal energy overflows a float64")
+
+
 def normalize_to_level(signal: Signal, target: float) -> Signal:
     """Scale ``signal`` by a single positive gain so it measures ``target`` dB FS.
 
-    Raises :class:`CannotNormalizeError` for all-zero input (no gain can
-    produce a finite level), :class:`InvalidInputError` for a target that
-    :func:`check_level` rejects. Idempotent: re-normalizing to the same
-    target is the identity up to rounding.
+    Raises :class:`SilenceError` for all-zero input (no gain can produce a
+    finite level), :class:`InvalidInputError` for an energy that overflows
+    or a target that :func:`check_level` rejects. Idempotent:
+    re-normalizing to the same target is the identity up to rounding.
     """
     check_level(target, "target level")
+    check_energy(signal)
     current = mean_level_dbfs(signal)
-    if current == -math.inf:
-        raise CannotNormalizeError("cannot normalize an all-zero signal")
+    check_not_silent(current, "signal to normalize")
     return signal.scaled(db_to_gain(target - current))

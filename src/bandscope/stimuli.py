@@ -101,10 +101,8 @@ def gen_sine(spec: StimulusSpec) -> Signal:
     if periods < 1:
         raise InvalidInputError(f"duration {spec.duration}s holds no whole period of {f} Hz")
     n = round(periods * fs / f)
-    unit = np.sin(2.0 * np.pi * f * np.arange(n) / fs)
-    rms = math.sqrt(float(np.mean(unit**2)))
-    amplitude = db_to_gain(spec.target_level) / rms
-    return Signal(amplitude * unit, fs)
+    unit = Signal(np.sin(2.0 * np.pi * f * np.arange(n) / fs), fs)
+    return unit.scaled(db_to_gain(spec.target_level) / math.sqrt(unit.energy / n))
 
 
 def _pink_rows(n: int, rows: int, rng: np.random.Generator) -> np.ndarray:

@@ -29,14 +29,14 @@ from pathlib import Path
 import numpy as np
 
 from .campaign import _csv_text
-from .errors import (InvalidInputError, InvalidSpecError, MappingMismatchError, SilenceError,
+from .errors import (InvalidInputError, InvalidSpecError, MappingMismatchError,
                      SingularityError, converting, json_fields, json_number, json_text,
                      read_input)
-from .filterbank import FilterBank, _checked_spectra, decompose
+from .filterbank import FilterBank, _block_spectra, decompose
 from .level import theoretical_amplification
 from .series import (MeasurementSeries, _check_labels, check_distances, check_reference,
                      distance_text)
-from .signal import Signal, check_level, db_to_gain, mean_level_dbfs
+from .signal import Signal, check_level, check_not_silent, db_to_gain, mean_level_dbfs
 from .stimuli import StimulusSpec, gen_stimulus
 from .wavio import load_wav
 
@@ -172,8 +172,7 @@ class SynthCampaignSpec:
             if gain == 0:
                 raise InvalidSpecError(f"distance {distance_text(d)} cm: its x_ref/x gain "
                                        f"times the directivity gain {d_gain:g} is 0")
-        if mean_level_dbfs(self.stimulus) == -math.inf:
-            raise SilenceError("stimulus is silent: no recording of it has a level or a balance")
+        check_not_silent(mean_level_dbfs(self.stimulus), "stimulus")
 
     @property
     def gains(self) -> tuple[float, ...]:
@@ -312,7 +311,7 @@ def synth_campaign(
                                        f"the bank has {bank.n_bands} bands")
         table = np.array([[profile.gain_db(b, d) for b in range(bank.n_bands)]
                           for d in distances])
-        _, spectra = _checked_spectra(bank, spec.stimulus)
+        spectra = _block_spectra(bank, spec.stimulus)
         # before the recordings, so the stimulus' subbands never sit beside them
         band_energy = np.array([float(np.sum(s**2)) for s in
                                 decompose(bank, spec.stimulus, _input_spectra=spectra)])

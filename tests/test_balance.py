@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from bandscope import (
     BandMapping,
+    Measurement,
     MeasurementSeries,
     Signal,
     balance_difference,
@@ -24,6 +25,7 @@ from bandscope import (
 from bandscope.campaign import ComparisonReport, ComparisonRow
 from bandscope.synthfield import DistanceProfile, SynthCampaignSpec, synth_campaign
 from bandscope.errors import (
+    InvalidInputError,
     MappingMismatchError,
     MissingReferenceError,
     SilenceError,
@@ -77,8 +79,7 @@ class TestSpectralBalance:
         measured = spectral_balance(signal, bank)
         assert measured.level == -math.inf and measured.energy > 0.0
         for weights in ("weights_linear", "weights_db"):
-            with pytest.raises(SilenceError,
-                               match="^spectral balance of a silent signal is undefined$"):
+            with pytest.raises(SilenceError, match="^measured signal is silent$"):
                 getattr(measured, weights)
         impulse[0] = 1.0
         weights = spectral_balance(Signal(impulse, FS), bank).weights_linear
@@ -108,8 +109,7 @@ class TestSpectralBalance:
         measured = spectral_balance(Signal(np.zeros(1000), FS), ids10_bank_fast)
         assert (measured.level, measured.energy) == (-math.inf, 0.0)
         for weights in ("weights_linear", "weights_db"):
-            with pytest.raises(SilenceError,
-                               match="^spectral balance of a silent signal is undefined$"):
+            with pytest.raises(SilenceError, match="^measured signal is silent$"):
                 getattr(measured, weights)
 
     def test_weight_sum_near_unity(self, ids10_bank, pink_10s):
@@ -125,6 +125,29 @@ class TestSpectralBalance:
         b = spectral_balance(s.scaled(10 ** (gain_db / 20)), ids10_bank_fast)
         for wa, wb in zip(a.weights_db, b.weights_db):
             assert wb == pytest.approx(wa, abs=1e-9)
+
+
+# field -> a value Measurement refuses under a two-band mapping
+BAD_MEASUREMENT_FIELDS = {
+    "no-samples": {"n_samples": 0},  # its level divided by zero
+    "fractional-samples": {"n_samples": 1.5},
+    "nan-energy": {"energy": math.nan},  # read as silence
+    "negative-energy": {"energy": -1.0},  # read as silence
+    "overflowed-energy": {"energy": math.inf},
+    "text-energy": {"energy": "1"},
+    "one-band-energy": {"band_energies": (1.0,)},  # a one-band record
+    "negative-band-energy": {"band_energies": (-1.0, 2.0)},
+    "nan-band-energy": {"band_energies": (math.nan, 1.0)},
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_MEASUREMENT_FIELDS))
+def test_measurement_refuses(case):
+    fields = {"mapping": BandMapping((0, 1000, 22050)), "n_samples": 1, "energy": 1.0,
+              "band_energies": (0.25, 0.75)}
+    assert Measurement(**fields).weights_linear == (0.25, 0.75)
+    with pytest.raises(InvalidInputError):
+        Measurement(**{**fields, **BAD_MEASUREMENT_FIELDS[case]})
 
 
 class TestBandWorkers:

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from scipy.fft import next_fast_len
 
+import bandscope.campaign
 import bandscope.wavio
 from bandscope import (
     BandMapping,
@@ -280,7 +281,7 @@ class TestAnalyze:
         result = analyze_report(IngestReport((series,), ()), two_band_bank)
         assert result.analyses == ()
         assert [(e.kind, e.message) for e in result.errors] == [
-            ("InvalidInputError", "reference recording at 100.0 cm is silent")]
+            ("SilenceError", "reference recording at 100.0 cm is silent")]
 
 
 class TestCompare:
@@ -590,17 +591,17 @@ SERIES_FAULTS = {
                    "{p}: data chunk holds no samples"),
     "float32-nan": (lambda t: _nan_file(t / "r50.wav"), "load",
                     "{p}: signal contains NaN or Inf samples"),
-    "silent-reference": (lambda t: _silent(t / "r100.wav"), "InvalidInputError",
+    "silent-reference": (lambda t: _silent(t / "r100.wav"), "SilenceError",
                          "reference recording at 100.0 cm is silent"),
-    "silent-recording": (lambda t: _silent(t / "r50.wav"), "InvalidInputError",
-                         "recording at 50.0 cm is silent; no level defined"),
+    "silent-recording": (lambda t: _silent(t / "r50.wav"), "SilenceError",
+                         "recording at 50.0 cm is silent"),
     # precedence: a decode failure before any level rule, the silent
     # reference before a nearer silent recording
     "nan-before-silence": (lambda t: (_silent(t / "r100.wav"), _silent(t / "r25.wav"),
                                       _nan_file(t / "r50.wav")),
                            "load", "{p}: signal contains NaN or Inf samples"),
     "silent-reference-first": (lambda t: (_silent(t / "r25.wav"), _silent(t / "r100.wav")),
-                               "InvalidInputError", "reference recording at 100.0 cm is silent"),
+                               "SilenceError", "reference recording at 100.0 cm is silent"),
 }
 
 
@@ -642,6 +643,20 @@ def test_missing_reference_fails_before_any_decode(tmp_path, monkeypatch):
     # the sound series only, each file once; its two recordings decode on
     # worker threads, in either order
     assert sorted(decoded) == sorted([tmp_path / "g50.wav", tmp_path / "g100.wav"])
+
+
+def test_rate_mismatch_fails_before_any_decode(tmp_path, monkeypatch, two_band_bank,
+                                               short_noise):
+    rows = _synth_files(tmp_path, short_noise, [50, 100], rate_overrides={50: 48000, 100: 48000})
+    series = ingest(_write_manifest(tmp_path, rows)).series[0]
+    decoded = []
+    monkeypatch.setattr(bandscope.wavio, "load_wav", lambda path, **k: decoded.append(path))
+    monkeypatch.setattr(bandscope.campaign, "spectral_balance", None)  # nor the stimulus filtered
+    with pytest.raises(RateMismatchError, match="^signal rate 48000 != bank rate 44100$"):
+        series.measure(two_band_bank, 100.0)
+    with pytest.raises(RateMismatchError, match="^signal rate 48000 != bank rate 44100$"):
+        compare_to_stimulus(short_noise, series, two_band_bank, 100.0)
+    assert decoded == []
 
 
 def test_ingest_reads_headers_only(tmp_path, monkeypatch):

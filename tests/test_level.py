@@ -19,6 +19,7 @@ from bandscope import (
 from bandscope.errors import (
     InvalidInputError,
     MissingReferenceError,
+    SilenceError,
     SingularityError,
 )
 
@@ -213,9 +214,9 @@ REJECTED_MEASUREMENTS = {
                           "measured series has no recording at reference 100.0 cm "
                           "(distances: (10.0, 50.0))"),
     "silent-reference": (((10.0, None), (100.0, None)), 100.0,
-                         InvalidInputError, "reference recording at 100.0 cm is silent"),
+                         SilenceError, "reference recording at 100.0 cm is silent"),
     "silent-recording": (((10.0, None), (50.0, -25.0), (100.0, -30.0)), 100.0,
-                         InvalidInputError, "recording at 10.0 cm is silent; no level defined"),
+                         SilenceError, "recording at 10.0 cm is silent"),
     # weight_evolution once merged the two 50 cm points into one and kept
     # descending input descending, without an error
     "weight-evolution-duplicate-50cm": (

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -12,9 +13,9 @@ from bandscope import (
     normalize_to_level,
 )
 from bandscope.errors import (
-    CannotNormalizeError,
     EmptySignalError,
     InvalidInputError,
+    SilenceError,
 )
 
 FS = 44100
@@ -73,6 +74,15 @@ class TestSignal:
         with pytest.raises(InvalidInputError):
             Signal(x, FS)
 
+    def test_energy_is_the_sum_of_squares(self):
+        x = np.random.default_rng(3).standard_normal(1001)
+        s = Signal(x, FS)
+        assert s.energy == float(np.sum(np.square(x)))
+        assert s.trimmed(500).energy == float(np.sum(np.square(x[:500])))
+
+    def test_finite_samples_whose_energy_overflows_are_a_signal(self):
+        assert Signal(np.array([1e200, 1.0]), FS).energy == math.inf
+
 
 class TestMeanLevel:
     def test_full_scale_dc_is_zero_db(self):
@@ -87,6 +97,11 @@ class TestMeanLevel:
 
     def test_all_zero_reports_silence(self):
         assert mean_level_dbfs(Signal(np.zeros(100), FS)) == -math.inf
+
+    def test_energy_that_overflows_reads_inf_without_a_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert mean_level_dbfs(Signal(np.array([1e200, 1.0]), FS)) == math.inf
 
     @given(gain_db=st.floats(min_value=-60.0, max_value=20.0))
     @settings(max_examples=30, deadline=None)
@@ -136,8 +151,13 @@ class TestNormalize:
             assert mean_level_dbfs(out) == pytest.approx(-20.0, abs=1e-6)
 
     def test_all_zero_cannot_normalize(self):
-        with pytest.raises(CannotNormalizeError):
+        with pytest.raises(SilenceError, match="^signal to normalize is silent$"):
             normalize_to_level(Signal(np.zeros(16), FS), -20.0)
+
+    def test_energy_that_overflows_cannot_normalize(self):
+        # the gain would be 0 and every sample with it
+        with pytest.raises(InvalidInputError, match="^signal energy overflows a float64$"):
+            normalize_to_level(Signal(np.array([1e200, 1.0]), FS), -20.0)
 
     def test_rejects_silence_target(self):
         s = Signal(np.ones(16), FS)
