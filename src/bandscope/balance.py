@@ -89,6 +89,13 @@ def spectral_balance(signal: Signal, bank: FilterBank) -> Measurement:
     return Measurement(bank.mapping, len(signal), total, energies)
 
 
+def _check_one_mapping(measurements: tuple[Measurement, ...]) -> None:
+    """Raise :class:`MappingMismatchError` unless ``measurements`` share one band mapping."""
+    edges = list(dict.fromkeys(m.mapping.edges for m in measurements))
+    if len(edges) > 1:
+        raise MappingMismatchError(f"measurements of different band mappings: {edges}")
+
+
 def weight_evolution(measured: SeriesMeasurement) -> list[WeightEvolution]:
     """Per-band weight deltas against the reference distance, one curve per band.
 
@@ -131,11 +138,7 @@ def balance_difference(
     and neither may be silent (:class:`SilenceError`). Lengths of the
     underlying signals may differ: weights are normalized ratios.
     """
-    if stimulus.mapping.edges != recording.mapping.edges:
-        raise MappingMismatchError(
-            f"stimulus mapping {stimulus.mapping.edges} != "
-            f"recording mapping {recording.mapping.edges}"
-        )
+    _check_one_mapping((stimulus, recording))
     # a silent band on either side has no defined difference; nan, not a
     # fabricated large negative
     return tuple(

@@ -243,8 +243,7 @@ def analyze(
     showing the re-equalization pattern gets no validity limit regardless of
     its suffix, because the late rise is exactly what the limit excludes.
     """
-    threshold_db = json_number(threshold_db, "threshold")
-    check_threshold(threshold_db)
+    threshold_db = check_threshold(threshold_db)
     measured = series.measure(bank, reference_distance_cm)
     points = measured_level_curve(measured)
 
@@ -304,8 +303,7 @@ def analyze_report(
     two series that :func:`export` would write to the same files, fails
     once, before any series is measured."""
     reference_distance_cm = json_number(reference_distance_cm, "reference distance")
-    threshold_db = json_number(threshold_db, "threshold")
-    check_threshold(threshold_db)
+    threshold_db = check_threshold(threshold_db)
     _check_distinct_stems([series.key for series in report.series])
     analyses, errors = report.each(
         lambda series: analyze(series, bank, reference_distance_cm, threshold_db))

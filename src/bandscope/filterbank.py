@@ -54,7 +54,6 @@ the same whatever the CPU count.
 from __future__ import annotations
 
 import math
-import numbers
 import os
 import threading
 from collections.abc import Callable, Sequence
@@ -65,15 +64,9 @@ import numpy as np
 from numpy.fft import irfft, rfft
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import (
-    InvalidLengthError,
-    InvalidMappingError,
-    RateMismatchError,
-    converting,
-    json_number,
-    read_input,
-)
-from .signal import Signal, check_energy
+from .errors import (InvalidLengthError, InvalidMappingError, RateMismatchError, converting,
+                     json_integer, json_number, read_input)
+from .signal import Signal, check_energy, check_sample_rate
 
 __all__ = [
     "BandMapping",
@@ -228,10 +221,11 @@ def design_bank(
 ) -> FilterBank:
     """Design the complementary bank for ``mapping`` at ``sample_rate``.
 
-    ``length`` must be odd and at least 63. Band i is
+    Rate and ``length`` are whole numbers, the length odd and >= 63. Band i is
     LP(edges[i+1]) - LP(edges[i]); the shared lowpasses cancel pairwise, so
     the coefficient-wise sum over all bands is an exact unit impulse.
     """
+    sample_rate, length = check_sample_rate(sample_rate), json_integer(length, "tap count")
     if length % 2 == 0 or length < 63:
         raise InvalidLengthError(f"tap count must be odd and >= 63, got {length}")
     mapping.validate_for_rate(sample_rate)
@@ -254,10 +248,9 @@ def apply_zero_phase(bank: FilterBank, band_index: int, signal: Signal, *,
     sample n is aligned with input sample n, so an in-band sinusoid emerges
     with zero lag. The subband is a new float64 array of the input's length.
     """
-    if not (isinstance(band_index, numbers.Integral) and 0 <= band_index < bank.n_bands):
-        raise InvalidMappingError(
-            f"band index {band_index!r} is not an integer in 0..{bank.n_bands - 1}"
-        )
+    band_index = json_integer(band_index, "band index")
+    if not 0 <= band_index < bank.n_bands:
+        raise InvalidMappingError(f"band index {band_index} is not in 0..{bank.n_bands - 1}")
     x = _block_spectra(bank, signal) if _input_spectra is None else _input_spectra
     m = _blocks(bank, len(signal))[0]
     h = bank._spectra.band_responses(bank.taps, m)[band_index]

@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import InvalidInputError, SingularityError, json_number
-from .series import SeriesMeasurement
+from .series import SeriesMeasurement, check_distances
 
 __all__ = [
     "LevelPoint",
@@ -51,18 +51,21 @@ class ValidityVerdict:
     rule: str
 
 
-def check_threshold(threshold_db: float) -> None:
-    """Raise :class:`InvalidInputError` unless the threshold is positive and finite."""
-    if not (math.isfinite(threshold_db) and threshold_db > 0):
-        raise InvalidInputError(f"threshold must be positive and finite, got {threshold_db}")
+def check_threshold(threshold_db: float) -> float:
+    """The threshold by the number rule; :class:`InvalidInputError` unless positive and finite."""
+    threshold = json_number(threshold_db, "threshold")
+    if not (math.isfinite(threshold) and threshold > 0):
+        raise InvalidInputError(f"threshold must be positive and finite, got {threshold}")
+    return threshold
 
 
 def theoretical_amplification(x_cm: float, x_ref_cm: float) -> float:
     """Spherical-wave level gain at ``x_cm`` relative to ``x_ref_cm``: 20*log10(x_ref/x).
 
-    Raises :class:`SingularityError` unless x_ref/x is a finite positive
-    number, as at x = 0 or where the ratio over- or underflows.
+    Both are numbers (``json_number``); :class:`SingularityError` unless x_ref/x
+    is finite and positive, as at x = 0 or where the ratio over- or underflows.
     """
+    x_cm, x_ref_cm = json_number(x_cm, "distance"), json_number(x_ref_cm, "reference distance")
     ratio = x_ref_cm / x_cm if x_cm > 0 else math.inf
     if not 0 < ratio < math.inf:
         raise SingularityError(
@@ -100,20 +103,18 @@ def validity_limit(
 ) -> ValidityVerdict:
     """Smallest distance past which every deviation stays within the threshold.
 
-    ``deviations`` is (distance_cm, deviation_db) pairs; at least two are
-    required. Every point at or beyond the returned limit satisfies
+    ``deviations`` is at least two (distance_cm, deviation_db) pairs in any
+    order, the distances by :func:`check_distances`, every figure by the
+    number rule. Every point at or beyond the returned limit satisfies
     |deviation| <= threshold; if even the farthest point violates, there is
     no limit. Suffix-based by design: a compliant stretch followed by a late
-    excursion does not count. Every figure is read by the number rule.
+    excursion does not count.
     """
-    threshold_db = json_number(threshold_db, "threshold")
-    check_threshold(threshold_db)
-    pts = sorted((json_number(d, "deviation distance"), json_number(v, "deviation"))
-                 for d, v in deviations)
+    threshold_db = check_threshold(threshold_db)
+    pts = [(d, json_number(v, "deviation")) for d, v in deviations]
     if len(pts) < 2:
         raise InvalidInputError(f"need at least 2 deviation points, got {len(pts)}")
-    if len({d for d, _ in pts}) != len(pts):
-        raise InvalidInputError("deviation distances must be unique")
+    pts = sorted(zip(check_distances([d for d, _ in pts], "deviations"), [v for _, v in pts]))
 
     limit = None
     for distance, value in reversed(pts):

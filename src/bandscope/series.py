@@ -8,7 +8,8 @@ are dropped. The recordings are measured one per worker thread, so a
 campaign of any size holds one recording per thread at a time. The pass
 returns a :class:`SeriesMeasurement`, whose constructor checks the rules of
 the chain. ``campaign.compare_to_stimulus`` measures its recording with the
-same per-recording function, :func:`_measure`.
+same per-recording function, :func:`_measure`. Every set of distances in the
+package is read by :func:`check_distances`, and its holder sorts it.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass, replace
 
 from . import wavio
-from .balance import Measurement, spectral_balance
+from .balance import Measurement, _check_one_mapping, spectral_balance
 from .errors import (DuplicateDistanceError, InvalidInputError, MissingReferenceError,
                      RateMismatchError, json_number)
 from .filterbank import FilterBank, _each
@@ -51,8 +52,9 @@ def check_distances(distances: Sequence[float], owner: str) -> tuple[float, ...]
     each is a number, finite and >= 0, and :class:`DuplicateDistanceError`
     if one repeats; ``owner`` names what holds them in the message.
 
-    Needs no recording, so a manifest's series are checked before any file
-    is read.
+    The one rule for a set of distances, each kept sorted by its holder: a
+    manifest's series (before any file is read), :class:`MeasurementSeries`,
+    :class:`SeriesMeasurement`, a campaign spec, a profile and a verdict's.
     """
     dists = tuple(json_number(d, f"{owner}: distance") for d in distances)
     for d in dists:
@@ -88,19 +90,20 @@ def check_reference(
 
 @dataclass(frozen=True)
 class SeriesMeasurement:
-    """One series' measurements and the reference distance the level curve
-    and the weight evolutions read them against. Its constructor is the one
-    check of their rules: distances ascending, none twice; the reference
-    among them; no silent recording, a silent reference reported first."""
+    """One series' measurements, sorted by distance, and the reference distance
+    the level curve and weight evolutions read them against. Its constructor is
+    the one check of their rules: :func:`check_distances`, one band mapping, the
+    reference among them, no silent recording (a silent reference reported first)."""
 
     reference_distance_cm: float
     measurements: tuple[Measurement, ...]
 
     def __post_init__(self) -> None:
-        distances = [m.distance_cm for m in self.measurements]
-        if sorted(set(distances)) != distances:
-            raise InvalidInputError("distances must be unique and ascending")
-        reference = check_reference(distances, self.reference_distance_cm)
+        check_distances([m.distance_cm for m in self.measurements], "measured series")
+        _check_one_mapping(self.measurements)
+        measured = tuple(sorted(self.measurements, key=lambda m: m.distance_cm))
+        reference = check_reference([m.distance_cm for m in measured], self.reference_distance_cm)
+        object.__setattr__(self, "measurements", measured)
         object.__setattr__(self, "reference_distance_cm", reference)
         check_not_silent(self.at_reference.level, f"reference recording at {reference} cm")
         for m in self.measurements:
@@ -175,12 +178,13 @@ class MeasurementSeries:
         and drop the samples. The measurements come back by distance.
 
         A series without the reference, or of another rate than the bank's,
-        fails before any decode. A recording that cannot be decoded raises
-        :class:`LoadError`, the one of the shortest distance where several
-        cannot. The silence rules of :class:`SeriesMeasurement` apply once
+        fails once, before any decode. A recording that cannot be decoded
+        raises :class:`LoadError`, the one of the shortest distance where
+        several cannot. The silence rules of :class:`SeriesMeasurement` apply once
         every recording is measured, so a decode failure is reported first.
         """
         check_reference(self.distances, reference_distance_cm, "series")
+        bank.check_rate(self.sample_rate)
         n = self.common_length
         return SeriesMeasurement(reference_distance_cm, tuple(_each(
             lambda i: _measure(self.distances[i], self.recordings[i], n, bank),
@@ -190,10 +194,9 @@ class MeasurementSeries:
 
 def _measure(distance_cm: float, recording: Signal | WavHeader, n: int,
              bank: FilterBank) -> Measurement:
-    """The :class:`Measurement` at ``distance_cm`` of the first ``n`` samples
-    of ``recording``, decoded here if a file (and its rate is the bank's);
-    its digest covers the whole."""
-    bank.check_rate(recording.sample_rate)
+    """The :class:`Measurement` at ``distance_cm`` of the first ``n`` samples of
+    ``recording``, decoded here if a file, whose rate the caller has checked
+    against the bank's; its digest covers the whole."""
     digest = hashlib.sha256()
     if isinstance(recording, Signal):
         digest.update(recording.samples)

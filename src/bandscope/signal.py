@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import EmptySignalError, InvalidInputError, SilenceError, json_number
+from .errors import EmptySignalError, InvalidInputError, SilenceError, json_integer, json_number
 
 __all__ = [
     "Signal",
@@ -36,17 +36,20 @@ def db_to_gain(db: float) -> float:
     return 10.0 ** (db / 20.0)
 
 
-def check_sample_rate(sample_rate: int) -> None:
-    """Raise :class:`InvalidInputError` unless the rate is a positive whole number."""
-    if not (0 < json_number(sample_rate, "sample_rate") < math.inf and sample_rate % 1 == 0):
+def check_sample_rate(sample_rate: int) -> int:
+    """The rate as an int; :class:`InvalidInputError` unless a positive whole number."""
+    rate = json_number(sample_rate, "sample_rate")
+    if not (0 < rate < math.inf and rate.is_integer()):
         raise InvalidInputError(f"sample_rate must be a positive whole number, got {sample_rate}")
+    return int(rate)
 
 
-def check_level(level_db: float, what: str) -> None:
-    """Raise :class:`InvalidInputError` naming ``what`` unless ``level_db``
-    is within ±:data:`LEVEL_LIMIT_DB` (NaN and infinities are not)."""
-    if not abs(level_db) <= LEVEL_LIMIT_DB:
-        raise InvalidInputError(f"{what} must be within ±{LEVEL_LIMIT_DB:g} dB, got {level_db}")
+def check_level(level_db: float, what: str) -> float:
+    """``level_db``, a number within ±:data:`LEVEL_LIMIT_DB`, else :class:`InvalidInputError`."""
+    level = json_number(level_db, what)
+    if not abs(level) <= LEVEL_LIMIT_DB:
+        raise InvalidInputError(f"{what} must be within ±{LEVEL_LIMIT_DB:g} dB, got {level}")
+    return level
 
 
 def check_not_silent(level_db: float, what: str) -> None:
@@ -82,14 +85,13 @@ class Signal:
             energy = float(np.sum(np.square(arr)))
         if not math.isfinite(energy) and not np.all(np.isfinite(arr)):  # not overflow alone
             raise InvalidInputError("signal contains NaN or Inf samples")
-        check_sample_rate(self.sample_rate)
+        object.__setattr__(self, "sample_rate", check_sample_rate(self.sample_rate))
         owner = arr if arr.base is None else arr.base  # the array holding the memory
         if arr.flags.writeable or not (arr.flags.c_contiguous and isinstance(owner, np.ndarray)
                                        and owner.base is None and not owner.flags.writeable):
             arr = arr.copy()
             arr.setflags(write=False)
         object.__setattr__(self, "samples", arr)
-        object.__setattr__(self, "sample_rate", int(self.sample_rate))
         object.__setattr__(self, "energy", energy)
 
     def __len__(self) -> int:
@@ -100,7 +102,8 @@ class Signal:
         return Signal(self.samples * json_number(gain, "gain"), self.sample_rate)
 
     def trimmed(self, n_samples: int) -> "Signal":
-        """First ``n_samples`` samples as a new signal that shares them."""
+        """First ``n_samples``, a whole number, as a new signal that shares them."""
+        n_samples = json_integer(n_samples, "sample count")
         if n_samples < 1 or n_samples > self.samples.size:
             raise InvalidInputError(f"cannot trim to {n_samples} samples from {self.samples.size}")
         return Signal(self.samples[:n_samples], self.sample_rate)
@@ -132,10 +135,10 @@ def normalize_to_level(signal: Signal, target: float) -> Signal:
 
     Raises :class:`SilenceError` for all-zero input (no gain can produce a
     finite level), :class:`InvalidInputError` for an energy that overflows
-    or a target that :func:`check_level` rejects. Idempotent:
+    or a target that :func:`check_level` rejects, which reads it. Idempotent:
     re-normalizing to the same target is the identity up to rounding.
     """
-    check_level(target, "target level")
+    target = check_level(target, "target level")
     check_energy(signal)
     current = mean_level_dbfs(signal)
     check_not_silent(current, "signal to normalize")

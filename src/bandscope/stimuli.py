@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from numbers import Integral
 
 import numpy as np
 
@@ -52,25 +51,27 @@ class StimulusSpec:
         if self.kind not in GENERATORS:
             raise InvalidInputError(f"unknown stimulus kind {self.kind!r}")
         object.__setattr__(self, "duration", json_number(self.duration, "duration"))
-        object.__setattr__(self, "target_level", json_number(self.target_level, "target level"))
         if self.frequency is not None:
             object.__setattr__(self, "frequency", json_number(self.frequency, "frequency"))
         if not (math.isfinite(self.duration) and self.duration > 0):
             raise InvalidInputError(f"duration must be positive and finite, got {self.duration}")
-        check_sample_rate(self.sample_rate)
+        object.__setattr__(self, "sample_rate", check_sample_rate(self.sample_rate))
         # float32 is the widest encoding written, so nothing is made that no WAV holds
         check_header(self.duration * self.sample_rate, self.sample_rate,
                      f"duration {self.duration}s at {self.sample_rate} Hz")
-        check_level(self.target_level, "target level")
+        object.__setattr__(self, "target_level", check_level(self.target_level, "target level"))
         if self.kind == "sine":
             if self.frequency is None:
                 raise InvalidInputError("sine stimulus needs a frequency")
             if not 0 < self.frequency < self.sample_rate / 2:
                 raise InvalidFrequencyError(f"frequency must be in (0, {self.sample_rate / 2}), "
                                             f"got {self.frequency}")
-        if self.kind == "pink" and not (isinstance(self.seed, Integral) and self.seed >= 0):
-            raise InvalidInputError(f"pink stimulus needs a non-negative integer seed, "
-                                    f"got {self.seed!r}")
+        if self.kind == "pink":
+            seed = -1 if self.seed is None else json_integer(self.seed, "seed")
+            if seed < 0:
+                raise InvalidInputError(f"pink stimulus needs a non-negative integer seed, "
+                                        f"got {self.seed!r}")
+            object.__setattr__(self, "seed", seed)
 
     def to_json(self) -> dict:
         return {key: getattr(self, name) for key, (name, _) in _JSON_FIELDS.items()}

@@ -23,15 +23,14 @@ import json
 import math
 import os
 from dataclasses import dataclass, field
-from numbers import Integral
 from pathlib import Path
 
 import numpy as np
 
 from .campaign import _csv_text
 from .errors import (InvalidInputError, InvalidSpecError, MappingMismatchError,
-                     SingularityError, converting, json_fields, json_number, json_text,
-                     read_input)
+                     SingularityError, converting, json_fields, json_integer, json_number,
+                     json_text, read_input)
 from .filterbank import FilterBank, _block_spectra, decompose
 from .level import theoretical_amplification
 from .series import (MeasurementSeries, _check_labels, check_distances, check_reference,
@@ -93,8 +92,9 @@ def directivity_gain(model: DirectivityModel, theta_rad: float) -> float:
 class DistanceProfile:
     """Per-band gain breakpoints over distance, linearly interpolated.
 
-    ``bands`` maps band index, an integer >= 0, -> ((distance_cm, gain_db),
-    ...), numbers, finite distances ascending. Bands without an entry are flat 0 dB.
+    ``bands`` maps band index, a whole number >= 0, -> ((distance_cm, gain_db),
+    ...) in any order, the distances as :func:`~bandscope.series.check_distances`
+    reads them; they are kept sorted. Bands without an entry are flat 0 dB.
     Outside the breakpoint range the end values hold (no extrapolation). Gains are levels for
     :func:`~bandscope.signal.check_level`. Messages number bands from 1, as
     ``ground_truth.csv`` does.
@@ -105,24 +105,19 @@ class DistanceProfile:
     def __post_init__(self) -> None:
         clean: dict[int, tuple[tuple[float, float], ...]] = {}
         for band, pts in self.bands.items():
-            if isinstance(band, bool) or not isinstance(band, Integral) or band < 0:
+            band = json_integer(band, "band index")
+            if band < 0:
                 raise InvalidInputError(f"band index must be an integer >= 0, got {band!r}")
             try:
-                pairs = tuple((json_number(d, "distance"), json_number(g, "gain")) for d, g in pts)
+                pairs = tuple((json_number(d, "distance"), g) for d, g in pts)
             except (TypeError, ValueError, InvalidInputError):
                 raise InvalidInputError(f"band {band + 1}: breakpoints must be (distance_cm, "
                                         f"gain_db) pairs, got {pts!r}") from None
             if not pairs:
                 raise InvalidInputError(f"band {band + 1}: empty breakpoint list")
-            dists = [d for d, _ in pairs]
-            if not all(math.isfinite(d) for d in dists):
-                raise InvalidInputError(f"band {band + 1}: breakpoint distances must be finite")
-            if sorted(set(dists)) != dists:
-                raise InvalidInputError(f"band {band + 1}: breakpoint distances must be "
-                                        "unique ascending")
-            for _, gain in pairs:
-                check_level(gain, f"band {band + 1} gain")
-            clean[int(band)] = pairs
+            dists = check_distances([d for d, _ in pairs], f"band {band + 1}: breakpoint")
+            gains = [check_level(g, f"band {band + 1} gain") for _, g in pairs]
+            clean[band] = tuple(sorted(zip(dists, gains)))
         object.__setattr__(self, "bands", clean)
 
     def gain_db(self, band_index: int, distance_cm: float) -> float:

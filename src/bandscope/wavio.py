@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (InvalidInputError, LoadError, UnsupportedEncodingError, WavFormatError,
-                     reading)
+                     json_integer, reading)
 from .signal import Signal, check_sample_rate
 
 __all__ = ["WavHeader", "read_header", "load_wav", "save_wav", "check_header", "check_writable"]
@@ -81,7 +81,7 @@ def read_header(path: str | os.PathLike) -> WavHeader:
 def load_wav(path: str | os.PathLike, channel: int = 0, digest=None) -> Signal:
     """Read one channel of a WAV file, scaled to nominal [-1, 1].
 
-    ``channel`` selects from multichannel files (default: first). When a
+    ``channel``, a whole number, selects from multichannel files (default: first). When a
     hashlib object is passed as ``digest``, it is fed the file's bytes, so a
     caller gets a content digest from the same read.
     Raises :class:`LoadError` naming the file once: a
@@ -90,6 +90,7 @@ def load_wav(path: str | os.PathLike, channel: int = 0, digest=None) -> Signal:
     PCM16/PCM24/float32, a plain one for a file that cannot be opened, an
     empty data chunk, a sample rate of 0 or NaN/Inf samples.
     """
+    channel = json_integer(channel, "channel")
     with reading(path, LoadError):
         with open(path, "rb") as fh:
             data = fh.read()

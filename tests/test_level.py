@@ -1,3 +1,4 @@
+import math
 import re
 
 import numpy as np
@@ -7,16 +8,25 @@ from hypothesis import strategies as st
 
 from bandscope import (
     BandMapping,
+    DistanceProfile,
     Measurement,
     MeasurementSeries,
     SeriesMeasurement,
     Signal,
+    StimulusSpec,
+    apply_zero_phase,
     design_bank,
+    load_wav,
     measured_level_curve,
+    normalize_to_level,
+    save_wav,
     theoretical_amplification,
     validity_limit,
+    weight_evolution,
 )
 from bandscope.errors import (
+    BandscopeError,
+    DuplicateDistanceError,
     InvalidInputError,
     MissingReferenceError,
     SilenceError,
@@ -207,9 +217,7 @@ class TestLevelCurveInvariants:
 # case -> ((distance_cm, level dB or None), reference, error, message)
 REJECTED_MEASUREMENTS = {
     "duplicate": (((10.0, -20.0), (10.0, -19.0)), 10.0,
-                  InvalidInputError, "distances must be unique and ascending"),
-    "unsorted": (((50.0, -30.0), (10.0, -20.0)), 10.0,
-                 InvalidInputError, "distances must be unique and ascending"),
+                  DuplicateDistanceError, "measured series: duplicate distance(s) [10.0] cm"),
     "reference-missing": (((10.0, -20.0), (50.0, -30.0)), 100.0, MissingReferenceError,
                           "measured series has no recording at reference 100.0 cm "
                           "(distances: (10.0, 50.0))"),
@@ -217,13 +225,10 @@ REJECTED_MEASUREMENTS = {
                          SilenceError, "reference recording at 100.0 cm is silent"),
     "silent-recording": (((10.0, None), (50.0, -25.0), (100.0, -30.0)), 100.0,
                          SilenceError, "recording at 10.0 cm is silent"),
-    # weight_evolution once merged the two 50 cm points into one and kept
-    # descending input descending, without an error
+    # weight_evolution once merged the two 50 cm points into one without an error
     "weight-evolution-duplicate-50cm": (
         ((10.0, -10.0), (50.0, -20.0), (50.0, -21.0), (100.0, -30.0)), 100.0,
-        InvalidInputError, "distances must be unique and ascending"),
-    "weight-evolution-descending": (((100.0, -30.0), (50.0, -20.0), (10.0, -10.0)), 100.0,
-                                    InvalidInputError, "distances must be unique and ascending"),
+        DuplicateDistanceError, "measured series: duplicate distance(s) [50.0] cm"),
 }
 
 
@@ -232,3 +237,74 @@ def test_series_measurement_rejects(case):
     levels, reference, error, message = REJECTED_MEASUREMENTS[case]
     with pytest.raises(error, match=f"^{re.escape(message)}$"):
         _checked(levels, reference)
+
+
+# case -> ((distance_cm, level dB) out of order, reference)
+UNSORTED_MEASUREMENTS = {
+    "unsorted": (((50.0, -30.0), (10.0, -20.0)), 10.0),
+    # weight_evolution once kept descending input descending
+    "weight-evolution-descending": (((100.0, -30.0), (50.0, -20.0), (10.0, -10.0)), 100.0),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNSORTED_MEASUREMENTS))
+def test_series_measurement_sorts(case):
+    levels, reference = UNSORTED_MEASUREMENTS[case]
+    measured = _checked(levels, reference)
+    assert measured == _checked(sorted(levels), reference)
+    ascending = sorted(d for d, _ in levels)
+    assert [p.distance_cm for p in measured_level_curve(measured)] == ascending
+    for evolution in weight_evolution(measured):
+        assert [d for d, _ in evolution.points] == ascending
+
+
+_ONE = Signal(np.ones(100), FS)
+_TWO_BANDS = BandMapping((0, 1000, 22050))
+
+
+def _at(distance_cm, mapping=_TWO_BANDS):
+    """A measurement of one sample of energy 1 at ``distance_cm``, split evenly over the bands."""
+    n = mapping.n_bands
+    return Measurement(mapping, 1, 1.0, (1.0 / n,) * n, distance_cm, "")
+
+
+def _ones_wav(tmp_path):
+    save_wav(_ONE, tmp_path / "one.wav")
+    return tmp_path / "one.wav"
+
+
+# probe -> a call, given a temporary directory, that raised TypeError, or
+# gave a result from a value no rule read, before each rule read its value
+UNREAD_VALUES = {
+    "validity-nan-distance": lambda _: validity_limit([(math.nan, 0.1), (5, 0.2), (100, 0.0)]),
+    "validity-inf-distance": lambda _: validity_limit([(math.inf, 0.1), (5, 0.2), (100, 0.0)]),
+    "validity-negative-distance": lambda _: validity_limit([(-5, 0.1), (5, 0.2), (100, 0.0)]),
+    "normalize-text-target": lambda _: normalize_to_level(_ONE, "-20"),
+    "normalize-bool-target": lambda _: normalize_to_level(_ONE, True),
+    "trim-text-length": lambda _: _ONE.trimmed("5"),
+    "trim-fractional-length": lambda _: _ONE.trimmed(2.5),
+    "design-text-rate": lambda _: design_bank(_TWO_BANDS, "44100", 63),
+    "design-text-length": lambda _: design_bank(_TWO_BANDS, FS, "1023"),
+    "theory-text-distance": lambda _: theoretical_amplification("5", 100),
+    "theory-text-reference": lambda _: theoretical_amplification(5, "100"),
+    "bool-band-index": lambda _: apply_zero_phase(design_bank(_TWO_BANDS, FS, 63), True, _ONE),
+    "bool-seed": lambda _: StimulusSpec(kind="pink", duration=1, seed=True),
+    "text-channel": lambda tmp: load_wav(_ones_wav(tmp), channel="0"),
+    "none-distance": lambda _: SeriesMeasurement(100.0, (_at(None), _at(100.0))),
+    "mixed-mappings": lambda _: SeriesMeasurement(
+        100.0, (_at(50.0, BandMapping((0, 100, 1000, 22050))), _at(100.0))),
+    "negative-breakpoint": lambda _: DistanceProfile({0: ((-5.0, 0.0), (10.0, 0.0))}),
+}
+
+
+@pytest.mark.parametrize("probe", sorted(UNREAD_VALUES))
+def test_each_rule_reads_the_value_it_checks(probe, tmp_path):
+    with pytest.raises(BandscopeError):
+        UNREAD_VALUES[probe](tmp_path)
+
+
+def test_whole_numbers_given_as_floats_read_as_ints(tmp_path):
+    bank = design_bank(_TWO_BANDS, 44100.0, 63.0)
+    assert (bank.sample_rate, bank.length) == (FS, 63) and type(bank.sample_rate) is int
+    path = _ones_wav(tmp_path)
+    assert np.array_equal(load_wav(path, channel=0.0).samples, load_wav(path).samples)

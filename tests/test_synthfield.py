@@ -87,9 +87,10 @@ class TestDistanceProfile:
         assert prof.gain_db(0, 50.0) == 0.0
         assert prof.gain_db(3, 15.0) == 0.0  # unlisted band is flat
 
-    def test_rejects_unsorted_breakpoints(self):
-        with pytest.raises(InvalidInputError):
-            DistanceProfile(bands={0: ((20.0, 0.0), (10.0, 6.0))})
+    def test_sorts_unsorted_breakpoints(self):
+        prof = DistanceProfile(bands={0: ((20.0, 0.0), (10.0, 6.0))})
+        assert prof == DistanceProfile(bands={0: ((10.0, 6.0), (20.0, 0.0))})
+        assert prof.gain_db(0, 15.0) == pytest.approx(3.0)
 
     def test_rejects_nonfinite_gain(self):
         with pytest.raises(InvalidInputError):
@@ -101,20 +102,23 @@ class TestDistanceProfile:
             DistanceProfile(bands={1: ((10.0, 1e308),)})
 
     @pytest.mark.parametrize("bands, message", [
-        ({1.5: ((10.0, 0.0),)}, "band index must be an integer >= 0, got 1.5"),
-        ({"2": ((10.0, 0.0),)}, "band index must be an integer >= 0, got '2'"),
-        ({True: ((10.0, 0.0),)}, "band index must be an integer >= 0, got True"),
+        ({1.5: ((10.0, 0.0),)}, "band index must be a whole number, got 1.5"),
+        ({"2": ((10.0, 0.0),)}, 'band index must be a number, got "2"'),
+        ({True: ((10.0, 0.0),)}, "band index must be a number, got true"),
         ({-1: ((10.0, 0.0),)}, "band index must be an integer >= 0, got -1"),
         ({1: [(5, 3.0, 9)]}, r"band 2: breakpoints must be \(distance_cm, gain_db\) pairs"),
         ({1: 5}, r"band 2: breakpoints must be \(distance_cm, gain_db\) pairs, got 5"),
         ({1: [("near", 3.0)]}, r"band 2: breakpoints must be \(distance_cm, gain_db\) pairs"),
         ({0: ()}, "band 1: empty breakpoint list"),
-        ({0: ((math.nan, 0.0), (10.0, 0.0))}, "band 1: breakpoint distances must be finite"),
-        ({0: ((10.0, 0.0), (10.0, 1.0))}, "band 1: breakpoint distances must be unique"),
+        ({0: ((math.nan, 0.0), (10.0, 0.0))},
+         "band 1: breakpoint: distance must be finite and >= 0 cm, got nan"),
+        ({0: ((10.0, 0.0), (10.0, 1.0))}, r"band 1: breakpoint: duplicate distance\(s\) \[10.0\]"),
     ], ids=["float-index", "str-index", "bool-index", "negative-index", "triple", "not-a-list",
             "str-distance", "no-breakpoint", "nan-distance", "repeated-distance"])
     def test_rejects_what_is_not_a_profile(self, bands, message):
-        with pytest.raises(InvalidInputError, match=message):
+        # a repeated distance is a DuplicateDistanceError, as in every set of distances
+        error = DuplicateDistanceError if "duplicate" in message else InvalidInputError
+        with pytest.raises(error, match=message):
             DistanceProfile(bands)
 
 
