@@ -28,7 +28,7 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from .balance import WeightEvolution, balance_difference, spectral_balance, weight_evolution
-from .errors import (BandscopeError, LoadError, ManifestError, MissingDistanceError,
+from .errors import (BandscopeError, LoadError, ManifestError, MissingDistanceError, check_path,
                      converting, json_array, json_fields, json_number, json_text, read_input)
 from .filterbank import FilterBank, _each
 from .level import (
@@ -104,7 +104,7 @@ _ENTRY_FIELDS = {**{key: (key, json_text) for key in (*_LABELS, "path")},
 def _manifest_series(manifest_path: str | os.PathLike) -> dict[tuple, tuple[list, list]]:
     """The manifest's series: key -> (distances, paths), each series' labels
     and distances checked, so a manifest fails before any file is read."""
-    path = Path(manifest_path)
+    path = Path(check_path(manifest_path, ManifestError))
     doc = read_input(path, ManifestError, as_json=True)
     with converting(ManifestError, str(path)):
         rows = json_fields(doc, {"entries": ("entries", json_array)}, "manifest")["entries"]

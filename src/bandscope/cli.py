@@ -38,7 +38,7 @@ from .series import distance_text
 from .signal import check_not_silent, mean_level_dbfs, normalize_to_level
 from .stimuli import GENERATORS, StimulusSpec, gen_stimulus
 from .synthfield import load_campaign_spec, synth_campaign
-from .wavio import check_writable, load_wav, save_wav
+from .wavio import _FORMATS, check_writable, load_wav, save_wav
 
 # glibc mallopt parameters
 _M_TRIM_THRESHOLD = -1
@@ -235,7 +235,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rate", dest="sample_rate", metavar="RATE", type=int,
                    help="sample rate in Hz")
     p.add_argument("--seed", type=int, help="random seed (pink)")
-    p.add_argument("--bits", choices=["float32", "pcm16", "pcm24"], default="float32")
+    p.add_argument("--bits", choices=list(_FORMATS), default="float32")
     p.add_argument("--out-file", required=True, metavar="FILE")
     p.set_defaults(func=_cmd_synth)
 
@@ -265,7 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("normalize", help="rescale a WAV to a target mean level")
     p.add_argument("--in-file", required=True, metavar="FILE")
     p.add_argument("--level", type=_finite_float, required=True, help="target mean level dB FS")
-    p.add_argument("--bits", choices=["float32", "pcm16", "pcm24"], default="float32")
+    p.add_argument("--bits", choices=list(_FORMATS), default="float32")
     p.add_argument("--out-file", required=True, metavar="FILE")
     p.set_defaults(func=_cmd_normalize)
 

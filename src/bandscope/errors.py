@@ -5,8 +5,9 @@ Every domain failure maps to one of these so callers (and the CLI) can
 distinguish usage problems from broken input data. :func:`reading` names
 the file once in what reading it raises, for :func:`read_input` (manifests,
 specs, mappings) and for ``wavio``, where it makes every WAV failure a
-:class:`LoadError`. :func:`json_fields` and :func:`json_number` are the one
-rules for the keys of an input object and for a number a file or caller gives.
+:class:`LoadError`. :func:`check_path`, :func:`json_fields` and
+:func:`json_number` are the one rules for a path, for the keys of an input
+object and for a number a file or caller gives.
 """
 
 import json
@@ -108,12 +109,23 @@ def _finite(text: str) -> float:
     return value
 
 
+def check_path(path, error: type[BandscopeError]) -> str | os.PathLike:
+    """The one path rule: ``path``, which must be text or ``os.PathLike``,
+    else ``error``. ``open`` takes a bool or an int for a file descriptor,
+    which it would read or write and then close, stdout's among them."""
+    if not isinstance(path, (str, os.PathLike)):
+        raise error(f"a path must be text or os.PathLike, got {_shown(path)}")
+    return path
+
+
 @contextmanager
 def reading(path: str | os.PathLike, error: type[BandscopeError]):
-    """Name input file ``path``, once, in what reading it raises: an
-    ``OSError`` (missing, a directory, no permission) becomes ``error``
+    """Name input file ``path``, once, in what reading it raises: a path
+    that :func:`check_path` refuses is ``error`` before any file is opened,
+    an ``OSError`` (missing, a directory, no permission) becomes ``error``
     worded ``cannot read (...)``, and a :class:`BandscopeError` becomes
     ``error`` unless it is one already, when it keeps its type."""
+    check_path(path, error)
     try:
         yield
     except OSError as exc:

@@ -99,7 +99,9 @@ class Signal:
 
     def scaled(self, gain: float) -> "Signal":
         """New signal with every sample multiplied by ``gain``."""
-        return Signal(self.samples * json_number(gain, "gain"), self.sample_rate)
+        samples = self.samples * json_number(gain, "gain")
+        samples.setflags(write=False)  # fresh, so Signal keeps it uncopied
+        return Signal(samples, self.sample_rate)
 
     def trimmed(self, n_samples: int) -> "Signal":
         """First ``n_samples``, a whole number, as a new signal that shares them."""

@@ -102,7 +102,9 @@ def gen_sine(spec: StimulusSpec) -> Signal:
     if periods < 1:
         raise InvalidInputError(f"duration {spec.duration}s holds no whole period of {f} Hz")
     n = round(periods * fs / f)
-    unit = Signal(np.sin(2.0 * np.pi * f * np.arange(n) / fs), fs)
+    wave = np.sin(2.0 * np.pi * f * np.arange(n) / fs)
+    wave.setflags(write=False)  # fresh, so Signal keeps it uncopied
+    unit = Signal(wave, fs)
     return unit.scaled(db_to_gain(spec.target_level) / math.sqrt(unit.energy / n))
 
 
@@ -136,6 +138,7 @@ def gen_pink(spec: StimulusSpec) -> Signal:
     rows = max(4, math.ceil(math.log2(fs / 20.0)))
     rng = np.random.default_rng(spec.seed)
     x = _pink_rows(n, rows, rng)
+    x.setflags(write=False)  # fresh, so Signal keeps it uncopied
     return normalize_to_level(Signal(x, fs), spec.target_level)
 
 

@@ -29,8 +29,8 @@ import numpy as np
 
 from .campaign import _csv_text
 from .errors import (InvalidInputError, InvalidSpecError, MappingMismatchError,
-                     SingularityError, converting, json_fields, json_integer, json_number,
-                     json_text, read_input)
+                     SingularityError, check_path, converting, json_fields, json_integer,
+                     json_number, json_text, read_input)
 from .filterbank import FilterBank, _block_spectra, decompose
 from .level import theoretical_amplification
 from .series import (MeasurementSeries, _check_labels, check_distances, check_reference,
@@ -224,7 +224,7 @@ def load_campaign_spec(path: str | os.PathLike) -> tuple[SynthCampaignSpec, dict
     relative to the spec file, made once every field is read. A key left out
     takes the field's default. Every error names the file; a stimulus
     file's :class:`LoadError` names the spec file, then the WAV."""
-    path = Path(path)
+    path = Path(check_path(path, InvalidSpecError))
     doc = read_input(path, InvalidSpecError, as_json=True)
     with converting(InvalidSpecError, str(path)):
         fields = json_fields(doc, _SPEC_FIELDS, "spec")
@@ -281,6 +281,7 @@ def _shaped(bank: FilterBank, stimulus: Signal, spectra: np.ndarray,
             sub *= db_to_gain(gain_db) - 1.0
             shaped += sub
     shaped *= gain
+    shaped.setflags(write=False)  # fresh, so Signal keeps it uncopied
     return Signal(shaped, stimulus.sample_rate)
 
 

@@ -1,16 +1,19 @@
 """Minimal RIFF/WAVE reader and writer.
 
-Supports the three encodings used by the measurement chain: PCM16, PCM24
-and 32-bit float, little-endian, mono or multichannel (one channel is
-selected on load). The fmt-chunk sample rate is authoritative. Everything
-else (LIST, fact, bext, ...) is skipped on read.
+Supports the three encodings used by the measurement chain, each described
+once in ``_FORMATS`` (format tag, bytes per sample, PCM full scale):
+32-bit float, PCM16 and PCM24, little-endian, mono or multichannel. Only
+the channel asked for is decoded, straight from the file's bytes. The
+fmt-chunk sample rate is authoritative. Everything else (LIST, fact, bext,
+...) is skipped on read.
 
 :func:`read_header` and :func:`load_wav` hold the one rule for a WAV that
 cannot be read: every failure to open, walk or decode it is a
 :class:`LoadError` whose message names the path once.
 
-Full-scale convention: 16-bit divides by 32768, 24-bit by 8388608, so a
-positive-full-scale PCM16 sample reads 32767/32768.
+Full-scale convention: a PCM sample is divided by its full scale (32768 for
+16-bit, 8388608 for 24-bit), so a positive-full-scale PCM16 sample reads
+32767/32768.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (InvalidInputError, LoadError, UnsupportedEncodingError, WavFormatError,
-                     json_integer, reading)
+                     check_path, json_integer, reading)
 from .signal import Signal, check_sample_rate
 
 __all__ = ["WavHeader", "read_header", "load_wav", "save_wav", "check_header", "check_writable"]
@@ -32,12 +35,12 @@ _FMT_PCM = 0x0001
 _FMT_FLOAT = 0x0003
 _FMT_EXTENSIBLE = 0xFFFE
 
+# encoding -> (format tag, bytes per sample, PCM full scale or None for float):
+# the one list of the encodings bandscope reads and writes
+_FORMATS = {"float32": (_FMT_FLOAT, 4, None), "pcm16": (_FMT_PCM, 2, 32768.0),
+            "pcm24": (_FMT_PCM, 3, 8388608.0)}
 # (format tag, bits per sample) -> encoding name
-_ENCODINGS = {(_FMT_PCM, 16): "pcm16", (_FMT_PCM, 24): "pcm24", (_FMT_FLOAT, 32): "float32"}
-_WIDTH = {"pcm16": 2, "pcm24": 3, "float32": 4}  # bytes per sample
-
-_PCM16_SCALE = 32768.0
-_PCM24_SCALE = 8388608.0
+_ENCODINGS = {(tag, 8 * width): name for name, (tag, width, _) in _FORMATS.items()}
 _FLOAT32 = np.finfo(np.float32)
 
 
@@ -53,7 +56,7 @@ class WavHeader:
     path: str | os.PathLike
     sample_rate: int
     n_channels: int
-    encoding: str  # "pcm16", "pcm24" or "float32"
+    encoding: str  # a key of _FORMATS
     n_frames: int
 
     def __len__(self) -> int:
@@ -97,41 +100,34 @@ def load_wav(path: str | os.PathLike, channel: int = 0, digest=None) -> Signal:
         if digest is not None:
             digest.update(data)
         header, offset = _walk(lambda o, n: data[o:o + n], len(data), path, channel)
-        samples = _decode(data, offset, header.n_frames * header.n_channels, header.encoding)
-        samples.setflags(write=False)  # so Signal keeps a mono file's samples uncopied
-        frames = samples.reshape(header.n_frames, header.n_channels)
-        return Signal(frames[:, channel], header.sample_rate)
+        samples = _decode(data, offset, header, channel)
+        del data  # decoded, so the file's bytes are freed before Signal sums the samples
+        samples.setflags(write=False)  # so Signal keeps them uncopied
+        return Signal(samples, header.sample_rate)
 
 
 def save_wav(signal: Signal, path: str | os.PathLike, encoding: str = "float32") -> None:
-    """Write a mono WAV file in the given encoding (float32, pcm16, pcm24).
+    """Write a mono WAV file in the given encoding, a key of ``_FORMATS``.
 
     PCM clips at full scale. Raises :class:`InvalidInputError`, before
-    opening the file, for another encoding and unless :func:`check_writable`
+    opening the file, for another encoding, a path that is not text or
+    ``os.PathLike`` (:func:`check_path`) and unless :func:`check_writable`
     passes.
     """
-    if encoding not in _WIDTH:
+    if encoding not in _FORMATS:
         raise InvalidInputError(f"unknown encoding {encoding!r}")
+    check_path(path, InvalidInputError)
     check_writable(signal, path, encoding)
+    audio_format, width, scale = _FORMATS[encoding]
     x = signal.samples
-    if encoding == "float32":
-        audio_format, bits = _FMT_FLOAT, 32
+    if scale is None:
         body = x.astype("<f4").tobytes()
-    elif encoding == "pcm16":
-        audio_format, bits = _FMT_PCM, 16
-        q = np.clip(np.round(x * _PCM16_SCALE), -32768, 32767).astype("<i2")
-        body = q.tobytes()
-    else:
-        audio_format, bits = _FMT_PCM, 24
-        q = np.clip(np.round(x * _PCM24_SCALE), -8388608, 8388607).astype("<i4")
-        b = q.view(np.uint8).reshape(-1, 4)
-        body = b[:, :3].tobytes()  # little-endian: drop the high byte
+    else:  # the low ``width`` bytes of each clipped little-endian int32
+        q = np.clip(np.round(x * scale), -scale, scale - 1).astype("<i4")
+        body = q.view(np.uint8).reshape(-1, 4)[:, :width].tobytes()
 
-    block_align = bits // 8
-    byte_rate = signal.sample_rate * block_align
-    fmt_chunk = struct.pack(
-        "<HHIIHH", audio_format, 1, signal.sample_rate, byte_rate, block_align, bits
-    )
+    rate = signal.sample_rate
+    fmt_chunk = struct.pack("<HHIIHH", audio_format, 1, rate, rate * width, width, 8 * width)
     chunks = b"".join(
         [
             b"fmt ", struct.pack("<I", len(fmt_chunk)), fmt_chunk,
@@ -146,7 +142,7 @@ def check_header(n_frames: float, sample_rate: float, what, encoding: str = "flo
     """Raise :class:`InvalidInputError` naming ``what`` unless the byte rate
     and RIFF size of a mono WAV of ``n_frames`` in ``encoding`` fit 32 bits;
     a float count, inf too, is compared as a float."""
-    width = _WIDTH[encoding]
+    width = _FORMATS[encoding][1]
     data = n_frames * width
     # the RIFF size counts "WAVE", the fmt chunk, the data chunk's header and pad byte
     for name, size in (("byte rate", sample_rate * width),
@@ -161,7 +157,7 @@ def check_writable(signal: Signal, what, encoding: str = "float32") -> None:
     ``encoding`` can hold ``signal``: :func:`check_header` passes, and a
     float32 peak is 0 or within float32's normal range."""
     check_header(len(signal), signal.sample_rate, what, encoding)
-    if encoding == "float32":
+    if _FORMATS[encoding][2] is None:  # a float encoding
         x = signal.samples
         peak = max(x.max(), -x.min())
         if peak > _FLOAT32.max or 0 < peak < _FLOAT32.tiny:
@@ -209,7 +205,7 @@ def _walk(read, size: int, path, channel: int) -> tuple[WavHeader, int]:
         raise UnsupportedEncodingError(f"unsupported encoding (format tag {audio_format}, "
                                        f"{bits}-bit)")
     offset, n = data
-    n_frames = n // _WIDTH[encoding] // n_channels
+    n_frames = n // _FORMATS[encoding][1] // n_channels
     if n_frames == 0:
         raise LoadError("data chunk holds no samples")
     check_sample_rate(sample_rate)
@@ -228,16 +224,19 @@ def _parse_fmt(body: bytes) -> tuple[int, int, int, int]:
     return audio_format, n_channels, sample_rate, bits
 
 
-def _decode(data: bytes, offset: int, n: int, encoding: str) -> np.ndarray:
-    """The ``n`` samples in ``encoding`` that start at byte ``offset`` of
-    ``data``, a whole file, as float64 at nominal full scale."""
-    if encoding == "pcm16":
-        return np.frombuffer(data, "<i2", n, offset).astype(np.float64) / _PCM16_SCALE
-    if encoding == "pcm24":
-        # each 3-byte sample is read as the top three bytes of a little-endian
-        # int32 that starts one byte early (the data chunk's size field is
-        # there), so an arithmetic shift right by 8 sign-extends it
-        return (np.ndarray((n,), "<i4", data, offset - 1, (3,)) >> 8) / _PCM24_SCALE
-    # a signalling NaN sets the invalid flag as it widens; Signal rejects it
-    with np.errstate(invalid="ignore"):
-        return np.frombuffer(data, "<f4", n, offset).astype(np.float64)
+def _decode(data: bytes, offset: int, header: WavHeader, channel: int) -> np.ndarray:
+    """Channel ``channel`` of the ``header.n_frames`` frames that start at
+    byte ``offset`` of ``data``, a whole file, as float64 at nominal full
+    scale; the other channels are not read."""
+    _, width, scale = _FORMATS[header.encoding]
+    # a PCM sample is read as the top ``width`` bytes of a little-endian int32
+    # that starts ``early`` bytes before it (the data chunk's size field or
+    # the previous sample is there), so an arithmetic shift right sign-extends it
+    early = 4 - width  # 0 for float32
+    words = np.ndarray((header.n_frames,), "<f4" if scale is None else "<i4", data,
+                       offset + channel * width - early, (header.n_channels * width,))
+    if scale is None:
+        # a signalling NaN sets the invalid flag as it widens; Signal rejects it
+        with np.errstate(invalid="ignore"):
+            return words.astype(np.float64)
+    return (words >> 8 * early) / scale

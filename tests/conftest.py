@@ -63,3 +63,19 @@ def band_workers(monkeypatch):
         monkeypatch.setattr(filterbank, "_usable_cpus", lambda: cpus)
 
     return use
+
+
+@pytest.fixture
+def signal_copies(monkeypatch):
+    """A list that gains, for each :class:`Signal` made while the test runs,
+    whether it copied the array it was given instead of keeping it."""
+    copies = []
+    post_init = Signal.__post_init__
+
+    def counting(signal):
+        given = signal.samples
+        post_init(signal)
+        copies.append(signal.samples is not given)
+
+    monkeypatch.setattr(Signal, "__post_init__", counting)
+    return copies

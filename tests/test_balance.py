@@ -23,6 +23,7 @@ from bandscope import (
     weight_evolution,
 )
 from bandscope.campaign import ComparisonReport, ComparisonRow
+from bandscope.series import SeriesMeasurement
 from bandscope.synthfield import DistanceProfile, SynthCampaignSpec, synth_campaign
 from bandscope.errors import (
     InvalidInputError,
@@ -247,6 +248,21 @@ class TestWeightEvolution:
     def test_missing_reference(self, ids10_bank_fast, white_2s):
         with pytest.raises(MissingReferenceError):
             _series([white_2s] * 2, [10, 50]).measure(ids10_bank_fast, 100.0)
+
+    @pytest.mark.parametrize("silent_at", [50.0, 100.0])
+    def test_silent_band_point_dropped_with_a_warning(self, silent_at):
+        # band 1 holds no energy at one distance: no delta is formed against
+        # it, so that band keeps the reference point alone; band 2 keeps both
+        mapping = BandMapping((0, 1000, 22050))
+        measured = SeriesMeasurement(100.0, tuple(
+            Measurement(mapping, 1, 1.0, (0.0, 1.0) if d == silent_at else (0.5, 0.5), d, "")
+            for d in (50.0, 100.0)))
+        with pytest.warns(UserWarning) as caught:
+            band1, band2 = weight_evolution(measured)
+        assert [str(w.message) for w in caught] == [
+            "band 1 (0-1000Hz) is silent at 50.0 cm or at the reference; point excluded"]
+        assert band1.points == ((100.0, 0.0),)
+        assert [d for d, _ in band2.points] == [50.0, 100.0]
 
 
 class TestBalanceDifference:

@@ -192,6 +192,13 @@ class TestAnalyze:
         assert result.reequalized_bands == ()
         assert result.max_abs_gap_db <= 0.05
 
+    def test_one_distance_has_no_verdict(self, two_band_bank, short_noise):
+        # the reference alone: one point per band, so no band can name a limit
+        result = analyze(_memory_series([short_noise], [100]), two_band_bank)
+        assert [p.distance_cm for p in result.level_points] == [100.0]
+        assert [(v.limit_distance_cm, v.rule) for v in result.band_verdicts] == [
+            (None, "no validity limit: fewer than 2 usable points")] * 2
+
     def test_identical_signals_flat_curves(self, ids10_bank_fast, white_2s):
         series = MeasurementSeries(("m", "o", "s"), (10, 50, 100), (white_2s,) * 3)
         result = analyze(series, ids10_bank_fast)

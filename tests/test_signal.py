@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -7,10 +8,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bandscope import (
+    BandMapping,
+    DistanceProfile,
     Signal,
     StimulusSpec,
+    SynthCampaignSpec,
+    design_bank,
+    gen_pink,
+    gen_sine,
     mean_level_dbfs,
     normalize_to_level,
+    synth_campaign,
 )
 from bandscope.errors import (
     EmptySignalError,
@@ -19,6 +27,25 @@ from bandscope.errors import (
 )
 
 FS = 44100
+
+
+_HALF_SECOND = Signal(np.sin(np.arange(FS // 2) / 10.0), FS)
+
+
+def _profiled_campaign():
+    bank = design_bank(BandMapping((0, 1000, 22050)), FS, 63)
+    profile = DistanceProfile({0: ((50, 3.0), (100, 0.0))})
+    synth_campaign(SynthCampaignSpec(stimulus=_HALF_SECOND, distances_cm=(50, 100),
+                                     profile=profile), bank)
+
+
+# what builds a Signal from an array no one else holds -> a call that makes one
+_FRESH = {
+    "scaled": lambda: _HALF_SECOND.scaled(0.5),
+    "gen_pink": lambda: gen_pink(StimulusSpec(kind="pink", duration=0.5, seed=1)),
+    "gen_sine": lambda: gen_sine(StimulusSpec(kind="sine", duration=0.5, frequency=1000.0)),
+    "synth_campaign-profiled": _profiled_campaign,  # each shaped recording
+}
 
 
 class TestSignal:
@@ -82,6 +109,24 @@ class TestSignal:
 
     def test_finite_samples_whose_energy_overflows_are_a_signal(self):
         assert Signal(np.array([1e200, 1.0]), FS).energy == math.inf
+
+
+    def test_scaled_peaks_without_a_copy(self):
+        # the product and the temporary square of its energy sum; a copy of
+        # the product would be a third array alive at once
+        s = Signal(np.ones(441000), FS)
+        tracemalloc.start()
+        try:
+            scaled = s.scaled(0.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * scaled.samples.nbytes
+
+    @pytest.mark.parametrize("make", sorted(_FRESH))
+    def test_fresh_arrays_are_kept_uncopied(self, make, signal_copies):
+        _FRESH[make]()
+        assert signal_copies and not any(signal_copies)
 
 
 class TestMeanLevel:

@@ -1,15 +1,21 @@
+import os
 import struct
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
-from bandscope import Signal, WavHeader, load_wav, read_header, save_wav
+from bandscope import (Signal, WavHeader, ingest, load_campaign_spec, load_mapping, load_wav,
+                       read_header, save_wav)
 from bandscope.wavio import check_writable
 from bandscope.errors import (
     BandscopeError,
     InvalidInputError,
+    InvalidMappingError,
+    InvalidSpecError,
     LoadError,
+    ManifestError,
     UnsupportedEncodingError,
     WavFormatError,
 )
@@ -200,6 +206,23 @@ _LAYOUTS = {
 }
 
 
+def _riff(*chunks):
+    """A RIFF/WAVE file's bytes made of (chunk id, body) pairs, each word-aligned."""
+    body = b"".join(cid + struct.pack("<I", len(data)) + data + b"\x00" * (len(data) & 1)
+                    for cid, data in chunks)
+    return b"RIFF" + struct.pack("<I", 4 + len(body)) + b"WAVE" + body
+
+
+# container faults -> (file bytes, the message that names the fault)
+_CONTAINER_FAULTS = {
+    "no-fmt": (_riff((b"data", b"\x01\x00")), "missing fmt chunk"),
+    # an extensible fmt chunk of 20 bytes ends before its SubFormat GUID
+    "extensible-too-short": (_riff((b"fmt ", struct.pack("<HHIIHHHH", 0xFFFE, 1, FS, 2 * FS, 2,
+                                                         16, 22, 16)), (b"data", b"\x01\x00")),
+                             "extensible fmt chunk too short"),
+}
+
+
 class TestHeader:
     @pytest.mark.parametrize("layout", sorted(_LAYOUTS))
     @pytest.mark.parametrize("encoding", sorted(_ENCODINGS))
@@ -224,6 +247,7 @@ class TestHeader:
         ("truncated-after-data", _wav_bytes(1, 1, 16, b"\x01\x00", after_data=_LIST_CHUNK)[:-2]),
         ("fmt-too-short", b"RIFF" + struct.pack("<I", 16) + b"WAVE" + b"fmt " + struct.pack("<I", 4)
          + b"\x01\x00\x01\x00"),
+        *((name, data) for name, (data, _) in _CONTAINER_FAULTS.items()),
         ("no-channels", _wav_bytes(1, 0, 16, b"\x01\x00")),
         ("pcm8", _wav_bytes(1, 1, 8, b"\x80\x80")),
         ("empty", _wav_bytes(1, 1, 16, b"")),
@@ -239,6 +263,45 @@ class TestHeader:
             read_header(p)
         assert type(from_header.value) is type(from_load.value)
         assert str(from_header.value) == str(from_load.value)
+
+
+    @pytest.mark.parametrize("name", sorted(_CONTAINER_FAULTS))
+    def test_container_fault_is_named(self, tmp_path, name):
+        data, message = _CONTAINER_FAULTS[name]
+        p = tmp_path / f"{name}.wav"
+        p.write_bytes(data)
+        with pytest.raises(WavFormatError, match=f": {message}$"):
+            load_wav(p)
+
+
+def _codes_payload(encoding, n):
+    """``n`` samples of ``encoding`` as its bytes: the full-scale ends (the
+    largest finite and the smallest normal float32), -1, 0 and 1 quantum,
+    then seeded random codes."""
+    rng = np.random.default_rng(n)
+    if encoding == "float32":
+        f32 = np.finfo(np.float32)
+        ends = [f32.max, -f32.max, f32.tiny, -f32.tiny, -1.0, 0.0, -0.0, 1.0]
+        rest = rng.standard_normal(n - len(ends))
+        return np.concatenate([ends, rest]).astype("<f4").tobytes()
+    bits = 8 * {"pcm16": 2, "pcm24": 3}[encoding]
+    top = 1 << (bits - 1)
+    codes = np.concatenate([[top - 1, -top, -1, 0, 1], rng.integers(-top, top, n - 5)])
+    return codes.astype("<i4").view(np.uint8).reshape(-1, 4)[:, :bits // 8].tobytes()
+
+
+def _oracle(payload, encoding, channels):
+    """Each channel of an interleaved ``payload`` decoded by ``np.frombuffer``
+    and integer arithmetic alone, one row per channel."""
+    if encoding == "float32":
+        values = np.frombuffer(payload, "<f4").astype(np.float64)
+    elif encoding == "pcm16":
+        values = np.frombuffer(payload, "<i2") / 32768.0
+    else:
+        b = np.frombuffer(payload, np.uint8).reshape(-1, 3).astype(np.int64)
+        codes = b[:, 0] | b[:, 1] << 8 | b[:, 2] << 16
+        values = np.where(codes >= 1 << 23, codes - (1 << 24), codes) / 8388608.0
+    return values.reshape(-1, channels).T
 
 
 class TestDecode:
@@ -262,16 +325,42 @@ class TestDecode:
         assert load_wav(p).samples.tolist() == [-1.0, 8388607 / 8388608, -1 / 8388608,
                                                 1 / 8388608]
 
-    def test_pcm24_stereo_channel_1(self, tmp_path):
-        # each frame's second sample, the full-scale ends and -1 among them
-        left = np.array([1, -1, 8388607, -8388608, 0], dtype=np.int32)
-        right = np.array([-8388608, 8388607, -1, 2, -3], dtype=np.int32)
-        codes = np.stack([left, right], axis=1).reshape(-1)
+    @pytest.mark.parametrize("channels", [1, 2, 3])
+    @pytest.mark.parametrize("encoding", sorted(_ENCODINGS))
+    def test_each_channel_decodes_as_the_oracle(self, tmp_path, encoding, channels,
+                                                signal_copies):
+        tag, bits = _ENCODINGS[encoding]
+        payload = _codes_payload(encoding, 300 * channels)
+        p = tmp_path / "codes.wav"
+        p.write_bytes(_wav_bytes(tag, channels, bits, payload))
+        want = _oracle(payload, encoding, channels)
+        for channel in range(channels):
+            got = load_wav(p, channel=channel).samples
+            assert got.tobytes() == want[channel].tobytes()  # bit for bit, -0.0 included
+        assert signal_copies == [False] * channels  # each decoded channel is kept as it is
+        if channels == 1:  # writing back what was read gives the file's bytes
+            save_wav(load_wav(p), tmp_path / "back.wav", encoding=encoding)
+            assert (tmp_path / "back.wav").read_bytes() == p.read_bytes()
+
+    def test_pcm16_every_code(self, tmp_path):
+        # all 2**16 codes, both full-scale ends included; the reference is the code itself
+        codes = np.arange(-(1 << 15), 1 << 15, dtype=np.int32)
+        p = tmp_path / "codes.wav"
+        p.write_bytes(_wav_bytes(1, 1, 16, codes.astype("<i2").tobytes()))
+        assert np.array_equal(load_wav(p).samples, codes / 32768.0)
+
+    def test_only_the_channel_asked_for_is_decoded(self, tmp_path):
+        # 10 s of stereo PCM24: the peak holds the file's bytes and one
+        # channel's int32 words and float64 samples, not every channel's
         p = tmp_path / "stereo.wav"
-        p.write_bytes(_wav_bytes(1, 2, 24, codes.astype("<i4").view(np.uint8)
-                                 .reshape(-1, 4)[:, :3].tobytes()))
-        assert np.array_equal(load_wav(p, channel=1).samples, right / 8388608.0)
-        assert np.array_equal(load_wav(p).samples, left / 8388608.0)
+        p.write_bytes(_wav_bytes(1, 2, 24, _codes_payload("pcm24", 2 * 10 * FS)))
+        tracemalloc.start()
+        try:
+            signal = load_wav(p, channel=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < p.stat().st_size + 2 * signal.samples.nbytes
 
     def test_float32_signalling_nan_rejected_without_warning(self, tmp_path):
         p = tmp_path / "snan.wav"
@@ -280,3 +369,25 @@ class TestDecode:
             warnings.simplefilter("error")
             with pytest.raises(LoadError, match="NaN or Inf"):
                 load_wav(p)
+
+
+# a path that is not text or os.PathLike; open() takes a bool or an int for a file descriptor
+_NOT_PATHS = [True, False, 0, 1, None, 1.5, ["x.wav"]]
+
+
+class TestPathRule:
+    @pytest.mark.parametrize("path", _NOT_PATHS, ids=repr)
+    @pytest.mark.parametrize("call, error", [
+        (load_wav, LoadError),
+        (read_header, LoadError),
+        (load_mapping, InvalidMappingError),
+        (ingest, ManifestError),
+        (load_campaign_spec, InvalidSpecError),
+        (lambda path: save_wav(Signal(np.zeros(2), FS), path), InvalidInputError),
+    ], ids=["load_wav", "read_header", "load_mapping", "ingest", "load_campaign_spec",
+            "save_wav"])
+    def test_refused_before_any_file_is_opened(self, call, error, path):
+        with pytest.raises(error, match="a path must be text or os.PathLike"):
+            call(path)
+        os.fstat(0)  # stdin and stdout are still open
+        os.fstat(1)
