@@ -110,10 +110,9 @@ class TestSignal:
     def test_finite_samples_whose_energy_overflows_are_a_signal(self):
         assert Signal(np.array([1e200, 1.0]), FS).energy == math.inf
 
-
     def test_scaled_peaks_without_a_copy(self):
-        # the product and the temporary square of its energy sum; a copy of
-        # the product would be a third array alive at once
+        # the product and the temporary square of its energy sum, and no
+        # third array alive at once
         s = Signal(np.ones(441000), FS)
         tracemalloc.start()
         try:
