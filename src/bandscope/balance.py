@@ -106,7 +106,7 @@ def weight_evolution(measured: SeriesMeasurement) -> list[WeightEvolution]:
     are dropped from that band's curve with a warning rather than fabricated.
     """
     reference = measured.at_reference
-    mapping = reference.mapping
+    edges = reference.mapping.edges
     weights = [(m, m.weights_db) for m in measured.measurements]
 
     curves = []
@@ -118,7 +118,7 @@ def weight_evolution(measured: SeriesMeasurement) -> list[WeightEvolution]:
                 points.append((m.distance_cm, 0.0))
             elif w_db == -math.inf or ref_db == -math.inf:
                 warnings.warn(
-                    f"band {band + 1} ({mapping.band_label(band)}) is silent "
+                    f"band {band + 1} ({edges[band]:g}-{edges[band + 1]:g}Hz) is silent "
                     f"at {m.distance_cm} cm or at the reference; point excluded",
                     stacklevel=2,
                 )

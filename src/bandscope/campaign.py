@@ -385,7 +385,7 @@ def compare_to_stimulus(
     if distance not in series.distances:
         raise MissingDistanceError(f"series has no recording at {distance} cm "
                                    f"(distances: {series.distances})")
-    bank.check_rate(series.sample_rate)
+    bank._check_rate(series.sample_rate)
     recording = series.recordings[series.distances.index(distance)]
     stimulus, measured = _each(lambda measure: measure(), [
         lambda: spectral_balance(stimulus_signal, bank),

@@ -127,16 +127,6 @@ class BandMapping:
     def n_bands(self) -> int:
         return len(self.edges) - 1
 
-    def band_label(self, i: int) -> str:
-        return f"{self.edges[i]:g}-{self.edges[i + 1]:g}Hz"
-
-    def validate_for_rate(self, sample_rate: int) -> None:
-        if self.edges[-1] != sample_rate / 2.0:
-            raise InvalidMappingError(
-                f"last edge must equal Nyquist {sample_rate / 2.0} Hz, "
-                f"got {self.edges[-1]}"
-            )
-
 
 def load_mapping(path: str | os.PathLike) -> BandMapping:
     """Read a mapping from a plain-text config: one edge per line, in Hz.
@@ -194,7 +184,7 @@ class FilterBank:
     def n_bands(self) -> int:
         return self.mapping.n_bands
 
-    def check_rate(self, sample_rate: int) -> None:
+    def _check_rate(self, sample_rate: int) -> None:
         """The one rate rule of filtering, which a WAV's header meets before its decode."""
         if sample_rate != self.sample_rate:
             raise RateMismatchError(f"signal rate {sample_rate} != bank rate {self.sample_rate}")
@@ -228,7 +218,9 @@ def design_bank(
     sample_rate, length = check_sample_rate(sample_rate), json_integer(length, "tap count")
     if length % 2 == 0 or length < 63:
         raise InvalidLengthError(f"tap count must be odd and >= 63, got {length}")
-    mapping.validate_for_rate(sample_rate)
+    if mapping.edges[-1] != sample_rate / 2.0:
+        raise InvalidMappingError(
+            f"last edge must equal Nyquist {sample_rate / 2.0} Hz, got {mapping.edges[-1]}")
     lowpasses = [
         _windowed_sinc_lowpass(edge, sample_rate, length) for edge in mapping.edges
     ]
@@ -274,7 +266,7 @@ def _block_spectra(bank: FilterBank, signal: Signal) -> np.ndarray:
     ``m - taps + 1`` apart, after padding it ahead with the group delay's
     worth of zeros, so that block k's kept outputs are the zero-phase output
     samples from k * (m - taps + 1) on: ``_input_spectra`` of :func:`apply_zero_phase`."""
-    bank.check_rate(signal.sample_rate)
+    bank._check_rate(signal.sample_rate)
     check_energy(signal)
     m, blocks = _blocks(bank, len(signal))
     step = m - bank.length + 1

@@ -184,7 +184,7 @@ class MeasurementSeries:
         every recording is measured, so a decode failure is reported first.
         """
         check_reference(self.distances, reference_distance_cm, "series")
-        bank.check_rate(self.sample_rate)
+        bank._check_rate(self.sample_rate)
         n = self.common_length
         return SeriesMeasurement(reference_distance_cm, tuple(_each(
             lambda i: _measure(self.distances[i], self.recordings[i], n, bank),

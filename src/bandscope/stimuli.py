@@ -48,7 +48,7 @@ class StimulusSpec:
     seed: int | None = None  # pink only
 
     def __post_init__(self) -> None:
-        if self.kind not in GENERATORS:
+        if json_text(self.kind, "kind") not in GENERATORS:
             raise InvalidInputError(f"unknown stimulus kind {self.kind!r}")
         object.__setattr__(self, "duration", json_number(self.duration, "duration"))
         if self.frequency is not None:

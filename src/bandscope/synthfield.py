@@ -6,11 +6,11 @@ per-band distance profile (piecewise-linear gain breakpoints per subband).
 :func:`load_campaign_spec` reads a spec file; :class:`SynthCampaignSpec`
 checks every campaign rule but the bank's two, which :func:`synth_campaign`
 checks. It evaluates the profile once into a (distance x band) table of dB
-gains and builds both the recordings and the :class:`GroundTruth` from it,
-so the truth is what was injected by construction. With a profile, the
-stimulus' blocks are transformed once per campaign; every split of it (one
-for the band energies of the truth, one per recording) takes those block
-spectra and does only the bank's inverse transforms.
+gains, builds the recordings from it and keeps it, with the stimulus' band
+energies, as the :class:`GroundTruth`: the truth is what was injected. With
+a profile, the stimulus' blocks are transformed once per campaign; every
+split of it (one for the band energies of the truth, one per recording)
+takes those block spectra and does only the bank's inverse transforms.
 
 Profiles exist to exercise the analyzer: inject a known curve, recover it
 through the weight-evolution chain. This is a test harness, not a physical
@@ -83,9 +83,17 @@ class DirectivityModel:
         return named.get(self.m, f"m{self.m:g}")
 
 
+def _angle(theta_rad, error: type[InvalidInputError | InvalidSpecError]) -> float:
+    """``theta_rad`` by the number rule; ``error`` unless it is finite."""
+    theta = json_number(theta_rad, "theta_rad")
+    if not math.isfinite(theta):
+        raise error(f"theta_rad must be finite, got {theta}")
+    return theta
+
+
 def directivity_gain(model: DirectivityModel, theta_rad: float) -> float:
-    """Pattern gain at incidence ``theta_rad``; periodic, unity on axis."""
-    return model.m + (1.0 - model.m) * math.cos(theta_rad)
+    """Pattern gain at a finite incidence ``theta_rad``; periodic, unity on axis."""
+    return model.m + (1.0 - model.m) * math.cos(_angle(theta_rad, InvalidInputError))
 
 
 @dataclass(frozen=True)
@@ -103,6 +111,8 @@ class DistanceProfile:
     bands: dict[int, tuple[tuple[float, float], ...]]
 
     def __post_init__(self) -> None:
+        if not isinstance(self.bands, dict):
+            raise InvalidInputError(f"profile bands must be a mapping, got {self.bands!r}")
         clean: dict[int, tuple[tuple[float, float], ...]] = {}
         for band, pts in self.bands.items():
             band = json_integer(band, "band index")
@@ -119,10 +129,6 @@ class DistanceProfile:
             gains = [check_level(g, f"band {band + 1} gain") for _, g in pairs]
             clean[band] = tuple(sorted(zip(dists, gains)))
         object.__setattr__(self, "bands", clean)
-
-    def gain_db(self, band_index: int, distance_cm: float) -> float:
-        pts = self.bands.get(band_index)
-        return float(np.interp(distance_cm, *zip(*pts))) if pts else 0.0
 
 
 @dataclass(frozen=True)
@@ -147,10 +153,7 @@ class SynthCampaignSpec:
             raise InvalidSpecError("campaign needs at least one distance")
         dists = check_distances(self.distances_cm, "campaign")
         _check_labels((self.microphone, self.model.label, self.stimulus_label))
-        theta = json_number(self.theta_rad, "theta_rad")
-        if not math.isfinite(theta):
-            raise InvalidSpecError(f"theta_rad must be finite, got {theta}")
-        object.__setattr__(self, "theta_rad", theta)
+        object.__setattr__(self, "theta_rad", _angle(self.theta_rad, InvalidSpecError))
         reference = check_reference(dists, self.reference_distance_cm, "campaign")
         for d in dists:
             try:
@@ -236,31 +239,35 @@ def load_campaign_spec(path: str | os.PathLike) -> tuple[SynthCampaignSpec, dict
         return SynthCampaignSpec(stimulus, **fields), {**doc, "stimulus": stim_json}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # == on arrays does not give a bool
 class GroundTruth:
-    """Injected gains of a synthetic campaign, for oracle comparison.
-
-    ``band_rows`` holds the per-band profile gain at every (band, distance);
-    ``expected_weight_delta_db`` additionally folds in the total-energy
-    renormalization that a weight ratio sees when some bands are boosted
-    (weights must sum to one, so boosting one band slightly lowers all).
-    """
+    """What a synthetic campaign injected: the read-only (distance x band) table of profile
+    gains in dB, rows in the order of ``distances_cm``, no columns without a profile, and
+    the stimulus' energy in each band. The x_ref/x and directivity gains are the spec's."""
 
     reference_distance_cm: float
-    global_gain_db: tuple[tuple[float, float], ...]  # (distance, 1/x * D gain)
-    expected_amplification_db: tuple[tuple[float, float], ...]
-    band_rows: tuple[tuple[int, float, float], ...]  # (band, distance, injected dB)
-    expected_weight_delta_db: tuple[tuple[int, float, float], ...]
+    distances_cm: tuple[float, ...]
+    gains_db: np.ndarray
+    band_energy: np.ndarray
 
     def to_csv(self) -> str:
+        """One row per (distance, band), bands numbered from 1."""
         return _csv_text(["band", "distance_cm", "injected_gain_db"],
-                         ([str(b + 1), distance_text(d), gain] for b, d, gain in self.band_rows))
+                         ([str(b + 1), distance_text(d), gain]
+                          for d, row in zip(self.distances_cm, self.gains_db.tolist())
+                          for b, gain in enumerate(row)))
 
     def expected_delta(self, band_index: int, distance_cm: float) -> float:
-        for band, distance, delta in self.expected_weight_delta_db:
-            if band == band_index and distance == distance_cm:
-                return delta
-        raise KeyError((band_index, distance_cm))
+        """Band ``band_index``'s weight delta at ``distance_cm``: its gain over the
+        reference's, less the renormalization of weights that sum to one."""
+        d, g = self.distances_cm, self.gains_db
+        try:  # a band and a distance are matched by ==, 1.0 and True as 1
+            i, b = d.index(distance_cm), range(g.shape[1]).index(band_index)
+        except ValueError:
+            raise KeyError((band_index, distance_cm)) from None
+        totals = (self.band_energy * 10.0 ** (g / 10.0)).sum(axis=1)
+        i_ref = d.index(self.reference_distance_cm)
+        return float(g[i, b] - g[i_ref, b]) - 10.0 * math.log10(totals[i] / totals[i_ref])
 
 
 def _shaped(bank: FilterBank, stimulus: Signal, spectra: np.ndarray,
@@ -296,51 +303,27 @@ def synth_campaign(
     of ``spec.gains``; with a profile, its subbands are first scaled by that
     distance's row of the gain table.
     """
-    profile, ref, distances = spec.profile, spec.reference_distance_cm, spec.distances_cm
+    profile, distances = spec.profile, spec.distances_cm
     if profile is not None and bank is None:
         raise InvalidInputError("a campaign with a profile needs a filter bank")
-    gains = spec.gains
-    table = None  # dB gain per (distance, band)
+    table = np.zeros((len(distances), 0 if profile is None else bank.n_bands))
+    band_energy = np.zeros(table.shape[1])  # table: dB gain per (distance, band)
     if profile is not None:
         if max(profile.bands, default=-1) >= bank.n_bands:
             raise MappingMismatchError(f"profile addresses band {max(profile.bands) + 1} but "
                                        f"the bank has {bank.n_bands} bands")
-        table = np.array([[profile.gain_db(b, d) for b in range(bank.n_bands)]
-                          for d in distances])
+        for b, pts in profile.bands.items():
+            table[:, b] = np.interp(distances, *zip(*pts))
         spectra = _block_spectra(bank, spec.stimulus)
         # before the recordings, so the stimulus' subbands never sit beside them
         band_energy = np.array([float(np.sum(s**2)) for s in
                                 decompose(bank, spec.stimulus, _input_spectra=spectra)])
 
-    signals = []
-    for i, gain in enumerate(gains):
-        if table is None:
-            signals.append(spec.stimulus.scaled(gain))
-        else:
-            signals.append(_shaped(bank, spec.stimulus, spectra, table[i], gain))
+    signals = tuple(spec.stimulus.scaled(gain) if profile is None
+                    else _shaped(bank, spec.stimulus, spectra, row, gain)
+                    for row, gain in zip(table, spec.gains))
     series = MeasurementSeries((spec.microphone, spec.model.label, spec.stimulus_label),
-                               distances, tuple(signals))
-
-    # negative gain is a polarity flip (bidirectional rear lobe); levels
-    # follow the magnitude
-    global_gain = tuple((d, 20.0 * math.log10(abs(gain))) for d, gain in zip(distances, gains))
-    expected_amp = [(d, theoretical_amplification(d, ref)) for d in distances]
-    band_rows, expected_delta = [], []
-    if table is not None:
-        # total energy after per-band scaling, per distance
-        totals = (band_energy[None, :] * 10.0 ** (table / 10.0)).sum(axis=1)
-        i_ref = distances.index(ref)
-        for i, d in enumerate(distances):
-            renorm = 10.0 * math.log10(totals[i] / totals[i_ref])
-            expected_amp[i] = (d, expected_amp[i][1] + renorm)
-            for b in range(bank.n_bands):
-                band_rows.append((b, d, float(table[i, b])))
-                expected_delta.append((b, d, float(table[i, b] - table[i_ref, b]) - renorm))
-
-    return series, GroundTruth(
-        reference_distance_cm=ref,
-        global_gain_db=global_gain,
-        expected_amplification_db=tuple(expected_amp),
-        band_rows=tuple(band_rows),
-        expected_weight_delta_db=tuple(expected_delta),
-    )
+                               distances, signals)
+    for array in (table, band_energy):
+        array.setflags(write=False)  # the truth is a frozen record
+    return series, GroundTruth(spec.reference_distance_cm, distances, table, band_energy)

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (InvalidInputError, LoadError, UnsupportedEncodingError, WavFormatError,
-                     check_path, json_integer, reading)
+                     check_path, json_integer, json_text, reading)
 from .signal import Signal, check_sample_rate
 
 __all__ = ["WavHeader", "read_header", "load_wav", "save_wav", "check_header", "check_writable"]
@@ -112,9 +112,10 @@ def save_wav(signal: Signal, path: str | os.PathLike, encoding: str = "float32")
     PCM clips at full scale. Raises :class:`InvalidInputError`, before
     opening the file, for another encoding, a path that is not text or
     ``os.PathLike`` (:func:`check_path`) and unless :func:`check_writable`
-    passes.
+    passes; and worded ``cannot write (...)``, naming the path, for an
+    ``OSError`` of opening or writing it.
     """
-    if encoding not in _FORMATS:
+    if json_text(encoding, "encoding") not in _FORMATS:
         raise InvalidInputError(f"unknown encoding {encoding!r}")
     check_path(path, InvalidInputError)
     check_writable(signal, path, encoding)
@@ -134,8 +135,11 @@ def save_wav(signal: Signal, path: str | os.PathLike, encoding: str = "float32")
             b"data", struct.pack("<I", len(body)), body, b"\x00" * (len(body) & 1),
         ]
     )
-    with open(path, "wb") as fh:
-        fh.write(b"RIFF" + struct.pack("<I", 4 + len(chunks)) + b"WAVE" + chunks)
+    try:
+        with open(path, "wb") as fh:
+            fh.write(b"RIFF" + struct.pack("<I", 4 + len(chunks)) + b"WAVE" + chunks)
+    except OSError as exc:  # worded as errors.reading words a read
+        raise InvalidInputError(f"{path}: cannot write ({exc.strerror or exc})") from exc
 
 
 def check_header(n_frames: float, sample_rate: float, what, encoding: str = "float32") -> None:

@@ -12,6 +12,7 @@ from bandscope import (
     directivity_gain,
     measured_level_curve,
     mean_level_dbfs,
+    spectral_balance,
     synth_campaign,
     theoretical_amplification,
     weight_evolution,
@@ -67,6 +68,16 @@ class TestDirectivity:
         for theta in np.linspace(0, 2 * math.pi, 17):
             assert directivity_gain(model, theta) == 1.0
 
+    @pytest.mark.parametrize("theta, message", [
+        ("0.1", 'theta_rad must be a number, got "0.1"'),
+        (math.nan, "theta_rad must be finite, got nan"),
+        (-math.inf, "theta_rad must be finite, got -inf"),
+    ], ids=["text", "nan", "minus-inf"])
+    def test_angle_is_a_finite_number(self, theta, message):
+        # worded as SynthCampaignSpec words the same angle
+        with pytest.raises(InvalidInputError, match=message):
+            directivity_gain(DirectivityModel.cardioid(), theta)
+
     def test_m_bounds(self):
         with pytest.raises(InvalidInputError):
             DirectivityModel(1.5)
@@ -80,17 +91,20 @@ class TestDirectivity:
 
 
 class TestDistanceProfile:
-    def test_interpolation_and_extrapolation_hold(self):
+    def test_interpolation_and_extrapolation_hold(self, white_2s, ids10_bank_fast):
         prof = DistanceProfile(bands={0: ((10.0, 6.0), (20.0, 0.0))})
-        assert prof.gain_db(0, 15.0) == pytest.approx(3.0)
-        assert prof.gain_db(0, 5.0) == 6.0  # holds the end value
-        assert prof.gain_db(0, 50.0) == 0.0
-        assert prof.gain_db(3, 15.0) == 0.0  # unlisted band is flat
+        spec = SynthCampaignSpec(stimulus=white_2s, distances_cm=(50, 5, 15, 100), profile=prof)
+        _, truth = synth_campaign(spec, ids10_bank_fast)
+        assert truth.distances_cm == (5.0, 15.0, 50.0, 100.0)
+        assert truth.gains_db.shape == (4, ids10_bank_fast.n_bands)
+        # the end values hold on either side of the breakpoints
+        assert truth.gains_db[:, 0].tolist() == pytest.approx([6.0, 3.0, 0.0, 0.0])
+        assert not truth.gains_db[:, 1:].any()  # an unlisted band is flat
+        assert not (truth.gains_db.flags.writeable or truth.band_energy.flags.writeable)
 
     def test_sorts_unsorted_breakpoints(self):
         prof = DistanceProfile(bands={0: ((20.0, 0.0), (10.0, 6.0))})
         assert prof == DistanceProfile(bands={0: ((10.0, 6.0), (20.0, 0.0))})
-        assert prof.gain_db(0, 15.0) == pytest.approx(3.0)
 
     def test_rejects_nonfinite_gain(self):
         with pytest.raises(InvalidInputError):
@@ -102,6 +116,8 @@ class TestDistanceProfile:
             DistanceProfile(bands={1: ((10.0, 1e308),)})
 
     @pytest.mark.parametrize("bands, message", [
+        (None, "profile bands must be a mapping, got None"),
+        ([(0, ((10.0, 0.0),))], r"profile bands must be a mapping, got \[\(0"),
         ({1.5: ((10.0, 0.0),)}, "band index must be a whole number, got 1.5"),
         ({"2": ((10.0, 0.0),)}, 'band index must be a number, got "2"'),
         ({True: ((10.0, 0.0),)}, "band index must be a number, got true"),
@@ -113,8 +129,9 @@ class TestDistanceProfile:
         ({0: ((math.nan, 0.0), (10.0, 0.0))},
          "band 1: breakpoint: distance must be finite and >= 0 cm, got nan"),
         ({0: ((10.0, 0.0), (10.0, 1.0))}, r"band 1: breakpoint: duplicate distance\(s\) \[10.0\]"),
-    ], ids=["float-index", "str-index", "bool-index", "negative-index", "triple", "not-a-list",
-            "str-distance", "no-breakpoint", "nan-distance", "repeated-distance"])
+    ], ids=["none", "list-of-pairs", "float-index", "str-index", "bool-index", "negative-index",
+            "triple", "not-a-list", "str-distance", "no-breakpoint", "nan-distance",
+            "repeated-distance"])
     def test_rejects_what_is_not_a_profile(self, bands, message):
         # a repeated distance is a DuplicateDistanceError, as in every set of distances
         error = DuplicateDistanceError if "duplicate" in message else InvalidInputError
@@ -183,7 +200,7 @@ class TestProfiledCampaignWork:
         spec = SynthCampaignSpec(stimulus=stimulus, distances_cm=self.DISTANCES,
                                  model=DirectivityModel.cardioid(), theta_rad=0.3,
                                  profile=self.PROFILE)
-        return synth_campaign(spec, bank)[0]
+        return synth_campaign(spec, bank)
 
     def test_one_block_transform_and_a_split_per_recording(self, white_2s, ids10_bank_fast,
                                                            monkeypatch):
@@ -209,7 +226,7 @@ class TestProfiledCampaignWork:
         assert all(split is white_2s for split in splits)
 
     def test_row_flat_in_every_band_is_the_scaled_stimulus(self, white_2s, ids10_bank_fast):
-        series = self._campaign(white_2s, ids10_bank_fast)
+        series, _ = self._campaign(white_2s, ids10_bank_fast)
         recordings = dict(zip(series.distances, series.recordings))
         d_gain = directivity_gain(DirectivityModel.cardioid(), 0.3)
         for d in (50.0, 100.0):  # past every breakpoint that is not 0 dB
@@ -217,12 +234,13 @@ class TestProfiledCampaignWork:
             assert recordings[d].samples.tobytes() == want.tobytes()
 
     def test_shaped_rows_equal_the_sum_of_scaled_subbands(self, white_2s, ids10_bank_fast):
-        series = self._campaign(white_2s, ids10_bank_fast)
+        # the recordings are what the truth's table says was injected
+        series, truth = self._campaign(white_2s, ids10_bank_fast)
         recordings = dict(zip(series.distances, series.recordings))
         subbands = decompose(ids10_bank_fast, white_2s)
         d_gain = directivity_gain(DirectivityModel.cardioid(), 0.3)
         for d in (5.0, 25.0):
-            gains = [10.0 ** (self.PROFILE.gain_db(b, d) / 20.0) for b in range(len(subbands))]
+            gains = 10.0 ** (truth.gains_db[truth.distances_cm.index(d)] / 20.0)
             want = (100.0 / d) * d_gain * sum(g * sub for g, sub in zip(gains, subbands))
             np.testing.assert_allclose(recordings[d].samples, want,
                                        rtol=0, atol=1e-13 * np.abs(want).max())
@@ -237,14 +255,12 @@ class TestSynthCampaign:
             theta_rad=0.5,
         )
         series, truth = synth_campaign(spec)
+        assert truth.gains_db.shape == (5, 0)  # no profile, no band gains
         points = measured_level_curve(series.measure(ids10_bank_fast, 100.0))
+        assert [p.distance_cm for p in points] == [5.0, 10.0, 20.0, 50.0, 100.0]
         for p in points:
-            if p.distance_cm != 100.0:
-                assert p.amplification_db == pytest.approx(
-                    theoretical_amplification(p.distance_cm, 100), abs=0.02)
-        expect = dict(truth.expected_amplification_db)
-        for p in points:
-            assert p.amplification_db == pytest.approx(expect[p.distance_cm], abs=1e-9)
+            assert p.amplification_db == pytest.approx(
+                theoretical_amplification(p.distance_cm, 100), abs=1e-9)
 
     def test_empty_distances_rejected(self, white_2s):
         with pytest.raises(InvalidSpecError):
@@ -279,6 +295,35 @@ class TestSynthCampaign:
                     truth.expected_delta(band, d), abs=0.3
                 )
 
+    def test_expected_delta_is_the_closed_form(self, white_2s, ids10_bank_fast):
+        # each band's gain against the reference's, less the dB change of the
+        # total energy the weights are shares of
+        prof = DistanceProfile(bands={0: ((5.0, 8.0), (50.0, 0.0)),
+                                      6: ((5.0, -6.0), (25.0, 1.5))})
+        distances = (5.0, 10.0, 25.0, 50.0, 100.0)
+        spec = SynthCampaignSpec(stimulus=white_2s, distances_cm=distances, profile=prof)
+        _, truth = synth_campaign(spec, ids10_bank_fast)
+        energy = spectral_balance(white_2s, ids10_bank_fast).band_energies
+
+        def gains(d):
+            return [float(np.interp(d, *zip(*prof.bands[b]))) if b in prof.bands else 0.0
+                    for b in range(len(energy))]
+
+        def total_db(d):
+            return 10.0 * math.log10(sum(e * 10.0 ** (g / 10.0) for e, g in zip(energy, gains(d))))
+
+        for d in distances:
+            renorm = total_db(d) - total_db(100.0)
+            for b, (g, g_ref) in enumerate(zip(gains(d), gains(100.0))):
+                assert truth.expected_delta(b, d) == pytest.approx(g - g_ref - renorm,
+                                                                   rel=0, abs=1e-12)
+        for band, d in ((len(energy), 5.0), (-1, 5.0), (0, 7.0), ("1", 5.0)):
+            with pytest.raises(KeyError):
+                truth.expected_delta(band, d)
+        # matched by ==, as a band number and a distance are everywhere
+        assert truth.expected_delta(True, 5) == truth.expected_delta(1.0, 5.0) == \
+            truth.expected_delta(np.int64(1), np.float64(5.0))
+
     def test_ground_truth_csv_schema(self, white_2s, ids10_bank_fast):
         prof = DistanceProfile(bands={0: ((5.0, 8.0), (100.0, 0.0))})
         spec = SynthCampaignSpec(
@@ -303,8 +348,9 @@ class TestOffAxisCampaign:
         series, truth = synth_campaign(spec)
         rec = series.recordings[series.distances.index(100.0)]
         np.testing.assert_allclose(rec.samples, -0.5 * white_2s.samples, atol=1e-12)
-        gains = dict(truth.global_gain_db)
-        assert gains[100.0] == pytest.approx(-6.0206, abs=1e-3)
+        assert mean_level_dbfs(rec) - mean_level_dbfs(white_2s) == pytest.approx(
+            20.0 * math.log10(0.5), abs=1e-9)
+        assert truth.to_csv() == "band,distance_cm,injected_gain_db\n"
 
     def test_directivity_null_rejected(self, white_2s):
         with pytest.raises(InvalidSpecError):

@@ -176,6 +176,15 @@ class TestRoundTrip:
         with pytest.raises(InvalidInputError, match="unknown encoding 'pcm32'"):
             save_wav(s, tmp_path / "x.wav", encoding="pcm32")
 
+    @pytest.mark.parametrize("name, why", [("missing-dir/x.wav", "No such file or directory"),
+                                           (".", "Is a directory")], ids=["no-dir", "a-dir"])
+    def test_unwritable_path_is_named_once(self, tmp_path, name, why):
+        # worded as a file that cannot be read is
+        path = tmp_path / name
+        with pytest.raises(InvalidInputError) as info:
+            save_wav(Signal(np.zeros(4), FS), path)
+        assert str(info.value) == f"{path}: cannot write ({why})"
+
 
 def _wav_bytes(fmt_tag, channels, bits, payload, extensible=False, after_data=b""):
     """A WAV file's bytes: fmt (plain or WAVE_FORMAT_EXTENSIBLE), data with
